@@ -1,11 +1,12 @@
 # Developer entry points. `make check` is the tier-1 verification going
-# forward: vet, build, and the full test suite under the race detector.
+# forward: vet, build, the full test suite under the race detector, and
+# the benchmark harness's own vet + tests.
 
 GO ?= go
 
-.PHONY: check vet build test test-race bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
+.PHONY: check vet build test test-race check-bench bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
 
-check: vet build test-race
+check: vet build test-race check-bench
 
 vet:
 	$(GO) vet ./...
@@ -18,6 +19,11 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# bench/ is a separate module importing internal/*: `./...` above does
+# not reach it, so an internal change that breaks its build shows here.
+check-bench:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Every Benchmark* in the module, with allocation stats. The root
 # artifact benchmarks persist their numbers to results/BENCH_*.json

@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"dpsadopt/internal/core"
@@ -327,5 +328,38 @@ func TestSwingsAndAttribution(t *testing.T) {
 	// First-day attribution is empty by construction.
 	if att := a.Attribute([]string{"com"}, 0, 0); att.Joined != 0 || att.Left != 0 {
 		t.Error("day 0 attribution should be empty")
+	}
+}
+
+// TestAttributeTieBreak: NS SLDs with equal shares are ordered by name,
+// not by map iteration, so the attribution reads the same on every call.
+func TestAttributeTieBreak(t *testing.T) {
+	s := store.New()
+	ns := []string{"beta.net", "alpha.net", "beta.net", "gamma.net", "alpha.net", "beta.net", "alpha.net"}
+	for day := simtime.Day(0); day < 2; day++ {
+		w := s.NewWriter("com", day)
+		for i, sld := range ns {
+			asn := uint32(64601)
+			if day == 1 {
+				asn = 13335 // every domain joins on day 1
+			}
+			w.AddAddr(domName(i), store.KindApexA, netip.MustParseAddr("104.16.0.1"), []uint32{asn})
+			w.AddStr(domName(i), store.KindNS, "ns1."+sld)
+		}
+		w.Commit()
+	}
+	a := NewAggregator(oneProviderRefs(t), s, []string{"com"})
+	if err := a.Run([]string{"com"}); err != nil {
+		t.Fatal(err)
+	}
+	want := []SLDShare{
+		{SLD: "alpha.net", Domains: 3, Fraction: 3.0 / 7},
+		{SLD: "beta.net", Domains: 3, Fraction: 3.0 / 7},
+		{SLD: "gamma.net", Domains: 1, Fraction: 1.0 / 7},
+	}
+	for i := 0; i < 20; i++ {
+		if got := a.Attribute([]string{"com"}, 0, 1).Shared; !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: Shared = %+v, want %+v", i, got, want)
+		}
 	}
 }

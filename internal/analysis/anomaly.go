@@ -132,6 +132,11 @@ func (a *Aggregator) Attribute(sources []string, p int, day simtime.Day) Attribu
 			Fraction: float64(n) / float64(len(changed)),
 		})
 	}
-	sort.Slice(att.Shared, func(i, j int) bool { return att.Shared[i].Domains > att.Shared[j].Domains })
+	sort.Slice(att.Shared, func(i, j int) bool {
+		if att.Shared[i].Domains != att.Shared[j].Domains {
+			return att.Shared[i].Domains > att.Shared[j].Domains
+		}
+		return att.Shared[i].SLD < att.Shared[j].SLD
+	})
 	return att
 }

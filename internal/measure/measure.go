@@ -414,6 +414,10 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 			resolvers[wi] = r
 		}
 	}
+	// Workers fill their own writers; the chunks are committed after the
+	// barrier in worker order, so a partition's row order is the task
+	// order whatever the worker count or scheduling.
+	writers := make([]*store.Writer, workers)
 	for wi := 0; wi < workers; wi++ {
 		lo := wi * chunk
 		hi := lo + chunk
@@ -426,47 +430,53 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 			}
 			continue
 		}
+		writers[wi] = p.Store.NewWriter(source, day)
 		wg.Add(1)
 		go func(wi, lo, hi int) {
 			defer wg.Done()
 			mWorkersActive.Inc()
 			defer mWorkersActive.Dec()
-			writer := p.Store.NewWriter(source, day)
+			writer := writers[wi]
 			resolver := resolvers[wi]
 			if resolver != nil {
 				defer resolver.Close()
 			}
-			n := 0
 			for _, t := range tasks[lo:hi] {
 				if ctx.Err() != nil {
-					break // cancelled: commit what this worker has
+					break // cancelled: what this worker has is still committed
 				}
 				resolveStart := time.Now()
 				if p.Cfg.Mode == ModeDirect {
-					n += p.measureDirect(writer, t.dom, day, table)
+					p.measureDirect(writer, t.dom, day, table)
 				} else {
 					// Per-domain sampling: only sampled domains carry
 					// the active span into the resolver.
-					n += p.measureWire(trace.ForDomain(ctx, t.dom.Name), writer, resolver, t.dom, table)
+					p.measureWire(trace.ForDomain(ctx, t.dom.Name), writer, resolver, t.dom, table)
 				}
 				mResolveWindow.Observe(time.Since(resolveStart).Seconds())
 			}
-			commitStart := time.Now()
-			_, sp3 := trace.StartSpan(ctx, "measure.stage3",
-				trace.Str("source", source), trace.Int("rows", int64(n)))
-			writer.Commit()
-			sp3.End()
-			mStageSeconds.With(stageStorage).Observe(time.Since(commitStart).Seconds())
-			mu.Lock()
-			total += n
 			if resolver != nil {
+				mu.Lock()
 				p.queriesSent += resolver.QueriesSent()
 				p.dayNet.add(resolver)
+				mu.Unlock()
 			}
-			mu.Unlock()
 		}(wi, lo, hi)
 	}
 	wg.Wait()
+	for _, writer := range writers {
+		if writer == nil {
+			continue
+		}
+		n := writer.Rows()
+		commitStart := time.Now()
+		_, sp3 := trace.StartSpan(ctx, "measure.stage3",
+			trace.Str("source", source), trace.Int("rows", int64(n)))
+		writer.Commit()
+		sp3.End()
+		mStageSeconds.With(stageStorage).Observe(time.Since(commitStart).Seconds())
+		total += n
+	}
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}
@@ -474,12 +484,11 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 }
 
 // measureDirect emits the rows for one domain from the world model.
-func (p *Pipeline) measureDirect(w *store.Writer, d *worldsim.Domain, day simtime.Day, table pfx2as.Table) int {
+func (p *Pipeline) measureDirect(w *store.Writer, d *worldsim.Domain, day simtime.Day, table pfx2as.Table) {
 	st := p.World.StateFor(d, day)
 	if !st.Exists || st.Unmeasurable {
-		return 0
+		return
 	}
-	before := w.Rows()
 	for _, a := range st.ApexA {
 		w.AddAddr(d.Name, store.KindApexA, a, lookupASNs(table, a))
 	}
@@ -498,13 +507,11 @@ func (p *Pipeline) measureDirect(w *store.Writer, d *worldsim.Domain, day simtim
 	for _, ns := range st.NSHosts {
 		w.AddStr(d.Name, store.KindNS, ns)
 	}
-	return w.Rows() - before
 }
 
 // measureWire resolves the domain's records over the network and emits
 // the same row shapes as measureDirect.
-func (p *Pipeline) measureWire(ctx context.Context, w *store.Writer, r *dnsclient.Resolver, d *worldsim.Domain, table pfx2as.Table) int {
-	before := w.Rows()
+func (p *Pipeline) measureWire(ctx context.Context, w *store.Writer, r *dnsclient.Resolver, d *worldsim.Domain, table pfx2as.Table) {
 	name := d.Name
 	if res, err := r.Resolve(ctx, name, dnswire.TypeA); err == nil {
 		for _, rr := range res.Records {
@@ -544,7 +551,6 @@ func (p *Pipeline) measureWire(ctx context.Context, w *store.Writer, r *dnsclien
 			}
 		}
 	}
-	return w.Rows() - before
 }
 
 func lookupASNs(table pfx2as.Table, a netip.Addr) []uint32 {

@@ -424,3 +424,48 @@ func TestRunPartitionEquivalent(t *testing.T) {
 		t.Fatal("cancelled partition ran")
 	}
 }
+
+// TestPartitionRowOrderDeterministic: workers commit their chunks in
+// worker order, so a partition's row sequence is the task order — the
+// same run to run and whatever the worker count.
+func TestPartitionRowOrderDeterministic(t *testing.T) {
+	w := midWorld(t)
+	day := w.Cfg.NLWindow.Start // nl + alexa + gTLDs all active
+	type partition struct {
+		rows          []string // presentation form, in stored order
+		n, distinctID int
+	}
+	measure := func(workers int) map[string]partition {
+		s := store.New()
+		p := New(w, s, Config{Mode: ModeDirect, Workers: workers})
+		if err := p.RunDay(context.Background(), day); err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]partition)
+		for _, src := range s.Sources() {
+			var part partition
+			s.ForEachRow(src, day, func(r store.Row) { part.rows = append(part.rows, rowKey(r)) })
+			var ids []uint32
+			part.n, _, ids = s.DayStats(src, day)
+			part.distinctID = len(ids)
+			out[src] = part
+		}
+		return out
+	}
+	want := measure(1)
+	if len(want) < 5 {
+		t.Fatalf("only %d partitions measured", len(want))
+	}
+	for _, workers := range []int{4, 4} {
+		got := measure(workers)
+		for src, wp := range want {
+			gp := got[src]
+			if gp.n != wp.n || gp.distinctID != wp.distinctID {
+				t.Errorf("%s, %d workers: %d rows / %d domains, want %d / %d", src, workers, gp.n, gp.distinctID, wp.n, wp.distinctID)
+			}
+			if !reflect.DeepEqual(gp.rows, wp.rows) {
+				t.Errorf("%s, %d workers: row sequence differs from the one-worker order", src, workers)
+			}
+		}
+	}
+}

@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// Ablation: the per-prefix-length hash walk (the default) against the
-// sorted-interval binary search and the naive linear scan, on a
-// Routeviews-sized synthetic table (DESIGN.md §5).
+// Ablation: the flattened-interval table against the linear-scan oracle
+// on a Routeviews-sized synthetic table (DESIGN.md §5).
 
 func benchEntries(n int) []Entry {
 	r := rand.New(rand.NewSource(7))
@@ -51,12 +50,8 @@ func BenchmarkAblationPfx2asWalk(b *testing.B) {
 	benchLookup(b, NewWalk(benchEntries(50_000)))
 }
 
-func BenchmarkAblationPfx2asSearch(b *testing.B) {
-	benchLookup(b, NewSearch(benchEntries(50_000)))
-}
-
 func BenchmarkAblationPfx2asScan(b *testing.B) {
-	benchLookup(b, NewScan(benchEntries(2_000))) // linear scan: smaller table or the bench never finishes
+	benchLookup(b, scan(benchEntries(2_000))) // linear scan: smaller table or the bench never finishes
 }
 
 func BenchmarkPfx2asParse(b *testing.B) {

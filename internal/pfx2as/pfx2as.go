@@ -4,14 +4,13 @@
 // contained at measurement time is determined on the basis of the
 // Routeviews Prefix-to-AS mappings (pfx2as) data set."
 //
-// Three lookup structures are provided. Walk (per-prefix-length hash
-// probing) is the default; Scan (linear with best-match tracking) and
-// Search (sorted-interval binary search with backward scan) exist as
-// ablation baselines benchmarked in the repository root.
+// Walk is the one lookup structure: the IPv4 prefixes flattened into
+// disjoint intervals, so a lookup is one binary search.
 package pfx2as
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
@@ -83,50 +82,121 @@ func Parse(r io.Reader) ([]Entry, error) {
 	return out, nil
 }
 
-// Walk is the default Table: entries are bucketed per prefix length and a
-// lookup probes only the lengths present, most specific first.
+// Walk is the Table implementation. The IPv4 prefixes are flattened into
+// disjoint segments: segment i spans starts[i] up to starts[i+1]-1 (the
+// last one up to 255.255.255.255) and maps to origins[i], the origin set
+// of the most specific prefix covering it, nil where no prefix does. IPv6
+// entries stay keyed by prefix and a lookup probes only the lengths
+// present, most specific first.
 type Walk struct {
-	entries map[netip.Prefix]Origins
-	lens4   [33]bool
+	starts  []uint32
+	origins []Origins
+	v6      map[netip.Prefix]Origins
 	lens6   [129]bool
 	n       int
+}
+
+// span4 is one IPv4 prefix as an inclusive address range.
+type span4 struct {
+	start, end uint32
+	origins    Origins
 }
 
 // NewWalk builds a Walk table from entries; later duplicates of the same
 // prefix replace earlier ones.
 func NewWalk(entries []Entry) *Walk {
-	w := &Walk{entries: make(map[netip.Prefix]Origins, len(entries))}
+	w := &Walk{v6: make(map[netip.Prefix]Origins)}
+	spans := make([]span4, 0, len(entries))
 	for _, e := range entries {
-		if _, dup := w.entries[e.Prefix]; !dup {
-			w.n++
+		o := e.Origins
+		if o == nil {
+			o = Origins{} // nil marks a gap; a prefix without origins still covers
 		}
-		w.entries[e.Prefix] = e.Origins
-		if e.Prefix.Addr().Is4() {
-			w.lens4[e.Prefix.Bits()] = true
-		} else {
-			w.lens6[e.Prefix.Bits()] = true
+		p := e.Prefix.Masked()
+		if !p.Addr().Is4() {
+			w.v6[p] = o
+			w.lens6[p.Bits()] = true
+			continue
+		}
+		start := addr4(p.Addr())
+		spans = append(spans, span4{start, start | ^uint32(0)>>p.Bits(), o})
+	}
+	// Parents sort before their children; the stable sort keeps duplicates
+	// in input order, so the last of a run is the one that counts.
+	sort.SliceStable(spans, func(i, j int) bool {
+		if spans[i].start != spans[j].start {
+			return spans[i].start < spans[j].start
+		}
+		return spans[i].end > spans[j].end
+	})
+	w.starts, w.origins = []uint32{0}, []Origins{nil}
+	// emit opens a segment at start; a segment opened at the same address
+	// before it (a parent, a closed sibling's tail, a duplicate) is empty.
+	emit := func(start uint32, o Origins) {
+		if last := len(w.starts) - 1; w.starts[last] == start {
+			w.origins[last] = o
+			return
+		}
+		w.starts = append(w.starts, start)
+		w.origins = append(w.origins, o)
+	}
+	// open holds the prefixes covering the sweep position, outermost
+	// first. Closing one re-exposes its parent (or the gap) after its end.
+	var open []span4
+	closeUntil := func(next uint64) {
+		for len(open) > 0 && uint64(open[len(open)-1].end) < next {
+			end := open[len(open)-1].end
+			open = open[:len(open)-1]
+			if end == ^uint32(0) {
+				continue
+			}
+			var o Origins
+			if len(open) > 0 {
+				o = open[len(open)-1].origins
+			}
+			emit(end+1, o)
 		}
 	}
+	for i, sp := range spans {
+		if i+1 < len(spans) && spans[i+1].start == sp.start && spans[i+1].end == sp.end {
+			continue
+		}
+		w.n++
+		closeUntil(uint64(sp.start))
+		emit(sp.start, sp.origins)
+		open = append(open, sp)
+	}
+	closeUntil(1 << 32)
+	w.n += len(w.v6)
 	return w
 }
 
 // Lookup implements Table.
 func (w *Walk) Lookup(addr netip.Addr) (Origins, bool) {
-	maxBits := 32
-	lens := w.lens4[:]
-	if !addr.Is4() {
-		maxBits = 128
-		lens = w.lens6[:]
+	if addr.Is4() {
+		v := addr4(addr)
+		// The last segment starting at or before v; starts[0] is 0.
+		lo, hi := 1, len(w.starts)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if w.starts[mid] <= v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		o := w.origins[lo-1]
+		return o, o != nil
 	}
-	for bits := maxBits; bits >= 0; bits-- {
-		if !lens[bits] {
+	for bits := 128; bits >= 0; bits-- {
+		if !w.lens6[bits] {
 			continue
 		}
 		p, err := addr.Prefix(bits)
 		if err != nil {
 			continue
 		}
-		if o, ok := w.entries[p]; ok {
+		if o, ok := w.v6[p]; ok {
 			return o, true
 		}
 	}
@@ -136,119 +206,7 @@ func (w *Walk) Lookup(addr netip.Addr) (Origins, bool) {
 // Len implements Table.
 func (w *Walk) Len() int { return w.n }
 
-// Scan is the naive baseline: a linear pass tracking the longest match.
-type Scan struct {
-	entries []Entry
+func addr4(a netip.Addr) uint32 {
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:])
 }
-
-// NewScan builds a Scan table.
-func NewScan(entries []Entry) *Scan {
-	return &Scan{entries: append([]Entry(nil), entries...)}
-}
-
-// Lookup implements Table.
-func (s *Scan) Lookup(addr netip.Addr) (Origins, bool) {
-	best := -1
-	var out Origins
-	for _, e := range s.entries {
-		if e.Prefix.Contains(addr) && e.Prefix.Bits() > best {
-			best = e.Prefix.Bits()
-			out = e.Origins
-		}
-	}
-	return out, best >= 0
-}
-
-// Len implements Table.
-func (s *Scan) Len() int { return len(s.entries) }
-
-// Search keeps IPv4 entries sorted by (network address, length) and
-// answers lookups with a binary search followed by a bounded backward scan
-// over candidate covering prefixes. IPv6 entries fall back to an embedded
-// Walk table.
-type Search struct {
-	v4   []searchEntry
-	walk *Walk // IPv6 fallback
-	n    int
-	// maxSize is the address-span of the coarsest IPv4 prefix present
-	// (1 << (32 - minBits)); it bounds the backward scan.
-	maxSize uint64
-}
-
-type searchEntry struct {
-	start   uint32 // network address
-	bits    int
-	origins Origins
-}
-
-// NewSearch builds a Search table.
-func NewSearch(entries []Entry) *Search {
-	s := &Search{n: len(entries)}
-	var v6 []Entry
-	for _, e := range entries {
-		if e.Prefix.Addr().Is4() {
-			b := e.Prefix.Masked().Addr().As4()
-			s.v4 = append(s.v4, searchEntry{
-				start:   uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]),
-				bits:    e.Prefix.Bits(),
-				origins: e.Origins,
-			})
-		} else {
-			v6 = append(v6, e)
-		}
-	}
-	sort.Slice(s.v4, func(i, j int) bool {
-		if s.v4[i].start != s.v4[j].start {
-			return s.v4[i].start < s.v4[j].start
-		}
-		return s.v4[i].bits < s.v4[j].bits
-	})
-	minBits := 32
-	for _, e := range s.v4 {
-		if e.bits < minBits {
-			minBits = e.bits
-		}
-	}
-	s.maxSize = uint64(1) << (32 - minBits)
-	s.walk = NewWalk(v6)
-	return s
-}
-
-// Lookup implements Table.
-func (s *Search) Lookup(addr netip.Addr) (Origins, bool) {
-	if !addr.Is4() {
-		return s.walk.Lookup(addr)
-	}
-	b := addr.As4()
-	v := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-	// First entry with start > v; candidates are at i-1 and before.
-	i := sort.Search(len(s.v4), func(i int) bool { return s.v4[i].start > v })
-	best := -1
-	var out Origins
-	for j := i - 1; j >= 0; j-- {
-		e := s.v4[j]
-		size := uint64(1) << (32 - e.bits)
-		if uint64(e.start)+size <= uint64(v) {
-			// This entry ends before v, but a coarser prefix further
-			// left may still cover it. Earlier entries start at or
-			// before e.start, so once even the coarsest prefix length
-			// present in the table could not stretch from here to v,
-			// nothing earlier can cover v either.
-			if uint64(e.start)+s.maxSize <= uint64(v) {
-				break
-			}
-			continue
-		}
-		if e.bits > best {
-			best = e.bits
-			out = e.origins
-		}
-		if best == 32 {
-			break
-		}
-	}
-	return out, best >= 0
-}
-
-// Len implements Table.
-func (s *Search) Len() int { return s.n }

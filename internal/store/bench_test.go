@@ -13,8 +13,8 @@ import (
 
 // Ablation: columnar vs row-interleaved block encoding, measured by
 // compressed size and encode throughput (DESIGN.md §5). The columnar
-// layout groups each field's bytes so flate sees long runs of repeating
-// dictionary IDs; row-major interleaving destroys those runs.
+// side is the store's own per-column sizer; row-major interleaving
+// destroys the runs of repeating dictionary IDs each column stream sees.
 
 func benchBlock(rows int) (*Store, simtime.Day) {
 	s := New()
@@ -49,7 +49,7 @@ func rowMajorEncode(b *dayBlock) []byte {
 }
 
 func compress(raw []byte) int64 {
-	var out countWriter
+	var out columnSizer
 	fw, _ := flate.NewWriter(&out, flate.BestSpeed)
 	_, _ = fw.Write(raw)
 	_ = fw.Close()
@@ -69,7 +69,7 @@ func BenchmarkAblationStoreLayoutColumnar(b *testing.B) {
 	b.ResetTimer()
 	var size int64
 	for i := 0; i < b.N; i++ {
-		size = compress(encodeBlock(blk))
+		size = blk.flateSize()
 	}
 	b.ReportMetric(float64(size), "compressed-bytes")
 }
@@ -89,11 +89,28 @@ func BenchmarkAblationStoreLayoutRowMajor(b *testing.B) {
 func TestColumnarCompressesBetter(t *testing.T) {
 	s, day := benchBlock(30_000)
 	blk := blockOf(s, day)
-	col := compress(encodeBlock(blk))
+	col := blk.flateSize()
 	row := compress(rowMajorEncode(blk))
 	if col >= row {
 		t.Errorf("columnar %d bytes >= row-major %d bytes", col, row)
 	}
+}
+
+// BenchmarkDayStats is the per-partition Table 1 accounting the
+// reproduction pays once per (source, day).
+func BenchmarkDayStats(b *testing.B) {
+	s, day := benchBlock(30_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		n, size, ids := s.DayStats("com", day)
+		if size == 0 || len(ids) != 10_000 {
+			b.Fatalf("DayStats = %d rows, %d bytes, %d ids", n, size, len(ids))
+		}
+		rows += n
+	}
+	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }
 
 func BenchmarkStoreScan(b *testing.B) {

@@ -10,13 +10,13 @@
 package store
 
 import (
-	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dpsadopt/internal/simtime"
 )
@@ -169,6 +169,10 @@ type Writer struct {
 	source string
 	day    simtime.Day
 	block  dayBlock
+	// The last buffered row's domain and its dict ID: a domain's rows
+	// arrive together, so most rows skip the shared dictionary.
+	lastDomain string
+	lastID     uint32
 }
 
 // NewWriter opens a writer for one partition.
@@ -176,10 +180,19 @@ func (s *Store) NewWriter(source string, day simtime.Day) *Writer {
 	return &Writer{store: s, source: source, day: day}
 }
 
+// domainID interns domain, through the dictionary only when it differs
+// from the previous row's.
+func (w *Writer) domainID(domain string) uint32 {
+	if w.block.rows() == 0 || domain != w.lastDomain {
+		w.lastDomain, w.lastID = domain, w.store.dict.ID(domain)
+	}
+	return w.lastID
+}
+
 // AddAddr appends an address row (IPv4 or IPv6).
 func (w *Writer) AddAddr(domain string, kind Kind, addr netip.Addr, asns []uint32) {
 	b := &w.block
-	b.domains = append(b.domains, w.store.dict.ID(domain))
+	b.domains = append(b.domains, w.domainID(domain))
 	b.kinds = append(b.kinds, kind)
 	if addr.Is4() {
 		b.addrs = append(b.addrs, addrU32(addr))
@@ -195,7 +208,7 @@ func (w *Writer) AddAddr(domain string, kind Kind, addr netip.Addr, asns []uint3
 // AddStr appends a string row (CNAME target or NS host).
 func (w *Writer) AddStr(domain string, kind Kind, value string) {
 	b := &w.block
-	b.domains = append(b.domains, w.store.dict.ID(domain))
+	b.domains = append(b.domains, w.domainID(domain))
 	b.kinds = append(b.kinds, kind)
 	b.addrs = append(b.addrs, 0)
 	b.strs = append(b.strs, w.store.dict.ID(value))
@@ -460,16 +473,26 @@ func (s *Store) DayStats(source string, day simtime.Day) (rows int, compressed i
 	if b == nil {
 		return 0, 0, nil
 	}
-	rows = b.rows()
-	compressed = compressedSize(encodeBlock(b))
-	seen := make(map[uint32]bool)
-	for _, id := range b.domains {
-		if !seen[id] {
-			seen[id] = true
+	// A domain's rows sit together, so most rows are settled by the
+	// comparison with their predecessor and never reach the map.
+	heads := 0
+	for i, id := range b.domains {
+		if i == 0 || id != b.domains[i-1] {
+			heads++
+		}
+	}
+	seen := make(map[uint32]struct{}, heads)
+	domainIDs = make([]uint32, 0, heads)
+	for i, id := range b.domains {
+		if i > 0 && id == b.domains[i-1] {
+			continue
+		}
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
 			domainIDs = append(domainIDs, id)
 		}
 	}
-	return rows, compressed, domainIDs
+	return b.rows(), b.flateSize(), domainIDs
 }
 
 // SourceStats computes Table 1 statistics for one source.
@@ -480,58 +503,74 @@ func (s *Store) SourceStats(source string) Stats {
 	days := s.blocks[source]
 	st.Days = len(days)
 	seen := make(map[uint32]bool)
-	var raw bytes.Buffer
 	for _, b := range days {
 		st.DataPoints += int64(b.rows())
 		for _, id := range b.domains {
 			seen[id] = true
 		}
-		raw.Write(encodeBlock(b))
+		st.CompressedBytes += b.flateSize()
 	}
 	st.UniqueSLDs = len(seen)
-	st.CompressedBytes = compressedSize(raw.Bytes())
 	return st
 }
 
-// encodeBlock serialises a block column-by-column (so flate sees the
-// columnar redundancy, as Parquet would).
-func encodeBlock(b *dayBlock) []byte {
-	var buf bytes.Buffer
-	var tmp [4]byte
-	writeU32s := func(vals []uint32) {
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(tmp[:], v)
-			buf.Write(tmp[:])
+// flateSize is the partition's size in the Parquet-size analogue:
+// every column is its own flate stream (a column chunk), the streams are
+// compressed concurrently and their lengths summed. An empty column has
+// no stream.
+func (b *dayBlock) flateSize() int64 {
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for _, col := range [][]uint32{b.domains, b.addrs, b.strs, b.asnOff, b.asnVals} {
+		sizeColumn(&wg, &total, col, 4, binary.LittleEndian.PutUint32)
+	}
+	sizeColumn(&wg, &total, b.kinds, 1, func(dst []byte, k Kind) { dst[0] = byte(k) })
+	sizeColumn(&wg, &total, b.addrs6, 16, func(dst []byte, a [16]byte) { copy(dst, a[:]) })
+	wg.Wait()
+	return total.Load()
+}
+
+// sizeColumn starts a goroutine that adds the compressed length of col,
+// serialised width bytes per element by put, to total.
+func sizeColumn[T any](wg *sync.WaitGroup, total *atomic.Int64, col []T, width int, put func([]byte, T)) {
+	if len(col) == 0 {
+		return
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c := sizerPool.Get().(*columnSizer)
+		defer sizerPool.Put(c)
+		c.n = 0
+		c.fw.Reset(c)
+		for per := len(c.buf) / width; len(col) > 0; {
+			n := min(len(col), per)
+			for i, v := range col[:n] {
+				put(c.buf[i*width:], v)
+			}
+			_, _ = c.fw.Write(c.buf[:n*width]) // the sink cannot fail
+			col = col[n:]
 		}
-	}
-	writeU32s(b.domains)
-	for _, k := range b.kinds {
-		buf.WriteByte(byte(k))
-	}
-	writeU32s(b.addrs)
-	for _, a := range b.addrs6 {
-		buf.Write(a[:])
-	}
-	writeU32s(b.strs)
-	writeU32s(b.asnOff)
-	writeU32s(b.asnVals)
-	return buf.Bytes()
+		_ = c.fw.Close()
+		total.Add(c.n)
+	}()
 }
 
-func compressedSize(raw []byte) int64 {
-	var out countWriter
-	fw, err := flate.NewWriter(&out, flate.BestSpeed)
-	if err != nil {
-		return 0
-	}
-	_, _ = fw.Write(raw)
-	_ = fw.Close()
-	return out.n
+// columnSizer is a flate.Writer over a sink that keeps only the length
+// of the output. The writer's state is over a megabyte, hence the pool.
+type columnSizer struct {
+	n   int64
+	fw  *flate.Writer
+	buf [4096]byte // serialisation scratch between a column slice and fw
 }
 
-type countWriter struct{ n int64 }
+var sizerPool = sync.Pool{New: func() any {
+	c := new(columnSizer)
+	c.fw, _ = flate.NewWriter(c, flate.BestSpeed) // fails on an invalid level only
+	return c
+}}
 
-func (c *countWriter) Write(p []byte) (int, error) {
+func (c *columnSizer) Write(p []byte) (int, error) {
 	c.n += int64(len(p))
 	return len(p), nil
 }

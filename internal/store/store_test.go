@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dpsadopt/internal/simtime"
@@ -97,6 +98,34 @@ func TestWriterReusableAfterCommit(t *testing.T) {
 	}
 }
 
+// TestWriterDomainMemo drives the last-domain memo through the cases
+// where a stale entry would show: interleaved domains, the empty string
+// before and after other names, and a writer reused after Commit.
+func TestWriterDomainMemo(t *testing.T) {
+	s := New()
+	w := s.NewWriter("com", 1)
+	want := []string{"", "", "a.com", "", "a.com", "b.com", "a.com", "a.com", "b.com"}
+	for i, d := range want {
+		if i%2 == 0 {
+			w.AddStr(d, KindNS, "ns.example")
+		} else {
+			w.AddAddr(d, KindApexA, addr("10.0.0.1"), nil)
+		}
+		if i == 5 {
+			w.Commit()
+		}
+	}
+	w.Commit()
+	var got []string
+	s.ForEachRow("com", 1, func(r Row) { got = append(got, r.Domain) })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("domains = %q, want %q", got, want)
+	}
+	if n := s.Dict().Len(); n != 4 { // "", a.com, b.com, ns.example
+		t.Errorf("dict holds %d strings, want 4", n)
+	}
+}
+
 func TestSourcesAndDays(t *testing.T) {
 	s := New()
 	for _, src := range []string{"net", "com", "alexa"} {
@@ -145,6 +174,50 @@ func TestSourceStats(t *testing.T) {
 	// below the raw encoding (~13 bytes/row plus ASN column).
 	if st.CompressedBytes > st.DataPoints*8 {
 		t.Errorf("compression ineffective: %d bytes for %d rows", st.CompressedBytes, st.DataPoints)
+	}
+}
+
+// TestDayStatsDeterministic: a partition's size is a function of its
+// content alone — not of how many columns are compressed at once, of a
+// pooled writer's earlier streams, or of which columns are empty — and a
+// source's size is the sum of its partitions'.
+func TestDayStatsDeterministic(t *testing.T) {
+	s := New()
+	for day := simtime.Day(0); day < 4; day++ {
+		w := s.NewWriter("com", day)
+		for i := 0; i < 3000; i++ {
+			name := fmt.Sprintf("dom%04d.com", i*(int(day)+1))
+			w.AddStr(name, KindNS, fmt.Sprintf("ns%d.hostco.net", i%7))
+			switch day { // day 0: strings only, so addrs6 and asnVals are empty
+			case 1:
+				w.AddAddr(name, KindApexA, addr("10.0.0.1"), nil) // asnVals still empty
+			case 2, 3:
+				w.AddAddr(name, KindApexA, addr("10.0.0.1"), []uint32{13335, uint32(i)})
+				w.AddAddr(name, KindApexAAAA, addr("2001:db8::1"), nil)
+			}
+		}
+		w.Commit()
+	}
+	sizes := func() (out [4]int64) {
+		for day := range out {
+			rows, size, ids := s.DayStats("com", simtime.Day(day))
+			if rows == 0 || size <= 0 || len(ids) != 3000 {
+				t.Fatalf("day %d: %d rows, %d bytes, %d ids", day, rows, size, len(ids))
+			}
+			out[day] = size
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := sizes()
+	for _, procs := range []int{4, 1, 4} {
+		runtime.GOMAXPROCS(procs)
+		if got := sizes(); got != want {
+			t.Errorf("GOMAXPROCS=%d: sizes %v, want %v", procs, got, want)
+		}
+	}
+	if got, sum := s.SourceStats("com").CompressedBytes, want[0]+want[1]+want[2]+want[3]; got != sum {
+		t.Errorf("SourceStats.CompressedBytes = %d, sum of DayStats = %d", got, sum)
 	}
 }
 
