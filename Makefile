@@ -1,12 +1,13 @@
 # Developer entry points. `make check` is the tier-1 verification going
-# forward: vet, build, the full test suite under the race detector, and
-# the benchmark harness's own vet + tests.
+# forward: vet, build, the full test suite under the race detector, the
+# wire path's allocation ceilings without it, and the benchmark harness's
+# own vet + tests.
 
 GO ?= go
 
-.PHONY: check vet build test test-race check-bench bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
+.PHONY: check vet build test test-race test-allocs check-bench bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
 
-check: vet build test-race check-bench
+check: vet build test-race test-allocs check-bench
 
 vet:
 	$(GO) vet ./...
@@ -19,6 +20,11 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The wire path's allocation ceilings sit in `//go:build !race` files (the
+# race runtime drops sync.Pool items), so test-race skips them.
+test-allocs:
+	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver
 
 # bench/ is a separate module importing internal/*: `./...` above does
 # not reach it, so an internal change that breaks its build shows here.

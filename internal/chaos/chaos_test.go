@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net/netip"
@@ -115,6 +116,60 @@ func TestDuplicateDelivery(t *testing.T) {
 		if got[i] != 2 {
 			t.Fatalf("seq %d delivered %d times, want 2", i, got[i])
 		}
+	}
+}
+
+// The transport pools payload buffers and the resolver reuses its query
+// buffer, so a duplicated datagram must reach the reader intact twice even
+// when the sender overwrites its buffer as soon as WriteTo returns — both
+// sent at once and held back for a delayed send.
+func TestDuplicateIntactWhenSenderReusesBuffer(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "dup", Duplicate: 1},
+		{Name: "dup-delayed", Duplicate: 1, Latency: 2 * time.Millisecond},
+	} {
+		net := Wrap(transport.NewMem(1), cfg, 3)
+		srvAddr := netip.MustParseAddrPort("10.0.0.1:53")
+		srv, err := net.Listen(srvAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := net.Dial(netip.MustParseAddr("10.9.0.1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 50
+		scratch := make([]byte, 64)
+		for i := 0; i < n; i++ {
+			for j := range scratch {
+				scratch[j] = byte(i)
+			}
+			if err := cli.WriteTo(scratch, srvAddr); err != nil {
+				t.Fatal(err)
+			}
+			for j := range scratch {
+				scratch[j] = 0xFF
+			}
+		}
+		got := map[byte]int{}
+		buf := make([]byte, 128)
+		for read := 0; read < 2*n; read++ {
+			m, _, err := srv.ReadFrom(buf, 200*time.Millisecond)
+			if err != nil {
+				t.Fatalf("%s: after %d datagrams: %v", cfg.Name, read, err)
+			}
+			if m != len(scratch) || bytes.Count(buf[:m], buf[:1]) != m || buf[0] == 0xFF {
+				t.Fatalf("%s: datagram mangled: % x", cfg.Name, buf[:m])
+			}
+			got[buf[0]]++
+		}
+		for i := 0; i < n; i++ {
+			if got[byte(i)] != 2 {
+				t.Errorf("%s: payload %d arrived %d times, want 2", cfg.Name, i, got[byte(i)])
+			}
+		}
+		srv.Close()
+		cli.Close()
 	}
 }
 

@@ -472,3 +472,36 @@ func TestEachUseOrdered(t *testing.T) {
 		})
 	}
 }
+
+// TestForgetRebuildsMatcher: Forget drops the per-dictionary matcher (and
+// with it the References' hold on the dictionary); forgetting a dictionary
+// that is still in use is harmless — the next detection builds a fresh
+// matcher and finds the same thing.
+func TestForgetRebuildsMatcher(t *testing.T) {
+	_, s := measuredWorld(t)
+	refs := MustGroundTruth()
+	dict, err := s.SharedDict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := DetectDay(s, "com", quietDay, refs)
+	first := refs.ForDict(dict)
+	if len(refs.matchers) != 1 {
+		t.Fatalf("%d matchers cached after one store, want 1", len(refs.matchers))
+	}
+	refs.Forget(dict)
+	if len(refs.matchers) != 0 {
+		t.Fatalf("%d matchers cached after Forget, want 0", len(refs.matchers))
+	}
+	refs.Forget(dict) // forgetting twice, or an unknown dictionary, is a no-op
+	after := DetectDay(s, "com", quietDay, refs)
+	if refs.ForDict(dict) == first {
+		t.Error("detection after Forget reused the forgotten matcher")
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("detections differ after Forget: any %d vs %d", before.CountAny(), after.CountAny())
+	}
+	if before.CountAny() == 0 {
+		t.Error("nothing detected: the comparison proves nothing")
+	}
+}

@@ -273,6 +273,16 @@ func (r *References) ForDict(dict *store.Dict) *IDMatcher {
 	return m
 }
 
+// Forget drops the cached ID matcher of a dictionary the caller is done
+// with, so References does not pin the dictionary of every store it has
+// ever detected over. Detecting over dict again simply builds a new
+// matcher.
+func (r *References) Forget(dict *store.Dict) {
+	r.matcherMu.Lock()
+	delete(r.matchers, dict)
+	r.matcherMu.Unlock()
+}
+
 // MatchCNAMEID returns the provider owning an interned CNAME target's
 // SLD.
 func (m *IDMatcher) MatchCNAMEID(id uint32) (int, bool) {

@@ -1,9 +1,6 @@
 package dnsclient
 
-import (
-	"net/netip"
-	"sort"
-)
+import "net/netip"
 
 // Per-server health tracking: the paper's crawl queried millions of
 // nameservers of wildly varying quality, and a measurement day must not
@@ -43,6 +40,8 @@ type serverHealth struct {
 type healthTable struct {
 	tick    int64
 	servers map[netip.AddrPort]*serverHealth
+	// ordered is the scratch order fills and returns.
+	ordered []netip.AddrPort
 }
 
 func newHealthTable() *healthTable {
@@ -109,15 +108,21 @@ func (h *healthTable) Score(s netip.AddrPort) float64 {
 // servers[0] must not eat every resolution's timeout budget), and the
 // partition pushes breaker-open servers to the back, where they are
 // still reachable as a last resort — an all-open set degrades to plain
-// rotation rather than failing outright.
+// rotation rather than failing outright. The result is a table-owned
+// scratch, valid until the next call.
 func (h *healthTable) order(servers []netip.AddrPort, rot uint64) []netip.AddrPort {
-	out := make([]netip.AddrPort, len(servers))
-	start := int(rot % uint64(len(servers)))
-	for i := range servers {
-		out[i] = servers[(start+i)%len(servers)]
+	n := len(servers)
+	start := int(rot % uint64(n))
+	out := h.ordered[:0]
+	// One pass per penalty level over the rotated list is a stable sort
+	// by penalty; a healthy set is done after the first.
+	for pen := 0; pen <= 2 && len(out) < n; pen++ {
+		for i := 0; i < n; i++ {
+			if s := servers[(start+i)%n]; h.penalty(s) == pen {
+				out = append(out, s)
+			}
+		}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return h.penalty(out[i]) < h.penalty(out[j])
-	})
+	h.ordered = out
 	return out
 }

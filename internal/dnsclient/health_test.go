@@ -1,7 +1,10 @@
 package dnsclient
 
 import (
+	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -79,5 +82,55 @@ func TestOrderRotatesAndSortsHealthyFirst(t *testing.T) {
 	}
 	if got := h.order(servers, 2); got[0] != c {
 		t.Errorf("all-open order(rot=2) = %v, want rotation preserved", got)
+	}
+}
+
+// orderBySort is the formulation order replaced: rotate, then
+// sort.SliceStable by penalty. Fault accounting and flow identities depend
+// on the exact sequence, so the two must agree everywhere.
+func orderBySort(h *healthTable, servers []netip.AddrPort, rot uint64) []netip.AddrPort {
+	out := make([]netip.AddrPort, len(servers))
+	start := int(rot % uint64(len(servers)))
+	for i := range servers {
+		out[i] = servers[(start+i)%len(servers)]
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		return h.penalty(out[i]) < h.penalty(out[j])
+	})
+	return out
+}
+
+func TestOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for round := 0; round < 500; round++ {
+		h := newHealthTable()
+		n := 1 + r.Intn(13)
+		if round%7 == 0 {
+			n = 1
+		}
+		servers := make([]netip.AddrPort, n)
+		mode := r.Intn(4) // 0: random health, 1: all open, 2: all healthy, 3: random
+		for i := range servers {
+			servers[i] = netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(round), byte(i)}), 53)
+			fails := r.Intn(breakerTrip + 2) // 0 healthy, 2 low score, >= breakerTrip open
+			switch mode {
+			case 1:
+				fails = breakerTrip
+			case 2:
+				fails = 0
+			}
+			for f := 0; f < fails; f++ {
+				h.fail(servers[i])
+			}
+		}
+		if r.Intn(3) == 0 {
+			h.tick += int64(r.Intn(2 * breakerCooldown)) // some breakers past cooldown
+		}
+		for _, rot := range []uint64{0, 1, uint64(n), r.Uint64()} {
+			want := orderBySort(h, servers, rot)
+			if got := h.order(servers, rot); !slices.Equal(got, want) {
+				t.Fatalf("round %d rot %d: order = %v, stable sort = %v", round, rot, got, want)
+			}
+		}
 	}
 }

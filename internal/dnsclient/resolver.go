@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -126,6 +127,9 @@ type Resolver struct {
 	roots []netip.AddrPort
 	rng   *rand.Rand
 	buf   []byte
+	// wire is the scratch each exchange packs its query into; the
+	// transport does not retain it past WriteTo.
+	wire []byte
 
 	// cache maps a zone origin to the addresses of its authoritative
 	// servers, learned from referrals. It makes measuring a whole TLD
@@ -214,9 +218,13 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 	if err != nil {
 		return nil, err
 	}
-	ctx, sp := trace.StartSpan(ctx, "dnsclient.resolve",
-		trace.Str("name", qname), trace.Str("qtype", qtype.String()))
-	defer sp.End()
+	// Span attributes are built only under a sampled span; sp is nil otherwise.
+	var sp *trace.Span
+	if trace.SpanFromContext(ctx) != nil {
+		ctx, sp = trace.StartSpan(ctx, "dnsclient.resolve",
+			trace.Str("name", qname), trace.Str("qtype", qtype.String()))
+		defer sp.End()
+	}
 	r.rot++ // rotate the starting server across resolutions
 	r.resolutions.Add(1)
 	budget := r.RetryBudget
@@ -224,17 +232,19 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 		budget = int(^uint(0) >> 1) // unlimited
 	}
 	res := &Result{RCode: dnswire.RCodeNoError, budget: budget}
-	seen := map[string]bool{}
-	for hop := 0; hop <= maxCNAMEHops; hop++ {
-		if seen[qname] {
+	var seen [maxCNAMEHops + 1]string
+	for hop := range seen {
+		if slices.Contains(seen[:hop], qname) {
 			break // CNAME loop across zones
 		}
-		seen[qname] = true
+		seen[hop] = qname
 		resp, err := r.resolveOne(ctx, qname, qtype, res, 0)
 		if err != nil {
 			mErrors.Inc()
 			r.giveups.Add(1)
-			sp.SetAttr(trace.Str("error", err.Error()))
+			if sp != nil {
+				sp.SetAttr(trace.Str("error", err.Error()))
+			}
 			return res, err
 		}
 		res.RCode = resp.Flags.RCode
@@ -243,15 +253,19 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 		// else, restart at the target.
 		next := chainTail(resp.Answers, qtype)
 		if next == "" {
-			sp.SetAttr(trace.Str("rcode", res.RCode.String()),
-				trace.Int("queries", int64(res.Queries)),
-				trace.Int("records", int64(len(res.Records))))
+			if sp != nil {
+				sp.SetAttr(trace.Str("rcode", res.RCode.String()),
+					trace.Int("queries", int64(res.Queries)),
+					trace.Int("records", int64(len(res.Records))))
+			}
 			return res, nil
 		}
 		qname = next
 	}
-	sp.SetAttr(trace.Str("rcode", res.RCode.String()),
-		trace.Int("queries", int64(res.Queries)))
+	if sp != nil {
+		sp.SetAttr(trace.Str("rcode", res.RCode.String()),
+			trace.Int("queries", int64(res.Queries)))
+	}
 	return res, nil
 }
 
@@ -318,15 +332,6 @@ func (r *Resolver) bestServers(qname string) ([]netip.AddrPort, string) {
 // referralServers extracts the delegation from a referral response,
 // resolving glueless NS hosts if needed.
 func (r *Resolver) referralServers(ctx context.Context, resp *dnswire.Message, res *Result, glueDepth int) ([]netip.AddrPort, string) {
-	glue := map[string][]netip.Addr{}
-	for _, rr := range resp.Extra {
-		switch d := rr.Data.(type) {
-		case dnswire.A:
-			glue[rr.Name] = append(glue[rr.Name], d.Addr)
-		case dnswire.AAAA:
-			glue[rr.Name] = append(glue[rr.Name], d.Addr)
-		}
-	}
 	var out []netip.AddrPort
 	origin := ""
 	var glueless []string
@@ -336,11 +341,21 @@ func (r *Resolver) referralServers(ctx context.Context, resp *dnswire.Message, r
 			continue
 		}
 		origin = rr.Name
-		if addrs, ok := glue[ns.Host]; ok {
-			for _, a := range addrs {
-				out = append(out, netip.AddrPortFrom(a, transport.DNSPort))
+		// A referral carries a few records: scan the additional section
+		// for this host's glue.
+		before := len(out)
+		for _, g := range resp.Extra {
+			if g.Name != ns.Host {
+				continue
 			}
-		} else {
+			switch d := g.Data.(type) {
+			case dnswire.A:
+				out = append(out, netip.AddrPortFrom(d.Addr, transport.DNSPort))
+			case dnswire.AAAA:
+				out = append(out, netip.AddrPortFrom(d.Addr, transport.DNSPort))
+			}
+		}
+		if len(out) == before {
 			glueless = append(glueless, ns.Host)
 		}
 	}
@@ -376,13 +391,16 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 	q.Extra = append(q.Extra, dnswire.RR{
 		Name: ".", Type: dnswire.TypeOPT, Class: dnswire.Class(size), Data: dnswire.OPT{},
 	})
-	wire, err := q.Pack()
+	wire, err := q.AppendPack(r.wire[:0])
 	if err != nil {
 		return nil, err
 	}
+	r.wire = wire
+	// Span attributes are built only under a sampled span.
+	parent := trace.SpanFromContext(ctx)
 	var traceID string
-	if sp := trace.SpanFromContext(ctx); sp != nil {
-		traceID = sp.TraceID().String()
+	if parent != nil {
+		traceID = parent.TraceID().String()
 	}
 	// Advance the logical clock (breaker cooldowns are measured in
 	// exchanges) and order the candidate servers healthy-first, rotated by
@@ -404,9 +422,12 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 				return nil, err
 			}
 		}
-		_, ssp := trace.StartSpan(ctx, "transport.send",
-			trace.Str("server", server.String()), trace.Int("attempt", int64(attempt)),
-			trace.Int("bytes", int64(len(wire))))
+		var ssp *trace.Span
+		if parent != nil {
+			_, ssp = trace.StartSpan(ctx, "transport.send",
+				trace.Str("server", server.String()), trace.Int("attempt", int64(attempt)),
+				trace.Int("bytes", int64(len(wire))))
+		}
 		if err := r.conn.WriteTo(wire, server); err != nil {
 			ssp.SetAttr(trace.Str("error", err.Error()))
 			ssp.End()
@@ -462,8 +483,10 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 				mRCodes.With(resp.Flags.RCode.String()).Inc()
 				return resp, nil
 			}
-			ssp.SetAttr(trace.Str("outcome", "response"), trace.Int("resp_bytes", int64(n)))
-			ssp.End()
+			if ssp != nil {
+				ssp.SetAttr(trace.Str("outcome", "response"), trace.Int("resp_bytes", int64(n)))
+				ssp.End()
+			}
 			mRCodes.With(resp.Flags.RCode.String()).Inc()
 			return resp, nil
 		}

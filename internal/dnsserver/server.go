@@ -217,10 +217,10 @@ func maxPayload(q *dnswire.Message) int {
 	return dnswire.MaxUDPPayload
 }
 
-// packWithLimit packs resp, truncating it (clearing sections and setting
-// TC) if it exceeds limit bytes.
-func packWithLimit(resp *dnswire.Message, limit int) ([]byte, error) {
-	wire, err := resp.Pack()
+// packWithLimit packs resp into buf[:0], truncating it (clearing sections
+// and setting TC) if it exceeds limit bytes.
+func packWithLimit(resp *dnswire.Message, limit int, buf []byte) ([]byte, error) {
+	wire, err := resp.AppendPack(buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +233,7 @@ func packWithLimit(resp *dnswire.Message, limit int) ([]byte, error) {
 	trunc.Answers = nil
 	trunc.Authority = nil
 	trunc.Extra = nil
-	return trunc.Pack()
+	return trunc.AppendPack(wire[:0])
 }
 
 // Concurrency is the number of goroutines handling queries per Serve
@@ -268,8 +268,9 @@ func (s *Server) Serve(conn transport.Conn) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var out []byte
 			for j := range jobs {
-				s.answer(conn, j.data, j.from)
+				out = s.answer(conn, j.data, j.from, out)
 			}
 		}()
 	}
@@ -295,6 +296,7 @@ func (s *Server) Serve(conn transport.Conn) error {
 
 func (s *Server) serveInline(conn transport.Conn) error {
 	buf := make([]byte, transport.MTU)
+	var out []byte
 	for {
 		n, from, err := conn.ReadFrom(buf, 0)
 		if err != nil {
@@ -304,7 +306,7 @@ func (s *Server) serveInline(conn transport.Conn) error {
 			return fmt.Errorf("dnsserver: read: %w", err)
 		}
 		s.received.Add(1)
-		s.answer(conn, buf[:n], from)
+		out = s.answer(conn, buf[:n], from, out)
 	}
 }
 
@@ -316,13 +318,16 @@ func (s *Server) serveInline(conn transport.Conn) error {
 // When a fault injector is installed, its verdict is applied here —
 // before zone lookup for drops, after it for truncation — and recorded
 // as a `chaos` span attribute so injected faults are visible in traces.
-func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort) {
+// The response is packed into out, the serve loop's own buffer (the
+// transport does not retain it past WriteTo), which answer returns for
+// the next call, grown if need be.
+func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort, out []byte) []byte {
 	mInflight.Inc()
 	defer mInflight.Dec()
 	q, err := dnswire.Unpack(data)
 	if err != nil {
 		mMalformed.Inc()
-		return
+		return out
 	}
 	var qname string
 	if len(q.Questions) == 1 {
@@ -347,7 +352,7 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort) {
 	switch fault {
 	case FaultDrop:
 		sp.End()
-		return
+		return out
 	case FaultSlow:
 		time.Sleep(delay)
 	}
@@ -365,14 +370,17 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort) {
 		resp.Answers, resp.Authority, resp.Extra = nil, nil, nil
 		mTruncated.Inc()
 	}
-	sp.SetAttr(trace.Str("rcode", resp.Flags.RCode.String()))
-	wire, err := packWithLimit(resp, maxPayload(q))
+	if sp != nil {
+		sp.SetAttr(trace.Str("rcode", resp.Flags.RCode.String()))
+	}
+	wire, err := packWithLimit(resp, maxPayload(q), out)
 	if err != nil {
 		sp.End()
-		return
+		return out
 	}
 	_ = conn.WriteTo(wire, from)
 	sp.End()
+	return wire
 }
 
 // Running wraps a Server bound to an address with lifecycle management.

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bytes"
 	"net/netip"
 	"testing"
 	"time"
@@ -127,7 +128,7 @@ func TestTruncation(t *testing.T) {
 	s.AddZone(z)
 	q := dnswire.NewQuery(9, "big.test", dnswire.TypeA)
 	resp := s.Handle(q)
-	wire, err := packWithLimit(resp, maxPayload(q))
+	wire, err := packWithLimit(resp, maxPayload(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +142,16 @@ func TestTruncation(t *testing.T) {
 	if !m.Flags.Truncated || len(m.Answers) != 0 {
 		t.Errorf("expected truncated empty response, got TC=%v answers=%d", m.Flags.Truncated, len(m.Answers))
 	}
+	// The serve loops hand in their own buffer; the truncated re-pack
+	// goes into it too and yields the same bytes.
+	scratch := bytes.Repeat([]byte{0xEE}, 64)
+	reused, err := packWithLimit(resp, maxPayload(q), scratch)
+	if err != nil || !bytes.Equal(reused, wire) {
+		t.Errorf("packWithLimit into a used buffer = %x, %v; want %x", reused, err, wire)
+	}
 	// With EDNS0 advertising 4096, the full response fits.
 	q.Extra = append(q.Extra, dnswire.RR{Name: ".", Type: dnswire.TypeOPT, Class: dnswire.Class(4096), Data: dnswire.OPT{}})
-	wire, err = packWithLimit(resp, maxPayload(q))
+	wire, err = packWithLimit(resp, maxPayload(q), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

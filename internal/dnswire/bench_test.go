@@ -5,7 +5,7 @@ import (
 )
 
 // Ablation: name compression on vs off for a referral-shaped response
-// (DESIGN.md §5) — compression costs a map per message but shrinks
+// (DESIGN.md §5) — compression costs a suffix search per name but shrinks
 // referrals, which dominate the measurement traffic.
 
 func benchMessage() *Message {
@@ -42,36 +42,10 @@ func BenchmarkAblationNameCompressionOn(b *testing.B) {
 	}
 }
 
-// packUncompressed encodes the message with compression disabled by
-// passing a nil compression map through a private pack path.
+// packUncompressed encodes the message with compression disabled: a nil
+// compressor emits every name in full.
 func packUncompressed(m *Message) ([]byte, error) {
-	var buf []byte
-	var hdr [12]byte
-	hdr[0], hdr[1] = byte(m.ID>>8), byte(m.ID)
-	flags := m.Flags.pack()
-	hdr[2], hdr[3] = byte(flags>>8), byte(flags)
-	counts := []int{len(m.Questions), len(m.Answers), len(m.Authority), len(m.Extra)}
-	for i, n := range counts {
-		hdr[4+2*i], hdr[5+2*i] = byte(n>>8), byte(n)
-	}
-	buf = append(buf, hdr[:]...)
-	var err error
-	for _, q := range m.Questions {
-		if buf, err = appendName(buf, 0, q.Name, nil); err != nil {
-			return nil, err
-		}
-		buf = be16(buf, uint16(q.Type))
-		buf = be16(buf, uint16(q.Class))
-	}
-	comp := compMap{off: nil} // nil map: appendName never compresses
-	for _, sec := range [][]RR{m.Answers, m.Authority, m.Extra} {
-		for _, rr := range sec {
-			if buf, err = appendRR(buf, rr, &comp); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return buf, nil
+	return m.appendPack(nil, nil)
 }
 
 func BenchmarkAblationNameCompressionOff(b *testing.B) {

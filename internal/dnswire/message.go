@@ -18,6 +18,15 @@ var (
 // hostile header cannot force large allocations.
 const maxSectionRecords = 4096
 
+// The shortest encodings of a question (root name, type, class) and of a
+// record (root name, type, class, TTL, RDLENGTH). Unpack presizes a section
+// to its header count capped by how many of these the remaining bytes could
+// hold, so a header that lies about its counts allocates nothing extra.
+const (
+	minQuestionLen = 5
+	minRRLen       = 11
+)
+
 // MaxUDPPayload is the classic DNS UDP payload limit; responses larger than
 // the negotiated payload size are truncated with the TC bit set.
 const MaxUDPPayload = 512
@@ -140,11 +149,23 @@ func (m *Message) Pack() ([]byte, error) {
 // buf must be empty or the caller must only use the appended bytes as a
 // standalone datagram starting at the original length of buf.
 func (m *Message) AppendPack(buf []byte) ([]byte, error) {
+	comp := compPool.Get().(*compressor)
+	buf, err := m.appendPack(buf, comp)
+	comp.release()
+	return buf, err
+}
+
+// appendPack is AppendPack over a given, empty compressor; nil disables
+// name compression.
+func (m *Message) appendPack(buf []byte, comp *compressor) ([]byte, error) {
 	base := len(buf)
+	if comp != nil {
+		comp.base = base
+	}
 	var hdr [12]byte
 	binary.BigEndian.PutUint16(hdr[0:], m.ID)
 	binary.BigEndian.PutUint16(hdr[2:], m.Flags.pack())
-	for i, n := range []int{len(m.Questions), len(m.Answers), len(m.Authority), len(m.Extra)} {
+	for i, n := range [4]int{len(m.Questions), len(m.Answers), len(m.Authority), len(m.Extra)} {
 		if n > maxSectionRecords {
 			return nil, ErrTooManyRecords
 		}
@@ -152,7 +173,6 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	}
 	buf = append(buf, hdr[:]...)
 
-	comp := compMap{base: base, off: make(map[string]int)}
 	var err error
 	for _, q := range m.Questions {
 		if buf, err = comp.appendName(buf, q.Name); err != nil {
@@ -161,9 +181,9 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 		buf = be16(buf, uint16(q.Type))
 		buf = be16(buf, uint16(q.Class))
 	}
-	for _, sec := range [][]RR{m.Answers, m.Authority, m.Extra} {
-		for _, rr := range sec {
-			if buf, err = appendRR(buf, rr, &comp); err != nil {
+	for _, sec := range [3][]RR{m.Answers, m.Authority, m.Extra} {
+		for i := range sec {
+			if buf, err = appendRR(buf, &sec[i], comp); err != nil {
 				return nil, err
 			}
 		}
@@ -174,17 +194,6 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// compMap adapts the name compressor to messages packed at a nonzero buffer
-// offset: pointers are stored relative to the message start.
-type compMap struct {
-	base int
-	off  map[string]int
-}
-
-func (c *compMap) appendName(buf []byte, name string) ([]byte, error) {
-	return appendName(buf, c.base, name, c.off)
-}
-
 func be16(buf []byte, v uint16) []byte {
 	return append(buf, byte(v>>8), byte(v))
 }
@@ -193,7 +202,7 @@ func be32(buf []byte, v uint32) []byte {
 	return append(buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-func appendRR(buf []byte, rr RR, comp *compMap) ([]byte, error) {
+func appendRR(buf []byte, rr *RR, comp *compressor) ([]byte, error) {
 	var err error
 	if buf, err = comp.appendName(buf, rr.Name); err != nil {
 		return nil, err
@@ -236,6 +245,9 @@ func Unpack(data []byte) (*Message, error) {
 	}
 	off := 12
 	var err error
+	if n := min(counts[0], (len(data)-off)/minQuestionLen); n > 0 {
+		m.Questions = make([]Question, 0, n)
+	}
 	for i := 0; i < counts[0]; i++ {
 		var q Question
 		if q.Name, off, err = unpackName(data, off); err != nil {
@@ -249,7 +261,10 @@ func Unpack(data []byte) (*Message, error) {
 		off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	for sec, dst := range []*[]RR{&m.Answers, &m.Authority, &m.Extra} {
+	for sec, dst := range [3]*[]RR{&m.Answers, &m.Authority, &m.Extra} {
+		if n := min(counts[sec+1], (len(data)-off)/minRRLen); n > 0 {
+			*dst = make([]RR, 0, n)
+		}
 		for i := 0; i < counts[sec+1]; i++ {
 			var rr RR
 			if rr, off, err = unpackRR(data, off); err != nil {

@@ -3,7 +3,11 @@ package dnswire
 import (
 	"math/rand"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -271,5 +275,59 @@ func TestUnpackMutatedPack(t *testing.T) {
 			mut[r.Intn(len(mut))] ^= byte(1 << r.Intn(8))
 		}
 		_, _ = Unpack(mut) // must not panic
+	}
+}
+
+// corpusInput reads one committed seed of FuzzUnpack.
+func corpusInput(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzUnpack", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+		t.Fatalf("%s: not a one-value []byte corpus file", name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(s)
+}
+
+// A header may claim 4096 records a section; Unpack sizes its sections by
+// what the bytes present could hold, so the lie costs nothing.
+func TestUnpackLyingCountsAllocateLittle(t *testing.T) {
+	for _, name := range []string{"counts-4096-12-bytes", "counts-4096-40-bytes"} {
+		data := corpusInput(t, name)
+		// TotalAlloc is process-wide, so another goroutine's allocation
+		// can land in a window; it can only add, so take the least of five.
+		least := ^uint64(0)
+		for try := 0; try < 5; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := Unpack(data)
+			runtime.ReadMemStats(&after)
+			if err != ErrTruncatedMessage && err != ErrTruncatedName {
+				t.Fatalf("%s: Unpack = %v, %v; want a truncation error", name, m, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= 1024 {
+			t.Errorf("%s: Unpack allocated %d bytes for a %d-byte datagram, want < 1024", name, least, len(data))
+		}
+	}
+}
+
+func TestUnpackRejectsCorpusSeeds(t *testing.T) {
+	for name, want := range map[string]error{
+		"pointer-loop":    ErrPointerForward,
+		"pointer-forward": ErrPointerForward,
+		"name-256-octets": ErrNameTooLong,
+	} {
+		if _, err := Unpack(corpusInput(t, name)); err != want {
+			t.Errorf("%s: Unpack error = %v, want %v", name, err, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Name-handling rules for this package: a domain name is represented in Go
@@ -31,14 +32,15 @@ var (
 
 // CanonicalName normalises a domain name: lowercases ASCII, strips a single
 // trailing dot, and validates label lengths and characters. The root name
-// is returned as ".".
+// is returned as ".". A name with nothing to lowercase is returned as is
+// (less the trailing dot), without a copy.
 func CanonicalName(name string) (string, error) {
 	if name == "" || name == "." {
 		return ".", nil
 	}
 	name = strings.TrimSuffix(name, ".")
-	b := make([]byte, len(name))
-	wire := 1 // terminal zero octet
+	var lower []byte // copy of name, made at the first uppercase byte
+	wire := 1        // terminal zero octet
 	start := 0
 	for i := 0; i <= len(name); i++ {
 		if i == len(name) || name[i] == '.' {
@@ -56,27 +58,25 @@ func CanonicalName(name string) (string, error) {
 		c := name[i]
 		switch {
 		case 'a' <= c && c <= 'z', '0' <= c && c <= '9', c == '-', c == '_':
-			b[i] = c
 		case 'A' <= c && c <= 'Z':
-			b[i] = c + ('a' - 'A')
+			if lower == nil {
+				lower = []byte(name)
+			}
+			lower[i] = c + ('a' - 'A')
 		case c == '*' && i == 0 && (i+1 == len(name) || name[i+1] == '.'):
 			// Allow a leading "*" label (wildcard owner names appear in
 			// zone files even though our lookup path does not expand them).
-			b[i] = c
 		default:
 			return "", fmt.Errorf("%w: %q in %q", ErrBadLabelByte, c, name)
-		}
-	}
-	// Dot positions were skipped by the per-label loop above; copy them in.
-	for i := 0; i < len(name); i++ {
-		if name[i] == '.' {
-			b[i] = '.'
 		}
 	}
 	if wire > maxNameLen {
 		return "", ErrNameTooLong
 	}
-	return string(b), nil
+	if lower == nil {
+		return name, nil
+	}
+	return string(lower), nil
 }
 
 // MustCanonical is CanonicalName for trusted, programmatically built names;
@@ -132,23 +132,77 @@ func IsSubdomain(child, parent string) bool {
 	return strings.HasSuffix(child, "."+parent)
 }
 
-// appendName appends the wire encoding of a canonical name to buf. When
-// comp is non-nil, suffixes already emitted into the message are replaced
-// with compression pointers and newly emitted suffixes are recorded. base
-// is the index in buf where the DNS message starts; compression offsets are
-// message-relative.
-func appendName(buf []byte, base int, name string, comp map[string]int) ([]byte, error) {
+// compressor records where in the message being packed each name suffix
+// was first emitted, so later names can point at it (RFC 1035 §4.1.4). A
+// message carries a handful of names, so the entries sit in a fixed array
+// searched linearly and spill to a map only past it. A nil *compressor
+// disables compression.
+type compressor struct {
+	base  int // index in buf where the message starts; offsets are relative to it
+	n     int
+	ents  [compInline]compEntry
+	spill map[string]int
+}
+
+type compEntry struct {
+	suffix string
+	off    int
+}
+
+// compInline covers a TLD referral with its full NS set and glue.
+const compInline = 32
+
+var compPool = sync.Pool{New: func() any { return new(compressor) }}
+
+// release clears the entries, so the pool pins no caller's strings, and
+// returns c to the pool.
+func (c *compressor) release() {
+	clear(c.ents[:c.n])
+	c.n = 0
+	clear(c.spill)
+	compPool.Put(c)
+}
+
+func (c *compressor) lookup(suffix string) (int, bool) {
+	for i := range c.ents[:c.n] {
+		if c.ents[i].suffix == suffix {
+			return c.ents[i].off, true
+		}
+	}
+	off, ok := c.spill[suffix]
+	return off, ok
+}
+
+// insert records a suffix that lookup did not find; a suffix is therefore
+// recorded once, at its first emission.
+func (c *compressor) insert(suffix string, off int) {
+	if c.n < len(c.ents) {
+		c.ents[c.n] = compEntry{suffix, off}
+		c.n++
+		return
+	}
+	if c.spill == nil {
+		c.spill = make(map[string]int)
+	}
+	c.spill[suffix] = off
+}
+
+// appendName appends the wire encoding of a canonical name to buf. Unless
+// c is nil, suffixes already emitted into the message are replaced with
+// compression pointers and newly emitted suffixes within pointer range are
+// recorded.
+func (c *compressor) appendName(buf []byte, name string) ([]byte, error) {
 	if name == "" || name == "." {
 		return append(buf, 0), nil
 	}
 	rest := name
 	for rest != "" {
-		if comp != nil {
-			if off, ok := comp[rest]; ok && off <= 0x3FFF {
+		if c != nil {
+			if off, ok := c.lookup(rest); ok {
 				return append(buf, 0xC0|byte(off>>8), byte(off)), nil
 			}
-			if len(buf)-base <= 0x3FFF {
-				comp[rest] = len(buf) - base
+			if off := len(buf) - c.base; off <= 0x3FFF {
+				c.insert(rest, off)
 			}
 		}
 		label := rest
@@ -174,7 +228,8 @@ func appendName(buf []byte, base int, name string, comp map[string]int) ([]byte,
 // name's in-place representation. Compression pointers must point strictly
 // backward, which bounds the walk and rejects loops.
 func unpackName(msg []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	var name [maxNameLen]byte // total <= maxNameLen bounds labels plus dots
+	n := 0
 	next := -1 // offset after the name, set when the first pointer is taken
 	ptrBudget := len(msg)
 	total := 0
@@ -188,11 +243,10 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if next < 0 {
 				next = off + 1
 			}
-			name := sb.String()
-			if name == "" {
-				name = "."
+			if n == 0 {
+				return ".", next, nil
 			}
-			return name, next, nil
+			return string(name[:n]), next, nil
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
 				return "", 0, ErrTruncatedName
@@ -219,11 +273,13 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if total > maxNameLen {
 				return "", 0, ErrNameTooLong
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if n > 0 {
+				name[n] = '.'
+				n++
 			}
 			for _, b := range msg[off+1 : off+1+c] {
-				sb.WriteByte(lowerByte(b))
+				name[n] = lowerByte(b)
+				n++
 			}
 			off += 1 + c
 		}

@@ -109,10 +109,13 @@ func TestIsSubdomain(t *testing.T) {
 	}
 }
 
+// noComp is the nil compressor: names are emitted in full.
+var noComp *compressor
+
 func TestNameWireRoundTrip(t *testing.T) {
 	names := []string{".", "com", "example.com", "www.example.com", "a.b.c.d.e.f"}
 	for _, n := range names {
-		buf, err := appendName(nil, 0, n, nil)
+		buf, err := noComp.appendName(nil, n)
 		if err != nil {
 			t.Fatalf("appendName(%q): %v", n, err)
 		}
@@ -130,14 +133,14 @@ func TestNameWireRoundTrip(t *testing.T) {
 }
 
 func TestNameCompressionRoundTrip(t *testing.T) {
-	comp := map[string]int{}
+	comp := new(compressor)
 	var buf []byte
 	var err error
 	names := []string{"www.example.com", "example.com", "mail.example.com", "example.com"}
 	var offs []int
 	for _, n := range names {
 		offs = append(offs, len(buf))
-		if buf, err = appendName(buf, 0, n, comp); err != nil {
+		if buf, err = comp.appendName(buf, n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +199,7 @@ func TestQuickNameRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := randomName(r)
-		buf, err := appendName(nil, 0, n, nil)
+		buf, err := noComp.appendName(nil, n)
 		if err != nil {
 			return false
 		}

@@ -12,7 +12,7 @@ import (
 // permits) and render presentation format via String.
 type RData interface {
 	fmt.Stringer
-	appendRData(buf []byte, comp *compMap) ([]byte, error)
+	appendRData(buf []byte, comp *compressor) ([]byte, error)
 }
 
 // ErrBadRData reports malformed RDATA encountered during decoding.
@@ -23,7 +23,7 @@ type A struct {
 	Addr netip.Addr // must be IPv4
 }
 
-func (a A) appendRData(buf []byte, _ *compMap) ([]byte, error) {
+func (a A) appendRData(buf []byte, _ *compressor) ([]byte, error) {
 	if !a.Addr.Is4() {
 		return nil, fmt.Errorf("dnswire: A record address %v is not IPv4", a.Addr)
 	}
@@ -39,7 +39,7 @@ type AAAA struct {
 	Addr netip.Addr // must be IPv6
 }
 
-func (a AAAA) appendRData(buf []byte, _ *compMap) ([]byte, error) {
+func (a AAAA) appendRData(buf []byte, _ *compressor) ([]byte, error) {
 	if !a.Addr.Is6() || a.Addr.Is4In6() {
 		return nil, fmt.Errorf("dnswire: AAAA record address %v is not IPv6", a.Addr)
 	}
@@ -55,7 +55,7 @@ type CNAME struct {
 	Target string
 }
 
-func (c CNAME) appendRData(buf []byte, comp *compMap) ([]byte, error) {
+func (c CNAME) appendRData(buf []byte, comp *compressor) ([]byte, error) {
 	return comp.appendName(buf, c.Target)
 }
 
@@ -67,7 +67,7 @@ type NS struct {
 	Host string
 }
 
-func (n NS) appendRData(buf []byte, comp *compMap) ([]byte, error) {
+func (n NS) appendRData(buf []byte, comp *compressor) ([]byte, error) {
 	return comp.appendName(buf, n.Host)
 }
 
@@ -79,7 +79,7 @@ type PTR struct {
 	Target string
 }
 
-func (p PTR) appendRData(buf []byte, comp *compMap) ([]byte, error) {
+func (p PTR) appendRData(buf []byte, comp *compressor) ([]byte, error) {
 	return comp.appendName(buf, p.Target)
 }
 
@@ -92,7 +92,7 @@ type MX struct {
 	Host       string
 }
 
-func (m MX) appendRData(buf []byte, comp *compMap) ([]byte, error) {
+func (m MX) appendRData(buf []byte, comp *compressor) ([]byte, error) {
 	buf = be16(buf, m.Preference)
 	return comp.appendName(buf, m.Host)
 }
@@ -111,7 +111,7 @@ type SOA struct {
 	Minimum uint32
 }
 
-func (s SOA) appendRData(buf []byte, comp *compMap) ([]byte, error) {
+func (s SOA) appendRData(buf []byte, comp *compressor) ([]byte, error) {
 	var err error
 	if buf, err = comp.appendName(buf, s.MName); err != nil {
 		return nil, err
@@ -138,7 +138,7 @@ type TXT struct {
 	Strings []string
 }
 
-func (t TXT) appendRData(buf []byte, _ *compMap) ([]byte, error) {
+func (t TXT) appendRData(buf []byte, _ *compressor) ([]byte, error) {
 	if len(t.Strings) == 0 {
 		// RFC 1035 requires at least one (possibly empty) string.
 		return append(buf, 0), nil
@@ -169,7 +169,7 @@ type OPT struct {
 	Options []byte
 }
 
-func (o OPT) appendRData(buf []byte, _ *compMap) ([]byte, error) {
+func (o OPT) appendRData(buf []byte, _ *compressor) ([]byte, error) {
 	return append(buf, o.Options...), nil
 }
 
@@ -181,7 +181,7 @@ type Raw struct {
 	Bytes []byte
 }
 
-func (r Raw) appendRData(buf []byte, _ *compMap) ([]byte, error) {
+func (r Raw) appendRData(buf []byte, _ *compressor) ([]byte, error) {
 	return append(buf, r.Bytes...), nil
 }
 

@@ -84,8 +84,17 @@ func TestChaosDegradedDayRecovery(t *testing.T) {
 		if bad && a.FailureRate <= r.Cfg.FailureThreshold {
 			t.Errorf("struck day %s: failure rate %.3f not above threshold", a.Day, a.FailureRate)
 		}
-		if !bad && a.Lost != 0 {
-			t.Errorf("quiet day %s lost %d queries", a.Day, a.Lost)
+		// A quiet day injects nothing, so it loses no data point: every
+		// resolution completes (GaveUp == 0). Lost is not held to zero,
+		// because it counts attempts whose 10 ms WireTimeout expired, and
+		// on a shared 2-vCPU guest a scheduler hiccup expires one now and
+		// then with no fault injected (1 run in 6 before this allowance).
+		// Such a timeout is retried, and GaveUp == 0 says every retry
+		// recovered; more than a handful would be real loss.
+		const quietLostMax = 3
+		if !bad && (a.GaveUp != 0 || a.Lost > quietLostMax) {
+			t.Errorf("quiet day %s: %d resolutions gave up, %d queries lost (want 0 and <= %d)",
+				a.Day, a.GaveUp, a.Lost, quietLostMax)
 		}
 	}
 	if got := len(r.DegradedDays()); got != badHi-badLo {

@@ -418,6 +418,11 @@ func (f *Follower) loadCoordBatch(ctx context.Context, batch []store.PartitionKe
 					continue
 				}
 				det, err := core.DetectPartition(r, k.Source, k.Day, f.cfg.Refs)
+				// Every spool has its own dictionary: drop its matcher
+				// with the reader, or Refs grows by one per partition.
+				if dict, derr := r.SharedDict(); derr == nil {
+					f.cfg.Refs.Forget(dict)
+				}
 				r.Close()
 				if err != nil {
 					results[i].fail = fmt.Sprintf("detect %s: %v", spool, err)

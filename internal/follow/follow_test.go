@@ -337,3 +337,39 @@ func TestFollowRunLoop(t *testing.T) {
 	}
 	assertSameView(t, api.NewIndex(assembled, refs), srv.Index())
 }
+
+// matcherCount reads the size of core.References' per-dictionary matcher
+// cache. The field is unexported and there is deliberately no exported
+// counter for it; a rename makes this panic, which is the prompt to follow
+// it here.
+func matcherCount(refs *core.References) int {
+	return reflect.ValueOf(refs).Elem().FieldByName("matchers").Len()
+}
+
+// TestFollowForgetsSpoolMatchers: every spool carries its own dictionary,
+// and core.References caches a matcher per dictionary. The follower must
+// drop that matcher when it closes the spool, or a long-lived dpsapi
+// -follow pins one dictionary per partition it ever applied.
+func TestFollowForgetsSpoolMatchers(t *testing.T) {
+	refs := core.MustGroundTruth()
+	dir := t.TempDir()
+	parts := coordParts([]string{"com", "net"}, 20)
+	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
+	f, err := New(Config{Target: dir, Refs: refs, Sink: srv, Workers: 2, MaxBatch: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCoordinator(t, dir, core.MustGroundTruth(), parts) // its own refs: only the follower touches ours
+	before := matcherCount(refs)
+	drain(t, f)
+	if st := f.Status(); st.Applied != len(parts) || st.Skipped != 0 {
+		t.Fatalf("status after drain: %+v", st)
+	}
+	if after := matcherCount(refs); after != before {
+		t.Errorf("matcher cache grew from %d to %d over %d applied spools; closed spools must leave nothing behind",
+			before, after, len(parts))
+	}
+	if day, ok := srv.Index().Day(19); !ok || day.Measured == 0 {
+		t.Errorf("last day not served after the drain: %+v, %v", day, ok)
+	}
+}

@@ -445,14 +445,17 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 				if ctx.Err() != nil {
 					break // cancelled: what this worker has is still committed
 				}
-				resolveStart := time.Now()
 				if p.Cfg.Mode == ModeDirect {
 					p.measureDirect(writer, t.dom, day, table)
-				} else {
-					// Per-domain sampling: only sampled domains carry
-					// the active span into the resolver.
-					p.measureWire(trace.ForDomain(ctx, t.dom.Name), writer, resolver, t.dom, table)
+					continue
 				}
+				// Only wire mode has a resolution worth clocking per
+				// domain; direct mode's in-process lookup is covered by
+				// the per-day resolution stage.
+				resolveStart := time.Now()
+				// Per-domain sampling: only sampled domains carry
+				// the active span into the resolver.
+				p.measureWire(trace.ForDomain(ctx, t.dom.Name), writer, resolver, t.dom, table)
 				mResolveWindow.Observe(time.Since(resolveStart).Seconds())
 			}
 			if resolver != nil {

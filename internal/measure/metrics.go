@@ -25,11 +25,11 @@ var (
 	// Rolling per-domain resolve latency: unlike measure_stage_seconds
 	// (cumulative, per-day stages), this ages out, so a long run's
 	// /metrics shows the *current* resolve tail rather than the
-	// whole-run average. Default windows (5m/1h) and query-latency
-	// bounds: a single domain resolves in microseconds (direct) to
-	// seconds (wire with retries).
+	// whole-run average. Wire mode only: direct mode has no resolution
+	// to time. Default windows (5m/1h) and query-latency bounds: a
+	// domain resolves in tens of microseconds to seconds (retries).
 	mResolveWindow = obs.Default().WindowHistogram("measure_resolve_window_seconds",
-		"rolling per-domain resolve latency over 5m and 1h windows", nil, 0, 0)
+		"rolling per-domain resolve latency over 5m and 1h windows (wire mode only)", nil, 0, 0)
 )
 
 const (

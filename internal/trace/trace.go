@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +61,7 @@ func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
 
 // Int builds an integer attribute.
 func Int(key string, value int64) Attr {
-	return Attr{Key: key, Value: fmt.Sprintf("%d", value)}
+	return Attr{Key: key, Value: strconv.FormatInt(value, 10)}
 }
 
 // SpanRecord is a completed span as stored in the ring and exports.

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -219,5 +221,14 @@ func TestDefaultTracer(t *testing.T) {
 	SetDefault(nil)
 	if Default() != nil {
 		t.Fatal("SetDefault(nil) did not disable")
+	}
+}
+
+// Int formats with strconv; the value must read exactly as fmt's %d did.
+func TestIntAttrFormat(t *testing.T) {
+	for _, v := range []int64{0, 7, -1, 65535, math.MaxInt64, math.MinInt64} {
+		if got, want := Int("k", v), (Attr{Key: "k", Value: fmt.Sprintf("%d", v)}); got != want {
+			t.Errorf("Int(%d) = %+v, want %+v", v, got, want)
+		}
 	}
 }

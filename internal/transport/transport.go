@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -37,7 +38,8 @@ const MTU = 4096
 
 // Conn is a minimal datagram endpoint.
 type Conn interface {
-	// WriteTo sends one datagram to the given address.
+	// WriteTo sends one datagram to the given address. It does not retain
+	// p after it returns, so the caller may reuse the buffer at once.
 	WriteTo(p []byte, to netip.AddrPort) error
 	// ReadFrom blocks until a datagram arrives or the timeout elapses,
 	// copying it into buf. A zero timeout blocks indefinitely.
@@ -141,9 +143,16 @@ func (n *Mem) Dial(local netip.Addr) (Conn, error) {
 	return nil, ErrNoEphemerals
 }
 
+// payload is a pooled datagram body: WriteTo copies into one, ReadFrom
+// hands it back after copying out, so no reader ever sees a buffer that a
+// later datagram reuses.
+type payload struct{ b []byte }
+
+var payloadPool = sync.Pool{New: func() any { return new(payload) }}
+
 type datagram struct {
-	from    netip.AddrPort
-	payload []byte
+	from netip.AddrPort
+	body *payload
 }
 
 type memConn struct {
@@ -152,12 +161,17 @@ type memConn struct {
 	queue chan datagram
 	done  chan struct{}
 	once  sync.Once
+	// timer is the read-timeout timer, parked here stopped and drained
+	// between ReadFrom calls; nil while a reader holds it.
+	timer atomic.Pointer[time.Timer]
 }
 
 func newMemConn(n *Mem, addr netip.AddrPort) *memConn {
 	return &memConn{
-		net:   n,
-		addr:  addr,
+		net:  n,
+		addr: addr,
+		// 1024 datagrams stand in for a kernel socket buffer; deliver
+		// drops on overflow.
 		queue: make(chan datagram, 1024),
 		done:  make(chan struct{}),
 	}
@@ -196,47 +210,87 @@ func (c *memConn) WriteTo(p []byte, to netip.AddrPort) error {
 	if drop {
 		return nil
 	}
-	d := datagram{from: c.addr, payload: append([]byte(nil), p...)}
-	deliver := func() {
-		select {
-		case dst.queue <- d:
-			mPacketsSent.Inc()
-			mBytesSent.Add(int64(len(d.payload)))
-		case <-dst.done:
-		default:
-			// Queue overflow: drop, like a kernel socket buffer.
-			n.mu.Lock()
-			n.dropped++
-			n.sent--
-			n.mu.Unlock()
-			mPacketsDropped.Inc()
-		}
-	}
+	body := payloadPool.Get().(*payload)
+	body.b = append(body.b[:0], p...)
+	d := datagram{from: c.addr, body: body}
 	if delay > 0 {
-		time.AfterFunc(delay, deliver)
+		time.AfterFunc(delay, func() { dst.deliver(d) })
 	} else {
-		deliver()
+		dst.deliver(d)
 	}
 	return nil
 }
 
+// deliver queues d on the receiving conn c, or drops it if c is closed or
+// its queue is full.
+func (c *memConn) deliver(d datagram) {
+	size := int64(len(d.body.b)) // once queued, the body belongs to the reader
+	select {
+	case c.queue <- d:
+		mPacketsSent.Inc()
+		mBytesSent.Add(size)
+		return
+	case <-c.done:
+	default:
+		// Queue overflow: drop, like a kernel socket buffer.
+		n := c.net
+		n.mu.Lock()
+		n.dropped++
+		n.sent--
+		n.mu.Unlock()
+		mPacketsDropped.Inc()
+	}
+	payloadPool.Put(d.body)
+}
+
 func (c *memConn) ReadFrom(buf []byte, timeout time.Duration) (int, netip.AddrPort, error) {
+	// A datagram already queued, or a closed conn, needs no timer.
+	select {
+	case d := <-c.queue:
+		return receive(buf, d)
+	case <-c.done:
+		return 0, netip.AddrPort{}, ErrClosed
+	default:
+	}
 	var timer *time.Timer
 	var timeoutCh <-chan time.Time
 	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
+		if timer = c.timer.Swap(nil); timer != nil {
+			timer.Reset(timeout)
+		} else {
+			timer = time.NewTimer(timeout) // first read, or another reader holds it
+		}
 		timeoutCh = timer.C
 	}
+	var d datagram
+	var err error
 	select {
-	case d := <-c.queue:
-		n := copy(buf, d.payload)
-		return n, d.from, nil
+	case d = <-c.queue:
 	case <-c.done:
-		return 0, netip.AddrPort{}, ErrClosed
+		err = ErrClosed
 	case <-timeoutCh:
-		return 0, netip.AddrPort{}, ErrTimeout
+		err = ErrTimeout
 	}
+	if timer != nil {
+		// go.mod predates Go 1.23, so an expired timer's channel holds
+		// its tick until received: drain it, unless the select just did,
+		// or the next Reset would time out at once.
+		if !timer.Stop() && err != ErrTimeout {
+			<-timer.C
+		}
+		c.timer.Store(timer)
+	}
+	if err != nil {
+		return 0, netip.AddrPort{}, err
+	}
+	return receive(buf, d)
+}
+
+// receive copies d into buf and recycles its body.
+func receive(buf []byte, d datagram) (int, netip.AddrPort, error) {
+	n := copy(buf, d.body.b)
+	payloadPool.Put(d.body)
+	return n, d.from, nil
 }
 
 func (c *memConn) Close() error {

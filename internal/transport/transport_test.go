@@ -361,3 +361,134 @@ func TestMappedUDPReleaseOnClose(t *testing.T) {
 		c2.Close()
 	}
 }
+
+// memPair is a listener and a dialled client on a fresh Mem.
+func memPair(t *testing.T) (srv, cli Conn) {
+	t.Helper()
+	n := NewMem(1)
+	srv, err := n.Listen(ap("10.0.0.1:53"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cli, err = n.Dial(netip.MustParseAddr("10.9.0.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	return srv, cli
+}
+
+// Payload buffers are pooled: what a reader copied out must not change when
+// the buffer carries a later datagram, and the sender may scribble over its
+// own buffer as soon as WriteTo returns.
+func TestMemReaderBufferNeverAliased(t *testing.T) {
+	srv, cli := memPair(t)
+	out := []byte("datagram A")
+	if err := cli.WriteTo(out, srv.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	copy(out, "XXXXXXXXXX")
+	first := make([]byte, 64)
+	na, _, err := srv.ReadFrom(first, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(first[:na]) != "datagram A" {
+		t.Fatalf("first read = %q, want the bytes as sent", first[:na])
+	}
+	if err := cli.WriteTo([]byte("datagram B, longer"), srv.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if string(first[:na]) != "datagram A" {
+		t.Errorf("first read changed to %q after a second datagram was sent", first[:na])
+	}
+	second := make([]byte, 64)
+	nb, _, err := srv.ReadFrom(second, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(second[:nb]) != "datagram B, longer" || string(first[:na]) != "datagram A" {
+		t.Errorf("reads = %q then %q", first[:na], second[:nb])
+	}
+}
+
+// The read timer is parked on the conn between calls. After it fired, the
+// next read must wait its full timeout again (a stale tick left in the
+// channel would end it at once), and a datagram sent later still arrives.
+func TestMemTimeoutRepeatsThenReceives(t *testing.T) {
+	srv, cli := memPair(t)
+	buf := make([]byte, 16)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, _, err := srv.ReadFrom(buf, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("read %d: err = %v, want timeout", i, err)
+		}
+		if time.Since(start) < 15*time.Millisecond {
+			t.Fatalf("read %d returned before its timeout", i)
+		}
+	}
+	// A read that a datagram ends while its timer is armed parks a timer
+	// that never fired; let that timer's original deadline pass, then
+	// check the next read is not cut short by it.
+	time.AfterFunc(5*time.Millisecond, func() { _ = cli.WriteTo([]byte("late"), srv.LocalAddr()) })
+	n, _, err := srv.ReadFrom(buf, 30*time.Millisecond)
+	if err != nil || string(buf[:n]) != "late" {
+		t.Fatalf("read after timeouts = %q, %v", buf[:n], err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	start := time.Now()
+	if _, _, err := srv.ReadFrom(buf, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("err = %v, want timeout", err)
+	}
+	if time.Since(start) < 15*time.Millisecond {
+		t.Error("read after a parked, unfired timer returned before its timeout")
+	}
+}
+
+// Two readers on one conn: one holds the parked timer, the other falls
+// back to its own. Every datagram is read exactly once and both readers
+// end on a timeout. Meaningful under -race.
+func TestMemConcurrentReaders(t *testing.T) {
+	srv, cli := memPair(t)
+	const total = 400
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	seen := map[string]int{}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 16)
+			for {
+				n, _, err := srv.ReadFrom(buf, 100*time.Millisecond)
+				if err != nil {
+					if !errors.Is(err, ErrTimeout) {
+						t.Errorf("reader: %v", err)
+					}
+					return
+				}
+				mu.Lock()
+				seen[string(buf[:n])]++
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 0; i < total; i++ {
+		if err := cli.WriteTo([]byte{byte(i >> 8), byte(i)}, srv.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 0 {
+			time.Sleep(time.Millisecond) // let the readers block with armed timers
+		}
+	}
+	wg.Wait()
+	if len(seen) != total {
+		t.Errorf("read %d distinct datagrams, want %d", len(seen), total)
+	}
+	for k, c := range seen {
+		if c != 1 {
+			t.Errorf("datagram %x read %d times", k, c)
+		}
+	}
+}

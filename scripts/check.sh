@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: vet, build, and race-enabled tests for the whole
-# module, then the benchmark harness (bench/ is its own module importing
+# module, the wire path's allocation ceilings (built only without -race),
+# then the benchmark harness (bench/ is its own module importing
 # internal/*, so `./...` does not reach it). Mirrors `make check` for
 # environments without make.
 set -eu
@@ -12,6 +13,8 @@ echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
 go test -race ./...
+echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,dnsserver}"
+go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 echo "check: OK"
