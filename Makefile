@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-race test-allocs check-bench bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
+.PHONY: check vet build test test-race test-allocs check-bench fuzz-smoke loc bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
 
 check: vet build test-race test-allocs check-bench
 
@@ -30,6 +30,20 @@ test-allocs:
 # not reach it, so an internal change that breaks its build shows here.
 check-bench:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Each committed fuzz target for ten seconds on top of its seed corpus
+# (testdata/fuzz/<target>/): the decoders of untrusted bytes. -run '^$$'
+# skips the unit tests; minimising every new-coverage input would eat the
+# ten seconds, so that is off — a crasher still fails the run and is
+# written to testdata/fuzz/ for the regular test run to replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpack$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/store
+
+# Non-test / test Go lines per package and in total (ROADMAP's "~24.2k
+# non-test" baseline, counted the same way).
+loc:
+	sh scripts/loc.sh
 
 # Every Benchmark* in the module, with allocation stats. The root
 # artifact benchmarks persist their numbers to results/BENCH_*.json

@@ -1,6 +1,6 @@
 // Command dpsbench is the detection scaling observatory's harness: it
 // sweeps GOMAXPROCS × detection workers over a measured dataset, runs
-// core.DetectRange to steady state in every cell, and records
+// core.DetectRangeStats to steady state in every cell, and records
 // throughput, per-core efficiency, stage timing, allocations, and the
 // GC's CPU share per cell to results/BENCH_detect.json (schema
 // benchfmt.DetectSchema, one row per cell).

@@ -177,16 +177,6 @@ func printInfo(r *store.Reader) {
 		fmt.Printf("%-16s %s .. %s\n", "days", in.FirstDay, in.LastDay)
 	}
 	fmt.Printf("%-16s %d (%d rows)\n", "partitions", in.Partitions, in.Rows)
-	crc := "none (pre-v4 format)"
-	if in.CRCPartitions {
-		crc = "per-partition + dictionary + directory (v4)"
-	}
-	fmt.Printf("%-16s %s\n", "crc coverage", crc)
-	dir := "yes (streaming reads)"
-	if !in.Directory {
-		dir = "no (v2 legacy: sequential full decode)"
-	}
-	fmt.Printf("%-16s %s\n", "directory", dir)
 }
 
 // dumpPartition resolves source/dayIndex against the Reader's directory

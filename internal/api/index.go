@@ -55,7 +55,7 @@ type Index struct {
 // NewIndex builds the index from a store by running detection over every
 // (source, day) partition and merging sources per day (a domain counted
 // once per day regardless of how many lists contain it, as §4.1 counts).
-// Detection fans out across partitions via core.DetectRange — the build
+// Detection fans out across partitions via core.DetectRangeSource — the build
 // folds one shared parallel pass instead of walking partitions
 // sequentially.
 func NewIndex(s *store.Store, refs *core.References) *Index {

@@ -411,7 +411,7 @@ func TestDetectRangeMatchesSequential(t *testing.T) {
 		t.Fatalf("measured world has %d partitions; want several", len(parts))
 	}
 	for _, workers := range []int{1, 3, 16} {
-		dets := DetectRange(context.Background(), s, parts, refs, workers)
+		dets, _ := DetectRangeStats(context.Background(), s, parts, refs, workers)
 		if len(dets) != len(parts) {
 			t.Fatalf("workers=%d: %d results for %d partitions", workers, len(dets), len(parts))
 		}
@@ -445,7 +445,7 @@ func TestDetectRangeCancelled(t *testing.T) {
 	refs := MustGroundTruth()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	dets := DetectRange(ctx, s, Partitions(s), refs, 2)
+	dets, _ := DetectRangeStats(ctx, s, Partitions(s), refs, 2)
 	for _, det := range dets {
 		if det != nil {
 			t.Fatal("cancelled DetectRange still produced detections")

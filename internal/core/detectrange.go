@@ -19,7 +19,7 @@ type Partition struct {
 }
 
 // Partitions enumerates every stored (source, day) partition in
-// (source, day) order — the natural input to DetectRange.
+// (source, day) order — the natural input to DetectRangeStats.
 func Partitions(s *store.Store) []Partition {
 	var out []Partition
 	for _, src := range s.Sources() {
@@ -52,7 +52,7 @@ type PartitionFailure struct {
 	Err    error
 }
 
-// RangeStats describes where one DetectRange call spent its time, per
+// RangeStats describes where one DetectRangeSource call spent its time, per
 // stage, summed across workers. It is the per-call counterpart of the
 // detect_stage_seconds histograms: callers (experiment.Run,
 // analysis.Aggregator.Run, api.NewIndex, cmd/dpsbench) use it to log and
@@ -112,21 +112,6 @@ func (st RangeStats) PartitionsPerSec() float64 {
 	return float64(st.Partitions) / st.Wall.Seconds()
 }
 
-// DetectRange classifies a set of partitions with a bounded worker pool
-// and returns the detections in input order. Workers share the store,
-// the references, and the per-dictionary ID matcher; partitions are
-// independent, so throughput scales with the worker count until the
-// memory bus saturates. workers <= 0 uses GOMAXPROCS. A cancelled
-// context stops the pool early; unprocessed slots are nil.
-//
-// Every consumer of multi-partition detection — the streaming
-// experiment runner, Aggregator.Run, the dpsapi index build — funnels
-// through here, so the fan-out and its metrics live in one place.
-func DetectRange(ctx context.Context, s *store.Store, parts []Partition, refs *References, workers int) []*DayDetections {
-	out, _ := DetectRangeStats(ctx, s, parts, refs, workers)
-	return out
-}
-
 // workerClock is one worker's private stage accounting, folded into
 // RangeStats after the pool drains (no shared state on the hot path).
 type workerClock struct {
@@ -135,21 +120,33 @@ type workerClock struct {
 	failed            []PartitionFailure
 }
 
-// DetectRangeStats is DetectRange returning the call's stage-timing
-// summary alongside the detections. Over a resident *store.Store no
-// partition can fail, so failures are discarded.
+// DetectRangeStats is DetectRangeSource over a resident *store.Store,
+// where no partition can fail to read, so there are no failures to
+// return.
 func DetectRangeStats(ctx context.Context, s *store.Store, parts []Partition, refs *References, workers int) ([]*DayDetections, RangeStats) {
 	out, st, _ := DetectRangeSource(ctx, s, parts, refs, workers)
 	return out, st
 }
 
 // DetectRangeSource classifies a set of partitions from any BatchSource
-// with the same bounded pool as DetectRange: workers pull partitions,
-// acquire → detect → release, so over a streaming *store.Reader the
-// resident set is O(workers × largest partition) plus the Reader's small
-// LRU — never the whole dataset. Partitions that fail to read (corrupt
-// spool, torn range) come back in the failures slice with their result
-// slot nil; everything else is unaffected.
+// with a bounded worker pool and returns the detections in input order,
+// the call's stage-timing summary, and the partitions that failed to
+// read. Workers share the source, the references, and the per-dictionary
+// ID matcher; partitions are independent, so throughput scales with the
+// worker count until the memory bus saturates. workers <= 0 uses
+// GOMAXPROCS. A cancelled context stops the pool early; unprocessed slots
+// are nil.
+//
+// Workers pull partitions and acquire → detect → release, so over a
+// streaming *store.Reader the resident set is O(workers × largest
+// partition) plus the Reader's small LRU — never the whole dataset.
+// Partitions that fail to read (corrupt spool, torn range) come back in
+// the failures slice with their result slot nil; everything else is
+// unaffected.
+//
+// Every consumer of multi-partition detection — the streaming experiment
+// runner, Aggregator.Run, the dpsapi index build, the follower — funnels
+// through here, so the fan-out and its metrics live in one place.
 func DetectRangeSource(ctx context.Context, src BatchSource, parts []Partition, refs *References, workers int) ([]*DayDetections, RangeStats, []PartitionFailure) {
 	out := make([]*DayDetections, len(parts))
 	if len(parts) == 0 {

@@ -3,20 +3,22 @@
 // committed (source, day) partitions — either a dpscoord coordination
 // directory (the journal doubles as a change feed, read via
 // coord.JournalReader) or a growing .dpsa dataset file (discovered via
-// the v3+ partition directory) — verifies each partition's CRCs, runs
+// its partition directory) — verifies each partition's CRCs, runs
 // ID-native detection on just the new partitions, and folds the results
 // into the serving index through api's copy-on-write delta path. The
 // publish is one atomic pointer swap plus a precise cache sweep, so the
 // service keeps answering at full rate while a freshly measured day
 // becomes queryable within one poll interval of its commit.
 //
-// The follower is strictly read-only toward its feed: it never
-// truncates the coordinator's journal and never moves its spools. A
-// partition that fails verification is logged, counted, and skipped
-// permanently (commits are terminal; a torn spool at rest will not
-// heal) — the day serves degraded rather than wedging the feed, exactly
-// like coord.Assemble's quarantine policy, and the operator sees it in
-// follow_partitions_skipped_total and /v1/stats freshness.
+// The follower is strictly read-only toward its feed: both modes read
+// through store.Open, which never writes, so it never truncates the
+// coordinator's journal, never moves its spools and never quarantines
+// part of a followed dataset. A partition that fails verification is
+// logged, counted, and skipped permanently (commits are terminal; a torn
+// spool at rest will not heal) — the day serves degraded rather than
+// wedging the feed, exactly like coord.Assemble's quarantine policy, and
+// the operator sees it in follow_partitions_skipped_total and /v1/stats
+// freshness.
 //
 // The one file a follower does write is its own restart cursor
 // (Config.CursorPath): a small JSON snapshot of the journal offset and
@@ -367,12 +369,12 @@ func (f *Follower) discoverDataset() error {
 	if fi.Size() == f.lastSize && fi.ModTime().Equal(f.lastMod) {
 		return nil
 	}
-	dir, err := store.Directory(f.cfg.Target)
+	r, err := store.Open(f.cfg.Target)
 	if err != nil {
 		return fmt.Errorf("follow: dataset directory: %w", err)
 	}
-	for _, ent := range dir {
-		k := ent.Key()
+	defer r.Close()
+	for _, k := range r.Keys() {
 		if !f.applied[k] && !f.skipped[k] {
 			f.pending[k] = ""
 		}
@@ -455,40 +457,39 @@ func (f *Follower) loadCoordBatch(ctx context.Context, batch []store.PartitionKe
 	return ups
 }
 
-// loadDatasetBatch loads a batch of partitions from the dataset file in
-// one pass and detects them through the shared DetectRange pool. A
-// salvaged load (PartialLoadError) skips the quarantined partitions and
-// applies the survivors; a wholesale failure retries next poll.
+// loadDatasetBatch detects a batch of partitions straight off the
+// dataset file through the same streaming read path as coord mode: one
+// store.Open, then the shared DetectRangeSource pool preads, CRC-checks
+// and decodes each partition. A partition that fails to read is skipped
+// permanently and the survivors are applied; a file that will not open
+// retries next poll.
 func (f *Follower) loadDatasetBatch(ctx context.Context, batch []store.PartitionKey) ([]api.PartitionUpdate, error) {
-	log := obs.Logger().With("component", "follow")
-	st, err := store.LoadPartitions(f.cfg.Target, batch)
-	var ple *store.PartialLoadError
+	r, err := store.Open(f.cfg.Target)
 	if err != nil {
-		if !errors.As(err, &ple) {
-			// The file may have been atomically replaced mid-discovery;
-			// force a directory rescan and retry next poll.
-			f.lastSize, f.lastMod = 0, time.Time{}
-			return nil, err
-		}
-		for _, q := range ple.Quarantined {
-			f.skip(store.PartitionKey{Source: q.Source, Day: q.Day},
-				fmt.Sprintf("quarantined: %s", q.Err), log)
-		}
+		// The file may have been atomically replaced mid-discovery;
+		// force a directory rescan and retry next poll.
+		f.lastSize, f.lastMod = 0, time.Time{}
+		return nil, err
 	}
-	var live []core.Partition
-	var keys []store.PartitionKey
-	for _, k := range batch {
-		if f.skipped[k] {
-			continue
-		}
-		live = append(live, core.Partition{Source: k.Source, Day: k.Day})
-		keys = append(keys, k)
+	defer r.Close()
+	parts := make([]core.Partition, len(batch))
+	for i, k := range batch {
+		parts[i] = core.Partition{Source: k.Source, Day: k.Day}
 	}
-	dets := core.DetectRange(ctx, st, live, f.cfg.Refs, f.cfg.Workers)
-	ups := make([]api.PartitionUpdate, 0, len(live))
-	for i, k := range keys {
+	dets, _, failed := core.DetectRangeSource(ctx, r, parts, f.cfg.Refs, f.cfg.Workers)
+	// Every Open decodes its own dictionary: drop its matcher with the
+	// reader, or Refs grows by one per batch.
+	if dict, derr := r.SharedDict(); derr == nil {
+		f.cfg.Refs.Forget(dict)
+	}
+	log := obs.Logger().With("component", "follow")
+	for _, pf := range failed {
+		f.skip(store.PartitionKey{Source: pf.Source, Day: pf.Day}, pf.Err.Error(), log)
+	}
+	ups := make([]api.PartitionUpdate, 0, len(batch))
+	for i, k := range batch {
 		if dets[i] == nil {
-			continue // cancelled
+			continue // skipped above, or cancelled and left pending
 		}
 		ups = append(ups, api.PartitionUpdate{Source: k.Source, Day: k.Day, Det: dets[i]})
 	}

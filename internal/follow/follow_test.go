@@ -302,6 +302,61 @@ func TestFollowSkipsDamagedSpool(t *testing.T) {
 	}
 }
 
+// TestFollowSkipsDamagedDatasetPartition is the dataset-mode twin: one
+// partition of the followed file torn at rest is skipped and counted,
+// the survivors apply, and the follower leaves the feed alone — no
+// quarantine/ directory appears beside a file it only reads.
+func TestFollowSkipsDamagedDatasetPartition(t *testing.T) {
+	refs := core.MustGroundTruth()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "data.dpsa")
+	all := store.New()
+	for d := 0; d < 3; d++ {
+		all.Absorb(synthPart(t, refs, "com", simtime.Day(d)))
+	}
+	if err := all.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	parts, err := store.Directory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, length := parts[1].Extent()
+	data[off+length/2] ^= 0xA5
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
+	f, err := New(Config{Target: path, Refs: refs, Sink: srv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := matcherCount(refs)
+	drain(t, f)
+	if after := matcherCount(refs); after != before {
+		t.Errorf("matcher cache grew from %d to %d: the closed dataset reader left its dictionary behind", before, after)
+	}
+
+	if st := f.Status(); st.Applied != 2 || st.Skipped != 1 || st.Lag != 0 {
+		t.Fatalf("status: %+v", st)
+	}
+	want := store.New()
+	want.Absorb(synthPart(t, refs, "com", 0))
+	want.Absorb(synthPart(t, refs, "com", 2))
+	assertSameView(t, api.NewIndex(want, refs), srv.Index())
+	if _, err := os.Stat(filepath.Join(dir, "quarantine")); !os.IsNotExist(err) {
+		t.Fatalf("follower wrote beside the file it follows: stat quarantine = %v", err)
+	}
+	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
+		t.Fatalf("post-skip poll: n=%d err=%v", n, err)
+	}
+}
+
 // TestFollowRunLoop drives the production Run loop end to end under a
 // live coordinator commit stream.
 func TestFollowRunLoop(t *testing.T) {

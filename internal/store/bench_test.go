@@ -139,10 +139,10 @@ func BenchmarkStoreAppend(b *testing.B) {
 	}
 }
 
-// Directory-lookup micro-benchmark: the follower resolves requested
-// partitions against a dataset directory on every delta apply, so the
-// per-lookup cost is keyed (map) rather than a linear scan. The scan
-// variant is kept as the ablation baseline.
+// Directory-lookup micro-benchmark: the Reader resolves every requested
+// partition against the dataset directory, so it keeps a keyed map
+// (Reader.byKey) rather than scanning the listing. The scan variant is
+// kept as the ablation baseline.
 
 func benchDirectory(n int) []PartitionInfo {
 	dir := make([]PartitionInfo, 0, n)
@@ -158,10 +158,11 @@ func benchDirectory(n int) []PartitionInfo {
 
 func BenchmarkDirectoryLookupKeyed(b *testing.B) {
 	dir := benchDirectory(8192)
-	byKey := IndexDirectory(dir)
+	byKey := make(map[PartitionKey]PartitionInfo, len(dir))
 	keys := make([]PartitionKey, len(dir))
 	for i, ent := range dir {
 		keys[i] = ent.Key()
+		byKey[ent.Key()] = ent
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,8 +16,8 @@ import (
 	"dpsadopt/internal/simtime"
 )
 
-// savedLayout describes a saved dataset's section boundaries, recovered
-// through the same footer/directory parsing Load uses.
+// savedLayout describes a saved dataset's section boundaries: the
+// directory as Open lists it, plus the directory offset from the footer.
 type savedLayout struct {
 	data       []byte
 	partsStart uint64
@@ -23,7 +25,7 @@ type savedLayout struct {
 	parts      []PartitionInfo
 }
 
-func saveWithLayout(t *testing.T, s *Store) (string, savedLayout) {
+func saveWithLayout(t testing.TB, s *Store) (string, savedLayout) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.dpsa")
 	if err := s.Save(path); err != nil {
@@ -33,41 +35,157 @@ func saveWithLayout(t *testing.T, s *Store) (string, savedLayout) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	r, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := readDirectoryAt(f, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lay := savedLayout{data: data, dirOff: meta.dirOff, partsStart: meta.dirOff, parts: parts}
-	for _, p := range parts {
-		if p.offset < lay.partsStart {
-			lay.partsStart = p.offset
-		}
+	defer r.Close()
+	lay := savedLayout{data: data, parts: r.Partitions()}
+	lay.dirOff = binary.LittleEndian.Uint64(data[len(data)-footerSize:])
+	lay.partsStart = lay.dirOff
+	if len(lay.parts) > 0 {
+		lay.partsStart = lay.parts[0].offset
 	}
 	return path, lay
 }
 
+// entryAt returns where directory entry i starts in the file, and
+// fixedAt where its fixed-width fields do: day i64 at +0, rows u32 at +8,
+// offset u64 at +12, length u64 at +20, crc u32 at +28.
+func (lay savedLayout) entryAt(i int) int {
+	at := int(lay.dirOff) + 4
+	for _, p := range lay.parts[:i] {
+		at += minDirEntry + len(p.Source)
+	}
+	return at
+}
+
+func (lay savedLayout) fixedAt(i int) int { return lay.entryAt(i) + 2 + len(lay.parts[i].Source) }
+
+// reseal recomputes every checksum of a mutated copy whose section
+// boundaries still sit where lay says: what a writer that lies
+// consistently would have produced, so the mutation reaches the
+// structural checks behind the CRCs.
+func (lay savedLayout) reseal(mut []byte) []byte {
+	for i, p := range lay.parts {
+		binary.LittleEndian.PutUint32(mut[lay.fixedAt(i)+28:], crc32.ChecksumIEEE(mut[p.offset:p.offset+p.length]))
+	}
+	foot := len(mut) - footerSize
+	binary.LittleEndian.PutUint32(mut[foot+8:], crc32.ChecksumIEEE(mut[headerSize:lay.partsStart]))
+	binary.LittleEndian.PutUint32(mut[foot+12:], crc32.ChecksumIEEE(mut[lay.dirOff:foot]))
+	return mut
+}
+
 // allRows snapshots every partition's rows for equality comparison.
-func allRows(s *Store) map[string][]Row {
-	out := make(map[string][]Row)
+func allRows(s *Store) map[PartitionKey][]Row {
+	out := make(map[PartitionKey][]Row)
 	for _, src := range s.Sources() {
 		for _, day := range s.Days(src) {
-			out[fmt.Sprintf("%s/%s", src, day)] = rowsOf(s, src, day)
+			out[PartitionKey{src, day}] = rowsOf(s, src, day)
 		}
 	}
 	return out
+}
+
+// fileVerdict is what the five ways into a .dpsa agreed on for one file.
+type fileVerdict struct {
+	opened bool                   // header, footer, directory and dictionary section accepted
+	rows   map[PartitionKey][]Row // the partitions that decoded
+	clean  bool                   // Verify passed: every byte matches its checksum
+}
+
+// readEverywhere drives one file through Open (+ AcquireBatch of every
+// key), Load, LoadPartitions, LoadPartition, Directory and Verify, fails
+// the test wherever two of them disagree — on taking the file, on which
+// partitions survive, or on a single row — and returns what they agreed
+// on. It is the one oracle behind the corruption table, the crafted-file
+// table and FuzzOpen.
+func readEverywhere(t testing.TB, path string) fileVerdict {
+	t.Helper()
+	var v fileVerdict
+	v.clean = Verify(path) == nil
+	dir, dirErr := Directory(path)
+	full, loadErr := Load(path)
+
+	r, err := Open(path)
+	if err != nil {
+		some, someErr := LoadPartitions(path, nil)
+		if v.clean || dirErr == nil || full != nil || loadErr == nil || some != nil || someErr == nil {
+			t.Fatalf("Open refused the file (%v) but Verify ok=%v, Directory err=%v, Load err=%v, LoadPartitions err=%v",
+				err, v.clean, dirErr, loadErr, someErr)
+		}
+		return v
+	}
+	defer r.Close()
+	v.opened = true
+	if dirErr != nil || !reflect.DeepEqual(dir, r.Partitions()) {
+		t.Fatalf("Directory = %v, %v; Open lists %v", dir, dirErr, r.Partitions())
+	}
+
+	// The streaming path says which partitions the file still holds.
+	keys := r.Keys()
+	v.rows = make(map[PartitionKey][]Row)
+	dict, dictErr := r.SharedDict()
+	for _, k := range keys {
+		b, release, err := r.AcquireBatch(k.Source, k.Day)
+		if err != nil {
+			continue
+		}
+		var rows []Row
+		for i := 0; i < b.Rows(); i++ {
+			row := b.Row(i, dict)
+			row.ASNs = append([]uint32(nil), row.ASNs...)
+			rows = append(rows, row)
+		}
+		release()
+		v.rows[k] = rows
+	}
+
+	some, someErr := LoadPartitions(path, keys)
+	if dictErr != nil {
+		// An unparseable dictionary leaves nothing to salvage.
+		if len(v.rows) > 0 || full != nil || loadErr == nil || some != nil || someErr == nil {
+			t.Fatalf("dictionary refused (%v) but rows came back: streaming %d, Load err=%v, LoadPartitions err=%v",
+				dictErr, len(v.rows), loadErr, someErr)
+		}
+		return v
+	}
+	for name, got := range map[string]struct {
+		st  *Store
+		err error
+	}{"Load": {full, loadErr}, "LoadPartitions": {some, someErr}} {
+		if got.st == nil {
+			t.Fatalf("%s refused a file Open took: %v", name, got.err)
+		}
+		if have := allRows(got.st); !reflect.DeepEqual(have, v.rows) {
+			t.Fatalf("%s kept %v, AcquireBatch accepts %v", name, have, v.rows)
+		}
+		var pe *PartialLoadError
+		switch {
+		case got.err == nil && len(v.rows) != len(keys):
+			t.Fatalf("%s dropped partitions without reporting them", name)
+		case got.err != nil && !errors.As(got.err, &pe):
+			t.Fatalf("%s: err = %v, want *PartialLoadError", name, got.err)
+		case got.err != nil && len(pe.Quarantined) != len(keys)-len(v.rows):
+			t.Fatalf("%s quarantined %d partitions, %d are unreadable", name, len(pe.Quarantined), len(keys)-len(v.rows))
+		}
+	}
+	for _, k := range keys {
+		one, err := LoadPartition(path, k.Source, k.Day)
+		want, ok := v.rows[k]
+		if ok != (err == nil) {
+			t.Fatalf("LoadPartition(%s) err = %v, AcquireBatch accepted = %v", k, err, ok)
+		}
+		if ok && !reflect.DeepEqual(rowsOf(one, k.Source, k.Day), want) {
+			t.Fatalf("LoadPartition(%s) rows differ from the streaming read", k)
+		}
+	}
+	// Verify checks checksums, decoding nothing: it can pass a partition
+	// whose writer lied consistently, never fail one that decodes.
+	if !v.clean && len(v.rows) == len(keys) {
+		t.Fatal("Verify failed a file whose every partition reads")
+	}
+	return v
 }
 
 // TestSaveCrashMidStreamKeepsOldFile is the non-atomic-save regression
@@ -213,7 +331,7 @@ func TestLoadSalvagesDamagedPartition(t *testing.T) {
 		t.Fatalf("reason file %q not descriptive", reason)
 	}
 	// Every surviving partition matches the original exactly.
-	delete(want, fmt.Sprintf("%s/%s", victim.Source, victim.Day))
+	delete(want, victim.Key())
 	if have := allRows(got); !reflect.DeepEqual(want, have) {
 		t.Fatalf("surviving partitions differ:\nwant %v\ngot  %v", want, have)
 	}
@@ -258,12 +376,14 @@ func TestQuarantineFile(t *testing.T) {
 	}
 }
 
-// TestCorruptLoadTable is the fuzz-style section-boundary table: the
-// saved file is truncated, bit-flipped, and zero-filled at and around
-// every section boundary (header end, dictionary end, each partition
-// start/end, directory, footer), and Load/LoadPartition must never
-// panic and never silently return wrong data — every mutation either
-// fails with an error or yields exactly the original rows.
+// TestCorruptLoadTable is the section-boundary table: the saved file is
+// truncated, bit-flipped, and zero-filled at and around every section
+// boundary (header end, dictionary end, each partition start/end,
+// directory, footer), and every way into the file — Open, Load,
+// LoadPartition(s), Directory, Verify — must never panic, must agree with
+// the others on whether the file and each partition are readable, and
+// must never return wrong data: every mutation either fails with an error
+// or yields exactly the original rows.
 func TestCorruptLoadTable(t *testing.T) {
 	s := populatedStore()
 	_, lay := saveWithLayout(t, s)
@@ -274,73 +394,26 @@ func TestCorruptLoadTable(t *testing.T) {
 	for _, p := range lay.parts {
 		boundaries = append(boundaries, int(p.offset), int(p.offset+p.length))
 	}
-	boundaries = append(boundaries, int(lay.dirOff), size-int(footerSizeV4), size-4, size)
+	boundaries = append(boundaries, int(lay.dirOff), size-footerSize, size-4, size)
 	sort.Ints(boundaries)
 
 	check := func(t *testing.T, name string, mut []byte) {
 		t.Helper()
-		dir := t.TempDir()
-		p := filepath.Join(dir, "mut.dpsa")
+		p := filepath.Join(t.TempDir(), "mut.dpsa")
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Load: error, or data indistinguishable from the original
-		// (minus explicitly quarantined partitions).
-		st, err := Load(p)
-		if err == nil {
-			if have := allRows(st); !reflect.DeepEqual(want, have) {
-				t.Fatalf("%s: Load silently returned wrong data", name)
-			}
-		} else if st != nil {
-			var pe *PartialLoadError
-			if errors.As(err, &pe) {
-				have := allRows(st)
-				for key, rows := range have {
-					if !reflect.DeepEqual(want[key], rows) {
-						t.Fatalf("%s: salvaged partition %s has wrong rows", name, key)
-					}
-				}
+		v := readEverywhere(t, p)
+		for k, rows := range v.rows {
+			if !reflect.DeepEqual(want[k], rows) {
+				t.Fatalf("%s: partition %s silently returned wrong data", name, k)
 			}
 		}
-		// LoadPartition: same contract per partition.
-		for _, ent := range lay.parts {
-			part, err := LoadPartition(p, ent.Source, ent.Day)
-			if err != nil {
-				continue
-			}
-			w := want[fmt.Sprintf("%s/%s", ent.Source, ent.Day)]
-			if have := rowsOf(part, ent.Source, ent.Day); !reflect.DeepEqual(w, have) {
-				t.Fatalf("%s: LoadPartition(%s/%s) silently returned wrong data", name, ent.Source, ent.Day)
-			}
-		}
-		// Streaming Reader: Open may refuse the file outright; an open
-		// that succeeds must serve each partition either as an error or
-		// as exactly the original rows — never torn data, never a panic.
-		r, err := Open(p)
-		if err != nil {
-			return
-		}
-		defer r.Close()
-		dict, err := r.SharedDict()
-		if err != nil {
-			return
-		}
-		for _, k := range r.Keys() {
-			b, release, err := r.AcquireBatch(k.Source, k.Day)
-			if err != nil {
-				continue
-			}
-			var have []Row
-			for i := 0; i < b.Rows(); i++ {
-				row := b.Row(i, dict)
-				row.ASNs = append([]uint32(nil), row.ASNs...)
-				have = append(have, row)
-			}
-			release()
-			w := want[fmt.Sprintf("%s/%s", k.Source, k.Day)]
-			if !reflect.DeepEqual(w, have) {
-				t.Fatalf("%s: streaming read of %s silently returned wrong data", name, k)
-			}
+		// Random damage cannot keep a checksum valid, so here Verify is
+		// exactly "everything still reads".
+		if v.clean != (v.opened && len(v.rows) == len(want)) {
+			t.Fatalf("%s: Verify ok=%v, but opened=%v with %d/%d partitions readable",
+				name, v.clean, v.opened, len(v.rows), len(want))
 		}
 	}
 

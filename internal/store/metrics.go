@@ -21,13 +21,15 @@ var (
 		"partition/dictionary/directory checksum mismatches detected at load")
 	mQuarantined = obs.Default().Counter("store_quarantined_partitions_total",
 		"damaged partitions moved into quarantine/ by salvaging loads")
-	// Out-of-core read path (store.Reader): opens, on-demand partition
-	// decodes, LRU hits, and raw bytes pread from dataset files. A high
-	// decode:hit ratio on an interactive consumer means the cache is
-	// undersized; streaming sweeps visit each partition once, so decodes
-	// ≈ partitions is expected there.
+	// Read path (store.Reader): opens, and AcquireBatch's traffic —
+	// on-demand partition decodes, LRU hits, and raw bytes pread. The
+	// three traffic counters move in AcquireBatch only, not when Load or
+	// Verify read through the same Reader, so they stay a measure of
+	// streaming reads. A high decode:hit ratio on an interactive consumer
+	// means the cache is undersized; streaming sweeps visit each partition
+	// once, so decodes ≈ partitions is expected there.
 	mReaderOpens = obs.Default().Counter("store_reader_opens_total",
-		"datasets opened for streaming reads (store.Open)")
+		"dataset files opened (store.Open, directly or under Load, Verify and Directory)")
 	mReaderPartitionsDecoded = obs.Default().Counter("store_reader_partitions_decoded_total",
 		"partitions decoded on demand by streaming readers")
 	mReaderCacheHits = obs.Default().Counter("store_reader_cache_hits_total",

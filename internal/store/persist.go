@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,67 +13,49 @@ import (
 	"dpsadopt/internal/simtime"
 )
 
-// On-disk format: a flate-free framed binary archive (the columns are
-// already dictionary-encoded; callers can compress the file externally).
+// On-disk format (version 4): a flate-free framed binary archive (the
+// columns are already dictionary-encoded; callers can compress the file
+// externally).
 //
-//	magic "DPSA" | version u32
-//	dict: count u32, then per string: len u16 + bytes
-//	partitions: count u32, then per partition:
+//	header:     magic "DPSA" | version u32
+//	dictionary: count u32, then per string: len u16 + bytes
+//	            | partition count u32
+//	partitions: per partition, back to back:
 //	  source len u16 + bytes | day i64 | rows u32 | v6 count u32 |
 //	  asnVals count u32 | columns in order (domains, kinds, addrs,
 //	  addrs6, strs, asnOff, asnVals)
-//
-// Version 3 appends a partition directory after the partitions so large
-// datasets can be opened without decoding every day block:
-//
-//	directory: count u32, then per partition:
+//	directory:  count u32, then per partition:
 //	  source len u16 + bytes | day i64 | rows u32 |
-//	  offset u64 | length u64      (byte range of the partition)
-//	footer: directory offset u64 | magic "DPSD"
+//	  offset u64 | length u64 | crc u32     (the partition's byte range)
+//	footer:     directory offset u64 | dict crc u32 | dir crc u32 | "DPSD"
 //
-// Version 4 makes the file crash-evident: each directory entry carries a
-// CRC32 (IEEE) of its partition's byte range, and the footer grows two
-// checksums covering the remaining sections:
-//
-//	directory entry: ... | offset u64 | length u64 | crc u32
-//	footer: directory offset u64 | dict crc u32 | dir crc u32 | "DPSD"
-//
-// The dict checksum covers [8, first partition offset) — the dictionary
-// plus the partition-count word — and the dir checksum covers
-// [directory offset, footer start). Together with the per-partition
-// checksums every byte between header and footer is covered, so a torn
-// write or bit flip anywhere is detected at load instead of surfacing as
-// silently wrong data. Loads degrade gracefully: a damaged partition is
-// quarantined (see PartialLoadError) while the surviving partitions
-// still load.
-//
-// Version 2 readers that stop after the partition count are unaffected
-// (the directory is trailing data), and version 4 readers fall back to a
-// full sequential decode on version 2 files, which have no directory.
+// The file is crash-evident: every checksum is a CRC32 (IEEE), a
+// directory entry's covers its partition's byte range, the dict checksum
+// covers [8, first partition offset) — the dictionary plus the
+// partition-count word — and the dir checksum covers [directory offset,
+// footer start). The partitions tile the span between the two, so every
+// byte between header and footer is covered and a torn write or bit flip
+// anywhere is detected when it is read instead of surfacing as silently
+// wrong data. Loads degrade gracefully: a damaged partition is
+// quarantined (see PartialLoadError) while the surviving partitions still
+// load.
 //
 // All integers are little-endian. Partitions are written in sorted
 // (source, day) order, so saving the same store twice yields identical
 // bytes.
+//
+// This file holds the writer and the whole-file entry points. Every byte
+// read back goes through Reader (reader.go), the package's only decoder;
+// Load, LoadPartitions, Verify and Directory are views over Open. Save is
+// the only producer, so no other version is read.
 
 const (
 	persistMagic   = "DPSA"
 	persistVersion = 4
 	dirMagic       = "DPSD"
-	footerSizeV3   = 8 + 4     // directory offset + dirMagic
-	footerSizeV4   = 8 + 8 + 4 // directory offset + dict/dir CRCs + dirMagic
+	headerSize     = 4 + 4     // persistMagic + version
+	footerSize     = 8 + 8 + 4 // directory offset + dict/dir CRCs + dirMagic
 )
-
-// footerSize returns the trailing footer length for a format version.
-func footerSize(version uint32) int64 {
-	if version >= 4 {
-		return footerSizeV4
-	}
-	return footerSizeV3
-}
-
-// ErrNoDirectory reports a dataset written before the partition
-// directory existed (version 2); callers fall back to a full Load.
-var ErrNoDirectory = errors.New("store: dataset has no partition directory")
 
 // PartitionInfo describes one (source, day) partition listed in a
 // dataset file's directory.
@@ -82,8 +63,7 @@ type PartitionInfo struct {
 	Source string
 	Day    simtime.Day
 	Rows   int
-	// CRC is the partition byte range's CRC32 (IEEE); zero on version 3
-	// files, which predate checksums.
+	// CRC is the partition byte range's CRC32 (IEEE).
 	CRC uint32
 
 	offset, length uint64
@@ -105,18 +85,6 @@ func (pi PartitionInfo) Key() PartitionKey { return PartitionKey{pi.Source, pi.D
 func (pi PartitionInfo) Extent() (offset, length uint64) { return pi.offset, pi.length }
 
 func (k PartitionKey) String() string { return fmt.Sprintf("%s/%s", k.Source, k.Day) }
-
-// IndexDirectory builds a keyed lookup over a directory listing. Single
-// lookups through the map are O(1) where scanning the slice is O(n) —
-// the difference matters to the follower tier, which resolves partitions
-// against a (potentially large) directory on every delta apply.
-func IndexDirectory(dir []PartitionInfo) map[PartitionKey]PartitionInfo {
-	idx := make(map[PartitionKey]PartitionInfo, len(dir))
-	for _, ent := range dir {
-		idx[ent.Key()] = ent
-	}
-	return idx
-}
 
 // QuarantinedPartition records one damaged partition that a salvaging
 // load moved aside instead of returning as silently wrong data.
@@ -204,53 +172,79 @@ func syncDir(dir string) {
 	_ = d.Close()
 }
 
-// Load reads a store written by Save (any supported version), verifying
-// checksums on version 4 files. Damaged partitions do not fail the whole
-// load: they are quarantined into a quarantine/ directory next to path
-// and reported via a *PartialLoadError, while every surviving partition
-// is returned in the store. Errors that predate the directory (header,
-// dictionary, directory, footer corruption) are unrecoverable and return
-// a nil store.
+// Load reads a whole dataset written by Save into a resident store: Open
+// plus a decode of every partition in the directory. Damaged partitions do
+// not fail the load: they are quarantined into a quarantine/ directory
+// next to path and reported via a *PartialLoadError, while every
+// surviving partition is returned in the store. Damage to the sections
+// every partition depends on (header, footer, directory, dictionary) is
+// unrecoverable and returns a nil store.
 func Load(path string) (*Store, error) {
-	f, err := os.Open(path)
+	r, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	version, err := readHeader(f)
+	defer r.Close()
+	return r.materialise(r.dir)
+}
+
+// LoadPartition is LoadPartitions for a single (source, day) key. The
+// returned store contains exactly one partition.
+func LoadPartition(path, source string, day simtime.Day) (*Store, error) {
+	return LoadPartitions(path, []PartitionKey{{source, day}})
+}
+
+// LoadPartitions decodes a set of (source, day) partitions — plus the
+// shared dictionary — into a resident store: one Open, one keyed lookup
+// and one pread per requested partition, never a full-archive decode. A
+// requested partition missing from the directory fails the whole load; a
+// damaged partition is quarantined and reported via *PartialLoadError
+// while the surviving requested partitions still load.
+func LoadPartitions(path string, keys []PartitionKey) (*Store, error) {
+	r, err := Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if version < 3 {
-		// Legacy: no directory, no checksums — strict sequential decode.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
+	defer r.Close()
+	ents := make([]PartitionInfo, len(keys))
+	for i, k := range keys {
+		ent, ok := r.byKey[k]
+		if !ok {
+			return nil, fmt.Errorf("store: no partition %s in %s", k, path)
 		}
-		return decode(bufio.NewReaderSize(f, 1<<20))
+		ents[i] = ent
 	}
-	meta, err := readFooter(f, version)
+	return r.materialise(ents)
+}
+
+// materialise decodes ents into a store that owns its blocks and the
+// dictionary (nothing in it aliases the Reader's pools, so it outlives
+// the Reader). A partition that fails its checksum or validation is
+// quarantined beside the file — the one write in the read path, and the
+// reason followers and servers use AcquireBatch instead.
+func (r *Reader) materialise(ents []PartitionInfo) (*Store, error) {
+	dict, err := r.SharedDict()
 	if err != nil {
 		return nil, err
-	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		return nil, err
-	}
-	if version >= 4 {
-		if err := verifySharedSections(f, meta, dir); err != nil {
-			return nil, err
-		}
 	}
 	s := New()
-	if err := readDictAt(f, s); err != nil {
-		return nil, err
-	}
+	s.dict = dict
 	var quarantined []QuarantinedPartition
-	for i := range dir {
-		ent := &dir[i]
-		if err := loadDirPartition(f, version, ent, s); err != nil {
-			quarantined = append(quarantined, quarantinePartition(path, f, ent, err))
+	for i := range ents {
+		ent := &ents[i]
+		blk := &dayBlock{}
+		if err := r.decodePartition(ent, dict.Len(), blk); err != nil {
+			quarantined = append(quarantined, quarantinePartition(r.path, r.f, ent, err))
+			continue
 		}
+		days := s.blocks[ent.Source]
+		if days == nil {
+			days = make(map[simtime.Day]*dayBlock)
+			s.blocks[ent.Source] = days
+		}
+		days[ent.Day] = blk
+		mPartitions.Inc()
+		mResidentRows.Add(float64(blk.rows()))
 	}
 	if len(quarantined) > 0 {
 		mQuarantined.Add(int64(len(quarantined)))
@@ -259,23 +253,35 @@ func Load(path string) (*Store, error) {
 	return s, nil
 }
 
-// loadDirPartition checks and decodes one directory-listed partition.
-func loadDirPartition(f *os.File, version uint32, ent *PartitionInfo, s *Store) error {
-	if version >= 4 {
-		got, err := sectionCRC(f, int64(ent.offset), int64(ent.length))
-		if err != nil {
-			return fmt.Errorf("reading partition bytes: %w", err)
-		}
-		if got != ent.CRC {
-			mCRCFailures.Inc()
-			return fmt.Errorf("checksum mismatch (want %08x, got %08x): torn write or corruption at rest", ent.CRC, got)
-		}
-	}
-	sec := io.NewSectionReader(f, int64(ent.offset), int64(ent.length))
-	if err := readPartition(bufio.NewReaderSize(sec, 1<<20), s); err != nil {
+// Verify checks a dataset file's integrity without building a store:
+// everything Open checks (header, footer, directory and dictionary
+// checksums, directory structure) plus every partition's checksum. A nil
+// return means no byte between header and footer changed since Save wrote
+// it.
+func Verify(path string) error {
+	r, err := Open(path)
+	if err != nil {
 		return err
 	}
+	defer r.Close()
+	for i := range r.dir {
+		bufp, err := r.checkedBytes(&r.dir[i])
+		if err != nil {
+			return fmt.Errorf("store: partition %s: %w", r.dir[i].Key(), err)
+		}
+		r.bufPool.Put(bufp)
+	}
 	return nil
+}
+
+// Directory lists a dataset file's partitions without decoding any data.
+func Directory(path string) ([]PartitionInfo, error) {
+	r, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.dir, nil
 }
 
 // quarantinePartition copies a damaged partition's raw bytes into a
@@ -325,327 +331,6 @@ func QuarantineFile(path string, cause error) (string, error) {
 	_ = os.WriteFile(dst+".reason", []byte(reason), 0o644)
 	mQuarantined.Inc()
 	return dst, nil
-}
-
-// Verify checks a dataset file's integrity without building a store: on
-// version 4 files it validates the footer, directory, and every section
-// checksum (dictionary, directory, each partition); on older versions it
-// falls back to a full structural decode. A nil return means a Load of
-// the same bytes cannot lose or invent data.
-func Verify(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		return err
-	}
-	if version < 4 {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		if _, err := decode(bufio.NewReaderSize(f, 1<<20)); err != nil {
-			return err
-		}
-		if version >= 3 {
-			meta, err := readFooter(f, version)
-			if err != nil {
-				return err
-			}
-			if _, err := readDirectoryAt(f, meta); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		return err
-	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		return err
-	}
-	if err := verifySharedSections(f, meta, dir); err != nil {
-		return err
-	}
-	for i := range dir {
-		ent := &dir[i]
-		got, err := sectionCRC(f, int64(ent.offset), int64(ent.length))
-		if err != nil {
-			return fmt.Errorf("store: partition %s/%s: %w", ent.Source, ent.Day, err)
-		}
-		if got != ent.CRC {
-			mCRCFailures.Inc()
-			return fmt.Errorf("store: partition %s/%s checksum mismatch (want %08x, got %08x)",
-				ent.Source, ent.Day, ent.CRC, got)
-		}
-	}
-	return nil
-}
-
-// LoadPartition decodes a single (source, day) partition from a dataset
-// file, plus the shared dictionary, without decoding any other day
-// block. Version 4 partition checksums are verified first; a corrupt
-// partition is quarantined next to the dataset and reported with a
-// descriptive error. On version 2 files (no directory) it falls back to
-// a full decode and prunes. The returned store contains exactly one
-// partition.
-func LoadPartition(path, source string, day simtime.Day) (*Store, error) {
-	return LoadPartitions(path, []PartitionKey{{source, day}})
-}
-
-// LoadPartitions decodes a set of (source, day) partitions — plus the
-// shared dictionary — from a dataset file in one pass: one open, one
-// directory read, one keyed lookup per requested partition. This is the
-// follower's catch-up path: a delta of K new partitions costs K seeks
-// into the day blocks, never a full-archive decode. A requested
-// partition missing from the directory fails the whole load; a damaged
-// partition is quarantined and reported via *PartialLoadError while the
-// surviving requested partitions still load. On version 2 files (no
-// directory) it falls back to a full decode and prunes.
-func LoadPartitions(path string, keys []PartitionKey) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	if version < 3 {
-		// Legacy: no directory to seek by. Decode everything, keep the
-		// requested set.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		s, err := decode(bufio.NewReaderSize(f, 1<<20))
-		if err != nil {
-			return nil, err
-		}
-		want := make(map[PartitionKey]bool, len(keys))
-		for _, k := range keys {
-			if s.blocks[k.Source][k.Day] == nil {
-				return nil, fmt.Errorf("store: no partition %s in %s", k, path)
-			}
-			want[k] = true
-		}
-		for _, src := range s.Sources() {
-			for _, d := range s.Days(src) {
-				if !want[PartitionKey{src, d}] {
-					s.DropDay(src, d)
-				}
-			}
-		}
-		return s, nil
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		return nil, err
-	}
-	byKey := IndexDirectory(dir)
-	s := New()
-	if err := readDictAt(f, s); err != nil {
-		return nil, err
-	}
-	var quarantined []QuarantinedPartition
-	for _, k := range keys {
-		ent, ok := byKey[k]
-		if !ok {
-			return nil, fmt.Errorf("store: no partition %s in %s", k, path)
-		}
-		if err := loadDirPartition(f, version, &ent, s); err != nil {
-			quarantined = append(quarantined, quarantinePartition(path, f, &ent, err))
-		}
-	}
-	if len(quarantined) > 0 {
-		mQuarantined.Add(int64(len(quarantined)))
-		return s, &PartialLoadError{Quarantined: quarantined}
-	}
-	return s, nil
-}
-
-// Directory reads a dataset file's partition listing without decoding
-// any data. Version 2 files return ErrNoDirectory.
-func Directory(path string) ([]PartitionInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	version, err := readHeader(f)
-	if err != nil {
-		return nil, err
-	}
-	if version < 3 {
-		return nil, ErrNoDirectory
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
-		return nil, err
-	}
-	return readDirectoryAt(f, meta)
-}
-
-// readHeader validates the magic and returns the format version.
-func readHeader(f *os.File) (uint32, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return 0, err
-	}
-	if string(hdr[:4]) != persistMagic {
-		return 0, fmt.Errorf("store: not a dataset file")
-	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version < 2 || version > persistVersion {
-		return 0, fmt.Errorf("store: unsupported version %d", version)
-	}
-	return version, nil
-}
-
-// readDictAt seeks to the dictionary (it immediately follows the 8-byte
-// header) and decodes it into s.
-func readDictAt(f *os.File, s *Store) error {
-	if _, err := f.Seek(8, io.SeekStart); err != nil {
-		return err
-	}
-	return readDict(bufio.NewReaderSize(f, 1<<20), s)
-}
-
-// fileMeta is a v3+ file's footer, decoded.
-type fileMeta struct {
-	version uint32
-	size    int64
-	dirOff  uint64
-	// dictCRC/dirCRC are the v4 section checksums (zero on v3).
-	dictCRC, dirCRC uint32
-}
-
-// readFooter parses the trailing footer of a v3+ file.
-func readFooter(f *os.File, version uint32) (fileMeta, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return fileMeta{}, err
-	}
-	meta := fileMeta{version: version, size: st.Size()}
-	fs := footerSize(version)
-	if meta.size < fs {
-		return fileMeta{}, fmt.Errorf("store: file too short for directory footer")
-	}
-	foot := make([]byte, fs)
-	if _, err := f.ReadAt(foot, meta.size-fs); err != nil {
-		return fileMeta{}, err
-	}
-	if string(foot[fs-4:]) != dirMagic {
-		return fileMeta{}, fmt.Errorf("store: directory footer missing or corrupt")
-	}
-	meta.dirOff = binary.LittleEndian.Uint64(foot[:8])
-	if version >= 4 {
-		meta.dictCRC = binary.LittleEndian.Uint32(foot[8:12])
-		meta.dirCRC = binary.LittleEndian.Uint32(foot[12:16])
-	}
-	if meta.dirOff >= uint64(meta.size-fs) {
-		return fileMeta{}, fmt.Errorf("store: directory offset out of range")
-	}
-	return meta, nil
-}
-
-// readDirectoryAt parses the partition directory located by meta.
-func readDirectoryAt(f *os.File, meta fileMeta) ([]PartitionInfo, error) {
-	dirLen := meta.size - footerSize(meta.version) - int64(meta.dirOff)
-	r := bufio.NewReader(io.NewSectionReader(f, int64(meta.dirOff), dirLen))
-	count, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if count > maxPersistCount {
-		return nil, fmt.Errorf("store: directory too large")
-	}
-	out := make([]PartitionInfo, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var ent PartitionInfo
-		if ent.Source, err = readStr(r); err != nil {
-			return nil, err
-		}
-		var day int64
-		if err := binary.Read(r, binary.LittleEndian, &day); err != nil {
-			return nil, err
-		}
-		ent.Day = simtime.Day(day)
-		rows, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		ent.Rows = int(rows)
-		var buf [16]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return nil, err
-		}
-		ent.offset = binary.LittleEndian.Uint64(buf[:8])
-		ent.length = binary.LittleEndian.Uint64(buf[8:])
-		if meta.version >= 4 {
-			if ent.CRC, err = readU32(r); err != nil {
-				return nil, err
-			}
-		}
-		if ent.offset+ent.length > uint64(meta.size) || ent.offset+ent.length < ent.offset {
-			return nil, fmt.Errorf("store: directory entry out of range")
-		}
-		out = append(out, ent)
-	}
-	return out, nil
-}
-
-// verifySharedSections checks the v4 dictionary and directory checksums
-// — the sections every partition depends on. A mismatch there is
-// unsalvageable, so these fail the whole load.
-func verifySharedSections(f *os.File, meta fileMeta, dir []PartitionInfo) error {
-	// The dict section spans from the header to the first partition (or
-	// straight to the directory when the store is empty), including the
-	// partition-count word.
-	partsStart := meta.dirOff
-	for i := range dir {
-		if dir[i].offset < partsStart {
-			partsStart = dir[i].offset
-		}
-	}
-	got, err := sectionCRC(f, 8, int64(partsStart)-8)
-	if err != nil {
-		return err
-	}
-	if got != meta.dictCRC {
-		mCRCFailures.Inc()
-		return fmt.Errorf("store: dictionary checksum mismatch (want %08x, got %08x)", meta.dictCRC, got)
-	}
-	dirLen := meta.size - footerSize(meta.version) - int64(meta.dirOff)
-	got, err = sectionCRC(f, int64(meta.dirOff), dirLen)
-	if err != nil {
-		return err
-	}
-	if got != meta.dirCRC {
-		mCRCFailures.Inc()
-		return fmt.Errorf("store: directory checksum mismatch (want %08x, got %08x)", meta.dirCRC, got)
-	}
-	return nil
-}
-
-// sectionCRC computes the CRC32 (IEEE) of a byte range of f.
-func sectionCRC(f *os.File, off, length int64) (uint32, error) {
-	if length < 0 {
-		return 0, fmt.Errorf("store: negative section length")
-	}
-	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, io.NewSectionReader(f, off, length)); err != nil {
-		return 0, err
-	}
-	return h.Sum32(), nil
 }
 
 // offsetWriter tracks the byte offset of everything written through it,
@@ -749,7 +434,7 @@ func (s *Store) encode(dst io.Writer) error {
 			return err
 		}
 	}
-	var foot [footerSizeV4]byte
+	var foot [footerSize]byte
 	binary.LittleEndian.PutUint64(foot[:8], dirOff)
 	binary.LittleEndian.PutUint32(foot[8:12], dictCRC)
 	binary.LittleEndian.PutUint32(foot[12:16], w.crc)
@@ -802,170 +487,11 @@ func writePartition(w io.Writer, source string, day simtime.Day, b *dayBlock) er
 	return writeU32s(w, b.asnVals)
 }
 
-// maxPersistCount bounds per-section element counts on load.
-const maxPersistCount = 1 << 30
-
-func decode(r io.Reader) (*Store, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, err
-	}
-	if string(magic[:]) != persistMagic {
-		return nil, fmt.Errorf("store: not a dataset file")
-	}
-	version, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if version < 2 || version > persistVersion {
-		return nil, fmt.Errorf("store: unsupported version %d", version)
-	}
-	s := New()
-	if err := readDict(r, s); err != nil {
-		return nil, err
-	}
-	nParts, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nParts; i++ {
-		if err := readPartition(r, s); err != nil {
-			return nil, err
-		}
-	}
-	// Trailing directory + footer bytes (version 3+) are intentionally
-	// left unread: a full decode has no use for them.
-	return s, nil
-}
-
-// readDict decodes the shared dictionary into s.
-func readDict(r io.Reader, s *Store) error {
-	nStrs, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if nStrs > maxPersistCount {
-		return fmt.Errorf("store: dictionary too large")
-	}
-	for i := uint32(0); i < nStrs; i++ {
-		str, err := readStr(r)
-		if err != nil {
-			return err
-		}
-		s.dict.ID(str)
-	}
-	return nil
-}
-
-// readPartition decodes one (source, day) block, validates it, and
-// installs it in s.
-func readPartition(r io.Reader, s *Store) error {
-	source, err := readStr(r)
-	if err != nil {
-		return err
-	}
-	var day int64
-	if err := binary.Read(r, binary.LittleEndian, &day); err != nil {
-		return err
-	}
-	rows, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	nV6, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	nASN, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if rows > maxPersistCount || nV6 > rows || nASN > maxPersistCount {
-		return fmt.Errorf("store: corrupt partition header")
-	}
-	b := &dayBlock{}
-	if b.domains, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	kinds := make([]byte, rows)
-	if _, err := io.ReadFull(r, kinds); err != nil {
-		return err
-	}
-	b.kinds = make([]Kind, rows)
-	for j, k := range kinds {
-		if Kind(k) >= numKinds {
-			return fmt.Errorf("store: bad kind %d", k)
-		}
-		b.kinds[j] = Kind(k)
-	}
-	if b.addrs, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	b.addrs6 = make([][16]byte, nV6)
-	for j := range b.addrs6 {
-		if _, err := io.ReadFull(r, b.addrs6[j][:]); err != nil {
-			return err
-		}
-	}
-	if b.strs, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	if b.asnOff, err = readU32s(r, rows); err != nil {
-		return err
-	}
-	if b.asnVals, err = readU32s(r, nASN); err != nil {
-		return err
-	}
-	if err := validateBlock(b, s.dict.Len()); err != nil {
-		return err
-	}
-	days := s.blocks[source]
-	if days == nil {
-		days = make(map[simtime.Day]*dayBlock)
-		s.blocks[source] = days
-	}
-	days[simtime.Day(day)] = b
-	mPartitions.Inc()
-	mResidentRows.Add(float64(b.rows()))
-	return nil
-}
-
-// validateBlock checks cross-column invariants of a loaded partition so a
-// corrupt file cannot cause out-of-range panics later.
-func validateBlock(b *dayBlock, dictLen int) error {
-	for i := range b.domains {
-		if int(b.domains[i]) >= dictLen {
-			return fmt.Errorf("store: domain id out of range")
-		}
-		if b.strs[i] != ^uint32(0) && int(b.strs[i]) >= dictLen {
-			return fmt.Errorf("store: string id out of range")
-		}
-		if isV6Kind(b.kinds[i]) && int(b.addrs[i]) >= len(b.addrs6) {
-			return fmt.Errorf("store: v6 index out of range")
-		}
-		if int(b.asnOff[i]) > len(b.asnVals) {
-			return fmt.Errorf("store: ASN offset out of range")
-		}
-		if i > 0 && b.asnOff[i] < b.asnOff[i-1] {
-			return fmt.Errorf("store: ASN offsets not monotone")
-		}
-	}
-	return nil
-}
-
 func writeU32(w io.Writer, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	_, err := w.Write(b[:])
 	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 func writeU32s(w io.Writer, vals []uint32) error {
@@ -975,18 +501,6 @@ func writeU32s(w io.Writer, vals []uint32) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-func readU32s(r io.Reader, n uint32) ([]uint32, error) {
-	buf := make([]byte, 4*n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(buf[4*i:])
-	}
-	return out, nil
 }
 
 func writeStr(w io.Writer, s string) error {
@@ -1000,16 +514,4 @@ func writeStr(w io.Writer, s string) error {
 	}
 	_, err := io.WriteString(w, s)
 	return err
-}
-
-func readStr(r io.Reader) (string, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return "", err
-	}
-	buf := make([]byte, binary.LittleEndian.Uint16(b[:]))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }

@@ -2,11 +2,10 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dpsadopt/internal/simtime"
@@ -70,33 +69,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyV2File rewrites a saved v4 file into the version 2 format:
-// strip the trailing directory + footer and patch the version field
-// (partition bytes are identical across versions).
-func legacyV2File(t *testing.T, s *Store) string {
-	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "v4.dpsa")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(data[len(data)-4:]); got != dirMagic {
-		t.Fatalf("footer magic = %q", got)
-	}
-	dirOff := binary.LittleEndian.Uint64(data[len(data)-footerSizeV4 : len(data)-footerSizeV4+8])
-	legacy := append([]byte(nil), data[:dirOff]...)
-	binary.LittleEndian.PutUint32(legacy[4:], 2)
-	out := filepath.Join(dir, "v2.dpsa")
-	if err := os.WriteFile(out, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 func TestDirectory(t *testing.T) {
 	s := populatedStore()
 	path := filepath.Join(t.TempDir(), "data.dpsa")
@@ -118,13 +90,6 @@ func TestDirectory(t *testing.T) {
 		if got := len(rowsOf(s, ent.Source, ent.Day)); got != ent.Rows {
 			t.Errorf("%s/%v: directory says %d rows, store has %d", ent.Source, ent.Day, ent.Rows, got)
 		}
-	}
-}
-
-func TestDirectoryLegacy(t *testing.T) {
-	path := legacyV2File(t, populatedStore())
-	if _, err := Directory(path); !errors.Is(err, ErrNoDirectory) {
-		t.Fatalf("err = %v, want ErrNoDirectory", err)
 	}
 }
 
@@ -199,43 +164,6 @@ func TestLoadPartitionsBatch(t *testing.T) {
 	if _, err := LoadPartitions(path, []PartitionKey{keys[0], {"org", 99}}); err == nil {
 		t.Fatal("missing partition accepted in batch")
 	}
-	// The keyed index agrees with the listing.
-	byKey := IndexDirectory(dir)
-	if len(byKey) != len(dir) {
-		t.Fatalf("IndexDirectory has %d entries, want %d", len(byKey), len(dir))
-	}
-	for _, ent := range dir {
-		if byKey[ent.Key()].Rows != ent.Rows {
-			t.Fatalf("keyed entry %s disagrees with listing", ent.Key())
-		}
-	}
-}
-
-func TestLoadPartitionLegacyFallback(t *testing.T) {
-	s := populatedStore()
-	path := legacyV2File(t, s)
-	// Full decode still works on v2 bytes...
-	full, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(full.Sources(), s.Sources()) {
-		t.Fatalf("sources = %v", full.Sources())
-	}
-	// ...and LoadPartition falls back to it transparently.
-	part, err := LoadPartition(path, "nl", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := part.Sources(); len(got) != 1 || got[0] != "nl" {
-		t.Fatalf("sources = %v, want [nl]", got)
-	}
-	if want, have := rowsOf(s, "nl", 10), rowsOf(part, "nl", 10); !reflect.DeepEqual(want, have) {
-		t.Fatalf("rows differ:\nwant %+v\ngot  %+v", want, have)
-	}
-	if _, err := LoadPartition(path, "com", 99); err == nil {
-		t.Fatal("missing partition accepted on legacy file")
-	}
 }
 
 func TestSaveDeterministic(t *testing.T) {
@@ -263,19 +191,24 @@ func TestSaveDeterministic(t *testing.T) {
 
 func TestLoadRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string][]byte{
-		"empty.dpsa": {},
-		"short.dpsa": []byte("DP"),
-		"magic.dpsa": []byte("NOPE\x00\x00\x00\x00"),
-		"ver.dpsa":   []byte("DPSA\xff\x00\x00\x00"),
+	// want is what the refusal must say ("" = any error will do). Versions
+	// 2 and 3 were readable once; they are an unsupported version now, not
+	// a crash and not a guess at the layout.
+	cases := map[string]struct{ data, want string }{
+		"empty.dpsa": {"", ""},
+		"short.dpsa": {"DP", ""},
+		"magic.dpsa": {"NOPE\x00\x00\x00\x00", "not a dataset file"},
+		"ver.dpsa":   {"DPSA\xff\x00\x00\x00", "unsupported version 255"},
+		"v2.dpsa":    {"DPSA\x02\x00\x00\x00", "unsupported version 2"},
+		"v3.dpsa":    {"DPSA\x03\x00\x00\x00" + strings.Repeat("\x00", footerSize-len(dirMagic)) + dirMagic, "unsupported version 3"},
 	}
-	for name, data := range cases {
+	for name, c := range cases {
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(path); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", name, err, c.want)
 		}
 	}
 	if _, err := Load(filepath.Join(dir, "missing.dpsa")); err == nil {

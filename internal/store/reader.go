@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,43 +13,44 @@ import (
 	"dpsadopt/internal/simtime"
 )
 
-// Reader is the out-of-core read path over a .dpsa dataset: it opens the
-// file via the v3+ partition directory and serves per-partition decodes
-// on demand, so consumers (streaming detection, the API index build,
-// dpsdata) hold O(largest partition × concurrent acquires) in memory
-// instead of the whole archive. Contrast Load, which decodes every
-// partition up front; Load remains the parity oracle and the right call
-// when the caller genuinely needs a resident *Store.
+// Reader is the package's one read path over a .dpsa dataset, and the
+// only code that parses its bytes: Open reads the footer, the partition
+// directory and the dictionary section, and partitions are decoded on
+// demand, so consumers (streaming detection, the API index build, dpsdata,
+// the follower) hold O(largest partition × concurrent acquires) in memory
+// instead of the whole archive. Load, LoadPartitions, Verify and Directory
+// are short views over a Reader; Load is the right call when the caller
+// genuinely needs a resident *Store.
 //
-// Each AcquireBatch is one pread of the partition's byte range
-// (CRC-verified against the directory entry on v4 files, in the same
-// pass that decodes it), cached in a small LRU of decoded partitions and
-// backed by pooled column buffers, so a full streaming sweep's
-// steady-state allocations stay bounded by the pool, not the dataset.
+// Every section is pread whole, checked against its CRC, and only then
+// parsed, through the bounds-checked byteCursor — no count or offset in
+// the file is trusted before the bytes carrying it passed their checksum,
+// and none sizes an allocation beyond the bytes that back it.
 //
-// Version 2 files predate the directory: Open falls back to one
-// sequential full decode (the ErrNoDirectory path, hidden from callers)
-// and serves acquires from the resident copy.
+// Each AcquireBatch miss is one pread of the partition's byte range,
+// CRC-verified against the directory entry over the same buffer that is
+// then decoded, cached in a small LRU of decoded partitions and backed by
+// pooled column buffers, so a full streaming sweep's steady-state
+// allocations stay bounded by the pool, not the dataset.
 //
-// A Reader is safe for concurrent use. It never writes: a corrupt
-// partition surfaces as a *CorruptPartitionError from AcquireBatch
-// instead of being quarantined on disk (quarantine is Load's job — the
-// read path must stay usable against files it has no right to move).
+// A Reader is safe for concurrent use. AcquireBatch never writes: a
+// corrupt partition surfaces as a *CorruptPartitionError instead of being
+// quarantined on disk (quarantine is Load's job — the read path must stay
+// usable against files it has no right to move).
 type Reader struct {
 	path string
 	f    *os.File
-	meta fileMeta
+	size int64
 
 	dir   []PartitionInfo
 	byKey map[PartitionKey]PartitionInfo
 
+	// dictRaw is the checksummed dictionary section as Open read it; the
+	// first SharedDict parses it and lets it go.
 	dictOnce sync.Once
+	dictRaw  []byte
 	dict     *Dict
 	dictErr  error
-
-	// fallback holds the fully decoded archive for version 2 files; all
-	// acquires are served from it and the LRU machinery sits idle.
-	fallback *Store
 
 	mu       sync.Mutex
 	closed   bool
@@ -94,19 +94,13 @@ func (e *CorruptPartitionError) Error() string {
 
 func (e *CorruptPartitionError) Unwrap() error { return e.Err }
 
-// Open opens a dataset file for streaming partition reads. On v3+ files
-// only the footer and directory are read (plus, on v4, one checksum pass
-// over the shared dictionary and directory sections) — no partition is
-// decoded and the dictionary itself decodes lazily on first use. Version
-// 2 files fall back to a sequential full decode held in memory.
+// Open opens a dataset file. It reads the header and footer, then the
+// directory and dictionary sections — each pread once and checked against
+// its footer CRC before it is parsed or kept. No partition is decoded,
+// and the dictionary's strings are decoded lazily on first SharedDict.
 func Open(path string) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
-	}
-	version, err := readHeader(f)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	r := &Reader{
@@ -118,63 +112,176 @@ func Open(path string) (*Reader, error) {
 	}
 	r.blkPool.New = func() any { return &dayBlock{} }
 	r.bufPool.New = func() any { return new([]byte) }
-	if version < 3 {
-		if err := r.openFallback(version); err != nil {
-			f.Close()
-			return nil, err
-		}
-		mReaderOpens.Inc()
-		return r, nil
-	}
-	meta, err := readFooter(f, version)
-	if err != nil {
+	if err := r.readLayout(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	dir, err := readDirectoryAt(f, meta)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if version >= 4 {
-		if err := verifySharedSections(f, meta, dir); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	r.meta = meta
-	r.dir = dir
-	r.byKey = IndexDirectory(dir)
 	mReaderOpens.Inc()
 	return r, nil
 }
 
-// openFallback is Open's version-2 path: no directory to seek by, so the
-// archive is decoded once (the ErrNoDirectory fallback) and a directory
-// listing is synthesized from the resident partitions.
-func (r *Reader) openFallback(version uint32) error {
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	s, err := decode(bufio.NewReaderSize(r.f, 1<<20))
-	if err != nil {
-		return err
-	}
+// readLayout reads everything Open needs: header, footer, directory, and
+// the raw dictionary section.
+func (r *Reader) readLayout() error {
 	st, err := r.f.Stat()
 	if err != nil {
 		return err
 	}
-	r.meta = fileMeta{version: version, size: st.Size()}
-	r.fallback = s
-	for _, src := range s.Sources() {
-		for _, day := range s.Days(src) {
-			r.dir = append(r.dir, PartitionInfo{
-				Source: src, Day: day, Rows: s.blocks[src][day].rows(),
-			})
-		}
+	r.size = st.Size()
+	if err := readHeader(r.f); err != nil {
+		return err
 	}
-	r.byKey = IndexDirectory(r.dir)
+	if r.size < headerSize+footerSize {
+		return fmt.Errorf("store: file too short for directory footer")
+	}
+	var foot [footerSize]byte
+	if _, err := r.f.ReadAt(foot[:], r.size-footerSize); err != nil {
+		return fmt.Errorf("store: reading footer: %w", err)
+	}
+	c := byteCursor{data: foot[:]}
+	dirOff, dictCRC, dirCRC := c.u64(), c.u32(), c.u32()
+	if string(c.take(len(dirMagic))) != dirMagic {
+		return fmt.Errorf("store: directory footer missing or corrupt")
+	}
+	dirEnd := uint64(r.size - footerSize)
+	if dirOff < headerSize || dirOff >= dirEnd {
+		return fmt.Errorf("store: directory offset out of range")
+	}
+
+	dirRaw := make([]byte, dirEnd-dirOff)
+	if err := r.readChecked(dirRaw, dirOff, dirCRC); err != nil {
+		return fmt.Errorf("store: directory: %w", err)
+	}
+	if err := r.parseDirectory(dirRaw, dirOff); err != nil {
+		return err
+	}
+
+	// The dict section spans from the header to the first partition (or
+	// straight to the directory when the store is empty), including the
+	// partition-count word.
+	partsStart := dirOff
+	if len(r.dir) > 0 {
+		partsStart = r.dir[0].offset
+	}
+	r.dictRaw = make([]byte, partsStart-headerSize)
+	if err := r.readChecked(r.dictRaw, headerSize, dictCRC); err != nil {
+		return fmt.Errorf("store: dictionary: %w", err)
+	}
 	return nil
+}
+
+// readHeader validates the magic and the format version. Save writes
+// persistVersion and is the only producer, so nothing else is read.
+func readHeader(f *os.File) error {
+	var hdr [headerSize]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		return fmt.Errorf("store: reading header: %w", err)
+	}
+	c := byteCursor{data: hdr[:]}
+	if string(c.take(len(persistMagic))) != persistMagic {
+		return fmt.Errorf("store: not a dataset file")
+	}
+	if version := c.u32(); version != persistVersion {
+		return fmt.Errorf("store: unsupported version %d", version)
+	}
+	return nil
+}
+
+// readChecked fills buf from the file at off and checks it against want:
+// the one place file bytes become trusted. The error is a bare cause for
+// the caller to name the section in.
+func (r *Reader) readChecked(buf []byte, off uint64, want uint32) error {
+	if _, err := r.f.ReadAt(buf, int64(off)); err != nil {
+		return fmt.Errorf("reading bytes: %w", err)
+	}
+	if got := crc32.ChecksumIEEE(buf); got != want {
+		mCRCFailures.Inc()
+		return fmt.Errorf("checksum mismatch (want %08x, got %08x): torn write or corruption at rest", want, got)
+	}
+	return nil
+}
+
+// minDirEntry is the encoded size of a directory entry with an empty
+// source name: len u16 | day i64 | rows u32 | offset u64 | length u64 |
+// crc u32.
+const minDirEntry = 2 + 8 + 4 + 8 + 8 + 4
+
+// parseDirectory decodes the checksummed directory section into r.dir and
+// r.byKey. The entry count is bounded by the bytes present before anything
+// is sized from it, each key may be listed once, and the partitions must
+// tile [first offset, dirOff) in directory order, the way encode lays
+// them out — so every byte before the directory belongs to exactly one
+// checksummed section.
+func (r *Reader) parseDirectory(data []byte, dirOff uint64) error {
+	c := byteCursor{data: data}
+	count := c.u32()
+	if c.err == nil && uint64(count) > uint64(len(data)-c.off)/minDirEntry {
+		return fmt.Errorf("store: directory claims %d entries in %d bytes", count, len(data))
+	}
+	r.dir = make([]PartitionInfo, 0, count)
+	r.byKey = make(map[PartitionKey]PartitionInfo, count)
+	var next uint64 // where the entry's partition must start
+	for i := uint32(0); i < count; i++ {
+		var ent PartitionInfo
+		ent.Source = c.str()
+		ent.Day = simtime.Day(c.u64())
+		ent.Rows = int(c.u32())
+		ent.offset = c.u64()
+		ent.length = c.u64()
+		ent.CRC = c.u32()
+		if c.err != nil {
+			break
+		}
+		if i == 0 {
+			// The dictionary lies between the header and the first partition.
+			next = max(ent.offset, headerSize)
+		}
+		end := ent.offset + ent.length
+		if ent.offset != next || end < ent.offset || end > dirOff {
+			return fmt.Errorf("store: directory entry %s out of range", ent.Key())
+		}
+		if _, dup := r.byKey[ent.Key()]; dup {
+			return fmt.Errorf("store: directory lists %s twice", ent.Key())
+		}
+		next = end
+		r.dir = append(r.dir, ent)
+		r.byKey[ent.Key()] = ent
+	}
+	switch {
+	case c.err != nil:
+		return fmt.Errorf("store: directory: %w", c.err)
+	case c.off != len(data):
+		return fmt.Errorf("store: directory has %d trailing bytes", len(data)-c.off)
+	case count > 0 && next != dirOff:
+		return fmt.Errorf("store: partitions end at %d, directory starts at %d", next, dirOff)
+	}
+	return nil
+}
+
+// parseDict decodes the checksummed dictionary section: the strings, then
+// the partition-count word that closes the section.
+func parseDict(data []byte, partitions int) (*Dict, error) {
+	c := byteCursor{data: data}
+	count := c.u32()
+	if c.err == nil && uint64(count) > uint64(len(data)-c.off)/2 {
+		return nil, fmt.Errorf("store: dictionary claims %d strings in %d bytes", count, len(data))
+	}
+	d := &Dict{ids: make(map[string]uint32, count), strs: make([]string, 0, count)}
+	for i := uint32(0); i < count && c.err == nil; i++ {
+		s := c.str()
+		d.ids[s] = i
+		d.strs = append(d.strs, s)
+	}
+	nParts := c.u32()
+	switch {
+	case c.err != nil:
+		return nil, fmt.Errorf("store: dictionary: %w", c.err)
+	case c.off != len(data):
+		return nil, fmt.Errorf("store: dictionary has %d trailing bytes", len(data)-c.off)
+	case int(nParts) != partitions:
+		return nil, fmt.Errorf("store: file counts %d partitions, directory lists %d", nParts, partitions)
+	}
+	return d, nil
 }
 
 // Close releases the Reader. Outstanding batches must be released first;
@@ -187,9 +294,6 @@ func (r *Reader) Close() error {
 	r.mu.Unlock()
 	return r.f.Close()
 }
-
-// Version reports the file's format version.
-func (r *Reader) Version() uint32 { return r.meta.version }
 
 // Partitions lists the file's (source, day) partitions in sorted
 // (source, day) order, from the directory alone.
@@ -221,16 +325,9 @@ func (r *Reader) SetCachePartitions(n int) {
 // It implements half of core's BatchSource contract; *Store carries the
 // same method for the in-memory side.
 func (r *Reader) SharedDict() (*Dict, error) {
-	if r.fallback != nil {
-		return r.fallback.dict, nil
-	}
 	r.dictOnce.Do(func() {
-		s := New()
-		if err := readDictAt(r.f, s); err != nil {
-			r.dictErr = fmt.Errorf("store: reading dictionary: %w", err)
-			return
-		}
-		r.dict = s.dict
+		r.dict, r.dictErr = parseDict(r.dictRaw, len(r.dir))
+		r.dictRaw = nil
 	})
 	return r.dict, r.dictErr
 }
@@ -243,10 +340,6 @@ func (r *Reader) SharedDict() (*Dict, error) {
 // absent from the directory is a plain error.
 func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(), error) {
 	noop := func() {}
-	if r.fallback != nil {
-		b, _ := r.fallback.RowBatch(source, day)
-		return b, noop, nil
-	}
 	k := PartitionKey{Source: source, Day: day}
 	ent, ok := r.byKey[k]
 	if !ok {
@@ -284,15 +377,21 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 	r.inflight[k] = ch
 	r.mu.Unlock()
 
-	blk, err := r.decodePartition(&ent, dict)
+	// The store_reader_* traffic counters are AcquireBatch's alone: Load
+	// and Verify share the primitives below but are not streaming reads.
+	blk := r.blkPool.Get().(*dayBlock)
+	err = r.decodePartition(&ent, dict.Len(), blk)
+	mReaderBytesRead.Add(int64(ent.length))
 
 	r.mu.Lock()
 	delete(r.inflight, k)
 	close(ch)
 	if err != nil {
 		r.mu.Unlock()
-		return RowBatch{}, noop, err
+		r.blkPool.Put(blk)
+		return RowBatch{}, noop, &CorruptPartitionError{Source: ent.Source, Day: ent.Day, Err: err}
 	}
+	mReaderPartitionsDecoded.Inc()
 	cb := &cachedBlock{blk: blk, pins: 1}
 	r.cache[k] = cb
 	r.lru = append(r.lru, k)
@@ -342,42 +441,40 @@ func (r *Reader) evictLocked() {
 	}
 }
 
-// decodePartition preads one partition's byte range into a pooled
-// buffer, checks the directory CRC over that same buffer (v4), and
-// decodes it into a pooled block — one pass over the bytes where Load
-// pays two (a checksum read, then a SectionReader decode).
-func (r *Reader) decodePartition(ent *PartitionInfo, dict *Dict) (*dayBlock, error) {
+// checkedBytes preads one partition's byte range into a pooled buffer
+// and checks it against the directory entry's CRC. The caller hands the
+// buffer back to r.bufPool.
+func (r *Reader) checkedBytes(ent *PartitionInfo) (*[]byte, error) {
 	bufp := r.bufPool.Get().(*[]byte)
-	defer r.bufPool.Put(bufp)
 	if uint64(cap(*bufp)) < ent.length {
 		*bufp = make([]byte, ent.length)
 	}
-	buf := (*bufp)[:ent.length]
-	if _, err := r.f.ReadAt(buf, int64(ent.offset)); err != nil {
-		return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day,
-			Err: fmt.Errorf("reading partition bytes: %w", err)}
+	*bufp = (*bufp)[:ent.length]
+	if err := r.readChecked(*bufp, ent.offset, ent.CRC); err != nil {
+		r.bufPool.Put(bufp)
+		return nil, err
 	}
-	mReaderBytesRead.Add(int64(len(buf)))
-	if r.meta.version >= 4 {
-		if got := crc32.ChecksumIEEE(buf); got != ent.CRC {
-			mCRCFailures.Inc()
-			return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day,
-				Err: fmt.Errorf("checksum mismatch (want %08x, got %08x): torn write or corruption at rest", ent.CRC, got)}
-		}
-	}
-	blk := r.blkPool.Get().(*dayBlock)
-	source, day, err := decodeBlockInto(buf, blk, dict.Len())
+	return bufp, nil
+}
+
+// decodePartition is the one partition read: pread and CRC-check the
+// entry's byte range, decode that same buffer into blk (reusing blk's
+// column slices), validate it, and hold it to what the directory said
+// about it. The error is the bare cause; callers name the partition.
+func (r *Reader) decodePartition(ent *PartitionInfo, dictLen int, blk *dayBlock) error {
+	bufp, err := r.checkedBytes(ent)
 	if err != nil {
-		r.blkPool.Put(blk)
-		return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day, Err: err}
+		return err
 	}
-	if source != ent.Source || day != ent.Day {
-		r.blkPool.Put(blk)
-		return nil, &CorruptPartitionError{Source: ent.Source, Day: ent.Day,
-			Err: fmt.Errorf("directory points at partition %s/%s", source, day)}
+	defer r.bufPool.Put(bufp)
+	source, day, err := decodeBlockInto(*bufp, blk, dictLen)
+	if err != nil {
+		return err
 	}
-	mReaderPartitionsDecoded.Inc()
-	return blk, nil
+	if source != ent.Source || day != ent.Day || blk.rows() != ent.Rows {
+		return fmt.Errorf("directory points at partition %s/%s with %d rows", source, day, blk.rows())
+	}
+	return nil
 }
 
 // batch is the RowBatch view of a decoded block (the Reader-side twin of
@@ -395,13 +492,14 @@ func (b *dayBlock) batch() RowBatch {
 }
 
 // decodeBlockInto parses one partition's serialized bytes (the exact
-// range a directory entry names) into b, reusing b's column slices. It
-// mirrors readPartition but works on an in-memory buffer with bounds
-// checks instead of a Reader, and validates the block before returning.
+// range a directory entry names) into b, reusing b's column slices, and
+// validates the block before returning. Every count in the partition
+// header is checked against the bytes present before a column is sized
+// from it.
 func decodeBlockInto(data []byte, b *dayBlock, dictLen int) (source string, day simtime.Day, err error) {
 	c := byteCursor{data: data}
 	source = c.str()
-	day = simtime.Day(c.i64())
+	day = simtime.Day(c.u64())
 	rows := c.u32()
 	nV6 := c.u32()
 	nASN := c.u32()
@@ -449,8 +547,35 @@ func decodeBlockInto(data []byte, b *dayBlock, dictLen int) (source string, day 
 	return source, day, nil
 }
 
+// maxPersistCount bounds a partition header's element counts.
+const maxPersistCount = 1 << 30
+
+// validateBlock checks cross-column invariants of a decoded partition so a
+// corrupt file cannot cause out-of-range panics later.
+func validateBlock(b *dayBlock, dictLen int) error {
+	for i := range b.domains {
+		if int(b.domains[i]) >= dictLen {
+			return fmt.Errorf("store: domain id out of range")
+		}
+		if b.strs[i] != ^uint32(0) && int(b.strs[i]) >= dictLen {
+			return fmt.Errorf("store: string id out of range")
+		}
+		if isV6Kind(b.kinds[i]) && int(b.addrs[i]) >= len(b.addrs6) {
+			return fmt.Errorf("store: v6 index out of range")
+		}
+		if int(b.asnOff[i]) > len(b.asnVals) {
+			return fmt.Errorf("store: ASN offset out of range")
+		}
+		if i > 0 && b.asnOff[i] < b.asnOff[i-1] {
+			return fmt.Errorf("store: ASN offsets not monotone")
+		}
+	}
+	return nil
+}
+
 // byteCursor walks a byte slice with a sticky error, so decode code
-// reads linearly and checks once.
+// reads linearly and checks once. It is the only thing in the package
+// that turns file bytes into integers or strings.
 type byteCursor struct {
 	data []byte
 	off  int
@@ -478,12 +603,12 @@ func (c *byteCursor) u32() uint32 {
 	return binary.LittleEndian.Uint32(p)
 }
 
-func (c *byteCursor) i64() int64 {
+func (c *byteCursor) u64() uint64 {
 	p := c.take(8)
 	if p == nil {
 		return 0
 	}
-	return int64(binary.LittleEndian.Uint64(p))
+	return binary.LittleEndian.Uint64(p)
 }
 
 func (c *byteCursor) str() string {
@@ -520,27 +645,20 @@ type ReaderInfo struct {
 	FileBytes  int64
 	Partitions int
 	Rows       int64
-	// PartitionBytes sums the directory's partition byte ranges (zero on
-	// version 2 files, whose synthesized directory has no offsets).
+	// PartitionBytes sums the directory's partition byte ranges.
 	PartitionBytes int64
 	Sources        []string
 	FirstDay       simtime.Day
 	LastDay        simtime.Day
-	// Directory is false on version 2 files (resident fallback).
-	Directory bool
-	// CRCPartitions reports per-partition checksums (version 4+).
-	CRCPartitions bool
 }
 
 // Info summarises the open dataset without decoding any partition.
 func (r *Reader) Info() ReaderInfo {
 	info := ReaderInfo{
-		Path:          r.path,
-		Version:       r.meta.version,
-		FileBytes:     r.meta.size,
-		Partitions:    len(r.dir),
-		Directory:     r.fallback == nil,
-		CRCPartitions: r.meta.version >= 4,
+		Path:       r.path,
+		Version:    persistVersion,
+		FileBytes:  r.size,
+		Partitions: len(r.dir),
 	}
 	seen := make(map[string]bool)
 	for i, ent := range r.dir {

@@ -45,9 +45,6 @@ func TestReaderRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Version() < 3 {
-		t.Fatalf("version = %d, want current", r.Version())
-	}
 	// Directory listing matches the store's partitions, in (source, day)
 	// order.
 	var want []PartitionKey
@@ -59,8 +56,7 @@ func TestReaderRoundTrip(t *testing.T) {
 	if got := r.Keys(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Keys() = %v, want %v", got, want)
 	}
-	// Every partition decodes to exactly the original rows — Load is the
-	// parity oracle.
+	// Every partition decodes to exactly the rows that were saved.
 	for _, k := range want {
 		if w, h := rowsOf(s, k.Source, k.Day), readerRows(t, r, k.Source, k.Day); !reflect.DeepEqual(w, h) {
 			t.Fatalf("%s streaming rows differ:\nwant %+v\ngot  %+v", k, w, h)
@@ -68,8 +64,8 @@ func TestReaderRoundTrip(t *testing.T) {
 	}
 	// Info answers from the directory alone.
 	in := r.Info()
-	if !in.Directory || !in.CRCPartitions {
-		t.Fatalf("Info() = %+v, want directory+CRC on a current file", in)
+	if in.Version != persistVersion {
+		t.Fatalf("Info().Version = %d, want %d", in.Version, persistVersion)
 	}
 	if in.Partitions != len(want) {
 		t.Fatalf("Info().Partitions = %d, want %d", in.Partitions, len(want))
@@ -94,36 +90,6 @@ func TestReaderRoundTrip(t *testing.T) {
 	// an empty batch.
 	if _, _, err := r.AcquireBatch("com", 99); err == nil {
 		t.Fatal("missing partition acquired without error")
-	}
-}
-
-// TestReaderV2Fallback: version 2 files have no directory
-// (ErrNoDirectory territory), so Open falls back to one sequential full
-// decode and still serves every partition.
-func TestReaderV2Fallback(t *testing.T) {
-	s := populatedStore()
-	path := legacyV2File(t, s)
-	if _, err := Directory(path); !errors.Is(err, ErrNoDirectory) {
-		t.Fatalf("fixture is not a directoryless file: %v", err)
-	}
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Version() != 2 {
-		t.Fatalf("version = %d, want 2", r.Version())
-	}
-	in := r.Info()
-	if in.Directory || in.CRCPartitions {
-		t.Fatalf("Info() = %+v, want no directory / no CRCs on v2", in)
-	}
-	for _, src := range s.Sources() {
-		for _, day := range s.Days(src) {
-			if w, h := rowsOf(s, src, day), readerRows(t, r, src, day); !reflect.DeepEqual(w, h) {
-				t.Fatalf("%s/%s v2 fallback rows differ", src, day)
-			}
-		}
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // build (store.Load + api.NewIndex) against the streaming build
 // (store.Open + api.NewIndexReader) over the same dataset files at a
 // sweep of world scales; BenchmarkScaleDetect compares the raw
-// detection pass (core.DetectRange resident vs core.DetectRangeSource
+// detection pass (core.DetectRangeStats resident vs core.DetectRangeSource
 // streaming) without the index fold. Whichever runs last persists both
 // sections to results/BENCH_scale.json (schema scale/v1), the artifact
 // scripts/benchdiff.sh tracks. Acceptance at the largest scale (the
@@ -212,7 +212,7 @@ func TestScaleCellHelper(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			fullDets = core.DetectRange(context.Background(), s, core.Partitions(s), refs, 0)
+			fullDets, _ = core.DetectRangeStats(context.Background(), s, core.Partitions(s), refs, 0)
 			return nil
 		})
 		if err != nil {
