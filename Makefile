@@ -22,9 +22,10 @@ test-race:
 	$(GO) test -race ./...
 
 # The wire path's allocation ceilings sit in `//go:build !race` files (the
-# race runtime drops sync.Pool items), so test-race skips them.
+# race runtime drops sync.Pool items), so test-race skips them; core's
+# DiscoverAll ceiling runs under both.
 test-allocs:
-	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver
+	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core
 
 # bench/ is a separate module importing internal/*: `./...` above does
 # not reach it, so an internal change that breaks its build shows here.

@@ -47,14 +47,19 @@ func main() {
 
 	truth := core.MustGroundTruth()
 	fmt.Printf("\ndiscovering references from AS-to-name seeds (%s):\n\n", day)
-	exact := 0
+	names := make([]string, len(truth.Providers))
 	for i := range truth.Providers {
+		names[i] = truth.Providers[i].Name
+	}
+	// One aggregation of the day serves all nine providers.
+	rows, err := core.DiscoverAll(st, worldsim.GTLDs(), day, world.Registry, names, table, probe,
+		core.DiscoveryConfig{MinSupport: 1, MinASSupport: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	exact := 0
+	for i, got := range rows {
 		want := truth.Providers[i]
-		got, err := core.Discover(st, worldsim.GTLDs(), day, world.Registry, want.Name, table, probe,
-			core.DiscoveryConfig{MinSupport: 1, MinASSupport: 1})
-		if err != nil {
-			log.Fatal(err)
-		}
 		match := "EXACT  "
 		if got.String() != want.String() {
 			match = "PARTIAL"

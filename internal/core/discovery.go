@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"dpsadopt/internal/bgp"
@@ -64,156 +65,191 @@ func (c *DiscoveryConfig) defaults() {
 	}
 }
 
-// domainAgg aggregates one domain's references for a day.
-type domainAgg struct {
-	asns   map[uint32]bool
-	cnames map[string]bool // SLDs
-	nss    map[string]bool // SLDs
+// dayRefs is the provider-independent aggregation of one measured day
+// that every provider's §3.3 rounds run over: per domain, its distinct
+// origin ASNs and distinct CNAME/NS SLDs. ASNs and SLDs are renumbered
+// densely as they are first seen, so the rounds count into plain slices
+// instead of hashing strings.
+type dayRefs struct {
+	// entries holds domainID<<32 | class<<30 | index once per distinct
+	// triple, sorted: a domain's references are one contiguous run.
+	entries []uint64
+	asns    []uint32 // index → origin AS
+	asnIdx  map[uint32]uint32
+	slds    []string // index → SLD, shared by the CNAME and NS classes
+	// total[class][i] counts the domains bearing index i — the
+	// denominators of specificity (SLDs) and cohesion (ASNs).
+	total [numClasses][]int32
+
+	table pfx2as.Table
+	probe Prober
+	// apex memoises where each probed SLD's own apex is routed: the
+	// answer is the same for every provider.
+	apex map[string]pfx2as.Origins
 }
 
-// Discover reconstructs one provider's reference row from a day of
-// measurements. sources are the store partitions to scan (typically the
-// gTLDs); table is the day's pfx2as snapshot for probe classification.
-func Discover(s *store.Store, sources []string, day simtime.Day, reg *bgp.Registry, providerName string, table pfx2as.Table, probe Prober, cfg DiscoveryConfig) (ProviderRefs, error) {
-	cfg.defaults()
-	out := ProviderRefs{Name: providerName}
+// Entry classes.
+const (
+	classASN = iota
+	classCNAME
+	classNS
+	numClasses
+)
 
-	// Step 1: seed ASNs from AS-to-name data.
-	seeds := make(map[uint32]bool)
-	for _, asn := range reg.FindByName(providerName) {
-		seeds[uint32(asn)] = true
-	}
-	if len(seeds) == 0 {
-		return out, fmt.Errorf("core: no ASes named %q in registry", providerName)
-	}
+func entryClass(e uint64) int    { return int(e >> 30 & 3) }
+func entryIndex(e uint64) uint32 { return uint32(e & (1<<30 - 1)) }
 
-	// One pass: aggregate per-domain references across sources.
-	domains := make(map[string]*domainAgg)
-	for _, src := range sources {
-		s.ForEachRow(src, day, func(r store.Row) {
-			agg := domains[r.Domain]
-			if agg == nil {
-				agg = &domainAgg{asns: map[uint32]bool{}, cnames: map[string]bool{}, nss: map[string]bool{}}
-				domains[r.Domain] = agg
-			}
-			switch r.Kind {
-			case store.KindApexA, store.KindApexAAAA, store.KindWWWA, store.KindWWWAAAA:
-				for _, a := range r.ASNs {
-					agg.asns[a] = true
+// aggregateDay reads each source's partition of the day once. SLD runs
+// once per distinct dictionary string, not once per row: a day has a few
+// hundred distinct NS hosts under tens of thousands of NS rows.
+func aggregateDay(src BatchSource, sources []string, day simtime.Day, table pfx2as.Table, probe Prober) (*dayRefs, error) {
+	dict, err := src.SharedDict()
+	if err != nil {
+		return nil, err
+	}
+	g := &dayRefs{asnIdx: map[uint32]uint32{}, table: table, probe: probe, apex: map[string]pfx2as.Origins{}}
+	sldIdx := map[string]uint32{}
+	sldOf := make([]uint32, dict.Len()) // dict string ID → SLD index + 1
+	for _, source := range sources {
+		b, release, err := src.AcquireBatch(source, day)
+		if err != nil {
+			return nil, fmt.Errorf("core: discovery over %s/%s: %w", source, day, err)
+		}
+		g.entries = slices.Grow(g.entries, b.Rows())
+		for i, n := 0, b.Rows(); i < n; i++ {
+			dom := uint64(b.Domains[i]) << 32
+			switch kind := b.Kinds[i]; kind {
+			case store.KindWWWCNAME, store.KindNS:
+				class := uint64(classCNAME)
+				if kind == store.KindNS {
+					class = classNS
 				}
-			case store.KindWWWCNAME:
-				agg.cnames[SLD(r.Str)] = true
-			case store.KindNS:
-				agg.nss[SLD(r.Str)] = true
+				id := b.Strs[i]
+				if sldOf[id] == 0 {
+					sld := SLD(dict.Str(id))
+					j, ok := sldIdx[sld]
+					if !ok {
+						j = uint32(len(g.slds))
+						sldIdx[sld] = j
+						g.slds = append(g.slds, sld)
+					}
+					sldOf[id] = j + 1
+				}
+				g.entries = append(g.entries, dom|class<<30|uint64(sldOf[id]-1))
+			default: // address kinds
+				for _, a := range b.ASNs(i) {
+					j, ok := g.asnIdx[a]
+					if !ok {
+						j = uint32(len(g.asns))
+						g.asnIdx[a] = j
+						g.asns = append(g.asns, a)
+					}
+					g.entries = append(g.entries, dom|uint64(j))
+				}
 			}
-		})
+		}
+		release()
+	}
+	slices.Sort(g.entries)
+	g.entries = slices.Compact(g.entries)
+	g.total = [numClasses][]int32{make([]int32, len(g.asns)), make([]int32, len(g.slds)), make([]int32, len(g.slds))}
+	for _, e := range g.entries {
+		g.total[entryClass(e)][entryIndex(e)]++
+	}
+	return g, nil
+}
+
+// countBearers adds one to count[class][index] for every reference of
+// every domain that has at least one marked reference; a nil mark[class]
+// marks nothing and a nil count[class] counts nothing of that class.
+func (g *dayRefs) countBearers(mark *[numClasses][]bool, count *[numClasses][]int32) {
+	for i := 0; i < len(g.entries); {
+		j, hit := i, false
+		for ; j < len(g.entries) && g.entries[j]>>32 == g.entries[i]>>32; j++ {
+			m := mark[entryClass(g.entries[j])]
+			hit = hit || m != nil && m[entryIndex(g.entries[j])]
+		}
+		if hit {
+			for _, e := range g.entries[i:j] {
+				if c := count[entryClass(e)]; c != nil {
+					c[entryIndex(e)]++
+				}
+			}
+		}
+		i = j
+	}
+}
+
+// apexOrigins probes an SLD's own apex and returns the origins of the
+// address it resolves to (nil without a prober or an answer).
+func (g *dayRefs) apexOrigins(sld string) pfx2as.Origins {
+	if g.probe == nil {
+		return nil
+	}
+	origins, done := g.apex[sld]
+	if !done {
+		if addr, ok := g.probe(sld); ok {
+			origins, _ = g.table.Lookup(addr)
+		}
+		g.apex[sld] = origins
+	}
+	return origins
+}
+
+// discover runs the ASN → SLD → ASN rounds for one provider from its
+// step-1 seed ASNs (AS-to-name data).
+func (g *dayRefs) discover(name string, seedASNs []bgp.ASN, cfg DiscoveryConfig) ProviderRefs {
+	out := ProviderRefs{Name: name}
+	seeds := make(map[uint32]bool, len(seedASNs))
+	seeded := [numClasses][]bool{classASN: make([]bool, len(g.asns))}
+	for _, asn := range seedASNs {
+		seeds[uint32(asn)] = true
+		if i, ok := g.asnIdx[uint32(asn)]; ok {
+			seeded[classASN][i] = true
+		}
 	}
 
-	// Step 2: count SLD support among seed-referencing domains, and total
-	// bearers for specificity.
-	type counts struct{ support, total int }
-	cnameCounts := map[string]*counts{}
-	nsCounts := map[string]*counts{}
-	bump := func(m map[string]*counts, sld string, ref bool) {
-		c := m[sld]
-		if c == nil {
-			c = &counts{}
-			m[sld] = c
-		}
-		c.total++
-		if ref {
-			c.support++
-		}
-	}
-	for _, agg := range domains {
-		ref := false
-		for a := range agg.asns {
-			if seeds[a] {
-				ref = true
-				break
-			}
-		}
-		for sld := range agg.cnames {
-			bump(cnameCounts, sld, ref)
-		}
-		for sld := range agg.nss {
-			bump(nsCounts, sld, ref)
-		}
-	}
+	// Step 2: count SLD support among seed-referencing domains.
+	support := [numClasses][]int32{classCNAME: make([]int32, len(g.slds)), classNS: make([]int32, len(g.slds))}
+	g.countBearers(&seeded, &support)
 
 	// Step 3: qualify SLDs by specificity or probe. The probe path makes
 	// no demand on seed-AS support: an NS-only managed-DNS service's
 	// customers never route to the provider, yet the service SLD itself
 	// is hosted there.
-	qualify := func(m map[string]*counts) []string {
-		var out []string
-		for sld, c := range m {
-			if c.total < cfg.MinSupport {
+	qualify := func(class int) (names []string, marks []bool) {
+		marks = make([]bool, len(g.slds))
+		for i, total := range g.total[class] {
+			if int(total) < cfg.MinSupport { // includes SLDs seen only in the other class
 				continue
 			}
-			if c.support >= cfg.MinSupport && float64(c.support)/float64(c.total) >= cfg.MinSpecificity {
-				out = append(out, sld)
-				continue
+			sup := support[class][i]
+			ok := int(sup) >= cfg.MinSupport && float64(sup)/float64(total) >= cfg.MinSpecificity
+			if !ok {
+				ok = slices.ContainsFunc(g.apexOrigins(g.slds[i]), func(o uint32) bool { return seeds[o] })
 			}
-			if probe != nil {
-				if addr, ok := probe(sld); ok {
-					if origins, ok := table.Lookup(addr); ok {
-						for _, o := range origins {
-							if seeds[o] {
-								out = append(out, sld)
-								break
-							}
-						}
-					}
-				}
+			if ok {
+				marks[i] = true
+				names = append(names, g.slds[i])
 			}
 		}
-		sort.Strings(out)
-		return out
+		sort.Strings(names)
+		return names, marks
 	}
-	out.CNAMESLDs = qualify(cnameCounts)
-	out.NSSLDs = qualify(nsCounts)
-
-	qualified := map[string]bool{}
-	for _, sld := range out.CNAMESLDs {
-		qualified["c:"+sld] = true
-	}
-	for _, sld := range out.NSSLDs {
-		qualified["n:"+sld] = true
-	}
+	var qualified [numClasses][]bool
+	out.CNAMESLDs, qualified[classCNAME] = qualify(classCNAME)
+	out.NSSLDs, qualified[classNS] = qualify(classNS)
 
 	// Step 4a: find missed ASNs — origin ASes whose domain population
 	// overwhelmingly bears the provider's qualified SLDs.
-	perASN := map[uint32]*counts{}
-	for _, agg := range domains {
-		bears := false
-		for sld := range agg.cnames {
-			if qualified["c:"+sld] {
-				bears = true
-			}
-		}
-		for sld := range agg.nss {
-			if qualified["n:"+sld] {
-				bears = true
-			}
-		}
-		for a := range agg.asns {
-			c := perASN[a]
-			if c == nil {
-				c = &counts{}
-				perASN[a] = c
-			}
-			c.total++
-			if bears {
-				c.support++
-			}
-		}
-	}
-	for a, c := range perASN {
-		if seeds[a] || c.total < cfg.MinASSupport {
+	cohesion := [numClasses][]int32{classASN: make([]int32, len(g.asns))}
+	g.countBearers(&qualified, &cohesion)
+	for i, a := range g.asns {
+		total := g.total[classASN][i]
+		if seeds[a] || int(total) < cfg.MinASSupport {
 			continue
 		}
-		if float64(c.support)/float64(c.total) >= cfg.MinASCohesion {
+		if float64(cohesion[classASN][i])/float64(total) >= cfg.MinASCohesion {
 			seeds[a] = true
 		}
 	}
@@ -221,42 +257,51 @@ func Discover(s *store.Store, sources []string, day simtime.Day, reg *bgp.Regist
 	// Step 4b: prune seed ASNs that no measured domain references and
 	// that host none of the qualified SLDs — ASes that match the holder
 	// name but are not mitigation infrastructure.
-	probeOrigins := map[uint32]bool{}
-	if probe != nil {
-		for _, sld := range append(append([]string(nil), out.CNAMESLDs...), out.NSSLDs...) {
-			if addr, ok := probe(sld); ok {
-				if origins, ok := table.Lookup(addr); ok {
-					for _, o := range origins {
-						probeOrigins[o] = true
-					}
-				}
-			}
+	hosting := map[uint32]bool{}
+	for _, sld := range append(append([]string(nil), out.CNAMESLDs...), out.NSSLDs...) {
+		for _, o := range g.apexOrigins(sld) {
+			hosting[o] = true
 		}
 	}
 	for a := range seeds {
-		c := perASN[a]
-		if (c == nil || c.total == 0) && !probeOrigins[a] {
-			delete(seeds, a)
+		if _, measured := g.asnIdx[a]; measured || hosting[a] {
+			out.ASNs = append(out.ASNs, a)
 		}
-	}
-
-	for a := range seeds {
-		out.ASNs = append(out.ASNs, a)
 	}
 	out.normalize()
-	return out, nil
+	return out
 }
 
-// DiscoverAll runs Discover for a list of provider names and assembles a
-// References table.
-func DiscoverAll(s *store.Store, sources []string, day simtime.Day, reg *bgp.Registry, names []string, table pfx2as.Table, probe Prober, cfg DiscoveryConfig) (*References, error) {
-	rows := make([]ProviderRefs, 0, len(names))
-	for _, name := range names {
-		row, err := Discover(s, sources, day, reg, name, table, probe, cfg)
-		if err != nil {
-			return nil, err
+// DiscoverAll reconstructs the reference rows of the named providers from
+// one day of measurements, reading each partition once for all of them.
+// sources are the partitions to scan (typically the gTLDs); table is the
+// day's pfx2as snapshot for probe classification. A name the registry
+// does not know is an error before any partition is read.
+func DiscoverAll(src BatchSource, sources []string, day simtime.Day, reg *bgp.Registry, names []string, table pfx2as.Table, probe Prober, cfg DiscoveryConfig) ([]ProviderRefs, error) {
+	cfg.defaults()
+	// Step 1: seed ASNs from AS-to-name data.
+	seeds := make([][]bgp.ASN, len(names))
+	for i, name := range names {
+		if seeds[i] = reg.FindByName(name); len(seeds[i]) == 0 {
+			return nil, fmt.Errorf("core: no ASes named %q in registry", name)
 		}
-		rows = append(rows, row)
 	}
-	return NewReferences(rows)
+	g, err := aggregateDay(src, sources, day, table, probe)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ProviderRefs, len(names))
+	for i, name := range names {
+		rows[i] = g.discover(name, seeds[i], cfg)
+	}
+	return rows, nil
+}
+
+// Discover is DiscoverAll for one provider.
+func Discover(src BatchSource, sources []string, day simtime.Day, reg *bgp.Registry, providerName string, table pfx2as.Table, probe Prober, cfg DiscoveryConfig) (ProviderRefs, error) {
+	rows, err := DiscoverAll(src, sources, day, reg, []string{providerName}, table, probe, cfg)
+	if err != nil {
+		return ProviderRefs{Name: providerName}, err
+	}
+	return rows[0], nil
 }

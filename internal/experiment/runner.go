@@ -7,10 +7,12 @@
 package experiment
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"time"
 
@@ -381,12 +383,11 @@ func (r *Runner) DetectStats() core.RangeStats { return r.detectStats }
 // MaterializeDay re-measures one day into a fresh store (the world is
 // deterministic, so any day can be reproduced after the streaming pass).
 func (r *Runner) MaterializeDay(day simtime.Day) (*store.Store, error) {
-	tmp := store.New()
-	p := measure.New(r.World, tmp, measure.Config{Mode: measure.ModeDirect, Workers: r.Cfg.Workers})
-	if err := p.RunDay(context.Background(), day); err != nil {
+	s := r.newDayScratch()
+	if err := s.pipe.RunDay(context.Background(), day); err != nil {
 		return nil, err
 	}
-	return tmp, nil
+	return s.store, nil
 }
 
 // ---- Table 1 ----
@@ -421,28 +422,35 @@ func (r *Runner) Table2(day simtime.Day) (*Table2Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return r.table2From(tmp, day)
+}
+
+// table2From discovers all nine rows from one aggregation of the day in
+// src.
+func (r *Runner) table2From(src core.BatchSource, day simtime.Day) (*Table2Result, error) {
 	entries, err := pfx2as.Parse(strings.NewReader(r.World.RIBForDay(day).Snapshot()))
 	if err != nil {
 		return nil, err
 	}
 	table := pfx2as.NewWalk(entries)
 	probe := func(sld string) (netip.Addr, bool) { return r.World.ProbeApex(sld, day) }
-	res := &Table2Result{}
-	for i := range r.Refs.Providers {
-		truth := r.Refs.Providers[i]
-		// MinSupport 1 compensates the scale divisor: Incapsula's NS
-		// delegation is used by only ~0.02% of its customers (tens of
-		// domains at paper scale), which a 1:1000 world shrinks to a
-		// single domain. The probe filter keeps single-bearer SLDs from
-		// qualifying unless their own apex is hosted by the provider.
-		got, err := core.Discover(tmp, worldsim.GTLDs(), day, r.World.Registry, truth.Name, table, probe,
-			core.DiscoveryConfig{MinSupport: 1, MinASSupport: 2})
-		if err != nil {
-			return nil, err
-		}
-		res.Discovered = append(res.Discovered, got)
-		res.Truth = append(res.Truth, truth)
-		res.Exact = append(res.Exact, refEqual(got, truth))
+	res := &Table2Result{Truth: slices.Clone(r.Refs.Providers)}
+	names := make([]string, len(res.Truth))
+	for i := range res.Truth {
+		names[i] = res.Truth[i].Name
+	}
+	// MinSupport 1 compensates the scale divisor: Incapsula's NS
+	// delegation is used by only ~0.02% of its customers (tens of
+	// domains at paper scale), which a 1:1000 world shrinks to a
+	// single domain. The probe filter keeps single-bearer SLDs from
+	// qualifying unless their own apex is hosted by the provider.
+	res.Discovered, err = core.DiscoverAll(src, worldsim.GTLDs(), day, r.World.Registry, names, table, probe,
+		core.DiscoveryConfig{MinSupport: 1, MinASSupport: 2})
+	if err != nil {
+		return nil, err
+	}
+	for i, got := range res.Discovered {
+		res.Exact = append(res.Exact, refEqual(got, res.Truth[i]))
 	}
 	return res, nil
 }
@@ -609,39 +617,72 @@ type AnomalyReport struct {
 	Attribution analysis.Attribution
 }
 
-// Anomalies finds each provider's largest day-over-day swing and
-// attributes it to the third party whose NS SLD the changed domains
-// share. Attribution re-materializes the two days involved.
+// Anomalies finds each provider's largest day-over-day swings and
+// attributes each to the third party whose NS SLD the changed domains
+// share. Attribution needs the two days' rows, which the streaming pass
+// dropped: they are re-measured into one scratch store, walking the
+// swings in ascending day order so that a day several providers swing on
+// is measured once and dropped once no later swing starts from it — two
+// days resident at most.
 func (r *Runner) Anomalies(perProvider int) ([]AnomalyReport, error) {
 	var out []AnomalyReport
 	g := worldsim.GTLDs()
 	for p := range r.Refs.Providers {
-		swings := r.Agg.LargestSwings(g, p, perProvider)
-		for _, sw := range swings {
-			days := r.Agg.Days("com")
-			prev := sw.Day - 1
-			for i, d := range days {
-				if d == sw.Day && i > 0 {
-					prev = days[i-1]
-				}
-			}
-			tmp := store.New()
-			pipe := measure.New(r.World, tmp, measure.Config{Mode: measure.ModeDirect, Workers: r.Cfg.Workers})
-			if err := pipe.RunDay(context.Background(), prev); err != nil {
-				return nil, err
-			}
-			if err := pipe.RunDay(context.Background(), sw.Day); err != nil {
-				return nil, err
-			}
-			tmpAgg := analysis.NewAggregator(r.Refs, tmp, nil)
-			if err := tmpAgg.Run(g); err != nil {
-				return nil, err
-			}
-			att := tmpAgg.Attribute(g, p, sw.Day)
-			out = append(out, AnomalyReport{Provider: r.Refs.Providers[p].Name, Attribution: att})
+		for _, sw := range r.Agg.LargestSwings(g, p, perProvider) {
+			out = append(out, AnomalyReport{Provider: r.Refs.Providers[p].Name, Attribution: analysis.Attribution{Swing: sw}})
 		}
 	}
+	byDay := make([]*AnomalyReport, len(out))
+	for i := range out {
+		byDay[i] = &out[i]
+	}
+	slices.SortFunc(byDay, func(a, b *AnomalyReport) int {
+		return cmp.Compare(a.Attribution.Swing.Day, b.Attribution.Swing.Day)
+	})
+	scratch := r.newDayScratch()
+	defer r.Refs.Forget(scratch.store.Dict())
+	agg := analysis.NewAggregator(r.Refs, scratch.store, nil)
+	for _, rep := range byDay {
+		sw := rep.Attribution.Swing
+		if err := scratch.advance(sw.Prev, sw.Day); err != nil {
+			return nil, err
+		}
+		rep.Attribution = agg.AttributeSwing(g, sw)
+	}
 	return out, nil
+}
+
+// dayScratch holds re-measured days for a walk that only moves forward.
+type dayScratch struct {
+	store *store.Store
+	pipe  *measure.Pipeline
+	days  []simtime.Day // resident, ascending
+}
+
+func (r *Runner) newDayScratch() *dayScratch {
+	tmp := store.New()
+	return &dayScratch{store: tmp, pipe: measure.New(r.World, tmp, measure.Config{Mode: measure.ModeDirect, Workers: r.Cfg.Workers})}
+}
+
+// advance makes prev and day resident, first dropping every day before
+// prev: the walk ascends, so nothing later can need those.
+func (s *dayScratch) advance(prev, day simtime.Day) error {
+	for len(s.days) > 0 && s.days[0] < prev {
+		for _, src := range s.store.Sources() {
+			s.store.DropDay(src, s.days[0])
+		}
+		s.days = s.days[1:]
+	}
+	for _, d := range []simtime.Day{prev, day} {
+		if slices.Contains(s.days, d) {
+			continue
+		}
+		if err := s.pipe.RunDay(context.Background(), d); err != nil {
+			return err
+		}
+		s.days = append(s.days, d)
+	}
+	return nil
 }
 
 // ClassificationRow summarises §3.4 for one provider: how its detected

@@ -13,8 +13,8 @@ echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
 go test -race ./...
-echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,dnsserver}"
-go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver
+echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,dnsserver,core}"
+go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 echo "check: OK"
