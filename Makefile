@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the tier-1 verification going
-# forward: vet, build, the full test suite under the race detector, the
-# wire path's allocation ceilings without it, and the benchmark harness's
-# own vet + tests.
+# forward: vet (host and big-endian), build, the full test suite under the
+# race detector, the allocation ceilings without it, and the benchmark
+# harness's own vet + tests.
 
 GO ?= go
 
@@ -9,8 +9,13 @@ GO ?= go
 
 check: vet build test-race test-allocs check-bench
 
+# The second vet cross-compiles (offline, from GOROOT) the two packages on
+# the .dpsa read path for a big-endian target: nothing else ever builds
+# store's portable column codec, and vet's unsafeptr check must pass on
+# both byte orders.
 vet:
 	$(GO) vet ./...
+	GOOS=linux GOARCH=s390x $(GO) vet ./internal/store ./internal/core
 
 build:
 	$(GO) build ./...
@@ -21,11 +26,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The wire path's allocation ceilings sit in `//go:build !race` files (the
-# race runtime drops sync.Pool items), so test-race skips them; core's
-# DiscoverAll ceiling runs under both.
+# The wire path's and the .dpsa read path's allocation ceilings sit in
+# `//go:build !race` files (the race runtime drops sync.Pool items), so
+# test-race skips them; core's DiscoverAll ceiling runs under both.
 test-allocs:
-	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core
+	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/api
 
 # bench/ is a separate module importing internal/*: `./...` above does
 # not reach it, so an internal change that breaks its build shows here.

@@ -153,7 +153,14 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 			chunkDays = need
 		}
 	}
-	merged := make([]map[string]core.Method, np)
+	// A build has one source and so one dictionary: each day folds on
+	// domain IDs, in maps that are cleared between days, and a name is
+	// resolved once per fold entry at addDay.
+	merged := make([]map[uint32]core.Method, np)
+	for p := range merged {
+		merged[p] = make(map[uint32]core.Method)
+	}
+	anySet := make(map[uint32]struct{})
 	var failed []core.PartitionFailure
 	pi := 0
 	for ci := 0; ci < len(x.days); ci += chunkDays {
@@ -172,9 +179,7 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 		ck := 0 // cursor into chunk/dets
 		for di := ci; di < cend; di++ {
 			day := x.days[di]
-			for p := range merged {
-				merged[p] = make(map[string]core.Method)
-			}
+			var names *core.DayDetections // any of the day's detections resolves its IDs
 			for ; ck < len(chunk) && chunk[ck].Day == day; ck++ {
 				det := dets[ck]
 				if det == nil { // unreadable partition: its slot is missing data
@@ -182,23 +187,25 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 				}
 				x.measured[di] += int64(det.DomainsMeasured)
 				for p := 0; p < np; p++ {
-					det.MergeAny(p, merged[p])
+					det.MergeAnyID(p, merged[p])
 				}
+				names = det
 				dets[ck] = nil // folded: the packed arrays are free to go
 			}
 			prev := simtime.Day(-1 << 30)
 			if di > 0 {
 				prev = x.days[di-1]
 			}
-			anySet := make(map[string]bool)
 			for p := 0; p < np; p++ {
 				x.series[p][di] = int64(len(merged[p]))
-				for dom, m := range merged[p] {
-					anySet[dom] = true
-					x.addDay(dom, p, m, day, prev)
+				for id, m := range merged[p] {
+					anySet[id] = struct{}{}
+					x.addDay(names.DomainName(id), p, m, day, prev)
 				}
+				clear(merged[p])
 			}
 			x.anyUse[di] = int64(len(anySet))
+			clear(anySet)
 		}
 	}
 	x.partitions = len(parts) - len(failed)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"net/netip"
 
 	"dpsadopt/internal/bgp"
@@ -106,6 +108,42 @@ func TestNewReferencesRejectsCollisions(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("duplicate NS SLD accepted")
+	}
+}
+
+// TestMatchASNAgreesWithMap holds MatchASN to the byASN map it was built
+// from: every claimed ASN, the edges of the dense table (beyond which no
+// ASN is claimed, so MatchASN answers without the map) and random ASNs —
+// for the ground-truth table, which has a dense table, and for one whose
+// largest ASN is too big for it, where the map still answers.
+func TestMatchASNAgreesWithMap(t *testing.T) {
+	sparse, err := NewReferences([]ProviderRefs{
+		{Name: "A", ASNs: []uint32{7, 1 << 20}},
+		{Name: "B", ASNs: []uint32{64512, math.MaxUint32}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := MustGroundTruth()
+	if dense.asnDense == nil || sparse.asnDense != nil {
+		t.Fatalf("dense table: ground truth %v, sparse %v", dense.asnDense != nil, sparse.asnDense != nil)
+	}
+	rng := rand.New(rand.NewSource(20))
+	for _, refs := range []*References{dense, sparse} {
+		n := uint32(len(refs.asnDense))
+		probes := []uint32{0, n - 1, n, n + 1, 1<<20 - 1, 1 << 20, 1<<20 + 1, math.MaxUint32}
+		for a := range refs.byASN {
+			probes = append(probes, a, a-1, a+1)
+		}
+		for i := 0; i < 10000; i++ {
+			probes = append(probes, rng.Uint32()>>uint(rng.Intn(32))) // every magnitude
+		}
+		for _, a := range probes {
+			want, wantOK := refs.byASN[a]
+			if got, ok := refs.MatchASN(a); ok != wantOK || ok && got != want {
+				t.Fatalf("MatchASN(%d) = %d, %v; byASN says %d, %v", a, got, ok, want, wantOK)
+			}
+		}
 	}
 }
 

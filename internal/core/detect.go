@@ -23,8 +23,8 @@ type DayDetections struct {
 	Source string
 	Day    simtime.Day
 	// DomainsMeasured counts distinct domains with any stored row,
-	// computed from the domain-ID column — exact even when a domain's
-	// rows interleave across writer commits.
+	// computed from the domain-ID column during the scan — exact even
+	// when a domain's rows interleave across writer commits.
 	DomainsMeasured int
 	// Rows is the number of rows scanned.
 	Rows int
@@ -77,11 +77,11 @@ func DetectPartition(src BatchSource, source string, day simtime.Day, refs *Refe
 }
 
 // detectSourceStaged is DetectPartition with per-stage wall timing: scan
-// is the row classification loop (batch-scan), merge is finalize's sort
-// / dedup / distinct-count pass (hit-merge). DetectRange feeds these
-// into the detect_stage_seconds histograms; the two time.Now pairs are
-// noise next to a partition's work. The batch is released only after
-// finalize — finalize reads the batch's domain column.
+// is the row classification loop (batch-scan), which also counts the
+// distinct measured domains while the domain column is in hand; merge is
+// finalize's sort / dedup / distinct-count pass (hit-merge). DetectRange
+// feeds these into the detect_stage_seconds histograms; the two time.Now
+// pairs are noise next to a partition's work.
 func detectSourceStaged(src BatchSource, source string, day simtime.Day, refs *References) (d *DayDetections, scan, merge time.Duration, err error) {
 	dict, err := src.SharedDict()
 	if err != nil {
@@ -103,8 +103,19 @@ func detectSourceStaged(src BatchSource, source string, day simtime.Day, refs *R
 	d.Rows = n
 	ids := refs.ForDict(d.dict)
 	packed := make([]uint64, 0, 1024)
+	// Distinct counts via a dict-sized bitset: no hashing. Dict IDs are
+	// dense, so the bitset is dictLen/8 bytes; finalize reuses it.
+	seen := make([]uint64, (dict.Len()+63)/64)
+	prev := store.NoStr
 	for i := 0; i < n; i++ {
 		dom := b.Domains[i]
+		if dom != prev { // skip the common contiguous-run repeats cheaply
+			prev = dom
+			if wd, bit := dom>>6, uint64(1)<<(dom&63); seen[wd]&bit == 0 {
+				seen[wd] |= bit
+				d.DomainsMeasured++
+			}
+		}
 		switch b.Kinds[i] {
 		case store.KindWWWCNAME:
 			if p, ok := ids.MatchCNAMEID(b.Strs[i]); ok {
@@ -123,13 +134,14 @@ func detectSourceStaged(src BatchSource, source string, day simtime.Day, refs *R
 		}
 	}
 	t1 := time.Now()
-	d.finalize(packed, np, b.Domains)
+	d.finalize(packed, np, seen)
 	return d, t1.Sub(t0), time.Since(t1), nil
 }
 
 // finalize sorts and dedups the packed hits, builds the per-provider
-// offsets, and computes the two distinct-domain counts.
-func (d *DayDetections) finalize(packed []uint64, np int, domains []uint32) {
+// offsets, and counts the distinct detected domains in seen, the scan's
+// dict-sized bitset (cleared here first).
+func (d *DayDetections) finalize(packed []uint64, np int, seen []uint64) {
 	slices.Sort(packed)
 	// Merge entries of the same (provider, domain), OR-ing the method
 	// bits; equal pairs are adjacent after the sort.
@@ -151,25 +163,11 @@ func (d *DayDetections) finalize(packed []uint64, np int, domains []uint32) {
 	for p := 0; p < np; p++ {
 		d.off[p+1] += d.off[p]
 	}
-	// Distinct counts via a dict-sized bitset: one O(n) pass each, no
-	// hashing. Dict IDs are dense, so the bitset is dictLen/8 bytes.
-	words := make([]uint64, (d.dict.Len()+63)/64)
-	prev := store.NoStr
-	for _, id := range domains {
-		if id == prev { // skip the common contiguous-run repeats cheaply
-			continue
-		}
-		prev = id
-		if wd, bit := id>>6, uint64(1)<<(id&63); words[wd]&bit == 0 {
-			words[wd] |= bit
-			d.DomainsMeasured++
-		}
-	}
-	clear(words)
+	clear(seen)
 	for _, v := range d.packed {
 		id := uint32(v >> 8)
-		if wd, bit := id>>6, uint64(1)<<(id&63); words[wd]&bit == 0 {
-			words[wd] |= bit
+		if wd, bit := id>>6, uint64(1)<<(id&63); seen[wd]&bit == 0 {
+			seen[wd] |= bit
 			d.anyCount++
 		}
 	}

@@ -131,7 +131,7 @@ func (s *Store) Save(path string) error {
 	}
 	tmp := f.Name()
 	w := bufio.NewWriterSize(f, 1<<20)
-	if err := s.encode(w); err != nil {
+	if err := s.encode(w, writeU32s); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -269,7 +269,7 @@ func Verify(path string) error {
 		if err != nil {
 			return fmt.Errorf("store: partition %s: %w", r.dir[i].Key(), err)
 		}
-		r.bufPool.Put(bufp)
+		rawPool.Put(bufp)
 	}
 	return nil
 }
@@ -349,7 +349,9 @@ func (o *offsetWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (s *Store) encode(dst io.Writer) error {
+// encode writes the whole file image to dst. putU32s writes a uint32
+// column: writeU32s everywhere but the codec-equivalence test.
+func (s *Store) encode(dst io.Writer, putU32s func(io.Writer, []uint32) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	w := &offsetWriter{w: dst}
@@ -399,7 +401,7 @@ func (s *Store) encode(dst io.Writer) error {
 			b := s.blocks[source][day]
 			start := w.n
 			w.crc = 0
-			if err := writePartition(w, source, day, b); err != nil {
+			if err := writePartition(w, source, day, b, putU32s); err != nil {
 				return err
 			}
 			dir = append(dir, PartitionInfo{
@@ -443,8 +445,10 @@ func (s *Store) encode(dst io.Writer) error {
 	return err
 }
 
-// writePartition serialises one (source, day) block.
-func writePartition(w io.Writer, source string, day simtime.Day, b *dayBlock) error {
+// writePartition serialises one (source, day) block. The uint32 and kinds
+// columns go to w as they lie in memory where the host allows it — w is the
+// CRC-ing offsetWriter, which neither keeps nor modifies what it is handed.
+func writePartition(w io.Writer, source string, day simtime.Day, b *dayBlock, putU32s func(io.Writer, []uint32) error) error {
 	if err := writeStr(w, source); err != nil {
 		return err
 	}
@@ -460,17 +464,13 @@ func writePartition(w io.Writer, source string, day simtime.Day, b *dayBlock) er
 	if err := writeU32(w, uint32(len(b.asnVals))); err != nil {
 		return err
 	}
-	if err := writeU32s(w, b.domains); err != nil {
+	if err := putU32s(w, b.domains); err != nil {
 		return err
 	}
-	kinds := make([]byte, len(b.kinds))
-	for i, k := range b.kinds {
-		kinds[i] = byte(k)
-	}
-	if _, err := w.Write(kinds); err != nil {
+	if _, err := w.Write(columnBytes(b.kinds)); err != nil {
 		return err
 	}
-	if err := writeU32s(w, b.addrs); err != nil {
+	if err := putU32s(w, b.addrs); err != nil {
 		return err
 	}
 	for _, a := range b.addrs6 {
@@ -478,28 +478,19 @@ func writePartition(w io.Writer, source string, day simtime.Day, b *dayBlock) er
 			return err
 		}
 	}
-	if err := writeU32s(w, b.strs); err != nil {
+	if err := putU32s(w, b.strs); err != nil {
 		return err
 	}
-	if err := writeU32s(w, b.asnOff); err != nil {
+	if err := putU32s(w, b.asnOff); err != nil {
 		return err
 	}
-	return writeU32s(w, b.asnVals)
+	return putU32s(w, b.asnVals)
 }
 
 func writeU32(w io.Writer, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	_, err := w.Write(b[:])
-	return err
-}
-
-func writeU32s(w io.Writer, vals []uint32) error {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], v)
-	}
-	_, err := w.Write(buf)
 	return err
 }
 

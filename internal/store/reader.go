@@ -30,8 +30,8 @@ import (
 // Each AcquireBatch miss is one pread of the partition's byte range,
 // CRC-verified against the directory entry over the same buffer that is
 // then decoded, cached in a small LRU of decoded partitions and backed by
-// pooled column buffers, so a full streaming sweep's steady-state
-// allocations stay bounded by the pool, not the dataset.
+// the process-wide buffer pools below, so a full streaming sweep's
+// steady-state allocations stay bounded by the pools, not the dataset.
 //
 // A Reader is safe for concurrent use. AcquireBatch never writes: a
 // corrupt partition surfaces as a *CorruptPartitionError instead of being
@@ -58,9 +58,30 @@ type Reader struct {
 	lru      []PartitionKey // recency order, most recent last
 	capacity int
 	inflight map[PartitionKey]chan struct{}
+}
 
-	blkPool sync.Pool // *dayBlock, column slices reused across decodes
-	bufPool sync.Pool // *[]byte, raw partition bytes
+// The decoded-block and raw-buffer pools are process-wide, not per Reader:
+// the follower opens one Reader per spool and a scan one per pass, so a
+// pool that lived in the Reader would start cold every time.
+var (
+	blockPool = sync.Pool{New: func() any { return &dayBlock{} }} // column slices reused across decodes
+	rawPool   = sync.Pool{New: func() any { return new([]byte) }} // raw partition bytes
+)
+
+// fit returns buf resized to n elements. A fresh (nil) buffer is sized
+// exactly, so the blocks materialise makes resident carry no slack. A
+// recycled one that no longer fits is regrown with an eighth of headroom:
+// the namespace grows (1.09× over the paper's 550 days), so each day's
+// partition is a few rows larger than the last, and a pool of exact-fit
+// buffers would miss on almost every day of a forward sweep.
+func fit[T any](buf []T, n int) []T {
+	switch {
+	case cap(buf) >= n:
+		return buf[:n]
+	case buf == nil:
+		return make([]T, n)
+	}
+	return make([]T, n, n+n/8)
 }
 
 // cachedBlock is one decoded partition resident in the Reader's LRU.
@@ -110,8 +131,6 @@ func Open(path string) (*Reader, error) {
 		cache:    make(map[PartitionKey]*cachedBlock),
 		inflight: make(map[PartitionKey]chan struct{}),
 	}
-	r.blkPool.New = func() any { return &dayBlock{} }
-	r.bufPool.New = func() any { return new([]byte) }
 	if err := r.readLayout(); err != nil {
 		f.Close()
 		return nil, err
@@ -284,11 +303,18 @@ func parseDict(data []byte, partitions int) (*Dict, error) {
 	return d, nil
 }
 
-// Close releases the Reader. Outstanding batches must be released first;
-// acquires racing Close fail with a read error.
+// Close releases the Reader and hands its unpinned cached blocks back to
+// the pool. A batch still outstanding keeps its block — it stays valid
+// until released and is then left to the collector. Acquires racing Close
+// fail with a read error.
 func (r *Reader) Close() error {
 	r.mu.Lock()
 	r.closed = true
+	for _, cb := range r.cache {
+		if cb.pins == 0 {
+			blockPool.Put(cb.blk)
+		}
+	}
 	r.cache = make(map[PartitionKey]*cachedBlock)
 	r.lru = nil
 	r.mu.Unlock()
@@ -379,7 +405,7 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 
 	// The store_reader_* traffic counters are AcquireBatch's alone: Load
 	// and Verify share the primitives below but are not streaming reads.
-	blk := r.blkPool.Get().(*dayBlock)
+	blk := blockPool.Get().(*dayBlock)
 	err = r.decodePartition(&ent, dict.Len(), blk)
 	mReaderBytesRead.Add(int64(ent.length))
 
@@ -388,7 +414,7 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 	close(ch)
 	if err != nil {
 		r.mu.Unlock()
-		r.blkPool.Put(blk)
+		blockPool.Put(blk)
 		return RowBatch{}, noop, &CorruptPartitionError{Source: ent.Source, Day: ent.Day, Err: err}
 	}
 	mReaderPartitionsDecoded.Inc()
@@ -437,21 +463,21 @@ func (r *Reader) evictLocked() {
 		blk := r.cache[k].blk
 		delete(r.cache, k)
 		r.lru = append(r.lru[:victim], r.lru[victim+1:]...)
-		r.blkPool.Put(blk)
+		blockPool.Put(blk)
 	}
 }
 
 // checkedBytes preads one partition's byte range into a pooled buffer
 // and checks it against the directory entry's CRC. The caller hands the
-// buffer back to r.bufPool.
+// buffer back to rawPool.
 func (r *Reader) checkedBytes(ent *PartitionInfo) (*[]byte, error) {
-	bufp := r.bufPool.Get().(*[]byte)
+	bufp := rawPool.Get().(*[]byte)
 	if uint64(cap(*bufp)) < ent.length {
 		*bufp = make([]byte, ent.length)
 	}
 	*bufp = (*bufp)[:ent.length]
 	if err := r.readChecked(*bufp, ent.offset, ent.CRC); err != nil {
-		r.bufPool.Put(bufp)
+		rawPool.Put(bufp)
 		return nil, err
 	}
 	return bufp, nil
@@ -466,7 +492,7 @@ func (r *Reader) decodePartition(ent *PartitionInfo, dictLen int, blk *dayBlock)
 	if err != nil {
 		return err
 	}
-	defer r.bufPool.Put(bufp)
+	defer rawPool.Put(bufp)
 	source, day, err := decodeBlockInto(*bufp, blk, dictLen)
 	if err != nil {
 		return err
@@ -522,22 +548,14 @@ func decodeBlockInto(data []byte, b *dayBlock, dictLen int) (source string, day 
 	if c.off != len(data) {
 		return "", 0, fmt.Errorf("store: partition has %d trailing bytes", len(data)-c.off)
 	}
-	if cap(b.kinds) < int(rows) {
-		b.kinds = make([]Kind, rows)
-	} else {
-		b.kinds = b.kinds[:rows]
-	}
+	b.kinds = fit(b.kinds, int(rows))
 	for i, k := range kindBytes {
 		if Kind(k) >= numKinds {
 			return "", 0, fmt.Errorf("store: bad kind %d", k)
 		}
 		b.kinds[i] = Kind(k)
 	}
-	if cap(b.addrs6) < int(nV6) {
-		b.addrs6 = make([][16]byte, nV6)
-	} else {
-		b.addrs6 = b.addrs6[:nV6]
-	}
+	b.addrs6 = fit(b.addrs6, int(nV6))
 	for i := range b.addrs6 {
 		copy(b.addrs6[i][:], v6Bytes[16*i:])
 	}
@@ -626,14 +644,8 @@ func (c *byteCursor) u32sInto(dst []uint32, n int) []uint32 {
 	if p == nil {
 		return dst[:0]
 	}
-	if cap(dst) < n {
-		dst = make([]uint32, n)
-	} else {
-		dst = dst[:n]
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(p[4*i:])
-	}
+	dst = fit(dst, n)
+	loadU32s(dst, p)
 	return dst
 }
 

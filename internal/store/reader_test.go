@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -32,6 +34,53 @@ func readerRows(t *testing.T, r *Reader, source string, day simtime.Day) []Row {
 		out = append(out, row)
 	}
 	return out
+}
+
+// growingStore builds a fixed-seed store of len(sources) × days
+// partitions over a small domain pool, mixing every kind and both address
+// families. Source i's day d holds (rows0 + d*step) / (i+1) rows, so every
+// source's partitions grow day by day — the shape that defeats exact-fit
+// buffer reuse — and the sources differ in size.
+func growingStore(seed int64, sources []string, days, rows0, step int) *Store {
+	rng := rand.New(rand.NewSource(seed))
+	kinds := []Kind{KindApexA, KindApexAAAA, KindWWWA, KindWWWAAAA, KindWWWCNAME, KindNS}
+	s := New()
+	for si, src := range sources {
+		for d := 0; d < days; d++ {
+			w := s.NewWriter(src, simtime.Day(d))
+			for i := (rows0 + d*step) / (si + 1); i > 0; i-- {
+				dom := fmt.Sprintf("dom%03d.%s", rng.Intn(200), src)
+				switch k := kinds[rng.Intn(len(kinds))]; k {
+				case KindWWWCNAME, KindNS:
+					w.AddStr(dom, k, fmt.Sprintf("target%03d.example.net", rng.Intn(100)))
+				case KindApexAAAA, KindWWWAAAA:
+					w.AddAddr(dom, k, netip.AddrFrom16([16]byte{0x20, 0x01, 0xd, 0xb8, byte(rng.Intn(256)), byte(i)}), randASNs(rng))
+				default:
+					w.AddAddr(dom, k, netip.AddrFrom4([4]byte{10, byte(rng.Intn(256)), byte(i >> 8), byte(i)}), randASNs(rng))
+				}
+			}
+			w.Commit()
+		}
+	}
+	return s
+}
+
+// sweep acquires and releases every partition of the file once through a
+// fresh Reader, the way a streaming consumer does.
+func sweep(t testing.TB, path string) {
+	t.Helper()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, k := range r.Keys() {
+		_, release, err := r.AcquireBatch(k.Source, k.Day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}
 }
 
 func TestReaderRoundTrip(t *testing.T) {
@@ -253,4 +302,81 @@ func TestReaderConcurrentAcquire(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
+}
+
+// TestDecodeIntoLargerBlock: a block that last held a larger partition
+// decodes a smaller one to exactly what a fresh block gets, in all seven
+// columns — nothing of the old rows stays reachable behind [:n].
+func TestDecodeIntoLargerBlock(t *testing.T) {
+	_, lay := saveWithLayout(t, growingStore(3, []string{"com"}, 2, 50, 400))
+	small, large := lay.parts[0], lay.parts[1]
+	if small.Rows >= large.Rows {
+		t.Fatalf("fixture: day 0 has %d rows, day 1 %d", small.Rows, large.Rows)
+	}
+	bytesOf := func(p PartitionInfo) []byte { return lay.data[p.offset : p.offset+p.length] }
+	const dictLen = 1 << 20 // the fixture is valid; ID ranges are not under test
+	var fresh, reused dayBlock
+	if _, _, err := decodeBlockInto(bytesOf(small), &fresh, dictLen); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeBlockInto(bytesOf(large), &reused, dictLen); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := decodeBlockInto(bytesOf(small), &reused, dictLen); err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.addrs6) == 0 || len(fresh.asnVals) == 0 {
+		t.Fatal("fixture: small partition lacks v6 rows or ASNs")
+	}
+	if !reflect.DeepEqual(fresh, reused) {
+		t.Fatalf("decode into a recycled block differs from a fresh decode:\nfresh  %+v\nreused %+v", fresh.batch(), reused.batch())
+	}
+}
+
+// TestBatchOutlivesClose: a batch acquired before Close stays intact until
+// it is released, whatever other Readers decode in the meantime — Close
+// hands back only the blocks nobody holds.
+func TestBatchOutlivesClose(t *testing.T) {
+	s := growingStore(5, []string{"com", "net", "org"}, 4, 300, 40)
+	path := filepath.Join(t.TempDir(), "data.dpsa")
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := r.Keys()
+	held, release, err := r.AcquireBatch(keys[0].Source, keys[0].Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An unpinned neighbour in the cache is what Close gives back.
+	if _, rel, err := r.AcquireBatch(keys[1].Source, keys[1].Day); err != nil {
+		t.Fatal(err)
+	} else {
+		rel()
+	}
+	snapshot := func(b RowBatch) RowBatch {
+		return RowBatch{
+			Domains: append([]uint32(nil), b.Domains...),
+			Kinds:   append([]Kind(nil), b.Kinds...),
+			Addrs:   append([]uint32(nil), b.Addrs...),
+			Addrs6:  append([][16]byte(nil), b.Addrs6...),
+			Strs:    append([]uint32(nil), b.Strs...),
+			asnOff:  append([]uint32(nil), b.asnOff...),
+			asnVals: append([]uint32(nil), b.asnVals...),
+		}
+	}
+	want := snapshot(held)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		sweep(t, path) // recycles every pooled block several times over
+	}
+	if got := snapshot(held); !reflect.DeepEqual(got, want) {
+		t.Fatal("a batch held across Close was overwritten by a later decode")
+	}
+	release()
 }

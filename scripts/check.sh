@@ -1,7 +1,9 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, and race-enabled tests for the whole
-# module, the wire path's allocation ceilings (built only without -race),
-# then the benchmark harness (bench/ is its own module importing
+# Tier-1 verification: vet (also cross-compiled for a big-endian target,
+# the only build store's portable column codec ever gets), build, and
+# race-enabled tests for the whole module, the wire and .dpsa read paths'
+# allocation ceilings (built only without -race), then the benchmark
+# harness (bench/ is its own module importing
 # internal/*, so `./...` does not reach it). Mirrors `make check` for
 # environments without make.
 set -eu
@@ -9,12 +11,14 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet ./..."
 go vet ./...
+echo "== GOOS=linux GOARCH=s390x go vet ./internal/store ./internal/core"
+GOOS=linux GOARCH=s390x go vet ./internal/store ./internal/core
 echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
 go test -race ./...
-echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,dnsserver,core}"
-go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core
+echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,dnsserver,core,store,api}"
+go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/api
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 echo "check: OK"
