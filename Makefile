@@ -30,7 +30,7 @@ test-race:
 # `//go:build !race` files (the race runtime drops sync.Pool items), so
 # test-race skips them; core's DiscoverAll ceiling runs under both.
 test-allocs:
-	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/api
+	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/measure ./internal/api
 
 # bench/ is a separate module importing internal/*: `./...` above does
 # not reach it, so an internal change that breaks its build shows here.

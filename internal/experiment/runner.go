@@ -14,6 +14,7 @@ import (
 	"net/netip"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"dpsadopt/internal/analysis"
@@ -267,6 +268,11 @@ func (r *Runner) Run(ctx context.Context) error {
 	r.ran = true
 	total := r.window.Len()
 	mDaysTotal.Set(float64(total))
+	// Table 1 is sized one day behind: an accountant goroutine runs day d's
+	// DayStats and drop while day d+1 is measured. A hand-over first waits
+	// for the previous day (≤ 2 days resident); every return joins it.
+	var accountant sync.WaitGroup
+	defer accountant.Wait()
 	for i := 0; i < total; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -292,39 +298,26 @@ func (r *Runner) Run(ctx context.Context) error {
 		var dayRows int64
 		var parts []core.Partition
 		for _, src := range r.Store.Sources() {
-			rows, bytes, ids := r.Store.DayStats(src, day)
-			if rows == 0 {
-				continue
+			if b, ok := r.Store.RowBatch(src, day); ok {
+				dayRows += int64(b.Rows())
+				parts = append(parts, core.Partition{Source: src, Day: day})
 			}
-			dayRows += int64(rows)
-			st := r.stats[src]
-			if st == nil {
-				st = &SourceStats{Source: src, FirstDay: day, unique: make(map[uint32]bool)}
-				r.stats[src] = st
-			}
-			st.Days++
-			st.DataPoints += int64(rows)
-			st.CompressedBytes += bytes
-			for _, id := range ids {
-				st.unique[id] = true
-			}
-			parts = append(parts, core.Partition{Source: src, Day: day})
 		}
 		// One parallel detection pass over the day's source partitions;
 		// results fold in source order so aggregation stays deterministic.
 		dets, rst := core.DetectRangeStats(dctx, r.Store, parts, r.Refs, r.Cfg.DetectWorkers)
 		r.detectStats.Add(rst)
-		for pi, det := range dets {
+		for _, det := range dets {
 			if det == nil {
 				continue // cancelled mid-day; ctx.Err() surfaces next loop
 			}
 			if err := r.Agg.AddDetections(det); err != nil {
 				return err
 			}
-			if !r.Cfg.KeepStore {
-				r.Store.DropDay(parts[pi].Source, day)
-			}
 		}
+		accountant.Wait()
+		accountant.Add(1)
+		go r.account(parts, &accountant)
 		detected := r.Agg.SumAny(worldsim.GTLDs(), day)
 		net := r.pipeline.LastNetStats()
 		acct := DayAccounting{
@@ -361,9 +354,6 @@ func (r *Runner) Run(ctx context.Context) error {
 			})
 		}
 	}
-	for _, st := range r.stats {
-		st.UniqueSLDs = len(st.unique)
-	}
 	if ds := r.detectStats; ds.Partitions > 0 {
 		obs.Logger().Info("detection fan-out",
 			"partitions", ds.Partitions, "rows", ds.Rows, "workers", ds.Workers,
@@ -374,6 +364,29 @@ func (r *Runner) Run(ctx context.Context) error {
 			"barrier", ds.Barrier.Round(time.Millisecond).String())
 	}
 	return nil
+}
+
+// account adds one day's partitions to Table 1, then drops them unless kept.
+func (r *Runner) account(parts []core.Partition, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for _, p := range parts {
+		rows, bytes, ids := r.Store.DayStats(p.Source, p.Day)
+		st := r.stats[p.Source]
+		if st == nil {
+			st = &SourceStats{Source: p.Source, FirstDay: p.Day, unique: make(map[uint32]bool)}
+			r.stats[p.Source] = st
+		}
+		st.Days++
+		st.DataPoints += int64(rows)
+		st.CompressedBytes += bytes
+		for _, id := range ids {
+			st.unique[id] = true
+		}
+		st.UniqueSLDs = len(st.unique)
+		if !r.Cfg.KeepStore {
+			r.Store.DropDay(p.Source, p.Day)
+		}
+	}
 }
 
 // DetectStats returns the run's accumulated DetectRange stage timing —

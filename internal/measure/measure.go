@@ -385,7 +385,6 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	total := 0
-	var firstErr error
 	chunk := (len(tasks) + workers - 1) / workers
 	// Wire-mode resolvers are created sequentially before the workers
 	// start: concurrent dials would race for ephemeral ports and give
@@ -414,9 +413,9 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 			resolvers[wi] = r
 		}
 	}
-	// Workers fill their own writers; the chunks are committed after the
-	// barrier in worker order, so a partition's row order is the task
-	// order whatever the worker count or scheduling.
+	// Workers fill their own writers; one commit after the barrier takes
+	// them in worker order, so a partition's row order and dictionary IDs
+	// are the task order's whatever the worker count or scheduling.
 	writers := make([]*store.Writer, workers)
 	for wi := 0; wi < workers; wi++ {
 		lo := wi * chunk
@@ -424,13 +423,13 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 		if hi > len(tasks) {
 			hi = len(tasks)
 		}
+		writers[wi] = p.Store.NewWriter(source, day)
 		if lo >= hi {
 			if resolvers[wi] != nil {
 				resolvers[wi].Close()
 			}
 			continue
 		}
-		writers[wi] = p.Store.NewWriter(source, day)
 		wg.Add(1)
 		go func(wi, lo, hi int) {
 			defer wg.Done()
@@ -468,22 +467,15 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 	}
 	wg.Wait()
 	for _, writer := range writers {
-		if writer == nil {
-			continue
-		}
-		n := writer.Rows()
-		commitStart := time.Now()
-		_, sp3 := trace.StartSpan(ctx, "measure.stage3",
-			trace.Str("source", source), trace.Int("rows", int64(n)))
-		writer.Commit()
-		sp3.End()
-		mStageSeconds.With(stageStorage).Observe(time.Since(commitStart).Seconds())
-		total += n
+		total += writer.Rows()
 	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return total, firstErr
+	commitStart := time.Now()
+	_, sp3 := trace.StartSpan(ctx, "measure.stage3",
+		trace.Str("source", source), trace.Int("rows", int64(total)))
+	store.Commit(writers...)
+	sp3.End()
+	mStageSeconds.With(stageStorage).Observe(time.Since(commitStart).Seconds())
+	return total, ctx.Err()
 }
 
 // measureDirect emits the rows for one domain from the world model.

@@ -2,10 +2,14 @@ package measure
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"dpsadopt/internal/simtime"
@@ -465,6 +469,101 @@ func TestPartitionRowOrderDeterministic(t *testing.T) {
 			}
 			if !reflect.DeepEqual(gp.rows, wp.rows) {
 				t.Errorf("%s, %d workers: row sequence differs from the one-worker order", src, workers)
+			}
+		}
+	}
+}
+
+// TestDeterministicAcrossWorkers: dictionary IDs are handed out in row
+// order at the ordered commit, so a fixed-seed multi-day run saves the same
+// bytes and sizes the same Table 1 rows at any worker count, run to run.
+func TestDeterministicAcrossWorkers(t *testing.T) {
+	w := midWorld(t)
+	start := w.Cfg.NLWindow.Start // nl + alexa + gTLDs all active
+	type outcome struct {
+		sum   [sha256.Size]byte
+		table []store.Stats
+	}
+	run := func(workers int) outcome {
+		s := store.New()
+		p := New(w, s, Config{Mode: ModeDirect, Workers: workers})
+		if err := p.RunRange(context.Background(), simtime.Range{Start: start, End: start + 2}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "run.dpsa")
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{sum: sha256.Sum256(data)}
+		for _, src := range s.Sources() {
+			out.table = append(out.table, s.SourceStats(src))
+		}
+		return out
+	}
+	want := run(1)
+	if len(want.table) < 5 {
+		t.Fatalf("only %d sources measured", len(want.table))
+	}
+	for _, workers := range []int{1, 2, 2, 4, 4} {
+		got := run(workers)
+		if got.sum != want.sum {
+			t.Errorf("%d workers: saved dataset differs from the one-worker run", workers)
+		}
+		if !reflect.DeepEqual(got.table, want.table) {
+			t.Errorf("%d workers: Table 1 rows %+v, want %+v", workers, got.table, want.table)
+		}
+	}
+}
+
+// TestDictReadersBesideCommits: readers of the dictionary run beside two
+// pipelines whose ordered commits intern new strings into one store, and
+// every partition still holds the rows a lone pipeline measures.
+func TestDictReadersBesideCommits(t *testing.T) {
+	w := tinyWorld(t)
+	shared := store.New()
+	days := []simtime.Day{0, 1}
+	var measuring sync.WaitGroup
+	for _, day := range days {
+		measuring.Add(1)
+		go func() {
+			defer measuring.Done()
+			if err := New(w, shared, Config{Mode: ModeDirect, Workers: 2}).RunDay(context.Background(), day); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var reading sync.WaitGroup
+	reading.Add(1)
+	go func() {
+		defer reading.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			d, _ := shared.SharedDict()
+			if n := d.Len(); n > 0 {
+				_ = d.Str(uint32(n - 1))
+			}
+		}
+	}()
+	measuring.Wait()
+	close(stop)
+	reading.Wait()
+	for _, day := range days {
+		alone := store.New()
+		if err := New(w, alone, Config{Mode: ModeDirect, Workers: 2}).RunDay(context.Background(), day); err != nil {
+			t.Fatal(err)
+		}
+		for _, src := range alone.Sources() {
+			if !reflect.DeepEqual(collectRows(shared, src, day), collectRows(alone, src, day)) {
+				t.Errorf("%s/%s: rows differ when committed beside another pipeline", src, day)
 			}
 		}
 	}

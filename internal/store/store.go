@@ -92,20 +92,19 @@ func NewDict() *Dict {
 	return &Dict{ids: make(map[string]uint32)}
 }
 
-// ID interns s.
+// ID interns s. (Writers intern at commit, under one lock per commit.)
 func (d *Dict) ID(s string) uint32 {
-	d.mu.RLock()
-	id, ok := d.ids[s]
-	d.mu.RUnlock()
-	if ok {
-		return id
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.intern(s)
+}
+
+// intern is ID with d.mu held for writing.
+func (d *Dict) intern(s string) uint32 {
 	if id, ok := d.ids[s]; ok {
 		return id
 	}
-	id = uint32(len(d.strs))
+	id := uint32(len(d.strs))
 	d.strs = append(d.strs, s)
 	d.ids[s] = id
 	return id
@@ -158,42 +157,57 @@ func New() *Store {
 	}
 }
 
-// Dict exposes the store's dictionary (shared with writers).
+// Dict exposes the store's dictionary (writers intern into it at commit).
 func (s *Store) Dict() *Dict { return s.dict }
 
-// Writer batches appends into one (source, day) partition. It is not safe
-// for concurrent use; create one per goroutine and Merge them, or guard
-// externally.
+// Writer batches appends into one (source, day) partition, one goroutine
+// at a time. Its rows carry writer-local string IDs until Commit.
 type Writer struct {
 	store  *Store
 	source string
 	day    simtime.Day
-	block  dayBlock
-	// The last buffered row's domain and its dict ID: a domain's rows
-	// arrive together, so most rows skip the shared dictionary.
+	buf    *writerBuf // nil until the first row, and again after a commit
+	// The last row's domain and its local ID, shared by a run of its rows.
 	lastDomain string
 	lastID     uint32
 }
+
+// writerBuf is a writer's scratch, pooled in bufPool across commits: its
+// rows in writer-local IDs, the strings they name, and the value memo.
+type writerBuf struct {
+	block  dayBlock
+	local  []string          // local ID → string
+	values map[string]uint32 // CNAME/NS value → local ID
+	global []uint32          // local ID → dict ID, filled during a commit
+}
+
+var bufPool = sync.Pool{New: func() any { return &writerBuf{values: make(map[string]uint32)} }}
 
 // NewWriter opens a writer for one partition.
 func (s *Store) NewWriter(source string, day simtime.Day) *Writer {
 	return &Writer{store: s, source: source, day: day}
 }
 
-// domainID interns domain, through the dictionary only when it differs
-// from the previous row's.
-func (w *Writer) domainID(domain string) uint32 {
-	if w.block.rows() == 0 || domain != w.lastDomain {
-		w.lastDomain, w.lastID = domain, w.store.dict.ID(domain)
+// startRow appends a row's domain and kind to the writer's scratch, taken
+// from the pool at the first row. The domain gets a new local ID unless it
+// is the previous row's, so a domain repeated out of order gets a second.
+func (w *Writer) startRow(domain string, kind Kind) *dayBlock {
+	if w.buf == nil {
+		w.buf = bufPool.Get().(*writerBuf)
 	}
-	return w.lastID
+	b := w.buf
+	if b.block.rows() == 0 || domain != w.lastDomain {
+		w.lastDomain, w.lastID = domain, uint32(len(b.local))
+		b.local = append(b.local, domain)
+	}
+	b.block.domains = append(b.block.domains, w.lastID)
+	b.block.kinds = append(b.block.kinds, kind)
+	return &b.block
 }
 
 // AddAddr appends an address row (IPv4 or IPv6).
 func (w *Writer) AddAddr(domain string, kind Kind, addr netip.Addr, asns []uint32) {
-	b := &w.block
-	b.domains = append(b.domains, w.domainID(domain))
-	b.kinds = append(b.kinds, kind)
+	b := w.startRow(domain, kind)
 	if addr.Is4() {
 		b.addrs = append(b.addrs, addrU32(addr))
 	} else {
@@ -207,61 +221,128 @@ func (w *Writer) AddAddr(domain string, kind Kind, addr netip.Addr, asns []uint3
 
 // AddStr appends a string row (CNAME target or NS host).
 func (w *Writer) AddStr(domain string, kind Kind, value string) {
-	b := &w.block
-	b.domains = append(b.domains, w.domainID(domain))
-	b.kinds = append(b.kinds, kind)
+	b, buf := w.startRow(domain, kind), w.buf
 	b.addrs = append(b.addrs, 0)
-	b.strs = append(b.strs, w.store.dict.ID(value))
+	id, ok := buf.values[value]
+	if !ok {
+		id = uint32(len(buf.local))
+		buf.local = append(buf.local, value)
+		buf.values[value] = id
+	}
+	b.strs = append(b.strs, id)
 	b.asnOff = append(b.asnOff, uint32(len(b.asnVals)))
 }
 
 // Rows returns the number of buffered rows.
-func (w *Writer) Rows() int { return w.block.rows() }
+func (w *Writer) Rows() int {
+	if w.buf == nil {
+		return 0
+	}
+	return w.buf.block.rows()
+}
 
-// Commit merges the writer's rows into the store. The writer is reset and
-// may be reused for the same partition.
-func (w *Writer) Commit() {
-	if w.block.rows() == 0 {
-		return
-	}
-	mRows.Add(int64(w.block.rows()))
-	mResidentRows.Add(float64(w.block.rows()))
-	mCommits.Inc()
-	s := w.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	days := s.blocks[w.source]
-	if days == nil {
-		days = make(map[simtime.Day]*dayBlock)
-		s.blocks[w.source] = days
-	}
-	dst := days[w.day]
-	if dst == nil {
-		mPartitions.Inc()
-		blk := w.block
-		days[w.day] = &blk
-		w.block = dayBlock{}
-		return
-	}
-	// Append, rebasing ASN and v6 offsets.
-	base := uint32(len(dst.asnVals))
-	base6 := uint32(len(dst.addrs6))
-	dst.domains = append(dst.domains, w.block.domains...)
-	dst.kinds = append(dst.kinds, w.block.kinds...)
-	start := len(dst.addrs)
-	dst.addrs = append(dst.addrs, w.block.addrs...)
-	for i, k := range w.block.kinds {
-		if isV6Kind(k) {
-			dst.addrs[start+i] += base6
+// Commit merges the writer's rows into the store: Commit of one writer.
+// The writer is reset and may be reused for the same partition.
+func (w *Writer) Commit() { Commit(w) }
+
+// Commit merges the rows of writers opened on one partition into it, in
+// argument order, and resets them. Under one dictionary lock it interns in
+// row order — domain, then value — so IDs are one writer's whatever the
+// chunking. A new partition is allocated once, at its final size.
+func Commit(ws ...*Writer) {
+	var rows, v6, asns int
+	for _, w := range ws {
+		if w.buf != nil { // a writer holds scratch only while it has rows
+			b := &w.buf.block
+			rows, v6, asns = rows+b.rows(), v6+len(b.addrs6), asns+len(b.asnVals)
 		}
 	}
-	dst.addrs6 = append(dst.addrs6, w.block.addrs6...)
-	dst.strs = append(dst.strs, w.block.strs...)
-	for _, off := range w.block.asnOff {
-		dst.asnOff = append(dst.asnOff, off+base)
+	if rows == 0 {
+		return
 	}
-	dst.asnVals = append(dst.asnVals, w.block.asnVals...)
-	w.block = dayBlock{}
+	first := ws[0]
+	s := first.store
+	s.dict.mu.Lock()
+	for _, w := range ws {
+		if w.buf != nil {
+			w.buf.remap(s.dict)
+		}
+	}
+	s.dict.mu.Unlock()
+	mRows.Add(int64(rows))
+	mResidentRows.Add(float64(rows))
+	mCommits.Inc()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	days := s.blocks[first.source]
+	if days == nil {
+		days = make(map[simtime.Day]*dayBlock)
+		s.blocks[first.source] = days
+	}
+	blk := days[first.day]
+	if blk == nil {
+		mPartitions.Inc()
+		blk = &dayBlock{domains: make([]uint32, 0, rows), kinds: make([]Kind, 0, rows),
+			addrs: make([]uint32, 0, rows), addrs6: make([][16]byte, 0, v6), strs: make([]uint32, 0, rows),
+			asnOff: make([]uint32, 0, rows), asnVals: make([]uint32, 0, asns)}
+		days[first.day] = blk
+	}
+	for _, w := range ws {
+		if b := w.buf; b != nil { // append, then return the scratch emptied
+			blk.append(&b.block)
+			k := &b.block
+			*k = dayBlock{k.domains[:0], k.kinds[:0], k.addrs[:0], k.addrs6[:0], k.strs[:0], k.asnOff[:0], k.asnVals[:0]}
+			clear(b.local) // drop the string references, keep the array
+			b.local = b.local[:0]
+			clear(b.values)
+			bufPool.Put(b)
+			w.buf = nil
+		}
+	}
+}
+
+// append copies src's rows after b's, rebasing src's IPv6 and ASN offsets.
+func (b *dayBlock) append(src *dayBlock) {
+	base := uint32(len(b.asnVals))
+	base6 := uint32(len(b.addrs6))
+	b.domains = append(b.domains, src.domains...)
+	b.kinds = append(b.kinds, src.kinds...)
+	start := len(b.addrs)
+	b.addrs = append(b.addrs, src.addrs...)
+	for i, k := range src.kinds {
+		if isV6Kind(k) {
+			b.addrs[start+i] += base6
+		}
+	}
+	b.addrs6 = append(b.addrs6, src.addrs6...)
+	b.strs = append(b.strs, src.strs...)
+	for _, off := range src.asnOff {
+		b.asnOff = append(b.asnOff, off+base)
+	}
+	b.asnVals = append(b.asnVals, src.asnVals...)
+}
+
+// remap rewrites the buffered rows' local IDs as dictionary IDs, interning
+// each local string at its first row. d.mu is held for writing.
+func (b *writerBuf) remap(d *Dict) {
+	global := b.global[:0]
+	for range b.local {
+		global = append(global, NoStr)
+	}
+	b.global = global
+	blk := &b.block
+	for i, id := range blk.domains {
+		if global[id] == NoStr {
+			global[id] = d.intern(b.local[id])
+		}
+		blk.domains[i] = global[id]
+		if id = blk.strs[i]; id != NoStr {
+			if global[id] == NoStr {
+				global[id] = d.intern(b.local[id])
+			}
+			blk.strs[i] = global[id]
+		}
+	}
 }
 
 // Sources lists the sources with data, sorted.
@@ -539,8 +620,19 @@ func sizeColumn[T any](wg *sync.WaitGroup, total *atomic.Int64, col []T, width i
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c := sizerPool.Get().(*columnSizer)
-		defer sizerPool.Put(c)
+		var c *columnSizer
+		select {
+		case c = <-sizers:
+		default:
+			c = new(columnSizer)
+			c.fw, _ = flate.NewWriter(c, flate.BestSpeed) // fails on an invalid level only
+		}
+		defer func() {
+			select {
+			case sizers <- c:
+			default:
+			}
+		}()
 		c.n = 0
 		c.fw.Reset(c)
 		for per := len(c.buf) / width; len(col) > 0; {
@@ -557,18 +649,18 @@ func sizeColumn[T any](wg *sync.WaitGroup, total *atomic.Int64, col []T, width i
 }
 
 // columnSizer is a flate.Writer over a sink that keeps only the length
-// of the output. The writer's state is over a megabyte, hence the pool.
+// of the output. The writer's state is over a megabyte, hence sizers.
 type columnSizer struct {
 	n   int64
 	fw  *flate.Writer
 	buf [4096]byte // serialisation scratch between a column slice and fw
 }
 
-var sizerPool = sync.Pool{New: func() any {
-	c := new(columnSizer)
-	c.fw, _ = flate.NewWriter(c, flate.BestSpeed) // fails on an invalid level only
-	return c
-}}
+// sizers keeps one sizer per column across garbage collections. A
+// sync.Pool loses them at each GC (and at random under -race); with Table 1
+// sized beside the next day's measurement, that reallocation stalled the
+// measurement's resolvers past their timeouts.
+var sizers = make(chan *columnSizer, 7)
 
 func (c *columnSizer) Write(p []byte) (int, error) {
 	c.n += int64(len(p))

@@ -126,6 +126,85 @@ func TestWriterDomainMemo(t *testing.T) {
 	}
 }
 
+// TestCommitRemap: a commit turns writer-local IDs into the dictionary IDs
+// one writer interning row by row — domain, then value — would have
+// handed out, whatever the chunking and whatever the local IDs were.
+func TestCommitRemap(t *testing.T) {
+	type row struct {
+		domain, value string // value "" = address row
+	}
+	rows := []row{
+		{"a.com", "b.com"}, // a value equal to a domain name interned later
+		{"a.com", ""},
+		{"b.com", ""},
+		{"a.com", "ns.example"}, // a domain repeated out of order
+		{"c.com", "b.com"},
+		{"c.com", "ns.example"},
+	}
+	fill := func(w *Writer, rs []row) {
+		for i, r := range rs {
+			if r.value != "" {
+				w.AddStr(r.domain, KindNS, r.value)
+			} else {
+				w.AddAddr(r.domain, KindApexA, netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}), []uint32{uint32(i)})
+			}
+		}
+	}
+	one := New()
+	w := one.NewWriter("com", 1)
+	fill(w, rows)
+	w.Commit()
+	wantIDs := map[string]uint32{"a.com": 0, "b.com": 1, "ns.example": 2, "c.com": 3}
+	for str, id := range wantIDs {
+		if got := one.Dict().ID(str); got != id {
+			t.Errorf("dict ID of %q = %d, want %d (row order, domain then value)", str, got, id)
+		}
+	}
+	want, _ := one.RowBatch("com", 1)
+	if want.Domains[0] != want.Domains[3] {
+		t.Errorf("out-of-order repeat of a.com got ID %d, first run %d", want.Domains[3], want.Domains[0])
+	}
+	if want.Strs[0] != want.Domains[2] {
+		t.Errorf("value b.com got ID %d, domain b.com %d", want.Strs[0], want.Domains[2])
+	}
+	for _, i := range []int{1, 2} {
+		if want.Strs[i] != NoStr {
+			t.Errorf("address row %d: Strs = %d, want NoStr", i, want.Strs[i])
+		}
+	}
+
+	// The same rows in chunks, with empty writers among them: identical
+	// columns and dictionary.
+	chunked := New()
+	ws := []*Writer{chunked.NewWriter("com", 1)}
+	for _, chunk := range [][]row{rows[:1], rows[1:4], rows[4:]} {
+		cw := chunked.NewWriter("com", 1)
+		fill(cw, chunk)
+		ws = append(ws, cw, chunked.NewWriter("com", 1))
+	}
+	Commit(ws...)
+	got, _ := chunked.RowBatch("com", 1)
+	if !reflect.DeepEqual(got.Domains, want.Domains) || !reflect.DeepEqual(got.Strs, want.Strs) {
+		t.Errorf("chunked commit: domains %v strs %v, want %v %v", got.Domains, got.Strs, want.Domains, want.Strs)
+	}
+	if got.Rows() != len(rows) || chunked.Dict().Len() != one.Dict().Len() {
+		t.Errorf("chunked commit: %d rows, %d strings; want %d, %d", got.Rows(), chunked.Dict().Len(), len(rows), one.Dict().Len())
+	}
+	for _, cw := range ws {
+		if cw.Rows() != 0 {
+			t.Error("writer not reset by Commit")
+		}
+	}
+
+	// Empty writers alone commit nothing, not even an empty partition.
+	empty := New()
+	Commit(empty.NewWriter("com", 2), empty.NewWriter("com", 2))
+	Commit()
+	if len(empty.Sources()) != 0 || empty.Dict().Len() != 0 {
+		t.Errorf("empty commit left sources %v, %d strings", empty.Sources(), empty.Dict().Len())
+	}
+}
+
 func TestSourcesAndDays(t *testing.T) {
 	s := New()
 	for _, src := range []string{"net", "com", "alexa"} {

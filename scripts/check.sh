@@ -17,8 +17,8 @@ echo "== go build ./..."
 go build ./...
 echo "== go test -race ./..."
 go test -race ./...
-echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,dnsserver,core,store,api}"
-go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/api
+echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,dnsserver,core,store,measure,api}"
+go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/measure ./internal/api
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
 echo "check: OK"
