@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-race test-allocs check-bench fuzz-smoke loc bench benchdiff chaos api benchscale benchscale-smoke coord coord-smoke follow follow-smoke scale-smoke
+.PHONY: check vet build test test-race test-allocs check-bench fuzz-smoke loc bench chaos api coord coord-smoke follow follow-smoke
 
 check: vet build test-race test-allocs check-bench
 
@@ -51,17 +51,11 @@ fuzz-smoke:
 loc:
 	sh scripts/loc.sh
 
-# Every Benchmark* in the module, with allocation stats. The root
-# artifact benchmarks persist their numbers to results/BENCH_*.json
-# (detect, obs, trace, chaos, api); CI uploads those as an artifact.
+# Every Benchmark* in the module, with allocation stats: the in-package
+# ablations and micro-benchmarks. They write no file; end-to-end and
+# per-layer numbers come from `bash bench/run.sh`.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
-
-# Rerun the serving + detection benchmarks and diff their JSON against
-# the committed copies at HEAD, warning on >20% regressions (advisory;
-# BENCHDIFF_STRICT=1 to fail, BENCHDIFF_SKIP_REGEN=1 to diff only).
-benchdiff:
-	sh scripts/benchdiff.sh
 
 # Fault-injection suite under the race detector: the chaos package's
 # determinism proofs, server fault/drain tests, resolver hardening under
@@ -105,24 +99,3 @@ follow:
 # and dpsdata -ledger agrees. Mirrors the CI follow-smoke job.
 follow-smoke:
 	sh scripts/follow_smoke.sh
-
-# Full detection scaling sweep: GOMAXPROCS × workers over a generated
-# world, one row per cell into results/BENCH_detect.json, pprof mutex
-# profile + per-cell CPU profiles into results/profiles/. This is the
-# scaling observatory's headline artifact (DESIGN.md §10).
-benchscale:
-	$(GO) run ./cmd/dpsbench -scale 50000 -days 4 \
-		-gomaxprocs 1,2,4 -workers 1,2,4 -mintime 1s \
-		-out results/BENCH_detect.json -profiles results/profiles -prof-mutex 2
-
-# Tiny 2-cell sweep asserting dpsbench runs end to end and its JSON
-# carries the sweep/v2 schema. Mirrors the CI benchscale-smoke job.
-benchscale-smoke:
-	sh scripts/benchscale_smoke.sh
-
-# Out-of-core smoke: small dpsbench -scalesweep, asserting the scale/v1
-# schema, streaming-vs-full index parity, a bounded streaming:full peak
-# heap ratio, and an absolute streaming RSS ceiling. Mirrors the CI
-# scale-smoke job.
-scale-smoke:
-	sh scripts/scale_smoke.sh

@@ -69,15 +69,7 @@ func TestIndexReaderAllocsPerDay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	build() // warm the store's pools
-	least := ^uint64(0)
-	var before, after runtime.MemStats
-	for i := 0; i < 3; i++ {
-		runtime.ReadMemStats(&before)
-		build()
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
+	least := leastAlloc(build)
 	// Measured: 80 KB a day against a largest day of 467 KB; the budget is
 	// 1.5× that. With exact-fit per-Reader pools and fold maps made afresh
 	// every day it was 818 KB a day.
@@ -86,4 +78,71 @@ func TestIndexReaderAllocsPerDay(t *testing.T) {
 		t.Errorf("index build allocated %d bytes per day over %d days, budget %d (largest day holds %d bytes)",
 			perDay, days, budget, lastDay)
 	}
+}
+
+// TestApplyAllocsPerDay holds the follower's daily fold to its O(delta)
+// path: applying one new day after a 60-day index must allocate a small
+// fraction of what a from-scratch NewIndex over the same data does. A
+// fold that re-explodes every touched domain's history (repackDomain
+// instead of appendDomain) costs a large share of a rebuild and fails.
+func TestApplyAllocsPerDay(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const baseDays = 60
+	refs := core.MustGroundTruth()
+	p0 := refs.Providers[0]
+	fill := func(s *store.Store, day simtime.Day) {
+		for _, src := range []string{"com", "net", "org"} {
+			w := s.NewWriter(src, day)
+			for i := 0; i < 600; i++ {
+				dom := fmt.Sprintf("d%05d.%s", i, src)
+				asns := []uint32{64500 + uint32(i%1000)} // claimed by nobody
+				if i%4 == 0 && (i+int(day))%7 != 0 {     // detected, with gaps
+					asns = p0.ASNs[:1]
+				}
+				w.AddAddr(dom, store.KindApexA, mustAddr("192.0.2.7"), asns)
+				w.AddStr(dom, store.KindNS, "ns1.hoster.example")
+			}
+			w.Commit()
+		}
+	}
+	base, delta, combined := store.New(), store.New(), store.New()
+	for d := simtime.Day(0); d < baseDays; d++ {
+		fill(base, d)
+		fill(combined, d)
+	}
+	fill(delta, baseDays)
+	fill(combined, baseDays)
+	idx := NewIndex(base, refs)
+	var ups []PartitionUpdate
+	for _, p := range core.Partitions(delta) {
+		ups = append(ups, PartitionUpdate{Source: p.Source, Day: p.Day, Det: core.DetectDay(delta, p.Source, p.Day, refs)})
+	}
+	apply := leastAlloc(func() {
+		if next, _ := idx.Apply(ups); len(next.Days()) != baseDays+1 {
+			t.Fatalf("apply indexed %d days, want %d", len(next.Days()), baseDays+1)
+		}
+	})
+	rebuild := leastAlloc(func() { NewIndex(combined, refs) })
+	// Measured: 387 KB against a 1.98 MB rebuild (20 %, at GOMAXPROCS 1, 2
+	// and 4); the budget is 1.5× that share. With repackDomain in
+	// appendDomain's place the fold allocates 2.41 MB, more than the
+	// rebuild itself.
+	if budget := rebuild * 3 / 10; apply > budget {
+		t.Errorf("one-day apply allocated %d bytes, budget %d (30 %% of a %d-byte rebuild)", apply, budget, rebuild)
+	}
+}
+
+// leastAlloc runs fn once to warm the store's pools, then returns the
+// fewest bytes any of three more runs allocated.
+func leastAlloc(fn func()) uint64 {
+	least := ^uint64(0)
+	fn()
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

@@ -55,8 +55,9 @@ type PartitionFailure struct {
 // RangeStats describes where one DetectRangeSource call spent its time, per
 // stage, summed across workers. It is the per-call counterpart of the
 // detect_stage_seconds histograms: callers (experiment.Run,
-// analysis.Aggregator.Run, api.NewIndex, cmd/dpsbench) use it to log and
-// persist per-core efficiency instead of inferring it from wall time.
+// analysis.Aggregator.Run, api.NewIndex, the bench/ harness) use it to
+// log and report per-core efficiency instead of inferring it from wall
+// time.
 type RangeStats struct {
 	Partitions int           // partitions classified
 	Rows       int64         // rows scanned

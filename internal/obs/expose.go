@@ -151,8 +151,8 @@ type HistogramSnapshot struct {
 
 // Snapshot is a point-in-time copy of every metric in a registry, keyed
 // by metric name; vec children use `name{label="value"}` keys. It
-// marshals cleanly to JSON, which is what the bench harness persists as
-// a perf trajectory (BENCH_obs.json).
+// marshals cleanly to JSON; the bench/ harness reads its per-layer
+// counters from one.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`

@@ -336,8 +336,8 @@ func (r *Reader) Keys() []PartitionKey {
 	return out
 }
 
-// SetCachePartitions resizes the decoded-partition LRU (minimum 1).
-func (r *Reader) SetCachePartitions(n int) {
+// setCachePartitions resizes the decoded-partition LRU (minimum 1).
+func (r *Reader) setCachePartitions(n int) {
 	if n < 1 {
 		n = 1
 	}

@@ -196,7 +196,7 @@ func TestReaderCacheAndEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.SetCachePartitions(1)
+	r.setCachePartitions(1)
 	keys := r.Keys()
 
 	b1, rel1, err := r.AcquireBatch(keys[0].Source, keys[0].Day)
@@ -256,7 +256,7 @@ func TestReaderConcurrentAcquire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.SetCachePartitions(2) // force eviction churn
+	r.setCachePartitions(2) // force eviction churn
 	keys := r.Keys()
 	want := make(map[PartitionKey][]Row)
 	for _, k := range keys {
