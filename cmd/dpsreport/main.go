@@ -43,9 +43,9 @@ func main() {
 		Scale:   *scale,
 		Workers: *workers,
 		Days:    *days,
-		OnProgress: func(done, total int) {
-			if done%50 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "measured %d/%d days\n", done, total)
+		OnDayProgress: func(p experiment.DayProgress) {
+			if p.Done%50 == 0 || p.Done == p.Total {
+				fmt.Fprintf(os.Stderr, "measured %d/%d days\n", p.Done, p.Total)
 			}
 		},
 	})

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
-	"strings"
 
 	"dpsadopt/internal/core"
 	"dpsadopt/internal/measure"
@@ -38,11 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	entries, err := pfx2as.Parse(strings.NewReader(world.RIBForDay(day).Snapshot()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	table := pfx2as.NewWalk(entries)
+	table := tableFor(world, day)
 	probe := func(sld string) (netip.Addr, bool) { return world.ProbeApex(sld, day) }
 
 	truth := core.MustGroundTruth()
@@ -88,9 +83,9 @@ func main() {
 }
 
 func tableFor(world *worldsim.World, day simtime.Day) pfx2as.Table {
-	entries, err := pfx2as.Parse(strings.NewReader(world.RIBForDay(day).Snapshot()))
+	table, err := pfx2as.FromSnapshot(world.RIBForDay(day).Snapshot())
 	if err != nil {
 		log.Fatal(err)
 	}
-	return pfx2as.NewWalk(entries)
+	return table
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"net/netip"
-	"strings"
 
 	"dpsadopt/internal/core"
 	"dpsadopt/internal/dnsclient"
@@ -78,11 +77,10 @@ func main() {
 
 	// Now apply the paper's detection to what we just resolved.
 	refs := core.MustGroundTruth()
-	entries, err := pfx2as.Parse(strings.NewReader(world.RIBForDay(day).Snapshot()))
+	table, err := pfx2as.FromSnapshot(world.RIBForDay(day).Snapshot())
 	if err != nil {
 		log.Fatal(err)
 	}
-	table := pfx2as.NewWalk(entries)
 	fmt.Println("\ndetection:")
 	for _, cname := range res.CNAMEs() {
 		if p, ok := refs.MatchCNAME(cname); ok {

@@ -49,8 +49,10 @@ func main() {
 	st := store.New()
 	pipeline := measure.New(world, st, measure.Config{Mode: measure.ModeDirect, Workers: 4})
 	window := simtime.Range{Start: world.Cfg.Window.Start, End: world.Cfg.Window.Start + 180}
-	if err := pipeline.RunRange(context.Background(), window); err != nil {
-		log.Fatal(err)
+	for day := window.Start; day < window.End; day++ {
+		if err := pipeline.RunDay(context.Background(), day); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// Show the raw daily flips around the first peak.

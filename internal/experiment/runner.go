@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -51,10 +50,6 @@ type Config struct {
 	// of deriving records in process — required for fault injection, since
 	// only wire days have datagrams to lose.
 	Wire bool
-	// WireNetwork, when set, supplies the base per-day transport for wire
-	// mode (defaults to a fresh day-seeded in-memory network). A fault
-	// scenario wraps whatever this returns.
-	WireNetwork func(day simtime.Day) transport.Network
 	// WireTimeout (milliseconds), WireRetries and WireRetryBudget tune the
 	// wire-mode resolvers; zero keeps the dnsclient defaults. Chaos runs
 	// lower the timeout so injected losses cost milliseconds, not seconds.
@@ -73,12 +68,8 @@ type Config struct {
 	// FailureThreshold is the resolution failure rate above which a day is
 	// committed as degraded (default 0.05).
 	FailureThreshold float64
-	// OnProgress, when set, receives (day index, total days). It is kept
-	// for existing callers; new code should prefer OnDayProgress, which
-	// carries the full per-day observation.
-	OnProgress func(done, total int)
 	// OnDayProgress, when set, receives the obs-aware per-day progress
-	// event after each measured day (in addition to OnProgress).
+	// event after each measured day.
 	OnDayProgress func(DayProgress)
 }
 
@@ -181,9 +172,13 @@ func New(cfg Config) (*Runner, error) {
 		mcfg.Timeout = cfg.WireTimeout
 		mcfg.Retries = cfg.WireRetries
 		mcfg.RetryBudget = cfg.WireRetryBudget
-		if err := r.wireFaults(&mcfg); err != nil {
+	}
+	if cfg.FaultScenario != "" {
+		fc, err := chaos.Scenario(cfg.FaultScenario)
+		if err != nil {
 			return nil, err
 		}
+		ArmFaults(&mcfg, fc, DaySeeds(cfg.FaultSeed), cfg.FaultDays)
 	}
 	r.pipeline = measure.New(w, s, mcfg)
 	r.window = w.Cfg.Window
@@ -197,54 +192,42 @@ func New(cfg Config) (*Runner, error) {
 // wire day is committed as degraded.
 const DefaultFailureThreshold = 0.05
 
-// wireFaults wires the chaos scenario (if any) into the measurement
-// config: the network wrapper per day, root-server protection, and the
-// server-side injector on every authoritative.
-func (r *Runner) wireFaults(mcfg *measure.Config) error {
-	cfg := r.Cfg
-	var faultCfg chaos.Config
-	if cfg.FaultScenario != "" {
-		var err error
-		faultCfg, err = chaos.Scenario(cfg.FaultScenario)
-		if err != nil {
-			return err
-		}
-	}
-	faultsOn := func(day simtime.Day) bool {
-		if cfg.FaultScenario == "" {
-			return false
-		}
-		return cfg.FaultDays == nil || cfg.FaultDays(day)
-	}
-	base := cfg.WireNetwork
+// DaySeeds derives each day's fault seed from a run's seed, so days fault
+// independently while the whole run stays a pure function of (scenario,
+// seed).
+func DaySeeds(seed int64) func(simtime.Day) int64 {
+	return func(day simtime.Day) int64 { return seed + int64(day)*1_000_003 }
+}
+
+// ArmFaults arms scenario fc on mcfg's wire days. On each day days
+// accepts (nil: every day) the day's network — mcfg's own, or
+// measure.MemNetwork's — is wrapped in the scenario's datagram faults
+// seeded with seed(day), and once the day's servers are built every
+// authoritative gets the scenario's server faults under the same seed.
+// Roots are never blackholed: a dead root would sever the namespace at its
+// first hop, and the scenarios model degraded days, not a dead Internet.
+func ArmFaults(mcfg *measure.Config, fc chaos.Config, seed func(simtime.Day) int64, days func(simtime.Day) bool) {
+	base := mcfg.WireNetwork
 	if base == nil {
-		base = func(day simtime.Day) transport.Network {
-			return transport.NewMem(int64(day) ^ 0x3f3f)
-		}
+		base = measure.MemNetwork
 	}
-	// Per-day seeds keep days' fault patterns independent while the whole
-	// run stays a pure function of (scenario, FaultSeed).
-	daySeed := func(day simtime.Day) int64 { return cfg.FaultSeed + int64(day)*1_000_003 }
+	on := func(day simtime.Day) bool { return days == nil || days(day) }
 	mcfg.WireNetwork = func(day simtime.Day) transport.Network {
-		n := base(day)
-		if faultsOn(day) && faultCfg.Active() {
-			return chaos.Wrap(n, faultCfg, daySeed(day))
+		if on(day) && fc.Active() {
+			return chaos.Wrap(base(day), fc, seed(day))
 		}
-		return n
+		return base(day)
 	}
 	mcfg.OnWire = func(day simtime.Day, wire *worldsim.Wire, network transport.Network) {
 		if cn, ok := network.(*chaos.Network); ok {
-			// A blackholed root would sever the namespace at its first
-			// hop; the scenarios model degraded days, not a dead Internet.
 			for _, root := range wire.Roots {
 				cn.Protect(root.Addr())
 			}
 		}
-		if faultsOn(day) && faultCfg.ServerActive() {
-			wire.SetFaults(chaos.NewServerFaults(faultCfg, daySeed(day)))
+		if on(day) && fc.ServerActive() {
+			wire.SetFaults(chaos.NewServerFaults(fc, seed(day)))
 		}
 	}
-	return nil
 }
 
 // Accounting returns the per-day network ledger of a completed wire run:
@@ -343,9 +326,6 @@ func (r *Runner) Run(ctx context.Context) error {
 		mDetected.Set(float64(detected))
 		mQueriesLost.Add(net.Lost)
 		mFailureRate.Set(acct.FailureRate)
-		if r.Cfg.OnProgress != nil {
-			r.Cfg.OnProgress(i+1, total)
-		}
 		if r.Cfg.OnDayProgress != nil {
 			r.Cfg.OnDayProgress(DayProgress{
 				Done: i + 1, Total: total, Day: day,
@@ -441,11 +421,10 @@ func (r *Runner) Table2(day simtime.Day) (*Table2Result, error) {
 // table2From discovers all nine rows from one aggregation of the day in
 // src.
 func (r *Runner) table2From(src core.BatchSource, day simtime.Day) (*Table2Result, error) {
-	entries, err := pfx2as.Parse(strings.NewReader(r.World.RIBForDay(day).Snapshot()))
+	table, err := pfx2as.FromSnapshot(r.World.RIBForDay(day).Snapshot())
 	if err != nil {
 		return nil, err
 	}
-	table := pfx2as.NewWalk(entries)
 	probe := func(sld string) (netip.Addr, bool) { return r.World.ProbeApex(sld, day) }
 	res := &Table2Result{Truth: slices.Clone(r.Refs.Providers)}
 	names := make([]string, len(res.Truth))

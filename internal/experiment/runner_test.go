@@ -330,9 +330,9 @@ func TestRunnerCancellationDropsPartialDay(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	committed := 0
-	r.Cfg.OnProgress = func(done, total int) {
-		committed = done
-		if done == 2 {
+	r.Cfg.OnDayProgress = func(p DayProgress) {
+		committed = p.Done
+		if p.Done == 2 {
 			cancel()
 		}
 	}

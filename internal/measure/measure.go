@@ -59,8 +59,8 @@ type Config struct {
 	RetryBudget int
 	// WireNetwork, when set, supplies the transport for each wire-mode
 	// day (e.g. transport.NewMappedUDP to measure over kernel sockets,
-	// or a chaos.Wrap for fault injection); by default each day gets a
-	// fresh in-memory network.
+	// or a chaos.Wrap for fault injection); by default each day gets
+	// MemNetwork's fresh in-memory one.
 	WireNetwork func(day simtime.Day) transport.Network
 	// OnWire, when set, is invoked after a wire-mode day's authoritative
 	// world is built and before resolution starts — the hook point for
@@ -130,8 +130,15 @@ func New(w *worldsim.World, s *store.Store, cfg Config) *Pipeline {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
+	if cfg.WireNetwork == nil {
+		cfg.WireNetwork = MemNetwork
+	}
 	return &Pipeline{World: w, Store: s, Cfg: cfg}
 }
+
+// MemNetwork is a wire-mode day's default network: a fresh in-memory one
+// seeded by the day.
+func MemNetwork(day simtime.Day) transport.Network { return transport.NewMem(int64(day) ^ 0x3f3f) }
 
 // QueriesSent reports wire-mode query datagrams sent so far.
 func (p *Pipeline) QueriesSent() int64 { return p.queriesSent }
@@ -210,85 +217,7 @@ func (p *Pipeline) stageOneLists(day simtime.Day) map[string][]task {
 // span: stage spans (`measure.stage1/2/3`) nest under whatever day-level
 // span the caller opened.
 func (p *Pipeline) RunDay(ctx context.Context, day simtime.Day) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	dayStart := time.Now()
-	_, sp1 := trace.StartSpan(ctx, "measure.stage1", trace.Str("day", day.String()))
-	lists := p.stageOneLists(day)
-	sp1.SetAttr(trace.Int("sources", int64(len(lists))))
-	sp1.End()
-	mStageSeconds.With(stageZoneAcquisition).Observe(time.Since(dayStart).Seconds())
-	if len(lists) == 0 {
-		return nil
-	}
-	// The day's pfx2as snapshot, via the textual Routeviews format, as
-	// the paper's Stage III does.
-	rib := p.World.RIBForDay(day)
-	entries, err := pfx2as.Parse(strings.NewReader(rib.Snapshot()))
-	if err != nil {
-		return fmt.Errorf("measure: pfx2as snapshot: %w", err)
-	}
-	table := pfx2as.NewWalk(entries)
-
-	var wire *worldsim.Wire
-	var network transport.Network
-	p.dayNet = NetStats{}
-	if p.Cfg.Mode == ModeWire {
-		if p.Cfg.WireNetwork != nil {
-			network = p.Cfg.WireNetwork(day)
-		} else {
-			network = transport.NewMem(int64(day) ^ 0x3f3f)
-		}
-		_, spw := trace.StartSpan(ctx, "measure.wirebuild")
-		wire, err = p.World.BuildWire(day, network)
-		spw.End()
-		if err != nil {
-			return fmt.Errorf("measure: wire build: %w", err)
-		}
-		defer wire.Close()
-		if p.Cfg.OnWire != nil {
-			p.Cfg.OnWire(day, wire, network)
-		}
-	}
-
-	resStart := time.Now()
-	rows := 0
-	domains := 0
-	// Sources run in sorted order: map order would make wire-mode flow
-	// identities (ephemeral ports) differ between runs, breaking the
-	// reproducibility of fault accounting.
-	sources := make([]string, 0, len(lists))
-	for source := range lists {
-		sources = append(sources, source)
-	}
-	sort.Strings(sources)
-	for _, source := range sources {
-		tasks := lists[source]
-		sctx, sp2 := trace.StartSpan(ctx, "measure.stage2",
-			trace.Str("source", source), trace.Int("domains", int64(len(tasks))))
-		n, err := p.runSource(sctx, day, source, tasks, table, wire, network)
-		sp2.SetAttr(trace.Int("rows", int64(n)))
-		sp2.End()
-		if err != nil {
-			return err
-		}
-		rows += n
-		domains += len(tasks)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	mStageSeconds.With(stageResolution).Observe(time.Since(resStart).Seconds())
-	mDomains.Add(int64(domains))
-	mDays.Inc()
-	if elapsed := time.Since(dayStart).Seconds(); elapsed > 0 {
-		mDomainsPerSec.Set(float64(domains) / elapsed)
-	}
-	if p.Cfg.OnDay != nil {
-		p.Cfg.OnDay(day, rows)
-	}
-	return nil
+	return p.run(ctx, day, "")
 }
 
 // DaySources lists the sources that have a non-empty measurement list
@@ -307,38 +236,59 @@ func (p *Pipeline) DaySources(day simtime.Day) []string {
 }
 
 // RunPartition measures exactly one (source, day) partition into the
-// store — the unit of work leased by the coordination plane. It is the
-// single-source slice of RunDay: the same Stage I list, the same pfx2as
-// snapshot, the same worker fan-out, so measuring a day partition by
-// partition yields the same rows as RunDay (asserted by
-// TestRunPartitionEquivalent).
+// store — the unit of work leased by the coordination plane. It is
+// RunDay's one-source case, so measuring a day partition by partition
+// yields the same rows as RunDay (asserted by TestRunPartitionEquivalent).
+// A source with nothing to measure that day is an error.
 func (p *Pipeline) RunPartition(ctx context.Context, source string, day simtime.Day) error {
+	if source == "" {
+		return fmt.Errorf("measure: no partition %s/%s", source, day)
+	}
+	return p.run(ctx, day, source)
+}
+
+// run is the one day body: Stage I lists, the day's pfx2as table and, in
+// wire mode, the day's servers, then every source — or only the named
+// one — through Stages II and III.
+func (p *Pipeline) run(ctx context.Context, day simtime.Day, only string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	_, sp1 := trace.StartSpan(ctx, "measure.stage1",
-		trace.Str("day", day.String()), trace.Str("source", source))
+	dayStart := time.Now()
+	_, sp1 := trace.StartSpan(ctx, "measure.stage1", trace.Str("day", day.String()))
 	lists := p.stageOneLists(day)
+	sp1.SetAttr(trace.Int("sources", int64(len(lists))))
 	sp1.End()
-	tasks := lists[source]
-	if len(tasks) == 0 {
-		return fmt.Errorf("measure: no partition %s/%s", source, day)
+	mStageSeconds.With(stageZoneAcquisition).Observe(time.Since(dayStart).Seconds())
+	// Sources run in sorted order: map order would make wire-mode flow
+	// identities (ephemeral ports) differ between runs, breaking the
+	// reproducibility of fault accounting.
+	sources := make([]string, 0, len(lists))
+	for source := range lists {
+		sources = append(sources, source)
 	}
-	rib := p.World.RIBForDay(day)
-	entries, err := pfx2as.Parse(strings.NewReader(rib.Snapshot()))
+	sort.Strings(sources)
+	if only != "" {
+		if len(lists[only]) == 0 {
+			return fmt.Errorf("measure: no partition %s/%s", only, day)
+		}
+		sources = []string{only}
+	}
+	if len(sources) == 0 {
+		return nil
+	}
+	// The day's pfx2as snapshot, via the textual Routeviews format, as
+	// the paper's Stage III does.
+	table, err := pfx2as.FromSnapshot(p.World.RIBForDay(day).Snapshot())
 	if err != nil {
 		return fmt.Errorf("measure: pfx2as snapshot: %w", err)
 	}
-	table := pfx2as.NewWalk(entries)
 
 	var wire *worldsim.Wire
 	var network transport.Network
+	p.dayNet = NetStats{}
 	if p.Cfg.Mode == ModeWire {
-		if p.Cfg.WireNetwork != nil {
-			network = p.Cfg.WireNetwork(day)
-		} else {
-			network = transport.NewMem(int64(day) ^ 0x3f3f)
-		}
+		network = p.Cfg.WireNetwork(day)
 		_, spw := trace.StartSpan(ctx, "measure.wirebuild")
 		wire, err = p.World.BuildWire(day, network)
 		spw.End()
@@ -351,24 +301,36 @@ func (p *Pipeline) RunPartition(ctx context.Context, source string, day simtime.
 		}
 	}
 
-	sctx, sp2 := trace.StartSpan(ctx, "measure.stage2",
-		trace.Str("source", source), trace.Int("domains", int64(len(tasks))))
-	n, err := p.runSource(sctx, day, source, tasks, table, wire, network)
-	sp2.SetAttr(trace.Int("rows", int64(n)))
-	sp2.End()
-	if err != nil {
-		return err
-	}
-	mDomains.Add(int64(len(tasks)))
-	return nil
-}
-
-// RunRange measures every day in [r.Start, r.End).
-func (p *Pipeline) RunRange(ctx context.Context, r simtime.Range) error {
-	for day := r.Start; day < r.End; day++ {
-		if err := p.RunDay(ctx, day); err != nil {
-			return fmt.Errorf("measure: day %s: %w", day, err)
+	resStart := time.Now()
+	rows := 0
+	domains := 0
+	for _, source := range sources {
+		tasks := lists[source]
+		sctx, sp2 := trace.StartSpan(ctx, "measure.stage2",
+			trace.Str("source", source), trace.Int("domains", int64(len(tasks))))
+		n, err := p.runSource(sctx, day, source, tasks, table, wire, network)
+		sp2.SetAttr(trace.Int("rows", int64(n)))
+		sp2.End()
+		if err != nil {
+			return err
 		}
+		rows += n
+		domains += len(tasks)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	mStageSeconds.With(stageResolution).Observe(time.Since(resStart).Seconds())
+	mDomains.Add(int64(domains))
+	if only != "" {
+		return nil // one partition is not a day: the day counters and OnDay are the day's
+	}
+	mDays.Inc()
+	if elapsed := time.Since(dayStart).Seconds(); elapsed > 0 {
+		mDomainsPerSec.Set(float64(domains) / elapsed)
+	}
+	if p.Cfg.OnDay != nil {
+		p.Cfg.OnDay(day, rows)
 	}
 	return nil
 }

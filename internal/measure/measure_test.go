@@ -226,8 +226,10 @@ func TestRunRange(t *testing.T) {
 		}
 		days = append(days, d)
 	}})
-	if err := p.RunRange(context.Background(), simtime.Range{Start: 0, End: 3}); err != nil {
-		t.Fatal(err)
+	for day := simtime.Day(0); day < 3; day++ {
+		if err := p.RunDay(context.Background(), day); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if len(days) != 3 {
 		t.Errorf("OnDay calls = %d", len(days))
@@ -487,8 +489,10 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) outcome {
 		s := store.New()
 		p := New(w, s, Config{Mode: ModeDirect, Workers: workers})
-		if err := p.RunRange(context.Background(), simtime.Range{Start: start, End: start + 2}); err != nil {
-			t.Fatal(err)
+		for day := start; day < start+2; day++ {
+			if err := p.RunDay(context.Background(), day); err != nil {
+				t.Fatal(err)
+			}
 		}
 		path := filepath.Join(t.TempDir(), "run.dpsa")
 		if err := s.Save(path); err != nil {

@@ -82,6 +82,17 @@ func Parse(r io.Reader) ([]Entry, error) {
 	return out, nil
 }
 
+// FromSnapshot builds the lookup table of one snapshot in the text format
+// Parse reads — the one way a measurement day, a query or an example
+// turns the day's routing data into origin lookups.
+func FromSnapshot(snapshot string) (*Walk, error) {
+	entries, err := Parse(strings.NewReader(snapshot))
+	if err != nil {
+		return nil, err
+	}
+	return NewWalk(entries), nil
+}
+
 // Walk is the Table implementation. The IPv4 prefixes are flattened into
 // disjoint segments: segment i spans starts[i] up to starts[i+1]-1 (the
 // last one up to 255.255.255.255) and maps to origins[i], the origin set
