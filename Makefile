@@ -1,13 +1,13 @@
 # Developer entry points. `make check` is the tier-1 verification going
 # forward: vet (host and big-endian), build, the full test suite under the
 # race detector, the allocation ceilings without it, and the benchmark
-# harness's own vet + tests.
+# harness's own vet + tests, and every binary's -help against its golden file.
 
 GO ?= go
 
-.PHONY: check vet build test test-race test-allocs check-bench fuzz-smoke loc bench chaos api coord coord-smoke follow follow-smoke
+.PHONY: check vet build test test-race test-allocs check-bench cli-help fuzz-smoke loc bench chaos api coord coord-smoke follow follow-smoke
 
-check: vet build test-race test-allocs check-bench
+check: vet build test-race test-allocs check-bench cli-help
 
 # The second vet cross-compiles (offline, from GOROOT) the two packages on
 # the .dpsa read path for a big-endian target: nothing else ever builds
@@ -36,6 +36,11 @@ test-allocs:
 # not reach it, so an internal change that breaks its build shows here.
 check-bench:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Every binary's -help output against scripts/testdata/cli-help/: the
+# golden diff is the list of flag changes a commit makes.
+cli-help:
+	sh scripts/cli_help.sh
 
 # Each committed fuzz target for ten seconds on top of its seed corpus
 # (testdata/fuzz/<target>/): the decoders of untrusted bytes. -run '^$$'

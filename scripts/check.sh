@@ -4,7 +4,8 @@
 # race-enabled tests for the whole module, the wire and .dpsa read paths'
 # allocation ceilings (built only without -race), then the benchmark
 # harness (bench/ is its own module importing
-# internal/*, so `./...` does not reach it). Mirrors `make check` for
+# internal/*, so `./...` does not reach it), and every binary's -help
+# output against its golden file. Mirrors `make check` for
 # environments without make.
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,4 +22,6 @@ echo "== go test -run Allocs (no -race) ./internal/{dnswire,transport,dnsclient,
 go test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/measure ./internal/api
 echo "== bench: go vet ./... && go test ./..."
 (cd bench && go vet ./... && go test ./...)
+echo "== sh scripts/cli_help.sh"
+sh scripts/cli_help.sh
 echo "check: OK"
