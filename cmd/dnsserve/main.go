@@ -12,6 +12,8 @@
 // exercised against live kernel-socket traffic. -fault-seed pins the
 // pattern; root servers are never blackholed.
 //
+// SIGINT/SIGTERM stop the servers and drain the -metrics-addr endpoint.
+//
 // Usage:
 //
 //	dnsserve [-scale 400000] [-date 2015-03-05] [-resolve www.DOMAIN]
@@ -23,18 +25,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"net/netip"
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 
-	"dpsadopt/internal/chaos"
+	"dpsadopt/cmd/internal/cli"
 	"dpsadopt/internal/dnsclient"
 	"dpsadopt/internal/dnswire"
-	"dpsadopt/internal/obs"
+	"dpsadopt/internal/experiment"
 	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/transport"
-	"dpsadopt/internal/worldsim"
 )
 
 func main() {
@@ -44,74 +47,31 @@ func main() {
 		resolve     = flag.String("resolve", "", "name to resolve as a demonstration, then keep serving")
 		axfr        = flag.String("axfr", "", "zone to transfer (AXFR over TCP) as a demonstration")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-
-		faultScenario = flag.String("fault-scenario", "",
-			"chaos scenario degrading the served namespace ("+strings.Join(chaos.ScenarioNames(), ", ")+"); empty = fault-free")
-		faultSeed = flag.Int64("fault-seed", 0, "seed pinning the fault pattern")
-
-		profMutex = flag.Int("prof-mutex", 0, "mutex profiling fraction (runtime.SetMutexProfileFraction; 0 = off); served at /debug/pprof/mutex and /debug/contention")
-		profBlock = flag.Int("prof-block", 0, "block profiling rate in ns (runtime.SetBlockProfileRate; 0 = off); served at /debug/pprof/block and /debug/contention")
 	)
-	flag.Parse()
-	obs.SetContentionProfiling(*profMutex, *profBlock)
-
-	if *metricsAddr != "" {
-		rc := obs.StartRuntimeCollector(obs.Default(), 0)
-		defer rc.Close()
-		srv, err := obs.Serve(*metricsAddr, obs.Default())
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		obs.Logger().Info("metrics listening", "addr", srv.Addr,
-			"endpoints", "/metrics /debug/vars /debug/pprof/ /debug/contention")
-	}
+	flags := cli.Parse("dnsserve", cli.Profiling|cli.Faults)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	defer cli.ServeMetrics(*metricsAddr)()
 
 	day, err := simtime.Parse(*date)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
-	w, err := worldsim.New(worldsim.DefaultConfig(*scale))
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("world: %s\n", w.Stats())
-
-	var network transport.Network = transport.NewMappedUDP()
-	var faultCfg chaos.Config
-	if *faultScenario != "" {
-		faultCfg, err = chaos.Scenario(*faultScenario)
-		if err != nil {
-			fatal(err)
-		}
-		if faultCfg.Active() {
-			network = chaos.Wrap(network, faultCfg, *faultSeed)
-		}
-	}
+	w := cli.World(*scale)
+	// One day, one network: the fault pattern is -fault-seed's itself.
+	network, armWire := experiment.ArmDay(transport.NewMappedUDP(), flags.Fault, flags.FaultSeed)
 	wire, err := w.BuildWire(day, network)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	defer wire.Close()
-	if *faultScenario != "" {
-		if cn, ok := network.(*chaos.Network); ok {
-			// Keep the namespace reachable at its first hop: a blackholed
-			// root would make every lookup fail identically.
-			for _, root := range wire.Roots {
-				cn.Protect(root.Addr())
-			}
-		}
-		if faultCfg.ServerActive() {
-			wire.SetFaults(chaos.NewServerFaults(faultCfg, *faultSeed))
-		}
-		fmt.Printf("fault injection armed: scenario %s, seed %d\n", *faultScenario, *faultSeed)
-	}
+	armWire(wire)
 	fmt.Printf("serving %s; simulated root at %v (NAT over loopback UDP)\n", day, wire.Roots[0])
 
 	if *resolve != "" {
 		r, err := dnsclient.NewResolver(network, netip.MustParseAddr("10.250.0.1"), wire.Roots, 1)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		defer r.Close()
 		for _, qt := range []dnswire.Type{dnswire.TypeA, dnswire.TypeNS} {
@@ -130,7 +90,7 @@ func main() {
 	if *axfr != "" {
 		r, err := dnsclient.NewResolver(network, netip.MustParseAddr("10.250.0.2"), wire.Roots, 2)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		defer r.Close()
 		// Find the TLD server: resolve the zone's NS, then its address.
@@ -161,13 +121,6 @@ func main() {
 	}
 
 	fmt.Println("press Ctrl-C to stop")
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	<-ch
+	<-ctx.Done()
 	fmt.Println("shutting down")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dnsserve:", err)
-	os.Exit(1)
 }

@@ -48,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -56,6 +57,7 @@ import (
 	"syscall"
 	"time"
 
+	"dpsadopt/cmd/internal/cli"
 	"dpsadopt/internal/api"
 	"dpsadopt/internal/core"
 	"dpsadopt/internal/follow"
@@ -77,26 +79,13 @@ func main() {
 		timeout      = flag.Duration("timeout", 2*time.Second, "per-request deadline")
 		cacheSize    = flag.Int("cache", 4096, "response cache entries (negative = disabled)")
 		drain        = flag.Duration("drain", 5*time.Second, "graceful shutdown deadline")
-		quiet        = flag.Bool("quiet", false, "suppress progress logging (warnings still shown)")
-		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON")
-
-		profMutex = flag.Int("prof-mutex", 0, "mutex profiling fraction (runtime.SetMutexProfileFraction; 0 = off); served at /debug/pprof/mutex and /debug/contention")
-		profBlock = flag.Int("prof-block", 0, "block profiling rate in ns (runtime.SetBlockProfileRate; 0 = off); served at /debug/pprof/block and /debug/contention")
 	)
-	flag.Parse()
-	obs.SetContentionProfiling(*profMutex, *profBlock)
+	cli.Parse("dpsapi", cli.Logging|cli.Profiling)
 	if *data == "" && *followTgt == "" {
 		fmt.Fprintln(os.Stderr, "dpsapi: -data FILE required (or -follow TARGET)")
 		os.Exit(2)
 	}
-
-	if *logJSON {
-		obs.SetLogger(obs.NewLogger(os.Stderr, slog.LevelInfo, true))
-	}
-	if *quiet {
-		obs.SetQuiet()
-	}
-	log := obs.Logger()
+	logger := obs.Logger()
 
 	// Boot: the -data file streams through store.Open + api.NewIndexReader
 	// — partitions are pread, detected, and released one at a time, so
@@ -111,22 +100,22 @@ func main() {
 		r, err := store.Open(*data)
 		switch {
 		case errors.Is(err, os.ErrNotExist) && *followTgt != "":
-			log.Info("data file absent; starting empty and following", "path", *data)
+			logger.Info("data file absent; starting empty and following", "path", *data)
 			idx = api.NewIndex(store.New(), refs)
 		case err != nil:
-			fatal(err)
+			log.Fatal(err)
 		default:
 			built, berr := api.NewIndexReader(r, refs)
 			failed := make(map[store.PartitionKey]bool)
 			var ibe *api.IndexBuildError
 			if errors.As(berr, &ibe) {
-				log.Warn("index built degraded; unreadable partitions skipped",
+				logger.Warn("index built degraded; unreadable partitions skipped",
 					"path", *data, "skipped", len(ibe.Failed), "detail", ibe.Error())
 				for _, pf := range ibe.Failed {
 					failed[store.PartitionKey{Source: pf.Source, Day: pf.Day}] = true
 				}
 			} else if berr != nil {
-				fatal(berr)
+				log.Fatal(berr)
 			}
 			idx = built
 			// Seed only the partitions that actually made it into the
@@ -138,19 +127,19 @@ func main() {
 			}
 			info := r.Info()
 			r.Close()
-			log.Info("dataset opened (streaming)", "path", *data,
+			logger.Info("dataset opened (streaming)", "path", *data,
 				"version", info.Version, "partitions", info.Partitions, "rows", info.Rows,
 				"file_bytes", info.FileBytes,
 				"elapsed", time.Since(t0).Round(time.Millisecond).String())
 		}
 	} else {
-		log.Info("no -data; booting empty index from feed", "follow", *followTgt)
+		logger.Info("no -data; booting empty index from feed", "follow", *followTgt)
 		idx = api.NewIndex(store.New(), refs)
 	}
 	st := idx.Stats()
 	partitions, buildTime := idx.BuildStats()
 	dst := idx.DetectStats()
-	log.Info("index built",
+	logger.Info("index built",
 		"domains", st.DomainsDetected, "days", st.DaysIndexed,
 		"sources", st.Sources, "partitions", partitions,
 		"elapsed", buildTime.Round(time.Millisecond).String(),
@@ -188,7 +177,7 @@ func main() {
 			CursorPath: cursor,
 		})
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		fl.Seed(bootKeys)
 		srv.SetFreshnessFunc(fl.Freshness)
@@ -197,7 +186,7 @@ func main() {
 			defer close(followDone)
 			_ = fl.Run(ctx) // returns only on ctx cancellation
 		}()
-		log.Info("following feed", "target", *followTgt, "mode", string(fl.Mode()), "poll", poll.String())
+		logger.Info("following feed", "target", *followTgt, "mode", string(fl.Mode()), "poll", poll.String())
 	}
 
 	// The query observatory re-evaluates its SLO scorecard periodically,
@@ -216,10 +205,10 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	log.Info("serving", "addr", ln.Addr().String(),
+	logger.Info("serving", "addr", ln.Addr().String(),
 		"routes", "/v1/domain/{name} /v1/provider/{name}/series /v1/day/{date} /v1/stats /metrics /debug/slo /debug/slowlog /debug/topk")
 
 	errc := make(chan error, 1)
@@ -228,39 +217,34 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal(err)
+			log.Fatal(err)
 		}
 	case <-ctx.Done():
-		log.Info("signal received; draining", "deadline", drain.String())
+		logger.Info("signal received; draining", "deadline", drain.String())
 		if followDone != nil {
 			<-followDone // follower sees the same ctx; wait out any in-flight apply
 		}
 		sctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := httpSrv.Shutdown(sctx); err != nil {
-			log.Warn("drain incomplete, closing", "err", err)
+			logger.Warn("drain incomplete, closing", "err", err)
 			_ = httpSrv.Close()
 		}
-		logFinalScorecard(log, srv.Observatory())
-		log.Info("drained; bye")
+		logFinalScorecard(logger, srv.Observatory())
+		logger.Info("drained; bye")
 	}
 }
 
 // logFinalScorecard leaves a one-line SLO record when the process exits,
 // so even short-lived runs document how they served.
-func logFinalScorecard(log *slog.Logger, o *obs.Observatory) {
+func logFinalScorecard(logger *slog.Logger, o *obs.Observatory) {
 	if o == nil {
 		return
 	}
 	sc := o.Publish()
 	ok, warn, breach := sc.CountStatus()
 	worst, burn := sc.Worst()
-	log.Info("final slo scorecard",
+	logger.Info("final slo scorecard",
 		"objectives", len(sc.Objectives), "ok", ok, "warn", warn, "breach", breach,
 		"worst", worst, "worst_burn", fmt.Sprintf("%.2f", burn))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpsapi:", err)
-	os.Exit(1)
 }

@@ -31,24 +31,20 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
+	"log"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"dpsadopt/internal/chaos"
+	"dpsadopt/cmd/internal/cli"
 	"dpsadopt/internal/coord"
 	"dpsadopt/internal/measure"
 	"dpsadopt/internal/obs"
-	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/store"
-	"dpsadopt/internal/worldsim"
 )
 
 func main() {
@@ -60,149 +56,53 @@ func main() {
 		dir            = flag.String("dir", "", "coordination directory for journal + spools (default: a temp dir)")
 		out            = flag.String("out", "", "write the assembled dataset to this .dpsa file")
 		ledgerOut      = flag.String("ledger-out", "", "write the final partition ledger to this JSON file")
-		quiet          = flag.Bool("quiet", false, "suppress progress logging (warnings still shown)")
-		logJSON        = flag.Bool("log-json", false, "emit structured logs as JSON")
-
-		faultScenario = flag.String("fault-scenario", "",
-			"chaos scenario ("+strings.Join(chaos.ScenarioNames(), ", ")+"); coordination faults apply here, empty = fault-free")
-		faultSeed   = flag.Uint64("fault-seed", 0, "seed pinning the fault schedule; same scenario+seed = same faults")
-		leaseTTL    = flag.Duration("lease-ttl", time.Second, "lease TTL without a heartbeat")
-		maxAttempts = flag.Int("max-attempts", 6, "leases a partition may burn before failing permanently")
+		leaseTTL       = flag.Duration("lease-ttl", time.Second, "lease TTL without a heartbeat")
+		maxAttempts    = flag.Int("max-attempts", 6, "leases a partition may burn before failing permanently")
 	)
-	flag.Parse()
-
-	if *logJSON {
-		obs.SetLogger(obs.NewLogger(os.Stderr, slog.LevelInfo, true))
-	}
-	if *quiet {
-		obs.SetQuiet()
-	}
-	log := obs.Logger()
-
-	var faults *chaos.CoordFaults
-	if *faultScenario != "" {
-		fc, err := chaos.Scenario(*faultScenario)
-		if err != nil {
-			fatal(err)
-		}
-		if !fc.CoordActive() {
-			fatal(fmt.Errorf("scenario %q has no coordination-plane faults; dpscoord injects coordination chaos only (use dpsmeasure -mode wire for network/server faults)", *faultScenario))
-		}
-		faults = chaos.NewCoordFaults(fc, *faultSeed)
-		log.Info("coordination fault injection armed", "scenario", *faultScenario, "seed", *faultSeed)
+	flags := cli.Parse("dpscoord", cli.Logging|cli.Faults)
+	logger := obs.Logger()
+	if flags.FaultScenario != "" && !flags.Fault.CoordActive() {
+		log.Fatalf("scenario %q has no coordination-plane faults; dpscoord injects coordination chaos only (use dpsmeasure -mode wire for network/server faults)", flags.FaultScenario)
 	}
 
-	coordDir := *dir
-	if coordDir == "" {
-		td, err := os.MkdirTemp("", "dpscoord-*")
-		if err != nil {
-			fatal(err)
-		}
-		coordDir = td
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	world, err := worldsim.New(worldsim.DefaultConfig(*scale))
-	if err != nil {
-		fatal(err)
-	}
-	log.Info("world built", "stats", world.Stats())
-
-	// The partition axis: every (source, day) of the run window slice.
-	probe := measure.New(world, store.New(), measure.Config{Mode: measure.ModeDirect, Workers: 1})
-	var parts []coord.Partition
-	for d := 0; d < *days; d++ {
-		day := world.Cfg.Window.Start + simtime.Day(d)
-		for _, src := range probe.DaySources(day) {
-			parts = append(parts, coord.Partition{Source: src, Day: day})
-		}
-	}
-	if len(parts) == 0 {
-		fatal(fmt.Errorf("no (source, day) partitions in the first %d days", *days))
-	}
-
-	cfg := coord.Config{
-		Dir:         coordDir,
-		Workers:     *workers,
-		LeaseTTL:    *leaseTTL,
-		MaxAttempts: *maxAttempts,
-		Faults:      faults,
-		Seed:        *faultSeed,
-		Work: func(ctx context.Context, p coord.Partition, attempt int) (*store.Store, error) {
-			s := store.New()
-			pipe := measure.New(world, s, measure.Config{Mode: measure.ModeDirect, Workers: *measureWorkers})
-			if err := pipe.RunPartition(ctx, p.Source, p.Day); err != nil {
-				return nil, err
-			}
-			return s, nil
-		},
-	}
-
-	// The driver loop: a chaos-injected coordinator crash surfaces as
-	// ErrRestart; rebuilding over the same directory replays the journal.
-	start := time.Now()
-	var c *coord.Coordinator
-	restarts := 0
-	for {
-		c, err = coord.New(cfg, parts)
-		if err != nil {
-			fatal(err)
-		}
-		err = c.Run(ctx)
-		if errors.Is(err, coord.ErrRestart) {
-			restarts++
-			log.Warn("coordinator crashed (chaos); replaying journal", "restarts", restarts)
-			continue
-		}
-		break
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	world := cli.World(*scale)
+	ccfg := coord.Config{Dir: *dir, Workers: *workers, LeaseTTL: *leaseTTL, MaxAttempts: *maxAttempts}
+	c, err := cli.Coordinate(ctx, world, *days, measure.Config{Mode: measure.ModeDirect, Workers: *measureWorkers}, &ccfg, flags)
 	stats := c.Stats()
-	log.Info("coordination run finished",
-		"elapsed", time.Since(start).Round(time.Millisecond).String(),
-		"partitions", stats.Partitions, "committed", stats.Committed,
-		"failed", stats.Failed, "restarts", restarts)
 
 	ledger := c.Ledger()
 	if *ledgerOut != "" {
 		data, merr := json.MarshalIndent(ledger, "", "  ")
 		if merr != nil {
-			fatal(merr)
+			log.Fatal(merr)
 		}
 		if werr := os.WriteFile(*ledgerOut, append(data, '\n'), 0o644); werr != nil {
-			fatal(werr)
+			log.Fatal(werr)
 		}
-		log.Info("ledger written", "path", *ledgerOut)
+		logger.Info("ledger written", "path", *ledgerOut)
 	}
 
-	interrupted := err != nil && (errors.Is(err, context.Canceled) || ctx.Err() != nil)
-	if interrupted {
+	if err != nil && ctx.Err() != nil {
 		// The committed-so-far ledger is durable in the journal; print
 		// it so the operator sees where the run stopped.
 		printLedger(ledger)
 		fmt.Printf("interrupted: %d/%d partitions committed; rerun with -dir %s to resume\n",
-			stats.Committed, stats.Partitions, coordDir)
+			stats.Committed, stats.Partitions, ccfg.Dir)
 		os.Exit(130)
 	}
 	if err != nil {
 		printLedger(ledger)
-		fatal(err)
+		log.Fatal(err)
 	}
 
 	if stats.Committed == stats.Partitions {
 		fmt.Printf("ledger complete: %d (source, day) partitions committed exactly once\n", stats.Committed)
 	}
 
-	assembled, damaged, err := c.Assemble()
-	if err != nil {
-		fatal(err)
-	}
-	for _, d := range damaged {
-		log.Warn("spool torn at rest; partition quarantined and day degraded",
-			"partition", d.Partition.String(), "quarantine", d.QuarantinePath, "err", d.Err)
-	}
-	if !*quiet {
+	assembled, damaged := cli.Assemble(c)
+	if !flags.Quiet {
 		printLedger(ledger)
 		if len(damaged) > 0 {
 			fmt.Printf("\ndegraded partitions (torn at rest, quarantined under %s):\n", filepath.Dir(damaged[0].QuarantinePath))
@@ -221,12 +121,12 @@ func main() {
 
 	if *out != "" {
 		if err := assembled.Save(*out); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		if err := store.Verify(*out); err != nil {
-			fatal(fmt.Errorf("saved dataset failed verification: %w", err))
+			log.Fatalf("saved dataset failed verification: %v", err)
 		}
-		log.Info("dataset written", "path", *out)
+		logger.Info("dataset written", "path", *out)
 	}
 }
 
@@ -239,9 +139,4 @@ func printLedger(ledger []coord.PartitionStatus) {
 		}
 		fmt.Printf("%-8s %-12s %-10s %9d  %s\n", row.Source, row.Day, row.State, row.Attempts, note)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpscoord:", err)
-	os.Exit(1)
 }

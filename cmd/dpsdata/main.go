@@ -29,11 +29,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
+	"dpsadopt/cmd/internal/cli"
 	"dpsadopt/internal/api"
 	"dpsadopt/internal/coord"
 	"dpsadopt/internal/core"
@@ -52,10 +53,10 @@ func main() {
 		limit  = flag.Int("limit", 20, "max rows for -dump/-grep")
 		ledger = flag.String("ledger", "", "print a dpscoord coordination directory's partition ledger")
 	)
-	flag.Parse()
+	cli.Parse("dpsdata", 0)
 	if *ledger != "" {
 		if err := printLedger(*ledger); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		return
 	}
@@ -69,7 +70,7 @@ func main() {
 	if *info || *dump != "" || *detect || *domain != "" {
 		r, err := store.Open(*data)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		defer r.Close()
 		switch {
@@ -83,7 +84,7 @@ func main() {
 			err = detectStreaming(r)
 		}
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		return
 	}
@@ -91,9 +92,9 @@ func main() {
 	s, err := store.Load(*data)
 	var partial *store.PartialLoadError
 	if errors.As(err, &partial) {
-		fmt.Fprintf(os.Stderr, "dpsdata: warning: %v; continuing with salvaged partitions\n", partial)
+		log.Printf("warning: %v; continuing with salvaged partitions", partial)
 	} else if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 
 	switch {
@@ -140,12 +141,8 @@ func printLedger(dir string) error {
 		note := "-"
 		if r.State == coord.StateCommitted {
 			committed++
-			// The journal may record a path relative to the coordinator's
-			// working directory; prefer the layout-derived location.
-			spool := filepath.Join(dir, "spool", r.Source+"."+r.Day+".dpsa")
-			if _, serr := os.Stat(spool); serr != nil && r.Spool != "" {
-				spool = r.Spool
-			}
+			day, _ := simtime.Parse(r.Day)
+			spool := coord.ResolveSpool(dir, coord.Partition{Source: r.Source, Day: day}, r.Spool)
 			if verr := store.Verify(spool); verr != nil {
 				note = fmt.Sprintf("DAMAGED %s: %v", spool, verr)
 			} else {
@@ -255,14 +252,13 @@ func printDomainHistory(r *store.Reader, name string) {
 	idx, err := api.NewIndexReader(r, core.MustGroundTruth())
 	var ibe *api.IndexBuildError
 	if errors.As(err, &ibe) {
-		fmt.Fprintf(os.Stderr, "dpsdata: warning: %v; continuing with readable partitions\n", ibe)
+		log.Printf("warning: %v; continuing with readable partitions", ibe)
 	} else if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	h, ok := idx.Domain(name)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dpsdata: no DPS references recorded for %q\n", name)
-		os.Exit(1)
+		log.Fatalf("no DPS references recorded for %q", name)
 	}
 	fmt.Printf("%s: detected on %d day(s), %s .. %s\n", h.Domain, h.Days, h.FirstSeen, h.LastSeen)
 	for _, p := range h.Providers {
@@ -280,9 +276,4 @@ func printRow(r store.Row) {
 	} else {
 		fmt.Printf("%-24s %-10s %-18v AS%v\n", r.Domain, r.Kind, r.Addr, r.ASNs)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpsdata:", err)
-	os.Exit(1)
 }

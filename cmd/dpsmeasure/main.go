@@ -28,10 +28,11 @@
 // Fault injection: with -mode wire, -fault-scenario names a chaos
 // scenario (see -help for the list) injected into every measured day,
 // and -fault-seed pins the exact fault pattern — the same scenario and
-// seed reproduce the same losses, byte for byte. Each day's network
-// accounting (queries sent, lost, resolutions given up) is logged, and
-// days whose failure rate exceeds the threshold are committed as
-// degraded; the run ends with a per-day degraded ledger.
+// seed reproduce the same losses, byte for byte. Every wire day's network
+// accounting (queries sent, lost, resolutions given up) is logged, and a
+// day whose failure rate exceeds the threshold is committed as degraded,
+// faults armed or not — the report pipeline's rule; the run ends with a
+// per-day degraded ledger.
 //
 // Coordination: -coord-workers N > 0 replaces the classic day loop with
 // the internal/coord plane — (source, day) partitions leased to N
@@ -56,14 +57,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
+	"log"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"dpsadopt/internal/chaos"
+	"dpsadopt/cmd/internal/cli"
 	"dpsadopt/internal/coord"
 	"dpsadopt/internal/experiment"
 	"dpsadopt/internal/measure"
@@ -71,8 +72,6 @@ import (
 	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/store"
 	"dpsadopt/internal/trace"
-	"dpsadopt/internal/transport"
-	"dpsadopt/internal/worldsim"
 )
 
 func main() {
@@ -84,33 +83,16 @@ func main() {
 		verbose     = flag.Bool("v", false, "print sample rows")
 		out         = flag.String("out", "", "write the dataset to this .dpsa file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/traces on this address")
-		quiet       = flag.Bool("quiet", false, "suppress progress logging (warnings still shown)")
-		logJSON     = flag.Bool("log-json", false, "emit structured logs as JSON")
 		traceOut    = flag.String("trace-out", "", "enable tracing; write <base>.json (Chrome trace_event) and <base>.jsonl")
 		traceSample = flag.Float64("trace-sample", 0.01, "per-domain trace sampling rate in [0,1]")
 		traceSlow   = flag.Duration("trace-slow", 0, "log spans at or above this duration with their full path (0 = off)")
-
-		faultScenario = flag.String("fault-scenario", "",
-			"chaos scenario injected into wire days ("+strings.Join(chaos.ScenarioNames(), ", ")+"); empty = fault-free")
-		faultSeed   = flag.Int64("fault-seed", 0, "seed pinning the fault pattern; same scenario+seed = same faults")
 		wireTimeout = flag.Int("wire-timeout", 0, "wire-mode resolver timeout in ms (0 = dnsclient default; lower it under chaos so losses cost ms, not s)")
 
 		coordWorkers = flag.Int("coord-workers", 0, "run the days through the coordination plane with this many leased workers (0 = classic sequential day loop)")
 		coordDir     = flag.String("coord-dir", "", "coordination directory for journal + spools (default: a temp dir); rerun with the same dir to resume")
-
-		profMutex = flag.Int("prof-mutex", 0, "mutex profiling fraction (runtime.SetMutexProfileFraction; 0 = off); served at /debug/pprof/mutex and /debug/contention")
-		profBlock = flag.Int("prof-block", 0, "block profiling rate in ns (runtime.SetBlockProfileRate; 0 = off); served at /debug/pprof/block and /debug/contention")
 	)
-	flag.Parse()
-	obs.SetContentionProfiling(*profMutex, *profBlock)
-
-	if *logJSON {
-		obs.SetLogger(obs.NewLogger(os.Stderr, slog.LevelInfo, true))
-	}
-	if *quiet {
-		obs.SetQuiet()
-	}
-	log := obs.Logger()
+	flags := cli.Parse("dpsmeasure", cli.Logging|cli.Profiling|cli.Faults)
+	logger := obs.Logger()
 
 	cfg := measure.Config{Workers: *workers, Timeout: *wireTimeout}
 	switch *mode {
@@ -119,95 +101,41 @@ func main() {
 	case "wire":
 		cfg.Mode = measure.ModeWire
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		log.Fatalf("unknown mode %q", *mode)
 	}
-
-	var faultCfg chaos.Config
-	if *faultScenario != "" {
-		fc, err := chaos.Scenario(*faultScenario)
-		if err != nil {
-			fatal(err)
-		}
-		// Network/server faults need wire days (only they have datagrams
-		// to lose); coordination-plane faults need the coordination
-		// plane. A scenario may carry either or both.
-		if (fc.Active() || fc.ServerActive()) && cfg.Mode != measure.ModeWire {
-			fatal(fmt.Errorf("-fault-scenario %s requires -mode wire: only wire days have datagrams to lose", *faultScenario))
-		}
-		if fc.CoordActive() && *coordWorkers <= 0 {
-			fatal(fmt.Errorf("-fault-scenario %s injects coordination-plane faults: set -coord-workers (or use dpscoord)", *faultScenario))
-		}
-		faultCfg = fc
-		// Mirror experiment.Runner's chaos wiring: a fresh day-seeded
-		// network wrapped with the fault injector, roots protected so the
-		// namespace stays reachable at its first hop, and the server-side
-		// injector installed on every authoritative. Per-day seeds keep
-		// the whole run a pure function of (scenario, -fault-seed).
-		daySeed := func(day simtime.Day) int64 { return *faultSeed + int64(day)*1_000_003 }
-		cfg.WireNetwork = func(day simtime.Day) transport.Network {
-			var n transport.Network = transport.NewMem(int64(day) ^ 0x3f3f)
-			if faultCfg.Active() {
-				n = chaos.Wrap(n, faultCfg, daySeed(day))
-			}
-			return n
-		}
-		cfg.OnWire = func(day simtime.Day, wire *worldsim.Wire, network transport.Network) {
-			if cn, ok := network.(*chaos.Network); ok {
-				for _, root := range wire.Roots {
-					cn.Protect(root.Addr())
-				}
-			}
-			if faultCfg.ServerActive() {
-				wire.SetFaults(chaos.NewServerFaults(faultCfg, daySeed(day)))
-			}
-		}
-		log.Info("fault injection armed", "scenario", *faultScenario, "seed", *faultSeed)
+	// Network/server faults need wire days (only they have datagrams to
+	// lose); coordination-plane faults need the coordination plane. A
+	// scenario may carry either or both.
+	if (flags.Fault.Active() || flags.Fault.ServerActive()) && cfg.Mode != measure.ModeWire {
+		log.Fatalf("-fault-scenario %s requires -mode wire: only wire days have datagrams to lose", flags.FaultScenario)
+	}
+	if flags.Fault.CoordActive() && *coordWorkers <= 0 {
+		log.Fatalf("-fault-scenario %s injects coordination-plane faults: set -coord-workers (or use dpscoord)", flags.FaultScenario)
+	}
+	if flags.FaultScenario != "" {
+		experiment.ArmFaults(&cfg, flags.Fault, experiment.DaySeeds(flags.FaultSeed), nil)
 	}
 
 	tracer, err := buildTracer(*traceOut, *traceSample, *traceSlow)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	if tracer != nil {
 		trace.SetDefault(tracer)
 		obs.Handle("/debug/traces", trace.Handler(tracer))
-		log.Info("tracing enabled",
+		logger.Info("tracing enabled",
 			"sample", *traceSample, "slow", traceSlow.String(), "out", *traceOut)
 	}
 
 	reg := obs.Default()
-	if *metricsAddr != "" {
-		// Scrapers get the Go runtime's view too: GC pauses, scheduling
-		// latency, heap size, mutex wait (go_* / process_* gauges).
-		rc := obs.StartRuntimeCollector(reg, 0)
-		defer rc.Close()
-		srv, err := obs.Serve(*metricsAddr, reg)
-		if err != nil {
-			fatal(err)
-		}
-		// Drain instead of tearing the socket down: a scrape racing the
-		// exit still collects the final counters.
-		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				_ = srv.Close()
-			}
-		}()
-		log.Info("metrics listening", "addr", srv.Addr,
-			"endpoints", "/metrics /debug/vars /debug/pprof/ /debug/traces")
-	}
+	defer cli.ServeMetrics(*metricsAddr)()
 
 	// SIGINT/SIGTERM cancel the run: the in-flight day stops between
 	// domains, traces flush, and the summary below still prints.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	w, err := worldsim.New(worldsim.DefaultConfig(*scale))
-	if err != nil {
-		fatal(err)
-	}
-	log.Info("world built", "stats", w.Stats())
+	w := cli.World(*scale)
 
 	s := store.New()
 	p := measure.New(w, s, cfg)
@@ -216,7 +144,13 @@ func main() {
 	interrupted := false
 	var ledger []experiment.DayAccounting
 	if *coordWorkers > 0 {
-		interrupted = runCoordinated(ctx, w, s, cfg, *days, *coordWorkers, *coordDir, faultCfg, uint64(*faultSeed))
+		c, err := cli.Coordinate(ctx, w, *days, cfg, &coord.Config{Dir: *coordDir, Workers: *coordWorkers}, flags)
+		interrupted = err != nil && ctx.Err() != nil
+		if err != nil && !interrupted {
+			log.Fatal(err)
+		}
+		assembled, _ := cli.Assemble(c)
+		s.Absorb(assembled)
 	}
 	for d := 0; *coordWorkers == 0 && d < *days; d++ {
 		day := w.Cfg.Window.Start + simtime.Day(d)
@@ -229,10 +163,10 @@ func main() {
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				interrupted = true
-				log.Warn("run interrupted; flushing partial results", "day", day.String())
+				logger.Warn("run interrupted; flushing partial results", "day", day.String())
 				break
 			}
-			fatal(err)
+			log.Fatal(err)
 		}
 		snap := reg.Snapshot()
 		lat := snap.Histogram("dns_client_query_seconds")
@@ -247,21 +181,16 @@ func main() {
 			"elapsed", time.Since(t0).Round(time.Millisecond).String(),
 		}
 		if cfg.Mode == measure.ModeWire {
-			net := p.LastNetStats()
-			degraded := *faultScenario != "" && net.FailureRate() > experiment.DefaultFailureThreshold
-			ledger = append(ledger, experiment.DayAccounting{
-				Day: day, Queries: net.Queries, Lost: net.Lost,
-				Resolutions: net.Resolutions, GaveUp: net.GaveUp,
-				FailureRate: net.FailureRate(), Degraded: degraded,
-			})
+			a := experiment.AccountDay(day, p.LastNetStats())
+			ledger = append(ledger, a)
 			attrs = append(attrs,
-				"lost", net.Lost,
-				"gave_up", net.GaveUp,
-				"failure_rate", fmt.Sprintf("%.4f", net.FailureRate()),
-				"degraded", degraded,
+				"lost", a.Lost,
+				"gave_up", a.GaveUp,
+				"failure_rate", fmt.Sprintf("%.4f", a.FailureRate),
+				"degraded", a.Degraded,
 			)
 		}
-		log.Info("day complete", attrs...)
+		logger.Info("day complete", attrs...)
 		prev = snap
 		if ctx.Err() != nil {
 			interrupted = true
@@ -269,11 +198,11 @@ func main() {
 		}
 	}
 	if err := tracer.Close(); err != nil {
-		log.Warn("trace flush failed", "err", err)
+		logger.Warn("trace flush failed", "err", err)
 	} else if tracer != nil {
-		log.Info("traces written", "out", *traceOut, "recent", tracer.Ring().Len())
+		logger.Info("traces written", "out", *traceOut, "recent", tracer.Ring().Len())
 	}
-	log.Info("run complete",
+	logger.Info("run complete",
 		"elapsed", time.Since(start).Round(time.Millisecond).String(),
 		"wire_queries", p.QueriesSent(),
 		"interrupted", interrupted,
@@ -281,12 +210,12 @@ func main() {
 
 	// The per-day network ledger always flushes — on interrupts too, so
 	// an aborted run still shows which committed days were degraded.
-	if len(ledger) > 0 && !*quiet {
-		scenario := *faultScenario
+	if len(ledger) > 0 && !flags.Quiet {
+		scenario := flags.FaultScenario
 		if scenario == "" {
 			scenario = "none"
 		}
-		fmt.Printf("\ndegraded-day ledger (scenario %s, seed %d):\n", scenario, *faultSeed)
+		fmt.Printf("\ndegraded-day ledger (scenario %s, seed %d):\n", scenario, flags.FaultSeed)
 		fmt.Printf("%-12s %10s %8s %8s %8s %8s\n", "day", "queries", "lost", "gaveup", "rate", "status")
 		for _, a := range ledger {
 			status := "ok"
@@ -297,7 +226,7 @@ func main() {
 		}
 	}
 
-	if !*quiet {
+	if !flags.Quiet {
 		fmt.Printf("\n%-8s %6s %10s %12s %12s\n", "source", "days", "#SLDs", "#DPs", "size")
 		for _, src := range s.Sources() {
 			st := s.SourceStats(src)
@@ -307,12 +236,12 @@ func main() {
 
 	if *out != "" {
 		if err := s.Save(*out); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
-		log.Info("dataset written", "path", *out)
+		logger.Info("dataset written", "path", *out)
 	}
 
-	if *verbose && !*quiet {
+	if *verbose && !flags.Quiet {
 		day := w.Cfg.Window.Start
 		fmt.Printf("\nsample rows (com, %s):\n", day)
 		n := 0
@@ -334,7 +263,7 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		log.Info("run finished; still serving metrics, Ctrl-C to exit")
+		logger.Info("run finished; still serving metrics, Ctrl-C to exit")
 		<-ctx.Done()
 	}
 }
@@ -361,82 +290,4 @@ func buildTracer(outBase string, sample float64, slow time.Duration) (*trace.Tra
 		cfg.Exporters = []trace.Exporter{chrome, trace.NewJSONL(jf)}
 	}
 	return trace.New(cfg), nil
-}
-
-// runCoordinated measures the day range through the coordination plane
-// instead of the sequential day loop: (source, day) partitions are
-// leased to coordWorkers workers, committed spools are assembled back
-// into s, and chaos-injected coordinator crashes are survived by the
-// journal-replay driver loop. Returns whether the run was interrupted.
-func runCoordinated(ctx context.Context, w *worldsim.World, s *store.Store, mcfg measure.Config, days, coordWorkers int, dir string, faultCfg chaos.Config, seed uint64) bool {
-	log := obs.Logger()
-	if dir == "" {
-		td, err := os.MkdirTemp("", "dpsmeasure-coord-*")
-		if err != nil {
-			fatal(err)
-		}
-		dir = td
-	}
-	probe := measure.New(w, store.New(), measure.Config{Mode: measure.ModeDirect, Workers: 1})
-	var parts []coord.Partition
-	for d := 0; d < days; d++ {
-		day := w.Cfg.Window.Start + simtime.Day(d)
-		for _, src := range probe.DaySources(day) {
-			parts = append(parts, coord.Partition{Source: src, Day: day})
-		}
-	}
-	ccfg := coord.Config{
-		Dir:     dir,
-		Workers: coordWorkers,
-		Faults:  chaos.NewCoordFaults(faultCfg, seed),
-		Seed:    seed,
-		Work: func(ctx context.Context, p coord.Partition, attempt int) (*store.Store, error) {
-			spoolStore := store.New()
-			pipe := measure.New(w, spoolStore, mcfg)
-			if err := pipe.RunPartition(ctx, p.Source, p.Day); err != nil {
-				return nil, err
-			}
-			return spoolStore, nil
-		},
-	}
-	log.Info("coordination plane armed", "workers", coordWorkers, "partitions", len(parts), "dir", dir)
-	var (
-		c   *coord.Coordinator
-		err error
-	)
-	for {
-		c, err = coord.New(ccfg, parts)
-		if err != nil {
-			fatal(err)
-		}
-		err = c.Run(ctx)
-		if errors.Is(err, coord.ErrRestart) {
-			log.Warn("coordinator crashed (chaos); replaying journal")
-			continue
-		}
-		break
-	}
-	stats := c.Stats()
-	interrupted := err != nil && (errors.Is(err, context.Canceled) || ctx.Err() != nil)
-	if err != nil && !interrupted {
-		fatal(err)
-	}
-	assembled, damaged, aerr := c.Assemble()
-	if aerr != nil {
-		fatal(aerr)
-	}
-	for _, d := range damaged {
-		log.Warn("spool torn at rest; partition quarantined",
-			"partition", d.Partition.String(), "quarantine", d.QuarantinePath, "err", d.Err)
-	}
-	s.Absorb(assembled)
-	log.Info("coordinated run assembled",
-		"partitions", stats.Partitions, "committed", stats.Committed,
-		"failed", stats.Failed, "quarantined", len(damaged), "interrupted", interrupted)
-	return interrupted
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpsmeasure:", err)
-	os.Exit(1)
 }

@@ -1,6 +1,7 @@
 // Command dpsquery inspects one domain of the simulated world on one day:
-// its DNS state, the references it exhibits (per the paper's §3.3
-// methodology), and the use classification over the whole window.
+// its DNS state with each address's pfx2as origin, and the pipeline's
+// verdict on which DPS it uses — its TLD zone measured for the day and
+// run through the paper's §3.3 detection.
 //
 // Usage:
 //
@@ -10,15 +11,18 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"os"
+	"log"
 	"strings"
 
+	"dpsadopt/cmd/internal/cli"
 	"dpsadopt/internal/core"
+	"dpsadopt/internal/measure"
 	"dpsadopt/internal/pfx2as"
 	"dpsadopt/internal/simtime"
-	"dpsadopt/internal/worldsim"
+	"dpsadopt/internal/store"
 )
 
 func main() {
@@ -27,12 +31,9 @@ func main() {
 		date   = flag.String("date", "2015-03-05", "day to inspect")
 		scale  = flag.Int("scale", 100_000, "world scale divisor")
 	)
-	flag.Parse()
+	cli.Parse("dpsquery", 0)
 
-	w, err := worldsim.New(worldsim.DefaultConfig(*scale))
-	if err != nil {
-		fatal(err)
-	}
+	w := cli.World(*scale)
 	refs := core.MustGroundTruth()
 
 	if *domain == "" {
@@ -57,11 +58,11 @@ func main() {
 
 	day, err := simtime.Parse(*date)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	d, ok := w.DomainByName(strings.ToLower(*domain))
 	if !ok {
-		fatal(fmt.Errorf("domain %q not in this world (try a smaller -scale)", *domain))
+		log.Fatal(fmt.Errorf("domain %q not in this world (try a smaller -scale)", *domain))
 	}
 	st := w.StateFor(d, day)
 	fmt.Printf("%s on %s:\n", d.Name, day)
@@ -73,46 +74,42 @@ func main() {
 		fmt.Println("  DNS outage at its operator: no measurement possible")
 		return
 	}
-	entries, err := pfx2as.Parse(strings.NewReader(w.RIBForDay(day).Snapshot()))
+	table, err := pfx2as.FromSnapshot(w.RIBForDay(day).Snapshot())
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
-	table := pfx2as.NewWalk(entries)
-
-	var methods [9]core.Method
 	fmt.Println("  NS:", strings.Join(st.NSHosts, ", "))
-	for _, ns := range st.NSHosts {
-		if p, ok := refs.MatchNS(ns); ok {
-			methods[p] |= core.RefNS
-		}
-	}
 	for _, a := range st.ApexA {
 		origins, _ := table.Lookup(a)
 		fmt.Printf("  apex A: %v (origin %v)\n", a, origins)
-		for _, o := range origins {
-			if p, ok := refs.MatchASN(o); ok {
-				methods[p] |= core.RefAS
-			}
-		}
 	}
 	if st.WWWCNAME != "" {
 		fmt.Printf("  www CNAME: %s\n", st.WWWCNAME)
-		if p, ok := refs.MatchCNAME(st.WWWCNAME); ok {
-			methods[p] |= core.RefCNAME
-		}
 	}
 	for _, a := range st.WWWA {
 		origins, _ := table.Lookup(a)
 		fmt.Printf("  www A: %v (origin %v)\n", a, origins)
-		for _, o := range origins {
-			if p, ok := refs.MatchASN(o); ok {
-				methods[p] |= core.RefAS
-			}
-		}
 	}
+
+	// The verdict is the pipeline's own: measure the domain's TLD zone
+	// for the day and run §3.3 detection over every record kind.
+	window := w.Cfg.Window
+	if d.TLD == "nl" {
+		window = w.Cfg.NLWindow
+	}
+	if !window.Contains(day) {
+		fmt.Printf("  => not measured: the .%s zone is measured over %s\n", d.TLD, window)
+		return
+	}
+	s := store.New()
+	pipe := measure.New(w, s, measure.Config{Mode: measure.ModeDirect, Workers: 1})
+	if err := pipe.RunPartition(context.Background(), d.TLD, day); err != nil {
+		log.Fatal(err)
+	}
+	det := core.DetectDay(s, d.TLD, day, refs)
 	detected := false
-	for p, m := range methods {
-		if m != 0 {
+	for p := range refs.Providers {
+		if m, ok := det.Uses(p)[d.Name]; ok {
 			detected = true
 			fmt.Printf("  => uses %s via %s references\n", refs.Providers[p].Name, m)
 		}
@@ -120,9 +117,4 @@ func main() {
 	if !detected {
 		fmt.Println("  => no DPS references on this day")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpsquery:", err)
-	os.Exit(1)
 }

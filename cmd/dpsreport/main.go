@@ -17,10 +17,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"time"
 
+	"dpsadopt/cmd/internal/cli"
 	"dpsadopt/internal/experiment"
 	"dpsadopt/internal/report"
 	"dpsadopt/internal/simtime"
@@ -37,7 +39,7 @@ func main() {
 		svgDir   = flag.String("svg", "", "directory for SVG figures (optional)")
 		quietDay = flag.String("quiet-day", "2015-07-25", "anomaly-free day for Table 2 discovery")
 	)
-	flag.Parse()
+	cli.Parse("dpsreport", 0)
 
 	r, err := experiment.New(experiment.Config{
 		Scale:   *scale,
@@ -50,18 +52,18 @@ func main() {
 		},
 	})
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "world: %s\n", r.World.Stats())
 	start := time.Now()
 	if err := r.Run(context.Background()); err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "measurement+analysis pass: %s\n", time.Since(start).Round(time.Millisecond))
 
 	qd, err := simtime.Parse(*quietDay)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	out := os.Stdout
 	show := func(name string) bool { return *artifact == "all" || *artifact == name }
@@ -76,7 +78,7 @@ func main() {
 		} else {
 			t2, err := r.Table2(qd)
 			if err != nil {
-				fatal(err)
+				log.Fatal(err)
 			}
 			report.Table2(out, t2)
 			fmt.Fprintln(out)
@@ -119,19 +121,19 @@ func main() {
 	if show("anomalies") {
 		an, err := r.Anomalies(1)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		report.Anomalies(out, an)
 	}
 	if *csvDir != "" {
 		if err := writeCSVs(r, *csvDir); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "CSV series written to %s\n", *csvDir)
 	}
 	if *svgDir != "" {
 		if err := writeSVGs(r, *svgDir); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "SVG figures written to %s\n", *svgDir)
 	}
@@ -251,9 +253,4 @@ func writeCSVs(r *experiment.Runner, dir string) error {
 		}
 	}
 	return f8.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dpsreport:", err)
-	os.Exit(1)
 }

@@ -70,8 +70,6 @@ type Config struct {
 	Work WorkFunc
 	// Faults injects coordination-plane chaos (nil: none).
 	Faults *chaos.CoordFaults
-	// Seed keys worker-side chaos decisions and is recorded for logs.
-	Seed uint64
 }
 
 func (c *Config) applyDefaults() {
@@ -324,6 +322,28 @@ func (c *Coordinator) Run(ctx context.Context) error {
 		return fmt.Errorf("%w: %d of %d", ErrPartitionsFailed, stats.Failed, stats.Partitions)
 	default:
 		return nil
+	}
+}
+
+// Drive runs parts to completion under cfg, rebuilding the coordinator
+// from its journal each time a chaos-injected crash asks for a restart
+// (ErrRestart). onRestart, when set, hears of each restart (counted from
+// 1) and ends the drive by returning an error. Drive returns the last
+// coordinator — nil only when New failed — and the error that ended it.
+func Drive(ctx context.Context, cfg Config, parts []Partition, onRestart func(restarts int) error) (*Coordinator, error) {
+	for restarts := 1; ; restarts++ {
+		c, err := New(cfg, parts)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.Run(ctx); !errors.Is(err, ErrRestart) {
+			return c, err
+		}
+		if onRestart != nil {
+			if err := onRestart(restarts); err != nil {
+				return c, err
+			}
+		}
 	}
 }
 
@@ -588,11 +608,24 @@ func (c *Coordinator) statsLocked() Stats {
 	return s
 }
 
-// SpoolPath is the spool file for a partition: one checksummed .dpsa
-// per (source, day), attempt-independent so crash recovery can find an
-// intact spool left by a dead worker.
-func (c *Coordinator) SpoolPath(p Partition) string {
-	return filepath.Join(c.cfg.Dir, "spool", fmt.Sprintf("%s.%s.dpsa", p.Source, p.Day))
+// SpoolPath is partition p's spool file under the coordination directory
+// dir: one checksummed .dpsa per (source, day), attempt-independent so
+// crash recovery can find an intact spool left by a dead worker.
+func SpoolPath(dir string, p Partition) string {
+	return filepath.Join(dir, "spool", fmt.Sprintf("%s.%s.dpsa", p.Source, p.Day))
+}
+
+// ResolveSpool finds partition p's committed spool under the
+// coordination directory dir. The journal records the path its
+// coordinator wrote, which may be relative to that coordinator's working
+// directory, so the layout path under dir wins whenever it exists; the
+// recorded path is the fallback, unless none was recorded.
+func ResolveSpool(dir string, p Partition, recorded string) string {
+	layout := SpoolPath(dir, p)
+	if _, err := os.Stat(layout); err == nil || recorded == "" {
+		return layout
+	}
+	return recorded
 }
 
 // Assemble folds every committed spool into one store. Spools that fail
@@ -608,7 +641,7 @@ func (c *Coordinator) Assemble() (*store.Store, []DamagedPartition, error) {
 	var items []item
 	for _, p := range c.order {
 		if st := c.parts[p]; st.state == StateCommitted {
-			items = append(items, item{p, st.spool})
+			items = append(items, item{p, ResolveSpool(c.cfg.Dir, p, st.spool)})
 		}
 	}
 	c.mu.Unlock()

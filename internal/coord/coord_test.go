@@ -55,25 +55,19 @@ func fastCfg(dir string) Config {
 }
 
 // runToCompletion drives a coordinator through chaos restarts until the
-// ledger settles, mirroring cmd/dpscoord's driver loop.
+// ledger settles, bounded at 50 restarts.
 func runToCompletion(t *testing.T, cfg Config, parts []Partition) *Coordinator {
 	t.Helper()
-	for i := 0; i < 50; i++ {
-		c, err := New(cfg, parts)
-		if err != nil {
-			t.Fatal(err)
+	c, err := Drive(context.Background(), cfg, parts, func(restarts int) error {
+		if restarts >= 50 {
+			return errors.New("coordinator did not settle within 50 restarts")
 		}
-		err = c.Run(context.Background())
-		if errors.Is(err, ErrRestart) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("Run: %v (ledger %+v)", err, c.Stats())
-		}
-		return c
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
 	}
-	t.Fatal("coordinator did not settle within 50 restarts")
-	return nil
+	return c
 }
 
 // assertExactlyOnce checks that every partition is committed and the
@@ -156,7 +150,7 @@ func TestCommitFencing(t *testing.T) {
 	if err := c.Heartbeat(p, lease1); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("stale heartbeat err = %v, want ErrLeaseLost", err)
 	}
-	spool := c.SpoolPath(p)
+	spool := SpoolPath(c.cfg.Dir, p)
 	s, _ := synthWork(context.Background(), p, 1)
 	if err := s.Save(spool); err != nil {
 		t.Fatal(err)
@@ -191,10 +185,10 @@ func TestJournalReplaySkipsCommittedRequeuesLeased(t *testing.T) {
 		t.Fatal("acquire p0")
 	}
 	s, _ := synthWork(context.Background(), p0, 1)
-	if err := s.Save(c.SpoolPath(p0)); err != nil {
+	if err := s.Save(SpoolPath(c.cfg.Dir, p0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit(p0, l0, c.SpoolPath(p0)); err != nil {
+	if err := c.Commit(p0, l0, SpoolPath(c.cfg.Dir, p0)); err != nil {
 		t.Fatal(err)
 	}
 	p1, _, _, ok := c.acquire(context.Background())
@@ -246,10 +240,10 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatal("acquire")
 	}
 	s, _ := synthWork(context.Background(), p, 1)
-	if err := s.Save(c.SpoolPath(p)); err != nil {
+	if err := s.Save(SpoolPath(c.cfg.Dir, p)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Commit(p, l, c.SpoolPath(p)); err != nil {
+	if err := c.Commit(p, l, SpoolPath(c.cfg.Dir, p)); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -395,7 +389,6 @@ func chaosRun(t *testing.T, scenario string, seed uint64) *Coordinator {
 		t.Fatal(err)
 	}
 	cfg.Faults = chaos.NewCoordFaults(sc, seed)
-	cfg.Seed = seed
 	parts := testParts([]string{"com", "net", "nl"}, 6)
 	c := runToCompletion(t, cfg, parts)
 	assertExactlyOnce(t, c, parts)

@@ -269,3 +269,61 @@ func TestJournalReaderResume(t *testing.T) {
 		t.Fatal("Resume accepted a cursor beyond EOF")
 	}
 }
+
+// TestResolveSpoolRelativeJournal: a journal written by a coordinator in
+// another working directory records spool paths relative to that
+// directory. Whoever reads the coordination directory later — a resumed
+// coordinator's Assemble, the follower, dpsdata -ledger — resolves each
+// committed spool to its layout path under the directory instead.
+func TestResolveSpoolRelativeJournal(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "spool"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	parts := testParts([]string{"com"}, 2)
+	var recs []record
+	for i, p := range parts {
+		s, _ := synthWork(nil, p, 1)
+		if err := s.Save(SpoolPath(dir, p)); err != nil {
+			t.Fatal(err)
+		}
+		recorded := filepath.Join("elsewhere", "spool", filepath.Base(SpoolPath(dir, p)))
+		lease := uint64(i + 1)
+		recs = append(recs,
+			record{Type: recAdd, Source: p.Source, Day: int(p.Day)},
+			record{Type: recLease, Source: p.Source, Day: int(p.Day), Lease: lease, Attempt: 1},
+			record{Type: recCommit, Source: p.Source, Day: int(p.Day), Lease: lease, Attempt: 1, Spool: recorded},
+		)
+	}
+	appendJournal(t, dir, recs...)
+
+	feed, err := NewJournalReader(dir).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range feed {
+		if rec.Type != RecCommit {
+			continue
+		}
+		if got, want := ResolveSpool(dir, rec.Partition(), rec.Spool), SpoolPath(dir, rec.Partition()); got != want {
+			t.Errorf("%s: resolved %q, want the layout path %q", rec.Partition(), got, want)
+		}
+	}
+
+	c, err := New(fastCfg(dir), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	assertExactlyOnce(t, c, parts)
+
+	// Without a layout file the recorded path is the only lead, and
+	// without either the layout path is still the answer to report.
+	missing := Partition{Source: "net", Day: 9}
+	if got := ResolveSpool(dir, missing, "elsewhere/net.x.dpsa"); got != "elsewhere/net.x.dpsa" {
+		t.Errorf("missing layout spool resolved to %q, want the recorded path", got)
+	}
+	if got := ResolveSpool(dir, missing, ""); got != SpoolPath(dir, missing) {
+		t.Errorf("nothing recorded resolved to %q, want the layout path", got)
+	}
+}

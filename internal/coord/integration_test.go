@@ -82,25 +82,15 @@ func TestCoordinatorMeasureIntegration(t *testing.T) {
 		RetryBackoff:   5 * time.Millisecond,
 		Work:           work,
 		Faults:         chaos.NewCoordFaults(sc, 42),
-		Seed:           42,
 	}
-	var c *Coordinator
-	for restarts := 0; ; restarts++ {
+	c, err := Drive(context.Background(), cfg, parts, func(restarts int) error {
 		if restarts > 30 {
-			t.Fatal("coordinator did not settle within 30 restarts")
+			return errors.New("coordinator did not settle within 30 restarts")
 		}
-		c, err = New(cfg, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = c.Run(context.Background())
-		if errors.Is(err, ErrRestart) {
-			continue
-		}
-		if err != nil {
-			t.Fatalf("Run: %v (stats %+v)", err, c.Stats())
-		}
-		break
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
 	}
 
 	stats := c.Stats()

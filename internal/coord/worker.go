@@ -76,7 +76,7 @@ func (c *Coordinator) runPartition(ctx context.Context, log interface {
 		}()
 	}
 
-	spool := c.SpoolPath(p)
+	spool := SpoolPath(c.cfg.Dir, p)
 
 	// Crash-after-save recovery: a previous attempt may have died
 	// between saving its spool and acking the commit. If an intact

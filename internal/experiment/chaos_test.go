@@ -4,9 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/netip"
+	"strings"
 	"testing"
+	"time"
 
+	"dpsadopt/internal/chaos"
+	"dpsadopt/internal/dnswire"
+	"dpsadopt/internal/measure"
 	"dpsadopt/internal/simtime"
+	"dpsadopt/internal/transport"
+	"dpsadopt/internal/worldsim"
 )
 
 // TestDegradedAccountingDeterministic is the reproducibility guarantee:
@@ -81,7 +90,7 @@ func TestChaosDegradedDayRecovery(t *testing.T) {
 		if a.Degraded != bad {
 			t.Errorf("day %s (idx %d): degraded = %v, failure rate %.3f", a.Day, badIdx(a.Day), a.Degraded, a.FailureRate)
 		}
-		if bad && a.FailureRate <= r.Cfg.FailureThreshold {
+		if bad && a.FailureRate <= DefaultFailureThreshold {
 			t.Errorf("struck day %s: failure rate %.3f not above threshold", a.Day, a.FailureRate)
 		}
 		// A quiet day injects nothing, so it loses no data point: every
@@ -122,5 +131,138 @@ func TestChaosDegradedDayRecovery(t *testing.T) {
 		if v < 0.9 || v > 1.1 {
 			t.Errorf("expansion[%d] = %.3f: degraded window leaked into the smoothed trend", i, v)
 		}
+	}
+}
+
+// TestAccountDay pins the one degraded-day rule: a day is degraded when
+// more than DefaultFailureThreshold of its resolutions gave up, whatever
+// caused it — no fault scenario needs to be armed.
+func TestAccountDay(t *testing.T) {
+	day := simtime.Day(100)
+	for _, tc := range []struct {
+		net      measure.NetStats
+		degraded bool
+	}{
+		{measure.NetStats{}, false}, // a direct day resolves nothing
+		{measure.NetStats{Queries: 200, Lost: 40, Resolutions: 100, GaveUp: 5}, false},
+		{measure.NetStats{Queries: 200, Lost: 40, Resolutions: 100, GaveUp: 6}, true},
+	} {
+		a := AccountDay(day, tc.net)
+		if a.Degraded != tc.degraded || a.Day != day || a.FailureRate != tc.net.FailureRate() ||
+			a.Queries != tc.net.Queries || a.Lost != tc.net.Lost ||
+			a.Resolutions != tc.net.Resolutions || a.GaveUp != tc.net.GaveUp {
+			t.Errorf("AccountDay(%+v) = %+v, want degraded %v", tc.net, a, tc.degraded)
+		}
+	}
+}
+
+// TestArmFaults checks the fault arming every entry point shares, on one
+// day's real servers: roots stay reachable on a network where every other
+// name server is dead, server faults are installed exactly when the
+// scenario has them, the network is wrapped exactly when the scenario
+// has datagram faults, days outside the window run fault-free, and the
+// fault pattern is a function of (seed, day). A reply that is due always
+// arrives; the read timeout only ends a failing check.
+func TestArmFaults(t *testing.T) {
+	w, err := worldsim.New(worldsim.DefaultConfig(400000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := w.Cfg.Window.Start
+	// arm measures nothing: it arms a fresh config the way a run does and
+	// builds day's servers on the armed network.
+	arm := func(fc chaos.Config, days func(simtime.Day) bool, day simtime.Day) (transport.Network, *worldsim.Wire) {
+		var mcfg measure.Config
+		ArmFaults(&mcfg, fc, DaySeeds(7), days)
+		network := mcfg.WireNetwork(day)
+		wire, err := w.BuildWire(day, network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(wire.Close)
+		mcfg.OnWire(day, wire, network)
+		return network, wire
+	}
+	// rcodes asks root about n0.com, n1.com, ... and spells its answers:
+	// N for NOERROR, S for SERVFAIL, - for no answer.
+	rcodes := func(network transport.Network, root netip.AddrPort, names int) string {
+		conn, err := network.Dial(netip.MustParseAddr("10.250.0.9"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		out := ""
+		buf := make([]byte, 4096)
+		for i := 0; i < names; i++ {
+			q, err := dnswire.NewQuery(uint16(i), fmt.Sprintf("n%d.com", i), dnswire.TypeA).Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.WriteTo(q, root); err != nil {
+				t.Fatal(err)
+			}
+			n, _, err := conn.ReadFrom(buf, 2*time.Second)
+			if err != nil {
+				out += "-"
+				continue
+			}
+			m, err := dnswire.Unpack(buf[:n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch m.Flags.RCode {
+			case dnswire.RCodeNoError:
+				out += "N"
+			case dnswire.RCodeServFail:
+				out += "S"
+			default:
+				t.Fatalf("root answered %v", m.Flags.RCode)
+			}
+		}
+		return out
+	}
+	never := func(simtime.Day) bool { return false }
+	for _, tc := range []struct {
+		name    string
+		fc      chaos.Config
+		days    func(simtime.Day) bool
+		wrapped bool
+		want    string // each root's answer to one query
+	}{
+		{"fault-free", chaos.Config{}, nil, false, "N"},
+		{"network", chaos.Config{DeadFraction: 1}, nil, true, "N"},
+		{"server", chaos.Config{Servfail: 1}, nil, false, "S"},
+		{"both", chaos.Config{DeadFraction: 1, Servfail: 1}, nil, true, "S"},
+		{"day outside window", chaos.Config{DeadFraction: 1, Servfail: 1}, never, false, "N"},
+	} {
+		network, wire := arm(tc.fc, tc.days, day)
+		if _, ok := network.(*chaos.Network); ok != tc.wrapped {
+			t.Errorf("%s: network wrapped = %v, want %v", tc.name, ok, tc.wrapped)
+		}
+		if len(wire.Roots) == 0 {
+			t.Fatal("no roots")
+		}
+		for _, root := range wire.Roots {
+			if got := rcodes(network, root, 1); got != tc.want {
+				t.Errorf("%s: root %v answered %q, want %q", tc.name, root, got, tc.want)
+			}
+		}
+	}
+
+	// Half the names fail: the pattern is the seed's, per day.
+	half := chaos.Config{Servfail: 0.5}
+	pattern := func(day simtime.Day) string {
+		network, wire := arm(half, nil, day)
+		return rcodes(network, wire.Roots[0], 32)
+	}
+	a, b, next := pattern(day), pattern(day), pattern(day+1)
+	if a != b {
+		t.Errorf("same seed and day, different faults:\n%s\n%s", a, b)
+	}
+	if a == next {
+		t.Errorf("days %s and %s share their fault pattern %s", day, day+1, a)
+	}
+	if !strings.Contains(a, "S") || !strings.Contains(a, "N") {
+		t.Errorf("pattern %s: want both outcomes at Servfail 0.5", a)
 	}
 }

@@ -65,9 +65,6 @@ type Config struct {
 	// FaultDays, when set, limits injection to days where it returns true
 	// (e.g. a mid-run outage window); nil injects on every day.
 	FaultDays func(day simtime.Day) bool
-	// FailureThreshold is the resolution failure rate above which a day is
-	// committed as degraded (default 0.05).
-	FailureThreshold float64
 	// OnDayProgress, when set, receives the obs-aware per-day progress
 	// event after each measured day.
 	OnDayProgress func(DayProgress)
@@ -143,9 +140,6 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = DefaultFailureThreshold
-	}
 	if cfg.FaultScenario != "" && !cfg.Wire {
 		return nil, fmt.Errorf("experiment: fault scenario %q requires Wire mode (direct days have no datagrams to lose)", cfg.FaultScenario)
 	}
@@ -192,6 +186,19 @@ func New(cfg Config) (*Runner, error) {
 // wire day is committed as degraded.
 const DefaultFailureThreshold = 0.05
 
+// AccountDay is a day's row of the degraded-day ledger: its network
+// accounting, degraded when more than DefaultFailureThreshold of its
+// resolutions gave up. A direct day resolves nothing, so its failure
+// rate is 0 and it is never degraded.
+func AccountDay(day simtime.Day, net measure.NetStats) DayAccounting {
+	rate := net.FailureRate()
+	return DayAccounting{
+		Day: day, Queries: net.Queries, Lost: net.Lost,
+		Resolutions: net.Resolutions, GaveUp: net.GaveUp,
+		FailureRate: rate, Degraded: rate > DefaultFailureThreshold,
+	}
+}
+
 // DaySeeds derives each day's fault seed from a run's seed, so days fault
 // independently while the whole run stays a pure function of (scenario,
 // seed).
@@ -199,13 +206,9 @@ func DaySeeds(seed int64) func(simtime.Day) int64 {
 	return func(day simtime.Day) int64 { return seed + int64(day)*1_000_003 }
 }
 
-// ArmFaults arms scenario fc on mcfg's wire days. On each day days
-// accepts (nil: every day) the day's network — mcfg's own, or
-// measure.MemNetwork's — is wrapped in the scenario's datagram faults
-// seeded with seed(day), and once the day's servers are built every
-// authoritative gets the scenario's server faults under the same seed.
-// Roots are never blackholed: a dead root would sever the namespace at its
-// first hop, and the scenarios model degraded days, not a dead Internet.
+// ArmFaults arms scenario fc on mcfg's wire days: each day days accepts
+// (nil: every day) gets ArmDay over its network — mcfg's own, or
+// measure.MemNetwork's — under seed(day).
 func ArmFaults(mcfg *measure.Config, fc chaos.Config, seed func(simtime.Day) int64, days func(simtime.Day) bool) {
 	base := mcfg.WireNetwork
 	if base == nil {
@@ -213,20 +216,41 @@ func ArmFaults(mcfg *measure.Config, fc chaos.Config, seed func(simtime.Day) int
 	}
 	on := func(day simtime.Day) bool { return days == nil || days(day) }
 	mcfg.WireNetwork = func(day simtime.Day) transport.Network {
-		if on(day) && fc.Active() {
-			return chaos.Wrap(base(day), fc, seed(day))
+		if !on(day) {
+			return base(day)
 		}
-		return base(day)
+		network, _ := ArmDay(base(day), fc, seed(day)) // OnWire arms the wire
+		return network
 	}
 	mcfg.OnWire = func(day simtime.Day, wire *worldsim.Wire, network transport.Network) {
-		if cn, ok := network.(*chaos.Network); ok {
-			for _, root := range wire.Roots {
-				cn.Protect(root.Addr())
-			}
+		if on(day) {
+			armWire(wire, network, fc, seed(day))
 		}
-		if on(day) && fc.ServerActive() {
-			wire.SetFaults(chaos.NewServerFaults(fc, seed(day)))
+	}
+}
+
+// ArmDay arms scenario fc on one day's network under seed: the network
+// comes back wrapped in the scenario's datagram faults, with the hook to
+// call once the day's servers are built on it.
+func ArmDay(network transport.Network, fc chaos.Config, seed int64) (transport.Network, func(*worldsim.Wire)) {
+	if fc.Active() {
+		network = chaos.Wrap(network, fc, seed)
+	}
+	return network, func(wire *worldsim.Wire) { armWire(wire, network, fc, seed) }
+}
+
+// armWire protects the day's roots on its fault network and gives every
+// authoritative the scenario's server faults under seed. Roots are never
+// blackholed: a dead root would sever the namespace at its first hop, and
+// the scenarios model degraded days, not a dead Internet.
+func armWire(wire *worldsim.Wire, network transport.Network, fc chaos.Config, seed int64) {
+	if cn, ok := network.(*chaos.Network); ok {
+		for _, root := range wire.Roots {
+			cn.Protect(root.Addr())
 		}
+	}
+	if fc.ServerActive() {
+		wire.SetFaults(chaos.NewServerFaults(fc, seed))
 	}
 }
 
@@ -303,16 +327,11 @@ func (r *Runner) Run(ctx context.Context) error {
 		go r.account(parts, &accountant)
 		detected := r.Agg.SumAny(worldsim.GTLDs(), day)
 		net := r.pipeline.LastNetStats()
-		acct := DayAccounting{
-			Day: day, Queries: net.Queries, Lost: net.Lost,
-			Resolutions: net.Resolutions, GaveUp: net.GaveUp,
-			FailureRate: net.FailureRate(),
-		}
-		if r.Cfg.Wire && acct.FailureRate > r.Cfg.FailureThreshold {
+		acct := AccountDay(day, net)
+		if acct.Degraded {
 			// The day is kept — partial data still feeds the aggregates,
 			// as the paper's pipeline kept partial days — but committed as
 			// degraded so the growth analysis interpolates across it.
-			acct.Degraded = true
 			r.Agg.MarkDegraded(day)
 			mDegradedDays.Inc()
 			sp.SetAttr(trace.Str("degraded", "true"))

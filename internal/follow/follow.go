@@ -338,21 +338,9 @@ func (f *Follower) discoverCoord() error {
 		if f.applied[k] || f.skipped[k] {
 			continue
 		}
-		f.pending[k] = f.spoolPath(rec)
+		f.pending[k] = coord.ResolveSpool(f.cfg.Target, rec.Partition(), rec.Spool)
 	}
 	return nil
-}
-
-// spoolPath resolves a commit record's spool file. The journal records
-// the path the coordinator used (possibly relative to its own working
-// directory), so the layout-derived path under the followed directory
-// wins whenever it exists.
-func (f *Follower) spoolPath(rec coord.Record) string {
-	derived := filepath.Join(f.cfg.Target, "spool", fmt.Sprintf("%s.%s.dpsa", rec.Source, rec.Day))
-	if _, err := os.Stat(derived); err == nil {
-		return derived
-	}
-	return rec.Spool
 }
 
 // discoverDataset diffs the dataset's partition directory against the
