@@ -1,21 +1,15 @@
 # Developer entry points. `make check` is the tier-1 verification going
-# forward: vet (host and big-endian), build, the full test suite under the
-# race detector, the allocation ceilings without it, and the benchmark
-# harness's own vet + tests, and every binary's -help against its golden file.
+# forward: scripts/check.sh, the one list of its steps and packages —
+# vet (host and big-endian), build, the full test suite under the race
+# detector, the allocation ceilings without it, the benchmark harness's
+# own vet + tests, and every binary's -help against its golden file.
 
 GO ?= go
 
-.PHONY: check vet build test test-race test-allocs check-bench cli-help fuzz-smoke loc bench chaos api coord coord-smoke follow follow-smoke
+.PHONY: check build test test-race check-bench cli-help fuzz-smoke loc bench chaos api coord coord-smoke follow follow-smoke
 
-check: vet build test-race test-allocs check-bench cli-help
-
-# The second vet cross-compiles (offline, from GOROOT) the two packages on
-# the .dpsa read path for a big-endian target: nothing else ever builds
-# store's portable column codec, and vet's unsafeptr check must pass on
-# both byte orders.
-vet:
-	$(GO) vet ./...
-	GOOS=linux GOARCH=s390x $(GO) vet ./internal/store ./internal/core
+check:
+	sh scripts/check.sh
 
 build:
 	$(GO) build ./...
@@ -25,12 +19,6 @@ test:
 
 test-race:
 	$(GO) test -race ./...
-
-# The wire path's and the .dpsa read path's allocation ceilings sit in
-# `//go:build !race` files (the race runtime drops sync.Pool items), so
-# test-race skips them; core's DiscoverAll ceiling runs under both.
-test-allocs:
-	$(GO) test -run 'Allocs' ./internal/dnswire ./internal/transport ./internal/dnsclient ./internal/dnsserver ./internal/core ./internal/store ./internal/measure ./internal/api
 
 # bench/ is a separate module importing internal/*: `./...` above does
 # not reach it, so an internal change that breaks its build shows here.

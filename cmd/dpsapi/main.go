@@ -7,10 +7,10 @@
 //	GET /v1/stats                   dataset + index summary
 //
 // The same listener also exposes /metrics (Prometheus text, including
-// the go_*/process_* runtime gauges and build_info), expvar /debug/vars,
-// pprof profiles and the /debug/contention JSON summary; -prof-mutex and
-// -prof-block arm the runtime's contention profilers behind the latter
-// two. The query observatory adds /debug/slo (rolling-window SLO burn
+// the go_*/process_* runtime gauges and build_info), expvar /debug/vars
+// and pprof profiles; -prof-mutex and -prof-block arm the runtime's
+// contention profilers behind /debug/pprof/{mutex,block}. The query
+// observatory adds /debug/slo (rolling-window SLO burn
 // scorecard), /debug/slowlog (N slowest requests per route), and
 // /debug/topk (heavy-hitter domains and providers); its final scorecard
 // is logged on drain. Admission control is layered: -qps
@@ -194,7 +194,7 @@ func main() {
 	stopEval := srv.Observatory().StartEvaluator(10 * time.Second)
 	defer stopEval()
 	// One listener for everything: the API routes share the mux with
-	// /metrics, /debug/vars, /debug/pprof and /debug/contention so
+	// /metrics, /debug/vars and /debug/pprof so
 	// operators scrape the serving-path counters from the same port they
 	// query. The runtime collector keeps the go_*/process_* gauges (GC
 	// pause, sched latency, heap, RSS) current for the process lifetime.

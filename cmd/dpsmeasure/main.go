@@ -8,12 +8,11 @@
 // per day with row/query counts and latency quantiles); -quiet
 // suppresses it. With -metrics-addr the process serves live
 // Prometheus-text /metrics (including the go_*/process_* runtime
-// gauges), expvar /debug/vars, pprof profiles, the /debug/contention
-// JSON summary and — when tracing is on — /debug/traces for the duration
-// of the run, and stays up after the run finishes until interrupted so
-// the final counters can be scraped. -prof-mutex and -prof-block arm the
-// runtime's contention profilers, which feed both /debug/pprof/{mutex,
-// block} and /debug/contention.
+// gauges), expvar /debug/vars, pprof profiles and — when tracing is on —
+// /debug/traces for the duration of the run, and stays up after the run
+// finishes until interrupted so the final counters can be scraped.
+// -prof-mutex and -prof-block arm the runtime's contention profilers,
+// which feed /debug/pprof/{mutex,block}.
 //
 // Tracing: -trace-out enables request-scoped tracing and names the output
 // base; the run writes <base>.json (Chrome trace_event, loadable in

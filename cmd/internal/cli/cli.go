@@ -9,6 +9,7 @@ import (
 	"log"
 	"log/slog"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -53,8 +54,8 @@ func Parse(name string, groups int) *Flags {
 		flag.BoolVar(&logJSON, "log-json", false, "emit structured logs as JSON")
 	}
 	if groups&Profiling != 0 {
-		flag.IntVar(&profMutex, "prof-mutex", 0, "mutex profiling fraction (runtime.SetMutexProfileFraction; 0 = off); served at /debug/pprof/mutex and /debug/contention")
-		flag.IntVar(&profBlock, "prof-block", 0, "block profiling rate in ns (runtime.SetBlockProfileRate; 0 = off); served at /debug/pprof/block and /debug/contention")
+		flag.IntVar(&profMutex, "prof-mutex", 0, "mutex profiling fraction (runtime.SetMutexProfileFraction; 0 = off); served at /debug/pprof/mutex")
+		flag.IntVar(&profBlock, "prof-block", 0, "block profiling rate in ns (runtime.SetBlockProfileRate; 0 = off); served at /debug/pprof/block")
 	}
 	if groups&Faults != 0 {
 		flag.StringVar(&f.FaultScenario, "fault-scenario", "",
@@ -70,7 +71,8 @@ func Parse(name string, groups int) *Flags {
 	if f.Quiet {
 		obs.SetQuiet()
 	}
-	obs.SetContentionProfiling(profMutex, profBlock)
+	runtime.SetMutexProfileFraction(profMutex)
+	runtime.SetBlockProfileRate(profBlock)
 	if f.FaultScenario != "" {
 		fc, err := chaos.Scenario(f.FaultScenario)
 		if err != nil {

@@ -20,9 +20,9 @@
 //     one index walk and share the bytes.
 //  4. The index lookup itself, lock-free on the immutable Index.
 //
-// Every request is counted (api_requests_total{route_code}), timed
-// (api_request_seconds with trace exemplars), and optionally traced with
-// a per-request root span.
+// Every request is recorded by the query observatory (rolling per-route
+// latency and error windows, SLO scorecard, slow log) and optionally
+// traced with a per-request root span.
 package api
 
 import (
@@ -58,7 +58,7 @@ type Config struct {
 	// CacheShards is rounded up to a power of two (default 16).
 	CacheShards int
 	// Tracer, when enabled, opens a sampled root span per request and
-	// links latency histogram buckets to trace IDs via exemplars.
+	// stamps its trace ID on the request's slow-log entry.
 	Tracer *trace.Tracer
 	// Observatory overrides the windowed query observatory (rolling
 	// latency/error windows, SLO scorecard, slow-query log, heavy-hitter
@@ -162,7 +162,7 @@ func (s *Server) Observatory() *obs.Observatory { return s.obsv }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // route wraps one handler with the full serving stack: admission
-// (bucket → gate → deadline), tracing, cache + coalescing, metrics.
+// (bucket → gate → deadline), tracing, cache + coalescing, observatory.
 func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -190,8 +190,7 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 				return
 			}
 		}
-		mInflight.Inc()
-		defer func() { <-s.gate; mInflight.Dec() }()
+		defer func() { <-s.gate }()
 
 		var sp *trace.Span
 		if t := s.cfg.Tracer; t.Enabled() && t.SampleName(r.URL.Path) {
@@ -219,9 +218,6 @@ func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request)
 			}
 			return fn(r)
 		})
-		if shared {
-			mCoalesced.Inc()
-		}
 		return val, false, shared
 	}
 	if val, ok := s.cache.get(key); ok {
@@ -246,29 +242,20 @@ func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request)
 		}
 		return val
 	})
-	if shared {
-		mCoalesced.Inc()
-	}
 	return val, false, shared
 }
 
-// finish writes the response and records metrics, the span status, the
-// latency exemplar, and the observatory's windowed/slowlog/heavy-hitter
-// views.
+// finish writes the response and records the span status and the
+// observatory's windowed/slowlog/heavy-hitter views.
 func (s *Server) finish(w http.ResponseWriter, r *http.Request, route string, start time.Time, sp *trace.Span, val cached, out obs.RequestOutcome) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(val.status)
 	_, _ = w.Write(val.body)
-	mRequests.With(fmt.Sprintf("%s:%d", route, val.status)).Inc()
 	elapsed := time.Since(start)
 	sec := elapsed.Seconds()
-	h := mLatency.With(route)
 	if sp != nil {
 		sp.SetAttr(trace.Int("status", int64(val.status)))
 		out.TraceID = sp.TraceID().String()
-		h.ObserveExemplar(sec, out.TraceID)
-	} else {
-		h.Observe(sec)
 	}
 	if s.obsv != nil {
 		// Detail only matters if the slow log will retain this request;

@@ -111,7 +111,6 @@ func (c *shardedCache) put(key string, val cached, gen uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.gen.Load() != gen {
-		mCacheStaleFills.Inc()
 		return
 	}
 	if el, ok := s.items[key]; ok {
@@ -123,7 +122,6 @@ func (c *shardedCache) put(key string, val cached, gen uint64) {
 		if back := s.ll.Back(); back != nil {
 			s.ll.Remove(back)
 			delete(s.items, back.Value.(*lruEntry).key)
-			mCacheEvictions.Inc()
 		}
 	}
 	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val})

@@ -256,8 +256,6 @@ func (x *Index) Apply(batch []PartitionUpdate) (*Index, *Delta) {
 	}
 
 	nd.buildTime = time.Since(start)
-	mIndexDomains.Set(float64(len(nd.domains)))
-	mIndexDays.Set(float64(len(nd.days)))
 	return nd, delta
 }
 

@@ -220,9 +220,6 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 	}
 
 	x.buildTime = time.Since(start)
-	mIndexDomains.Set(float64(len(x.domains)))
-	mIndexDays.Set(float64(len(x.days)))
-	mIndexBuildSeconds.Set(x.buildTime.Seconds())
 	return x, failed
 }
 

@@ -3,40 +3,17 @@ package api
 import "dpsadopt/internal/obs"
 
 // Serving-path metrics, registered on the process-wide registry like
-// every other instrumented layer. The registry's vecs carry one label,
-// so the {route, code} pair is packed into a single route_code value
-// ("domain:200").
+// every other instrumented layer: the cache's traffic and the two
+// admission layers' rejections.
 var (
-	mRequests = obs.Default().CounterVec("api_requests_total",
-		"API requests by route and status code (route_code = route:code)", "route_code")
-	mLatency = obs.Default().HistogramVec("api_request_seconds",
-		"end-to-end request latency by route, admission included", "route", nil)
-	mInflight = obs.Default().Gauge("api_inflight_requests",
-		"requests currently inside the concurrency gate")
 	mCacheHits = obs.Default().Counter("api_cache_hits_total",
 		"requests answered from the sharded response cache")
 	mCacheMisses = obs.Default().Counter("api_cache_misses_total",
 		"requests that missed the response cache")
-	mCacheEvictions = obs.Default().Counter("api_cache_evictions_total",
-		"responses evicted from the cache under capacity pressure")
-	mCoalesced = obs.Default().Counter("api_coalesced_total",
-		"cache misses that shared another request's in-flight index walk")
 	mRateLimited = obs.Default().Counter("api_rate_limited_total",
 		"requests shed by the token bucket (429)")
 	mShed = obs.Default().Counter("api_shed_total",
 		"requests shed by the concurrency gate or deadline (503)")
-	mIndexDomains = obs.Default().Gauge("api_index_domains",
-		"detected domains resident in the read index")
-	mIndexDays = obs.Default().Gauge("api_index_days",
-		"measured days resident in the read index")
-	mIndexBuildSeconds = obs.Default().Gauge("api_index_build_seconds",
-		"wall time spent building the read index at load")
-	mIndexSwaps = obs.Default().Counter("api_index_swaps_total",
-		"index generations published onto the serving pointer")
-	mIndexEpoch = obs.Default().Gauge("api_index_epoch",
-		"epoch of the currently served index (0 = initial build)")
 	mCacheInvalidated = obs.Default().Counter("api_cache_invalidated_total",
 		"cache entries removed by delta-targeted invalidation sweeps")
-	mCacheStaleFills = obs.Default().Counter("api_cache_stale_fills_total",
-		"cache fills rejected because an index publish fenced them off")
 )

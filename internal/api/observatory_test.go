@@ -242,6 +242,20 @@ func TestStatsEmbedsObservatory(t *testing.T) {
 	}
 }
 
+// TestDefaultObservatoryExposesRouteWindows: a server configured without
+// an observatory builds the default one, whose per-route windows are
+// series on the process registry.
+func TestDefaultObservatoryExposesRouteWindows(t *testing.T) {
+	get(t, fixtureServer(t, Config{}).Handler(), "/v1/domain/alpha.com")
+	snap := obs.Default().Snapshot()
+	if got := snap.Histograms[`api_request_window_seconds_domain{window="5m"}`].Count; got < 1 {
+		t.Fatalf("api_request_window_seconds_domain 5m count = %d, want >= 1", got)
+	}
+	if _, ok := snap.Gauges[`api_request_window_errors_domain{window="5m"}`]; !ok {
+		t.Fatal("api_request_window_errors_domain not exposed")
+	}
+}
+
 func TestObservatoryOff(t *testing.T) {
 	srv := fixtureServer(t, Config{ObservatoryOff: true})
 	h := srv.Handler()

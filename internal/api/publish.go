@@ -60,8 +60,6 @@ func (s *Server) Index() *Index { return s.idx.Load() }
 // requests that already resolved it.
 func (s *Server) Publish(idx *Index, delta *Delta) {
 	s.idx.Store(idx)
-	mIndexSwaps.Inc()
-	mIndexEpoch.Set(float64(idx.Epoch()))
 	if s.cache == nil {
 		return
 	}

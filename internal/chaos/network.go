@@ -105,7 +105,6 @@ func (n *Network) DialStream(local netip.Addr, remote netip.AddrPort) (net.Conn,
 		return nil, fmt.Errorf("chaos: inner transport has no stream support")
 	}
 	if n.dead(remote) {
-		mInjected.With("blackhole").Inc()
 		return nil, fmt.Errorf("%w: %v (chaos: dead server)", transport.ErrNoRoute, remote)
 	}
 	return sn.DialStream(local, remote)
@@ -154,7 +153,6 @@ func (c *faultConn) WriteTo(p []byte, to netip.AddrPort) error {
 		return c.inner.WriteTo(p, to)
 	}
 	if c.net.dead(to) {
-		mInjected.With("blackhole").Inc()
 		return nil // vanishes, like UDP to a dead host
 	}
 	c.mu.Lock()
@@ -163,14 +161,12 @@ func (c *faultConn) WriteTo(p []byte, to netip.AddrPort) error {
 	c.mu.Unlock()
 	base := mix2(mix2(c.net.seed, c.local), mix2(hashString(to.String()), seq))
 	if cfg.Loss > 0 && unit(mix2(base, streamLoss)) < cfg.Loss {
-		mInjected.With("loss").Inc()
 		return nil
 	}
 	dup := cfg.Duplicate > 0 && unit(mix2(base, streamDup)) < cfg.Duplicate
 	delay := time.Duration(0)
 	if cfg.SpikeProb > 0 && unit(mix2(base, streamSpike)) < cfg.SpikeProb {
 		delay = cfg.SpikeDelay
-		mInjected.With("spike").Inc()
 	} else {
 		if cfg.Latency > 0 {
 			delay = cfg.Latency
@@ -180,13 +176,9 @@ func (c *faultConn) WriteTo(p []byte, to netip.AddrPort) error {
 		}
 		if cfg.Reorder > 0 && unit(mix2(base, streamReorder)) < cfg.Reorder {
 			delay += cfg.ReorderDelay
-			mInjected.With("reorder").Inc()
 		}
 	}
 	send := func() error { return c.inner.WriteTo(p, to) }
-	if dup {
-		mInjected.With("duplicate").Inc()
-	}
 	if delay > 0 {
 		// Deliver later; the payload must outlive the caller's buffer.
 		held := append([]byte(nil), p...)
@@ -194,7 +186,6 @@ func (c *faultConn) WriteTo(p []byte, to netip.AddrPort) error {
 		if dup {
 			time.AfterFunc(delay, func() { _ = c.inner.WriteTo(held, to) })
 		}
-		mInjected.With("delay").Inc()
 		return nil
 	}
 	if err := send(); err != nil {

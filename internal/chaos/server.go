@@ -57,23 +57,19 @@ func (f *ServerFaults) QueryFault(qname string) (dnsserver.Fault, time.Duration)
 	f.mu.Unlock()
 	base := mix2(mix2(f.seed, hashString(qname)), seq)
 	if f.cfg.ServerDrop > 0 && unit(mix2(base, streamServerDrop)) < f.cfg.ServerDrop {
-		mInjected.With("server_drop").Inc()
 		return dnsserver.FaultDrop, 0
 	}
 	// SERVFAIL decisions are shared across a burst window of queries.
 	if f.cfg.Servfail > 0 {
 		burst := mix2(mix2(f.seed, hashString(qname)), seq/serverBurst)
 		if unit(mix2(burst, streamServfail)) < f.cfg.Servfail {
-			mInjected.With("servfail").Inc()
 			return dnsserver.FaultServfail, 0
 		}
 	}
 	if f.cfg.Truncate > 0 && unit(mix2(base, streamTruncate)) < f.cfg.Truncate {
-		mInjected.With("truncate").Inc()
 		return dnsserver.FaultTruncate, 0
 	}
 	if f.cfg.Slow > 0 && unit(mix2(base, streamSlow)) < f.cfg.Slow {
-		mInjected.With("slow").Inc()
 		return dnsserver.FaultSlow, f.cfg.SlowDelay
 	}
 	return dnsserver.FaultNone, 0

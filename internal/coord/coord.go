@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -117,7 +118,6 @@ type partState struct {
 	state        string
 	leaseID      uint64
 	expiry       time.Time
-	expiredAt    time.Time // when the last lease expired (re-lease latency)
 	attempts     int       // leases granted so far
 	nextEligible time.Time // backoff gate for the next lease
 	spool        string
@@ -193,11 +193,7 @@ func New(cfg Config, parts []Partition) (*Coordinator, error) {
 	}
 	c.cond = sync.NewCond(&c.mu)
 
-	if len(recs) > 0 {
-		mJournalReplays.Inc()
-	}
 	for _, rec := range recs {
-		mJournalRecords.Inc()
 		p := Partition{Source: rec.Source, Day: simtime.Day(rec.Day)}
 		st := c.parts[p]
 		if st == nil {
@@ -234,7 +230,6 @@ func New(cfg Config, parts []Partition) (*Coordinator, error) {
 		if st.state == StateLeased {
 			st.state = StatePending
 			st.leaseID = 0
-			mReplayRequeues.Inc()
 			if err := c.jr.append(record{Type: recRequeue, Source: p.Source, Day: int(p.Day)}, false); err != nil {
 				return nil, err
 			}
@@ -258,7 +253,6 @@ func New(cfg Config, parts []Partition) (*Coordinator, error) {
 		}
 		return a.Day < b.Day
 	})
-	mPartitions.Set(float64(len(c.order)))
 	return c, nil
 }
 
@@ -296,10 +290,8 @@ func (c *Coordinator) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for i := 0; i < c.cfg.Workers; i++ {
 		wg.Add(1)
-		mWorkers.Inc()
 		go func(id int) {
 			defer wg.Done()
-			defer mWorkers.Dec()
 			c.runWorker(runCtx, id)
 		}(i)
 	}
@@ -314,7 +306,6 @@ func (c *Coordinator) Run(ctx context.Context) error {
 	c.mu.Unlock()
 	switch {
 	case restarting:
-		mRestarts.Inc()
 		return ErrRestart
 	case ctx.Err() != nil:
 		return ctx.Err()
@@ -363,8 +354,6 @@ func (c *Coordinator) supervise(ctx context.Context) {
 				if st.state != StateLeased || now.Before(st.expiry) {
 					continue
 				}
-				mLeaseExpiries.Inc()
-				st.expiredAt = st.expiry
 				c.requeueLocked(p, st, "lease expired (missed heartbeats)")
 				woke = true
 			}
@@ -392,7 +381,6 @@ func (c *Coordinator) requeueLocked(p Partition, st *partState, cause string) {
 	st.lastErr = cause
 	if st.attempts >= c.cfg.MaxAttempts {
 		st.state = StateFailed
-		mFailures.Inc()
 		// Permanent fates are fsync'd like commits.
 		_ = c.jr.append(record{Type: recFail, Source: p.Source, Day: int(p.Day), Attempt: st.attempts, Err: cause}, true)
 		return
@@ -403,8 +391,6 @@ func (c *Coordinator) requeueLocked(p Partition, st *partState, cause string) {
 		shift = 10
 	}
 	st.nextEligible = time.Now().Add(c.cfg.RetryBackoff << shift)
-	mRequeues.Inc()
-	c.updatePendingLocked()
 	_ = c.jr.append(record{Type: recRequeue, Source: p.Source, Day: int(p.Day), Attempt: st.attempts, Err: cause}, false)
 }
 
@@ -439,12 +425,6 @@ func (c *Coordinator) acquire(ctx context.Context) (p Partition, leaseID uint64,
 			st.leaseID = c.nextLease
 			st.attempts++
 			st.expiry = now.Add(c.cfg.LeaseTTL)
-			if !st.expiredAt.IsZero() {
-				mReleaseLatency.Observe(now.Sub(st.expiredAt).Seconds())
-				st.expiredAt = time.Time{}
-			}
-			mLeases.Inc()
-			c.updatePendingLocked()
 			_ = c.jr.append(record{Type: recLease, Source: cand.Source, Day: int(cand.Day), Lease: st.leaseID, Attempt: st.attempts}, false)
 			return cand, st.leaseID, st.attempts, true
 		}
@@ -489,12 +469,10 @@ func (c *Coordinator) Commit(p Partition, leaseID uint64, spool string) error {
 	}
 	if st.state == StateCommitted {
 		c.mu.Unlock()
-		mDupCommits.Inc()
 		return nil
 	}
 	if st.state != StateLeased || st.leaseID != leaseID {
 		c.mu.Unlock()
-		mFencedCommits.Inc()
 		return ErrLeaseLost
 	}
 	if err := c.jr.append(record{Type: recCommit, Source: p.Source, Day: int(p.Day), Lease: leaseID, Attempt: st.attempts, Spool: spool}, true); err != nil {
@@ -504,9 +482,7 @@ func (c *Coordinator) Commit(p Partition, leaseID uint64, spool string) error {
 	st.state = StateCommitted
 	st.spool = spool
 	st.lastErr = ""
-	mCommits.Inc()
 	attempt := st.attempts
-	c.updatePendingLocked()
 	c.cond.Broadcast()
 	c.mu.Unlock()
 
@@ -553,16 +529,6 @@ func tearFile(path string, frac float64) {
 		return
 	}
 	_ = os.Truncate(path, int64(float64(fi.Size())*frac))
-}
-
-func (c *Coordinator) updatePendingLocked() {
-	n := 0
-	for _, st := range c.parts {
-		if st.state == StatePending {
-			n++
-		}
-	}
-	mPending.Set(float64(n))
 }
 
 // Ledger snapshots every partition's status, in (source, day) order.
@@ -650,8 +616,11 @@ func (c *Coordinator) Assemble() (*store.Store, []DamagedPartition, error) {
 	var damaged []DamagedPartition
 	for _, it := range items {
 		if err := store.Verify(it.spool); err != nil {
+			// A spool an earlier Assemble over this directory quarantined
+			// comes back at its quarantined path; one that is gone from
+			// both places is still damaged, with no path to show.
 			qpath, qerr := store.QuarantineFile(it.spool, err)
-			if qerr != nil {
+			if qerr != nil && !errors.Is(qerr, fs.ErrNotExist) {
 				return nil, nil, fmt.Errorf("coord: quarantine %s: %w", it.p, qerr)
 			}
 			damaged = append(damaged, DamagedPartition{Partition: it.p, QuarantinePath: qpath, Err: err.Error()})

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dpsadopt/internal/chaos"
+	"dpsadopt/internal/obs"
 	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/store"
 )
@@ -128,7 +129,6 @@ func TestCommitFencing(t *testing.T) {
 	st := c.parts[p]
 	now := time.Now()
 	if st.state == StateLeased && !now.Before(st.expiry) {
-		st.expiredAt = st.expiry
 		c.requeueLocked(p, st, "expired in test")
 	}
 	c.mu.Unlock()
@@ -428,12 +428,19 @@ func TestTornWriteScenarioQuarantinesDamage(t *testing.T) {
 	if got := c.Stats().Committed; got != len(parts) {
 		t.Fatalf("committed = %d, want %d", got, len(parts))
 	}
+	quarantined := func() int64 {
+		return obs.Default().Snapshot().Counter("store_quarantined_partitions_total")
+	}
+	q0 := quarantined()
 	assembled, damaged, err := c.Assemble()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(damaged) == 0 {
 		t.Fatal("torn-write at 0.5 over 16 partitions damaged nothing")
+	}
+	if got := quarantined() - q0; got != int64(len(damaged)) {
+		t.Fatalf("store_quarantined_partitions_total rose by %d, want %d", got, len(damaged))
 	}
 	hurt := map[Partition]bool{}
 	for _, d := range damaged {
@@ -458,5 +465,29 @@ func TestTornWriteScenarioQuarantinesDamage(t *testing.T) {
 		if !hurt[p] && n != 3 {
 			t.Fatalf("%s: surviving partition has %d rows, want 3", p, n)
 		}
+	}
+
+	// A second coordinator over the same directory finds the damaged
+	// spools already in quarantine/: it reports the same damage, with no
+	// error and without counting the quarantines again.
+	c2, err := New(cfg, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	_, again, err := c2.Assemble()
+	if err != nil {
+		t.Fatalf("re-assembling a quarantined run: %v", err)
+	}
+	if len(again) != len(damaged) {
+		t.Fatalf("re-assembly reports %d damaged partitions, want %d", len(again), len(damaged))
+	}
+	for i, d := range again {
+		if d.Partition != damaged[i].Partition || d.QuarantinePath != damaged[i].QuarantinePath || d.Err == "" {
+			t.Fatalf("re-assembly damage %+v, want %+v", d, damaged[i])
+		}
+	}
+	if got := quarantined() - q0; got != int64(len(damaged)) {
+		t.Fatalf("store_quarantined_partitions_total rose by %d after re-assembly, want %d", got, len(damaged))
 	}
 }

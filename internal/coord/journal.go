@@ -89,7 +89,6 @@ func openJournal(path string) (*journal, []record, error) {
 		seq = recs[len(recs)-1].Seq
 	}
 	if torn {
-		mJournalTornTails.Inc()
 		if err := os.Truncate(path, int64(good)); err != nil {
 			return nil, nil, fmt.Errorf("coord: truncate torn journal tail: %w", err)
 		}

@@ -84,7 +84,6 @@ func (c *Coordinator) runPartition(ctx context.Context, log interface {
 	if attempt > 1 {
 		if _, err := os.Stat(spool); err == nil {
 			if store.Verify(spool) == nil {
-				mRecoveredSpools.Inc()
 				log.Debug("recovered intact spool", "partition", p.String(), "attempt", attempt)
 				if err := c.Commit(p, leaseID, spool); err != nil {
 					log.Warn("recovered-spool commit rejected", "partition", p.String(), "err", err)

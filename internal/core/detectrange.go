@@ -167,8 +167,6 @@ func DetectRangeSource(ctx context.Context, src BatchSource, parts []Partition, 
 	if dict, err := src.SharedDict(); err == nil && dict != nil {
 		refs.ForDict(dict)
 	}
-	mDetectWorkers.Add(float64(workers))
-	defer mDetectWorkers.Add(-float64(workers))
 	start := time.Now()
 	clocks := make([]workerClock, workers)
 	var rows atomic.Int64
@@ -205,16 +203,9 @@ func DetectRangeSource(ctx context.Context, src BatchSource, parts []Partition, 
 				}
 				clk.scan += scan
 				clk.merge += merge
-				elapsed := scan + merge
 				rows.Add(int64(det.Rows))
-				mDetectPartitions.Inc()
-				mDetectRows.Add(int64(det.Rows))
-				mDetectSeconds.Observe(elapsed.Seconds())
 				mStageScan.Observe(scan.Seconds())
 				mStageMerge.Observe(merge.Seconds())
-				if elapsed > 0 {
-					mDetectRowRate.Observe(float64(det.Rows) / elapsed.Seconds())
-				}
 				sp.SetAttr(trace.Int("rows", int64(det.Rows)),
 					trace.Int("detected", int64(det.CountAny())),
 					trace.Int("scan_us", scan.Microseconds()),

@@ -102,13 +102,18 @@ func TestDetectStageMetrics(t *testing.T) {
 	refs := MustGroundTruth()
 	parts := Partitions(s)
 
+	vec, ok := obs.Default().Lookup("detect_stage_seconds")
+	if !ok {
+		t.Fatal("detect_stage_seconds not registered")
+	}
+	stages := vec.(*obs.HistogramVec)
 	before := map[string]uint64{}
 	for _, stage := range []string{"queue_wait", "scan", "merge", "barrier"} {
-		before[stage] = mDetectStage.With(stage).Count()
+		before[stage] = stages.With(stage).Count()
 	}
 	_, st := DetectRangeStats(context.Background(), s, parts, refs, 2)
 	for _, stage := range []string{"queue_wait", "scan", "merge", "barrier"} {
-		if got := mDetectStage.With(stage).Count(); got <= before[stage] {
+		if got := stages.With(stage).Count(); got <= before[stage] {
 			t.Errorf("detect_stage_seconds{stage=%q} count did not advance (%d -> %d)", stage, before[stage], got)
 		}
 	}

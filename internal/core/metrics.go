@@ -2,24 +2,6 @@ package core
 
 import "dpsadopt/internal/obs"
 
-// Detection-engine metrics. DetectRange is the shared parallel pass
-// behind every figure, Table 1, and the dpsapi load-time index; these
-// make its fan-out legible from /metrics while a build or run is in
-// flight.
-var (
-	mDetectWorkers = obs.Default().Gauge("detect_workers",
-		"goroutines currently inside DetectRange worker pools")
-	mDetectPartitions = obs.Default().Counter("detect_partitions_total",
-		"(source, day) partitions classified; rate() gives partitions/sec")
-	mDetectRows = obs.Default().Counter("detect_rows_total",
-		"rows classified against the reference table")
-	mDetectSeconds = obs.Default().Histogram("detect_partition_seconds",
-		"wall time to classify one partition", nil)
-	mDetectRowRate = obs.Default().Histogram("detect_rows_per_second",
-		"per-partition classification throughput (rows/sec)",
-		[]float64{1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8})
-)
-
 // Stage-resolved timing: where a DetectRange worker's time goes. Buckets
 // reach down to 1µs because healthy queue waits are sub-microsecond and
 // a partition's scan is tens to hundreds of µs at bench scales.

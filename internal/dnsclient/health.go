@@ -62,10 +62,7 @@ func (h *healthTable) ok(s netip.AddrPort) {
 	sh := h.get(s)
 	sh.score += healthAlpha * (1 - sh.score)
 	sh.consecFails = 0
-	if sh.openUntil != 0 {
-		sh.openUntil = 0
-		mBreakerClose.Inc()
-	}
+	sh.openUntil = 0
 }
 
 // fail records a timeout; enough consecutive ones trip the breaker.
@@ -75,7 +72,6 @@ func (h *healthTable) fail(s netip.AddrPort) {
 	sh.consecFails++
 	if sh.consecFails >= breakerTrip && sh.openUntil <= h.tick {
 		sh.openUntil = h.tick + breakerCooldown
-		mBreakerOpen.Inc()
 	}
 }
 

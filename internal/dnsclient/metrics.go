@@ -8,22 +8,8 @@ import "dpsadopt/internal/obs"
 var (
 	mQueries = obs.Default().Counter("dns_client_queries_total",
 		"query datagrams sent (UDP and TCP)")
-	mRetries = obs.Default().Counter("dns_client_retries_total",
-		"query retransmissions after a lost or unanswered datagram")
-	mTimeouts = obs.Default().Counter("dns_client_timeouts_total",
-		"attempts that expired without a matching response")
-	mTCPFallback = obs.Default().Counter("dns_client_tcp_fallback_total",
-		"truncated UDP responses retried over TCP")
 	mErrors = obs.Default().Counter("dns_client_errors_total",
 		"resolutions that returned an error (retries exhausted, referral limit, ...)")
-	mRCodes = obs.Default().CounterVec("dns_client_rcode_total",
-		"responses by DNS RCODE", "rcode")
 	mQueryLatency = obs.Default().Histogram("dns_client_query_seconds",
 		"latency of one query exchange, send to matching response", nil)
-	mBreakerOpen = obs.Default().Counter("dns_client_breaker_open_total",
-		"per-server circuit breakers tripped by consecutive timeouts")
-	mBreakerClose = obs.Default().Counter("dns_client_breaker_close_total",
-		"per-server circuit breakers closed again by a successful exchange")
-	mBudgetExhausted = obs.Default().Counter("dns_client_budget_exhausted_total",
-		"resolutions abandoned because the per-resolution retry budget ran out")
 )

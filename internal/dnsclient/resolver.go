@@ -414,10 +414,8 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 		server := order[attempt%len(order)]
 		if attempt > 0 {
 			if !res.takeRetry() {
-				mBudgetExhausted.Inc()
 				return nil, fmt.Errorf("%w: %s %s", ErrBudget, qname, qtype)
 			}
-			mRetries.Inc()
 			if err := r.backoffSleep(ctx, attempt); err != nil {
 				return nil, err
 			}
@@ -473,27 +471,22 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 			if resp.Flags.Truncated {
 				// RFC 1035 §4.2.2: retry over TCP. Keep the truncated
 				// response if the stream path is unavailable or fails.
-				mTCPFallback.Inc()
 				ssp.SetAttr(trace.Str("outcome", "truncated"))
 				ssp.End()
 				if full, err := r.exchangeTCP(ctx, server, wire, q.ID, qname, qtype); err == nil {
-					mRCodes.With(full.Flags.RCode.String()).Inc()
 					return full, nil
 				}
-				mRCodes.With(resp.Flags.RCode.String()).Inc()
 				return resp, nil
 			}
 			if ssp != nil {
 				ssp.SetAttr(trace.Str("outcome", "response"), trace.Int("resp_bytes", int64(n)))
 				ssp.End()
 			}
-			mRCodes.With(resp.Flags.RCode.String()).Inc()
 			return resp, nil
 		}
 		// Only a timed-out attempt reaches here: every response path
 		// returned above. Account it and mark the server against the
 		// circuit breaker before the next attempt tries elsewhere.
-		mTimeouts.Inc()
 		r.timeouts.Add(1)
 		if res != nil {
 			res.Timeouts++

@@ -4,13 +4,5 @@ import "dpsadopt/internal/obs"
 
 // Process-wide authoritative-server metrics; one simulated Internet runs
 // thousands of Server instances, all feeding the same series.
-var (
-	mQueries = obs.Default().Counter("dns_server_queries_total",
-		"queries handled (including refused ones); rate() gives QPS")
-	mInflight = obs.Default().Gauge("dns_server_inflight",
-		"datagrams currently being decoded and answered")
-	mMalformed = obs.Default().Counter("dns_server_malformed_total",
-		"datagrams that failed DNS wire decoding and were dropped")
-	mTruncated = obs.Default().Counter("dns_server_truncated_total",
-		"responses truncated to the advertised UDP payload limit")
-)
+var mQueries = obs.Default().Counter("dns_server_queries_total",
+	"queries handled (including refused ones); rate() gives QPS")

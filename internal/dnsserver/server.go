@@ -227,7 +227,6 @@ func packWithLimit(resp *dnswire.Message, limit int, buf []byte) ([]byte, error)
 	if len(wire) <= limit {
 		return wire, nil
 	}
-	mTruncated.Inc()
 	trunc := *resp
 	trunc.Flags.Truncated = true
 	trunc.Answers = nil
@@ -322,11 +321,8 @@ func (s *Server) serveInline(conn transport.Conn) error {
 // transport does not retain it past WriteTo), which answer returns for
 // the next call, grown if need be.
 func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort, out []byte) []byte {
-	mInflight.Inc()
-	defer mInflight.Dec()
 	q, err := dnswire.Unpack(data)
 	if err != nil {
-		mMalformed.Inc()
 		return out
 	}
 	var qname string
@@ -368,7 +364,6 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort, o
 	if fault == FaultTruncate {
 		resp.Flags.Truncated = true
 		resp.Answers, resp.Authority, resp.Extra = nil, nil, nil
-		mTruncated.Inc()
 	}
 	if sp != nil {
 		sp.SetAttr(trace.Str("rcode", resp.Flags.RCode.String()))

@@ -14,20 +14,4 @@ var (
 		"rows folded into the aggregation across the run")
 	mDetected = obs.Default().Gauge("experiment_detected_domains",
 		"gTLD domains using any DPS on the most recent measured day")
-	mDegradedDays = obs.Default().Counter("experiment_degraded_days_total",
-		"wire days committed above the resolution failure threshold")
-	mQueriesLost = obs.Default().Counter("experiment_queries_lost_total",
-		"wire query attempts that expired unanswered, across the run")
-	mFailureRate = obs.Default().Gauge("experiment_day_failure_rate",
-		"resolution failure rate of the most recent measured day")
-	// Rolling per-day wall time: the aging counterpart of the
-	// cumulative gauges above. A slowdown mid-run (e.g. an injected
-	// outage window forcing retries) shows up in the 5m/1h quantiles
-	// and then decays, instead of being diluted into a run-wide mean.
-	// Day bounds reuse the measure-stage scale: milliseconds for small
-	// worlds up to minutes for the full namespace.
-	mDayWindow = obs.Default().WindowHistogram("experiment_day_window_seconds",
-		"rolling wall time per measured day over 5m and 1h windows",
-		[]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-			1, 2.5, 5, 10, 30, 60, 120, 300}, 0, 0)
 )

@@ -285,7 +285,6 @@ func (r *Runner) Run(ctx context.Context) error {
 			return err
 		}
 		day := r.window.Start + simtime.Day(i)
-		dayStart := time.Now()
 		dctx, sp := trace.Default().StartRoot(ctx, "experiment.day",
 			trace.Str("day", day.String()),
 			trace.Int("index", int64(i+1)), trace.Int("total", int64(total)))
@@ -333,18 +332,14 @@ func (r *Runner) Run(ctx context.Context) error {
 			// as the paper's pipeline kept partial days — but committed as
 			// degraded so the growth analysis interpolates across it.
 			r.Agg.MarkDegraded(day)
-			mDegradedDays.Inc()
 			sp.SetAttr(trace.Str("degraded", "true"))
 		}
 		r.accounting = append(r.accounting, acct)
 		sp.SetAttr(trace.Int("rows", dayRows), trace.Int("detected", int64(detected)))
 		sp.End()
 		mDaysCompleted.Set(float64(i + 1))
-		mDayWindow.Observe(time.Since(dayStart).Seconds())
 		mRowsSeen.Add(dayRows)
 		mDetected.Set(float64(detected))
-		mQueriesLost.Add(net.Lost)
-		mFailureRate.Set(acct.FailureRate)
 		if r.Cfg.OnDayProgress != nil {
 			r.Cfg.OnDayProgress(DayProgress{
 				Done: i + 1, Total: total, Day: day,

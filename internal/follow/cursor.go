@@ -49,7 +49,11 @@ type cursorFile struct {
 
 // saveCursor snapshots the follower's feed position after an apply or
 // skip. Best-effort: a failed save costs a restarted follower some
-// re-reading, never correctness, so it is logged and swallowed.
+// re-reading, never correctness, so it is logged and swallowed. The
+// write is not synced: power loss can leave the cursor empty or
+// half-written, which restoreCursor ignores in favour of a journal
+// rescan. TestFollowCursorUnseededRestart shows that rescan reaches the
+// same index, which is why the cursor needs no sync.
 func (f *Follower) saveCursor() {
 	if f.cursorPath == "" {
 		return

@@ -64,30 +64,53 @@ func TestFollowCursorSeededRestart(t *testing.T) {
 // TestFollowCursorUnseededRestart: restarted with an empty boot index
 // (no -data on reboot), the cursor's applied partitions are requeued
 // from their recorded spools and re-detected — the index converges
-// without waiting for the journal to be replayed by a coordinator.
+// without waiting for the journal to be replayed by a coordinator. The
+// cursor is written without a sync, so power loss can leave it empty or
+// half-written: such a cursor is ignored, and the restart rescans the
+// journal to the same index.
 func TestFollowCursorUnseededRestart(t *testing.T) {
-	refs := core.MustGroundTruth()
-	dir := t.TempDir()
-	parts := coordParts([]string{"com"}, 3)
+	for _, tc := range []struct {
+		name   string
+		damage func(path string) error
+	}{
+		{"intact", func(string) error { return nil }},
+		{"empty", func(path string) error { return os.Truncate(path, 0) }},
+		{"torn", func(path string) error {
+			fi, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, fi.Size()/2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			refs := core.MustGroundTruth()
+			dir := t.TempDir()
+			parts := coordParts([]string{"com"}, 3)
 
-	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
-	f1, err := New(Config{Target: dir, Refs: refs, Sink: srv, CursorPath: CursorAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assembled := runCoordinator(t, dir, refs, parts)
-	drain(t, f1)
+			srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
+			f1, err := New(Config{Target: dir, Refs: refs, Sink: srv, CursorPath: CursorAuto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assembled := runCoordinator(t, dir, refs, parts)
+			drain(t, f1)
+			if err := tc.damage(filepath.Join(dir, "follower.cursor.json")); err != nil {
+				t.Fatal(err)
+			}
 
-	srv2 := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
-	f2, err := New(Config{Target: dir, Refs: refs, Sink: srv2, CursorPath: CursorAuto})
-	if err != nil {
-		t.Fatal(err)
+			srv2 := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
+			f2, err := New(Config{Target: dir, Refs: refs, Sink: srv2, CursorPath: CursorAuto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain(t, f2)
+			if st := f2.Status(); st.Applied != len(parts) {
+				t.Fatalf("unseeded restart applied %d, want %d: %+v", st.Applied, len(parts), st)
+			}
+			assertSameView(t, api.NewIndex(assembled, refs), srv2.Index())
+		})
 	}
-	drain(t, f2)
-	if st := f2.Status(); st.Applied != len(parts) {
-		t.Fatalf("unseeded restart applied %d, want %d: %+v", st.Applied, len(parts), st)
-	}
-	assertSameView(t, api.NewIndex(assembled, refs), srv2.Index())
 }
 
 // TestFollowCursorSkippedPersists: a permanently skipped partition

@@ -17,8 +17,7 @@
 // logged, counted, and skipped permanently (commits are terminal; a torn
 // spool at rest will not heal) — the day serves degraded rather than
 // wedging the feed, exactly like coord.Assemble's quarantine policy, and
-// the operator sees it in follow_partitions_skipped_total and /v1/stats
-// freshness.
+// the operator sees it in /v1/stats freshness (skipped_partitions).
 //
 // The one file a follower does write is its own restart cursor
 // (Config.CursorPath): a small JSON snapshot of the journal offset and
@@ -215,7 +214,6 @@ func (f *Follower) Run(ctx context.Context) error {
 		for {
 			n, err := f.Poll(ctx)
 			if err != nil {
-				mErrors.Inc()
 				log.Warn("poll failed; will retry", "err", err)
 				f.setErr(err)
 				break
@@ -243,7 +241,6 @@ func (f *Follower) Run(ctx context.Context) error {
 // MaxBatch partitions and returns how many were applied. It is the
 // synchronous unit Run loops over; tests drive it directly.
 func (f *Follower) Poll(ctx context.Context) (int, error) {
-	mPolls.Inc()
 	if !f.restored {
 		// One-time cursor restore, lazy so it runs after the boot Seed —
 		// the seed tells the restore which applied partitions are already
@@ -281,7 +278,6 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		batch = batch[:f.cfg.MaxBatch]
 	}
 
-	start := time.Now()
 	var ups []api.PartitionUpdate
 	if f.mode == ModeCoord {
 		ups = f.loadCoordBatch(ctx, batch)
@@ -310,7 +306,6 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 	f.cfg.Sink.Publish(next, delta)
 
 	mApplied.Add(int64(len(ups)))
-	mApplySeconds.Observe(time.Since(start).Seconds())
 	f.mu.Lock()
 	f.st.Epoch = next.Epoch()
 	f.st.Applied += len(ups)
@@ -319,7 +314,6 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 	f.st.LastApply = time.Now()
 	f.st.LastErr = ""
 	f.mu.Unlock()
-	mLag.Set(float64(len(f.pending)))
 	f.saveCursor()
 	return len(ups), nil
 }
@@ -490,7 +484,6 @@ func (f *Follower) skip(k store.PartitionKey, cause string, log interface {
 }) {
 	f.skipped[k] = true
 	delete(f.pending, k)
-	mSkipped.Inc()
 	log.Warn("skipping damaged partition", "partition", k.String(), "cause", cause)
 }
 
@@ -520,7 +513,6 @@ func (f *Follower) Freshness() *api.Freshness {
 }
 
 func (f *Follower) setLag(n int) {
-	mLag.Set(float64(n))
 	f.mu.Lock()
 	f.st.Lag = n
 	f.st.Skipped = len(f.skipped)

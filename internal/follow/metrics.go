@@ -2,21 +2,8 @@ package follow
 
 import "dpsadopt/internal/obs"
 
-// Follower metrics. Lag is the one to alert on: committed partitions
-// the serving index has not absorbed yet. Skips are permanent (a spool
-// that fails its CRC never heals), so a nonzero skip counter means a
-// day is being served degraded.
-var (
-	mPolls = obs.Default().Counter("follow_polls_total",
-		"feed poll cycles executed")
-	mApplied = obs.Default().Counter("follow_partitions_applied_total",
-		"committed partitions folded into the serving index")
-	mSkipped = obs.Default().Counter("follow_partitions_skipped_total",
-		"committed partitions abandoned as damaged (CRC/load failure)")
-	mErrors = obs.Default().Counter("follow_errors_total",
-		"poll cycles that failed transiently and will retry")
-	mLag = obs.Default().Gauge("follow_lag_partitions",
-		"partitions committed upstream but not yet applied")
-	mApplySeconds = obs.Default().Histogram("follow_apply_seconds",
-		"wall time of one discover+detect+apply+publish cycle", nil)
-)
+// Committed partitions folded into the serving index, across every
+// follower in the process. Lag and skips are per follower and reported
+// in /v1/stats freshness.
+var mApplied = obs.Default().Counter("follow_partitions_applied_total",
+	"committed partitions folded into the serving index")

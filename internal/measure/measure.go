@@ -326,9 +326,6 @@ func (p *Pipeline) run(ctx context.Context, day simtime.Day, only string) error 
 		return nil // one partition is not a day: the day counters and OnDay are the day's
 	}
 	mDays.Inc()
-	if elapsed := time.Since(dayStart).Seconds(); elapsed > 0 {
-		mDomainsPerSec.Set(float64(domains) / elapsed)
-	}
 	if p.Cfg.OnDay != nil {
 		p.Cfg.OnDay(day, rows)
 	}
@@ -395,8 +392,6 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 		wg.Add(1)
 		go func(wi, lo, hi int) {
 			defer wg.Done()
-			mWorkersActive.Inc()
-			defer mWorkersActive.Dec()
 			writer := writers[wi]
 			resolver := resolvers[wi]
 			if resolver != nil {
@@ -410,14 +405,9 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 					p.measureDirect(writer, t.dom, day, table)
 					continue
 				}
-				// Only wire mode has a resolution worth clocking per
-				// domain; direct mode's in-process lookup is covered by
-				// the per-day resolution stage.
-				resolveStart := time.Now()
 				// Per-domain sampling: only sampled domains carry
 				// the active span into the resolver.
 				p.measureWire(trace.ForDomain(ctx, t.dom.Name), writer, resolver, t.dom, table)
-				mResolveWindow.Observe(time.Since(resolveStart).Seconds())
 			}
 			if resolver != nil {
 				mu.Lock()

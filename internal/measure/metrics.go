@@ -14,22 +14,10 @@ var stageBuckets = []float64{
 var (
 	mStageSeconds = obs.Default().HistogramVec("measure_stage_seconds",
 		"wall time per pipeline stage per day", "stage", stageBuckets)
-	mWorkersActive = obs.Default().Gauge("measure_workers_active",
-		"worker goroutines currently measuring a task chunk")
 	mDomains = obs.Default().Counter("measure_domains_total",
 		"domain measurement tasks completed")
 	mDays = obs.Default().Counter("measure_days_total",
 		"measurement days completed")
-	mDomainsPerSec = obs.Default().Gauge("measure_domains_per_second",
-		"throughput of the most recently completed day")
-	// Rolling per-domain resolve latency: unlike measure_stage_seconds
-	// (cumulative, per-day stages), this ages out, so a long run's
-	// /metrics shows the *current* resolve tail rather than the
-	// whole-run average. Wire mode only: direct mode has no resolution
-	// to time. Default windows (5m/1h) and query-latency bounds: a
-	// domain resolves in tens of microseconds to seconds (retries).
-	mResolveWindow = obs.Default().WindowHistogram("measure_resolve_window_seconds",
-		"rolling per-domain resolve latency over 5m and 1h windows (wire mode only)", nil, 0, 0)
 )
 
 const (

@@ -33,10 +33,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "%s %s\n", e.name, formatFloat(m.Value()))
 		case *Histogram:
 			writeHistogram(&b, e.name, "", m)
-		case *CounterVec:
-			for _, val := range m.sortedValues() {
-				fmt.Fprintf(&b, "%s{%s=%q} %d\n", e.name, m.label, escapeLabel(val), m.With(val).Value())
-			}
 		case *GaugeVec:
 			for _, val := range m.sortedValues() {
 				fmt.Fprintf(&b, "%s{%s=%q} %s\n", e.name, m.label, escapeLabel(val), formatFloat(m.With(val).Value()))
@@ -189,10 +185,6 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Gauges[e.name] = m.Value()
 		case *Histogram:
 			snap.Histograms[e.name] = histSnap(m)
-		case *CounterVec:
-			for _, val := range m.sortedValues() {
-				snap.Counters[childKey(e.name, m.label, val)] = m.With(val).Value()
-			}
 		case *GaugeVec:
 			for _, val := range m.sortedValues() {
 				snap.Gauges[childKey(e.name, m.label, val)] = m.With(val).Value()

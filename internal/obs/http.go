@@ -17,10 +17,8 @@ import (
 //	/debug/vars       expvar JSON (runtime memstats, cmdline, and the
 //	                  registry snapshot under "obs")
 //	/debug/pprof/     the full net/http/pprof suite (profile, heap,
-//	                  goroutine, trace, ...)
-//	/debug/contention JSON summary of the top mutex/block profile sites
-//	                  (empty until profiling is enabled with -prof-mutex
-//	                  / -prof-block, see SetContentionProfiling)
+//	                  goroutine, trace, and mutex/block once the
+//	                  -prof-mutex / -prof-block flags arm them)
 //
 // Handlers registered with Handle (e.g. the tracer's /debug/traces) are
 // mounted as well.
@@ -37,7 +35,6 @@ func NewMux(reg *Registry) *http.ServeMux {
 		_ = reg.WritePrometheus(w)
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/debug/contention", ContentionHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -16,7 +16,7 @@ import (
 func TestMetricsRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dns_client_queries_total", "query datagrams sent").Add(9)
-	r.Gauge("dns_server_inflight", "queries being answered").Set(2)
+	r.Gauge("inflight_queries", "queries being answered").Set(2)
 	h := r.Histogram("dns_client_query_seconds", "exchange latency", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -40,8 +40,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE dns_client_queries_total counter",
 		"dns_client_queries_total 9",
-		"# TYPE dns_server_inflight gauge",
-		"dns_server_inflight 2",
+		"# TYPE inflight_queries gauge",
+		"inflight_queries 2",
 		"# TYPE dns_client_query_seconds histogram",
 		`dns_client_query_seconds_bucket{le="0.01"} 1`,
 		`dns_client_query_seconds_bucket{le="+Inf"} 2`,

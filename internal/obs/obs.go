@@ -26,7 +26,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing metric. The zero value is ready
@@ -85,7 +84,6 @@ const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
-	kindCounterVec
 	kindGaugeVec
 	kindHistogramVec
 	kindWindowCounter
@@ -94,7 +92,7 @@ const (
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter, kindCounterVec:
+	case kindCounter:
 		return "counter"
 	case kindGauge, kindGaugeVec, kindWindowCounter:
 		// Windowed counters age out old buckets, so the exposed
@@ -177,14 +175,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return r.register(name, help, kindHistogram, func() any { return newHistogram(bounds) }).(*Histogram)
 }
 
-// CounterVec registers (or fetches) a family of counters keyed by one
-// label.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
-	return r.register(name, help, kindCounterVec, func() any {
-		return &CounterVec{label: label, children: make(map[string]*Counter)}
-	}).(*CounterVec)
-}
-
 // GaugeVec registers (or fetches) a family of gauges keyed by one label.
 func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
 	return r.register(name, help, kindGaugeVec, func() any {
@@ -198,24 +188,6 @@ func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *His
 	return r.register(name, help, kindHistogramVec, func() any {
 		return &HistogramVec{label: label, bounds: bounds, children: make(map[string]*Histogram)}
 	}).(*HistogramVec)
-}
-
-// WindowCounter registers (or fetches) a rolling windowed counter; its
-// trailing-window totals are exposed as gauges with a window label. Zero
-// step/span use DefaultWindowStep / SlowWindow.
-func (r *Registry) WindowCounter(name, help string, step, span time.Duration) *WindowedCounter {
-	return r.register(name, help, kindWindowCounter, func() any {
-		return NewWindowedCounter(step, span, nil)
-	}).(*WindowedCounter)
-}
-
-// WindowHistogram registers (or fetches) a rolling windowed histogram;
-// the trailing fast/slow windows are exposed as histogram series with a
-// window label. Nil bounds use DefBuckets.
-func (r *Registry) WindowHistogram(name, help string, bounds []float64, step, span time.Duration) *WindowedHistogram {
-	return r.register(name, help, kindWindowHistogram, func() any {
-		return NewWindowedHistogram(bounds, step, span, nil)
-	}).(*WindowedHistogram)
 }
 
 // RegisterWindowCounter adopts an already-constructed windowed counter
@@ -251,45 +223,8 @@ func (r *Registry) Names() []string {
 	return append([]string(nil), r.order...)
 }
 
-// CounterVec is a family of counters distinguished by one label value
-// (e.g. dns_client_rcode_total{rcode="NXDOMAIN"}).
-type CounterVec struct {
-	mu       sync.RWMutex
-	label    string
-	children map[string]*Counter
-}
-
-// With returns the child counter for the label value, creating it on
-// first use.
-func (v *CounterVec) With(value string) *Counter {
-	v.mu.RLock()
-	c, ok := v.children[value]
-	v.mu.RUnlock()
-	if ok {
-		return c
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if c, ok := v.children[value]; ok {
-		return c
-	}
-	c = &Counter{}
-	v.children[value] = c
-	return c
-}
-
-func (v *CounterVec) sortedValues() []string {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make([]string, 0, len(v.children))
-	for val := range v.children {
-		out = append(out, val)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// GaugeVec is a family of gauges distinguished by one label value.
+// GaugeVec is a family of gauges distinguished by one label value
+// (e.g. slo_status{slo="domain-latency"}).
 type GaugeVec struct {
 	mu       sync.RWMutex
 	label    string

@@ -127,11 +127,11 @@ func TestRegistryIdempotentAndPanics(t *testing.T) {
 
 func TestVecChildren(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("rcode_total", "per rcode", "rcode")
+	v := r.GaugeVec("rcode_total", "per rcode", "rcode")
 	v.With("NOERROR").Add(3)
 	v.With("NXDOMAIN").Inc()
 	if got := v.With("NOERROR").Value(); got != 3 {
-		t.Errorf("NOERROR = %d", got)
+		t.Errorf("NOERROR = %v", got)
 	}
 	hv := r.HistogramVec("stage_seconds", "per stage", "stage", []float64{1, 2})
 	hv.With("resolution").Observe(0.5)
@@ -162,7 +162,7 @@ func TestSnapshotJSON(t *testing.T) {
 	h := r.Histogram("lat_seconds", "", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
-	r.CounterVec("byrcode_total", "", "rcode").With("NOERROR").Inc()
+	r.GaugeVec("byrcode_total", "", "rcode").With("NOERROR").Inc()
 	snap := r.Snapshot()
 	if snap.Counter("q_total") != 42 {
 		t.Errorf("snapshot counter = %d", snap.Counter("q_total"))
@@ -173,8 +173,8 @@ func TestSnapshotJSON(t *testing.T) {
 	if hs := snap.Histogram("lat_seconds"); hs.Count != 2 || hs.Sum != 0.55 {
 		t.Errorf("snapshot histogram = %+v", hs)
 	}
-	if snap.Counter(`byrcode_total{rcode="NOERROR"}`) != 1 {
-		t.Errorf("vec child missing from snapshot: %v", snap.Counters)
+	if snap.Gauges[`byrcode_total{rcode="NOERROR"}`] != 1 {
+		t.Errorf("vec child missing from snapshot: %v", snap.Gauges)
 	}
 	raw, err := json.Marshal(snap)
 	if err != nil {

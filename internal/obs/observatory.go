@@ -94,8 +94,7 @@ type Observatory struct {
 	sloMu      sync.Mutex
 	lastStatus map[string]string
 
-	gBurn, gGoodRatio, gStatus *GaugeVec
-	gTopTracked, gTopShare     *GaugeVec
+	gBurn, gStatus, gTopTracked *GaugeVec
 }
 
 // NewObservatory creates an observatory from cfg.
@@ -121,10 +120,8 @@ func NewObservatory(cfg ObservatoryConfig) *Observatory {
 	}
 	if reg := cfg.Registry; reg != nil {
 		o.gBurn = reg.GaugeVec("slo_burn_rate", "error-budget burn rate per objective and window (label is objective:window)", "slo")
-		o.gGoodRatio = reg.GaugeVec("slo_good_ratio", "good-events ratio per objective and window (label is objective:window)", "slo")
 		o.gStatus = reg.GaugeVec("slo_status", "objective status: 0 ok, 1 warn, 2 breach", "slo")
 		o.gTopTracked = reg.GaugeVec("heavy_hitter_tracked_keys", "keys tracked by the top-K sketch per dimension", "dim")
-		o.gTopShare = reg.GaugeVec("heavy_hitter_top_share_pct", "estimated share of the top key per dimension, percent", "dim")
 	}
 	return o
 }
@@ -335,8 +332,6 @@ func (o *Observatory) Publish() Scorecard {
 		if o.gBurn != nil {
 			o.gBurn.With(obj.Name + ":5m").Set(obj.Fast.BurnRate)
 			o.gBurn.With(obj.Name + ":1h").Set(obj.Slow.BurnRate)
-			o.gGoodRatio.With(obj.Name + ":5m").Set(obj.Fast.GoodRatio)
-			o.gGoodRatio.With(obj.Name + ":1h").Set(obj.Slow.GoodRatio)
 			o.gStatus.With(obj.Name).Set(statusLevel(obj.Status))
 		}
 		o.logTransition(obj)
@@ -349,11 +344,7 @@ func (o *Observatory) Publish() Scorecard {
 		}
 		o.mu.RUnlock()
 		for dim, t := range dims {
-			top := t.Top(1)
 			o.gTopTracked.With(dim).Set(float64(len(t.Top(0))))
-			if total := t.Total(); total > 0 && len(top) > 0 {
-				o.gTopShare.With(dim).Set(100 * float64(top[0].Count) / float64(total))
-			}
 		}
 	}
 	return sc

@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
-	"net/http/httptest"
 	"runtime"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -121,83 +117,5 @@ func TestObserveN(t *testing.T) {
 	a.ObserveN(99, 0) // no-op
 	if a.Count() != 5 {
 		t.Errorf("ObserveN(_, 0) changed count to %d", a.Count())
-	}
-}
-
-// TestContentionEndpoint enables mutex profiling, manufactures
-// contention, and checks /debug/contention reports it as valid JSON with
-// the configured rates.
-func TestContentionEndpoint(t *testing.T) {
-	SetContentionProfiling(1, -1)
-	defer SetContentionProfiling(0, -1)
-
-	// Hammer one mutex from several goroutines so the profiler has
-	// something to sample.
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				mu.Lock()
-				for j := 0; j < 100; j++ {
-					_ = j
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	rec := httptest.NewRecorder()
-	ContentionHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/contention?n=5", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type %q", ct)
-	}
-	var sum ContentionSummary
-	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, rec.Body.String())
-	}
-	if sum.MutexFraction != 1 {
-		t.Errorf("mutex_fraction = %d, want 1", sum.MutexFraction)
-	}
-	if len(sum.Mutex) > 5 {
-		t.Errorf("asked for n=5, got %d sites", len(sum.Mutex))
-	}
-	for _, s := range sum.Mutex {
-		if s.Site == "" || s.Count <= 0 {
-			t.Errorf("malformed site: %+v", s)
-		}
-	}
-	// The hammered mutex above should be visible at this sampling rate.
-	found := false
-	for _, s := range sum.Mutex {
-		for _, fr := range s.Stack {
-			if strings.Contains(fr, "TestContentionEndpoint") {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Logf("contended test mutex not in top sites (scheduling-dependent); sites: %+v", sum.Mutex)
-	}
-}
-
-// TestContentionEndpointOff checks the endpoint is safe to scrape with
-// profiling disabled.
-func TestContentionEndpointOff(t *testing.T) {
-	SetContentionProfiling(0, 0)
-	rec := httptest.NewRecorder()
-	ContentionHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/contention", nil))
-	var sum ContentionSummary
-	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if sum.MutexFraction != 0 || sum.BlockRateNS != 0 {
-		t.Errorf("rates not reported as off: %+v", sum)
 	}
 }

@@ -311,7 +311,4 @@ func TestWindowedRegistryExposition(t *testing.T) {
 	if got := reg.RegisterWindowHistogram("test_window_seconds", "dup", h2); got != h {
 		t.Fatalf("adoption did not return the existing histogram")
 	}
-	if got := reg.WindowHistogram("test_window_seconds", "dup", nil, 0, 0); got != h {
-		t.Fatalf("WindowHistogram did not return the existing histogram")
-	}
 }

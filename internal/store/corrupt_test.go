@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -373,6 +374,13 @@ func TestQuarantineFile(t *testing.T) {
 	}
 	if !strings.Contains(string(reason), "checksum mismatch") {
 		t.Fatalf("reason = %q", reason)
+	}
+	// Quarantining the same file again reports where it already is.
+	if again, err := QuarantineFile(path, errors.New("checksum mismatch")); err != nil || again != moved {
+		t.Fatalf("second quarantine = %q, %v; want %q, nil", again, err, moved)
+	}
+	if _, err := QuarantineFile(filepath.Join(dir, "gone.dpsa"), errors.New("lost")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("quarantining a missing file: err = %v, want fs.ErrNotExist", err)
 	}
 }
 

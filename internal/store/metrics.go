@@ -3,15 +3,11 @@ package store
 import "dpsadopt/internal/obs"
 
 // Stage III storage metrics. Rows are counted at Commit (the append
-// path), partitions and resident rows track the streaming runner's
-// measure-fold-drop cycle.
+// path); resident rows track the streaming runner's measure-fold-drop
+// cycle.
 var (
 	mRows = obs.Default().Counter("store_rows_total",
 		"rows committed across all stores; rate() gives the append rate")
-	mCommits = obs.Default().Counter("store_commits_total",
-		"writer batches merged into a store")
-	mPartitions = obs.Default().Gauge("store_partitions",
-		"(source, day) partitions currently resident in memory")
 	mResidentRows = obs.Default().Gauge("store_resident_rows",
 		"rows currently resident across partitions (falls when days are dropped)")
 	// Crash-safety counters for the v4 checksummed format: CRC failures
@@ -21,15 +17,13 @@ var (
 		"partition/dictionary/directory checksum mismatches detected at load")
 	mQuarantined = obs.Default().Counter("store_quarantined_partitions_total",
 		"damaged partitions moved into quarantine/ by salvaging loads")
-	// Read path (store.Reader): opens, and AcquireBatch's traffic —
-	// on-demand partition decodes, LRU hits, and raw bytes pread. The
-	// three traffic counters move in AcquireBatch only, not when Load or
-	// Verify read through the same Reader, so they stay a measure of
-	// streaming reads. A high decode:hit ratio on an interactive consumer
-	// means the cache is undersized; streaming sweeps visit each partition
-	// once, so decodes ≈ partitions is expected there.
-	mReaderOpens = obs.Default().Counter("store_reader_opens_total",
-		"dataset files opened (store.Open, directly or under Load, Verify and Directory)")
+	// Read path (store.Reader): AcquireBatch's traffic — on-demand
+	// partition decodes, LRU hits, and raw bytes pread. The three
+	// counters move in AcquireBatch only, not when Load or Verify read
+	// through the same Reader, so they stay a measure of streaming reads.
+	// A high decode:hit ratio on an interactive consumer means the cache
+	// is undersized; streaming sweeps visit each partition once, so
+	// decodes ≈ partitions is expected there.
 	mReaderPartitionsDecoded = obs.Default().Counter("store_reader_partitions_decoded_total",
 		"partitions decoded on demand by streaming readers")
 	mReaderCacheHits = obs.Default().Counter("store_reader_cache_hits_total",

@@ -3,9 +3,11 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -243,7 +245,6 @@ func (r *Reader) materialise(ents []PartitionInfo) (*Store, error) {
 			s.blocks[ent.Source] = days
 		}
 		days[ent.Day] = blk
-		mPartitions.Inc()
 		mResidentRows.Add(float64(blk.rows()))
 	}
 	if len(quarantined) > 0 {
@@ -317,7 +318,10 @@ func quarantinePartition(path string, f *os.File, ent *PartitionInfo, cause erro
 
 // QuarantineFile moves a whole damaged dataset file into a quarantine/
 // directory next to it, with a .reason file, and returns the new path.
-// Used when a file is unsalvageable (or is a single-partition spool).
+// Used when a file is unsalvageable (or is a single-partition spool). A
+// file an earlier call already moved is reported at its quarantined path
+// again, without being moved or counted twice; a file that is in neither
+// place yields an error wrapping fs.ErrNotExist.
 func QuarantineFile(path string, cause error) (string, error) {
 	qdir := filepath.Join(filepath.Dir(path), "quarantine")
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
@@ -325,7 +329,13 @@ func QuarantineFile(path string, cause error) (string, error) {
 	}
 	dst := filepath.Join(qdir, filepath.Base(path))
 	if err := os.Rename(path, dst); err != nil {
-		return "", err
+		if !errors.Is(err, fs.ErrNotExist) {
+			return "", err
+		}
+		if _, serr := os.Stat(dst); serr != nil {
+			return "", err
+		}
+		return dst, nil
 	}
 	reason := fmt.Sprintf("dataset: %s\nerror: %s\n", path, cause)
 	_ = os.WriteFile(dst+".reason", []byte(reason), 0o644)

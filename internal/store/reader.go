@@ -135,7 +135,6 @@ func Open(path string) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
-	mReaderOpens.Inc()
 	return r, nil
 }
 

@@ -271,7 +271,6 @@ func Commit(ws ...*Writer) {
 	s.dict.mu.Unlock()
 	mRows.Add(int64(rows))
 	mResidentRows.Add(float64(rows))
-	mCommits.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	days := s.blocks[first.source]
@@ -281,7 +280,6 @@ func Commit(ws ...*Writer) {
 	}
 	blk := days[first.day]
 	if blk == nil {
-		mPartitions.Inc()
 		blk = &dayBlock{domains: make([]uint32, 0, rows), kinds: make([]Kind, 0, rows),
 			addrs: make([]uint32, 0, rows), addrs6: make([][16]byte, 0, v6), strs: make([]uint32, 0, rows),
 			asnOff: make([]uint32, 0, rows), asnVals: make([]uint32, 0, asns)}
@@ -534,7 +532,6 @@ func (s *Store) DropDay(source string, day simtime.Day) {
 	defer s.mu.Unlock()
 	if days := s.blocks[source]; days != nil {
 		if b := days[day]; b != nil {
-			mPartitions.Dec()
 			mResidentRows.Add(-float64(b.rows()))
 		}
 		delete(days, day)

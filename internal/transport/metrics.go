@@ -7,8 +7,6 @@ import "dpsadopt/internal/obs"
 var (
 	mPacketsSent = obs.Default().Counter("transport_packets_sent_total",
 		"datagrams delivered to a bound endpoint")
-	mPacketsDropped = obs.Default().Counter("transport_packets_dropped_total",
-		"datagrams dropped by loss simulation or queue overflow")
 	mBytesSent = obs.Default().Counter("transport_bytes_sent_total",
 		"payload bytes of delivered datagrams")
 )

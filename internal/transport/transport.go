@@ -199,15 +199,9 @@ func (c *memConn) WriteTo(p []byte, to netip.AddrPort) error {
 		n.sent++
 	}
 	n.mu.Unlock()
-	if drop {
-		mPacketsDropped.Inc()
-	}
-	if !ok {
-		// Mirror UDP: a datagram to nowhere vanishes silently; the
-		// caller discovers it via timeout. Return nil.
-		return nil
-	}
-	if drop {
+	if !ok || drop {
+		// Mirror UDP: a datagram to nowhere (or lost) vanishes silently;
+		// the caller discovers it via timeout. Return nil.
 		return nil
 	}
 	body := payloadPool.Get().(*payload)
@@ -238,7 +232,6 @@ func (c *memConn) deliver(d datagram) {
 		n.dropped++
 		n.sent--
 		n.mu.Unlock()
-		mPacketsDropped.Inc()
 	}
 	payloadPool.Put(d.body)
 }
@@ -336,7 +329,6 @@ func (u *udpConn) LocalAddr() netip.AddrPort {
 func (u *udpConn) WriteTo(p []byte, to netip.AddrPort) error {
 	_, err := u.c.WriteToUDPAddrPort(p, to)
 	if err != nil {
-		mPacketsDropped.Inc()
 		return err
 	}
 	mPacketsSent.Inc()

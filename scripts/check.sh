@@ -1,12 +1,14 @@
 #!/bin/sh
-# Tier-1 verification: vet (also cross-compiled for a big-endian target,
-# the only build store's portable column codec ever gets), build, and
-# race-enabled tests for the whole module, the wire and .dpsa read paths'
-# allocation ceilings (built only without -race), then the benchmark
-# harness (bench/ is its own module importing
-# internal/*, so `./...` does not reach it), and every binary's -help
-# output against its golden file. Mirrors `make check` for
-# environments without make.
+# Tier-1 verification, and the one list of its steps and packages (`make
+# check` runs this file): vet, also cross-compiled for a big-endian
+# target — the only build store's portable column codec ever gets, and
+# vet's unsafeptr check must pass on both byte orders — build, and
+# race-enabled tests for the whole module; the wire and .dpsa read
+# paths' allocation ceilings, which sit in `//go:build !race` files (the
+# race runtime drops sync.Pool items) and so need a run without -race;
+# the benchmark harness (bench/ is its own module importing internal/*,
+# so `./...` does not reach it); and every binary's -help output against
+# its golden file.
 set -eu
 cd "$(dirname "$0")/.."
 
