@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"dpsadopt/internal/dnsserver"
+	"dpsadopt/internal/dnswire"
+	"dpsadopt/internal/dnszone"
 	"dpsadopt/internal/transport"
 )
 
@@ -341,5 +343,84 @@ func TestServerFaults(t *testing.T) {
 	sf := NewServerFaults(Config{Name: "slow", Slow: 1, SlowDelay: 7 * time.Millisecond}, 1)
 	if fa, d := sf.QueryFault("x.test"); fa != dnsserver.FaultSlow || d != 7*time.Millisecond {
 		t.Errorf("slow fault = %v/%v", fa, d)
+	}
+}
+
+// A server on a wrapped Mem answers inline, and its replies pass through
+// the wrapper: with every datagram duplicated, one query is answered
+// twice and each answer delivered twice — all of it queued for the client
+// before the query's WriteTo returns.
+func TestServerAnswersInlineThroughFaults(t *testing.T) {
+	net := Wrap(transport.NewMem(1), Config{Name: "dup", Duplicate: 1}, 5)
+	z := dnszone.MustNew("f.test")
+	z.MustAdd(dnswire.RR{Name: "f.test", Type: dnswire.TypeA, TTL: 1, Data: dnswire.A{Addr: netip.MustParseAddr("10.1.0.1")}})
+	srv := dnsserver.New()
+	srv.AddZone(z)
+	run, err := dnsserver.Start(srv, net, "10.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Stop()
+	cli, err := net.Dial(netip.MustParseAddr("10.9.0.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	wire, err := dnswire.NewQuery(3, "f.test", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.WriteTo(wire, netip.MustParseAddrPort("10.0.0.1:53")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, transport.MTU)
+	for i := 0; i < 4; i++ {
+		if _, _, err := cli.ReadFrom(buf, time.Nanosecond); err != nil {
+			t.Fatalf("answer datagram %d not queued when the query's send returned: %v", i, err)
+		}
+	}
+	if _, _, err := cli.ReadFrom(buf, 10*time.Millisecond); !errors.Is(err, transport.ErrTimeout) {
+		t.Errorf("fifth read: err = %v, want timeout", err)
+	}
+	if got := srv.Queries(); got != 2 {
+		t.Errorf("server answered %d queries, want 2", got)
+	}
+}
+
+// Over kernel sockets the wrapper cannot answer inline; a server started
+// on it falls back to reading its socket and still answers.
+func TestServerOverWrappedUDP(t *testing.T) {
+	net := Wrap(transport.UDP{}, Config{Name: "dup", Duplicate: 1}, 5)
+	if _, err := net.ListenHandler(netip.MustParseAddrPort("127.0.0.1:0"), nil); !errors.Is(err, transport.ErrNoHandler) {
+		t.Fatalf("ListenHandler over UDP: err = %v, want ErrNoHandler", err)
+	}
+	z := dnszone.MustNew("f.test")
+	z.MustAdd(dnswire.RR{Name: "f.test", Type: dnswire.TypeA, TTL: 1, Data: dnswire.A{Addr: netip.MustParseAddr("10.1.0.1")}})
+	srv := dnsserver.New()
+	srv.AddZone(z)
+	run, err := dnsserver.Start(srv, net, "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot bind UDP: %v", err)
+	}
+	defer run.Stop()
+	cli, err := net.Dial(netip.MustParseAddr("127.0.0.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	wire, err := dnswire.NewQuery(4, "f.test", dnswire.TypeA).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.WriteTo(wire, run.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, transport.MTU)
+	n, _, err := cli.ReadFrom(buf, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := dnswire.Unpack(buf[:n]); err != nil || resp.ID != 4 || len(resp.Answers) != 1 {
+		t.Errorf("answer = %+v, %v", resp, err)
 	}
 }

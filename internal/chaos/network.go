@@ -78,6 +78,24 @@ func (n *Network) Listen(addr netip.AddrPort) (transport.Conn, error) {
 	return newFaultConn(n, c), nil
 }
 
+// ListenHandler implements transport.HandlerNetwork when the inner
+// network does. The handler answers through a fault-wrapped conn, so its
+// replies take the faults a Listen conn's writes would.
+func (n *Network) ListenHandler(addr netip.AddrPort, bind func(transport.Conn) transport.Handler) (transport.Conn, error) {
+	hn, ok := n.inner.(transport.HandlerNetwork)
+	if !ok {
+		return nil, transport.ErrNoHandler
+	}
+	var fc *faultConn
+	if _, err := hn.ListenHandler(addr, func(c transport.Conn) transport.Handler {
+		fc = newFaultConn(n, c)
+		return bind(fc)
+	}); err != nil {
+		return nil, err
+	}
+	return fc, nil
+}
+
 // Dial implements transport.Network.
 func (n *Network) Dial(local netip.Addr) (transport.Conn, error) {
 	c, err := n.inner.Dial(local)

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"dpsadopt/internal/chaos"
 	"dpsadopt/internal/dnsserver"
 	"dpsadopt/internal/dnswire"
 	"dpsadopt/internal/dnszone"
@@ -19,14 +20,20 @@ import (
 //	examp.le            at 10.0.2.1 (customer zone, www CNAME → foob.ar)
 //	foob.ar             at 10.0.3.1 (the DPS zone)
 type testWorld struct {
-	net   *transport.Mem
+	net   transport.Network
 	roots []netip.AddrPort
 	stops []*dnsserver.Running
 }
 
 func newTestWorld(t testing.TB) *testWorld {
 	t.Helper()
-	w := &testWorld{net: transport.NewMem(99)}
+	return newTestWorldOn(t, transport.NewMem(99))
+}
+
+// newTestWorldOn is newTestWorld on the given network.
+func newTestWorldOn(t testing.TB, network transport.Network) *testWorld {
+	t.Helper()
+	w := &testWorld{net: network}
 
 	root := dnszone.MustNew(".")
 	root.MustAdd(dnswire.RR{Name: "le", Type: dnswire.TypeNS, TTL: 1, Data: dnswire.NS{Host: "ns.tld.test"}})
@@ -219,8 +226,7 @@ func TestReferralCacheReused(t *testing.T) {
 }
 
 func TestResolveSurvivesLoss(t *testing.T) {
-	w := newTestWorld(t)
-	w.net.SetLoss(0.2)
+	w := newTestWorldOn(t, chaos.Wrap(transport.NewMem(99), chaos.Config{Name: "lossy", Loss: 0.2}, 99))
 	r := w.resolver(t)
 	r.Retries = 6
 	r.Timeout = 25e6 // 25ms: the in-memory network delivers instantly

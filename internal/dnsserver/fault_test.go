@@ -3,6 +3,8 @@ package dnsserver
 import (
 	"errors"
 	"net/netip"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,51 +96,163 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
+// slowFirst orders a slow answer for the first query only.
+type slowFirst struct {
+	delay time.Duration
+	seen  atomic.Int64
+}
+
+func (f *slowFirst) QueryFault(string) (Fault, time.Duration) {
+	if f.seen.Add(1) == 1 {
+		return FaultSlow, f.delay
+	}
+	return FaultNone, 0
+}
+
+// A slow answer delays only itself: the server answers the next query at
+// once, so its answer arrives first, and the slow one follows after the
+// delay. Over the in-memory network the first WriteTo must also return
+// before the delay — the answer runs in the sender's goroutine.
+func TestSlowAnswerDoesNotBlockServer(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		network transport.Network
+		addr    string
+	}{
+		{"mem", transport.NewMem(33), "10.0.0.1"},
+		{"udp", transport.UDP{}, "127.0.0.1:0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const delay = 250 * time.Millisecond
+			srv := New()
+			srv.AddZone(testZone())
+			srv.SetFaults(&slowFirst{delay: delay})
+			run, err := Start(srv, c.network, c.addr)
+			if err != nil {
+				t.Skipf("cannot bind: %v", err)
+			}
+			defer run.Stop()
+			local := netip.MustParseAddr("10.9.0.7")
+			if c.name == "udp" {
+				local = netip.MustParseAddr("127.0.0.1")
+			}
+			cli, err := c.network.Dial(local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			start := time.Now()
+			for id := uint16(1); id <= 2; id++ {
+				wire, err := dnswire.NewQuery(id, "www.examp.le", dnswire.TypeA).Pack()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cli.WriteTo(wire, run.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sent := time.Since(start); sent >= delay {
+				t.Fatalf("sending two queries took %v, the slow answer's delay", sent)
+			}
+			buf := make([]byte, transport.MTU)
+			for _, want := range []uint16{2, 1} {
+				n, _, err := cli.ReadFrom(buf, 2*time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := dnswire.Unpack(buf[:n])
+				if err != nil || resp.ID != want || len(resp.Answers) != 1 {
+					t.Fatalf("answer = %+v, %v; want ID %d with one record", resp, err, want)
+				}
+				if el := time.Since(start); (want == 2) != (el < delay) {
+					t.Errorf("answer %d arrived after %v (slow delay %v)", want, el, delay)
+				}
+			}
+		})
+	}
+}
+
+// writeWatch is a Mem whose handler conns report writes made after
+// stopped is set.
+type writeWatch struct {
+	*transport.Mem
+	stopped atomic.Bool
+	late    atomic.Int64
+}
+
+type watchedConn struct {
+	transport.Conn
+	w *writeWatch
+}
+
+func (c watchedConn) WriteTo(p []byte, to netip.AddrPort) error {
+	if c.w.stopped.Load() {
+		c.w.late.Add(1)
+	}
+	return c.Conn.WriteTo(p, to)
+}
+
+func (w *writeWatch) ListenHandler(addr netip.AddrPort, bind func(transport.Conn) transport.Handler) (transport.Conn, error) {
+	return w.Mem.ListenHandler(addr, func(c transport.Conn) transport.Handler {
+		return bind(watchedConn{c, w})
+	})
+}
+
 // TestStopDrainsInFlightQueries exercises the graceful-shutdown guarantee
-// under -race: Stop must wait for every datagram already read off the
-// socket to be fully handled by the worker pool, even while handlers are
-// deliberately slowed so queries are in flight at close time.
+// under -race: senders keep querying while Stop lands. Every query that
+// reached the server is fully answered before Stop returns, and no answer
+// is written after it.
 func TestStopDrainsInFlightQueries(t *testing.T) {
-	network := transport.NewMem(32)
+	network := &writeWatch{Mem: transport.NewMem(32)}
 	srv := New()
 	srv.AddZone(testZone())
-	srv.SetConcurrency(8)
-	srv.SetFaults(fixedFault{fault: FaultSlow, delay: 2 * time.Millisecond})
 	run, err := Start(srv, network, "10.0.0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := netip.MustParseAddrPort("10.0.0.1:53")
-	cli, err := network.Dial(netip.MustParseAddr("10.9.0.8"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	const total = 200
-	for i := 0; i < total; i++ {
-		q := dnswire.NewQuery(uint16(i), "www.examp.le", dnswire.TypeA)
-		wire, err := q.Pack()
+	const senders, each = 8, 200
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		cli, err := network.Dial(netip.AddrFrom4([4]byte{10, 9, 0, byte(i)}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.WriteTo(wire, addr); err != nil {
-			t.Fatal(err)
-		}
+		defer cli.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				wire, err := dnswire.NewQuery(uint16(j), "www.examp.le", dnswire.TypeA).Pack()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := cli.WriteTo(wire, addr); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
 	}
-	// Wait for the serve loop to have read some queries so the pool is
-	// busy when Stop lands mid-burst.
-	for srv.Received() < total/4 {
+	// Let the senders get going so Stop lands mid-burst.
+	for srv.Received() < senders*each/4 {
 		time.Sleep(time.Millisecond)
 	}
 	if err := run.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	// Every datagram read before close must have been handled: with only
-	// well-formed queries and a non-drop fault, handled == received.
-	if got, want := srv.Queries(), srv.Received(); got != want {
-		t.Errorf("queries handled = %d, datagrams received = %d: Stop abandoned in-flight queries", got, want)
+	network.stopped.Store(true)
+	handled, received := srv.Queries(), srv.Received()
+	wg.Wait()
+	// With only well-formed queries and no faults, handled == received.
+	if handled != received {
+		t.Errorf("queries handled = %d, datagrams received = %d: Stop abandoned in-flight queries", handled, received)
 	}
-	if srv.Received() == 0 {
-		t.Error("no datagrams received before Stop; test proved nothing")
+	if got := srv.Received(); got != received {
+		t.Errorf("%d datagrams reached the server after Stop returned", got-received)
+	}
+	if n := network.late.Load(); n != 0 {
+		t.Errorf("%d answers written after Stop returned", n)
 	}
 }

@@ -12,6 +12,7 @@ package dnsserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -33,7 +34,8 @@ const (
 	FaultNone Fault = iota
 	// FaultServfail answers SERVFAIL without consulting zone data.
 	FaultServfail
-	// FaultSlow answers correctly but only after the injector's delay.
+	// FaultSlow answers correctly, but the answer is sent only after the
+	// injector's delay; the server meanwhile answers other queries.
 	FaultSlow
 	// FaultTruncate forces TC on the UDP answer with cleared sections,
 	// pushing the client to the RFC 1035 §4.2.2 TCP retry. TCP answers
@@ -65,16 +67,13 @@ type Server struct {
 	mu    sync.RWMutex
 	zones map[string]*dnszone.Zone
 
-	// concurrency is the Serve worker-pool size (see SetConcurrency).
-	concurrency int
-
 	// faults, when set, is consulted for every UDP query (see SetFaults).
 	faults atomic.Pointer[faultBox]
 
 	// Queries counts handled queries (including refused ones).
 	queries atomic.Int64
-	// received counts datagrams read off the socket, before decode or
-	// fault injection — Stop's drain guarantee is Received() == handled.
+	// received counts datagrams that reached the server, before decode
+	// or fault injection — Stop's drain guarantee is Received() == handled.
 	received atomic.Int64
 }
 
@@ -127,7 +126,7 @@ func (s *Server) ZoneCount() int {
 // Queries returns the number of queries handled so far.
 func (s *Server) Queries() int64 { return s.queries.Load() }
 
-// Received returns the number of datagrams read off the server's sockets,
+// Received returns the number of datagrams that reached the server,
 // whether or not they decoded to a query. After Stop drains, every
 // received well-formed query has been handled.
 func (s *Server) Received() int64 { return s.received.Load() }
@@ -169,52 +168,49 @@ func (s *Server) findZone(qname string) *dnszone.Zone {
 // Handle answers a single query message. It never returns nil: malformed
 // or unsupported queries produce FORMERR/NOTIMP/REFUSED responses.
 func (s *Server) Handle(q *dnswire.Message) *dnswire.Message {
+	resp := q.Reply()
+	s.respond(resp, q.Flags, new(dnszone.Result))
+	return resp
+}
+
+// respond counts one query and fills resp, a reply skeleton to a query
+// with the given flags (dnswire.Message.SetReply), with its answer. The
+// zone's sections are looked up into res, so resp shares their storage.
+func (s *Server) respond(resp *dnswire.Message, query dnswire.Flags, res *dnszone.Result) {
 	s.queries.Add(1)
 	mQueries.Inc()
-	resp := q.Reply()
-	if q.Flags.Response || len(q.Questions) != 1 {
+	if query.Response || len(resp.Questions) != 1 {
 		resp.Flags.RCode = dnswire.RCodeFormErr
-		return resp
+		return
 	}
-	if q.Flags.OpCode != dnswire.OpQuery {
+	if query.OpCode != dnswire.OpQuery {
 		resp.Flags.RCode = dnswire.RCodeNotImp
-		return resp
+		return
 	}
-	question := q.Questions[0]
+	question := resp.Questions[0]
 	qname, err := dnswire.CanonicalName(question.Name)
 	if err != nil || question.Class != dnswire.ClassIN {
 		resp.Flags.RCode = dnswire.RCodeFormErr
-		return resp
+		return
 	}
 	z := s.findZone(qname)
 	if z == nil {
 		resp.Flags.RCode = dnswire.RCodeRefused
-		return resp
+		return
 	}
-	res := z.Lookup(qname, question.Type)
+	z.LookupInto(res, qname, question.Type)
 	resp.Flags.RCode = res.RCode
 	resp.Flags.Authoritative = res.Authoritative
 	resp.Answers = res.Answer
 	resp.Authority = res.Authority
 	resp.Extra = res.Additional
-	return resp
 }
 
-// maxPayload returns the response size limit advertised by the query's
-// EDNS0 OPT record, or the classic 512-byte default.
-func maxPayload(q *dnswire.Message) int {
-	for _, rr := range q.Extra {
-		if rr.Type == dnswire.TypeOPT {
-			if size := int(rr.Class); size > dnswire.MaxUDPPayload {
-				if size > transport.MTU {
-					return transport.MTU
-				}
-				return size
-			}
-			return dnswire.MaxUDPPayload
-		}
-	}
-	return dnswire.MaxUDPPayload
+// maxPayload returns the response size limit for a query advertising the
+// given EDNS0 payload size (0 without an OPT record): at least the
+// classic 512 bytes, at most the transport's MTU.
+func maxPayload(ednsSize int) int {
+	return min(max(ednsSize, dnswire.MaxUDPPayload), transport.MTU)
 }
 
 // packWithLimit packs resp into buf[:0], truncating it (clearing sections
@@ -235,67 +231,11 @@ func packWithLimit(resp *dnswire.Message, limit int, buf []byte) ([]byte, error)
 	return trunc.AppendPack(wire[:0])
 }
 
-// Concurrency is the number of goroutines handling queries per Serve
-// loop; 1 (the default when unset) handles queries inline. Set before
-// Serve starts.
-func (s *Server) SetConcurrency(n int) {
-	if n > 0 {
-		s.concurrency = n
-	}
-}
-
-// Serve reads queries from conn and writes responses until conn is closed.
-// It is typically run in its own goroutine per simulated server address.
-// With SetConcurrency(n>1), decoding and answering happen in a worker
-// pool while the loop keeps reading. When the conn closes, Serve drains:
-// every datagram already read is still decoded and answered (the answers
-// to a closed conn are discarded by the transport, but handling completes
-// — queries are never abandoned mid-flight), and Serve returns only after
-// all workers have exited.
-func (s *Server) Serve(conn transport.Conn) error {
-	workers := s.concurrency
-	if workers <= 1 {
-		return s.serveInline(conn)
-	}
-	type job struct {
-		data []byte
-		from netip.AddrPort
-	}
-	jobs := make(chan job, workers*2)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var out []byte
-			for j := range jobs {
-				out = s.answer(conn, j.data, j.from, out)
-			}
-		}()
-	}
+// serve reads queries from conn and answers each in turn until conn is
+// closed: the path for kernel sockets, which cannot call a handler in the
+// sender's goroutine.
+func (s *Server) serve(conn transport.Conn) error {
 	buf := make([]byte, transport.MTU)
-	var err error
-	for {
-		var n int
-		var from netip.AddrPort
-		n, from, err = conn.ReadFrom(buf, 0)
-		if err != nil {
-			break
-		}
-		s.received.Add(1)
-		jobs <- job{data: append([]byte(nil), buf[:n]...), from: from}
-	}
-	close(jobs)
-	wg.Wait()
-	if err == transport.ErrClosed {
-		return nil
-	}
-	return fmt.Errorf("dnsserver: read: %w", err)
-}
-
-func (s *Server) serveInline(conn transport.Conn) error {
-	buf := make([]byte, transport.MTU)
-	var out []byte
 	for {
 		n, from, err := conn.ReadFrom(buf, 0)
 		if err != nil {
@@ -304,26 +244,70 @@ func (s *Server) serveInline(conn transport.Conn) error {
 			}
 			return fmt.Errorf("dnsserver: read: %w", err)
 		}
-		s.received.Add(1)
-		out = s.answer(conn, buf[:n], from, out)
+		s.answer(conn, buf[:n], from)
+	}
+}
+
+// scratch is one answer's working memory: the decoded query, the reply,
+// the zone's result sections it shares and the packed bytes.
+type scratch struct {
+	query, reply dnswire.Message
+	res          dnszone.Result
+	out          []byte
+}
+
+// scratches keeps answers' scratch across garbage collections; a
+// sync.Pool would drop it at each GC and make the wire path's allocation
+// a function of GC timing. Inline, one answer is in flight per sending
+// resolver (a run has a few to a few dozen), so 64 keeps one for each;
+// answers beyond that allocate theirs and drop it.
+var scratches = make(chan *scratch, 64)
+
+func getScratch() *scratch {
+	select {
+	case sc := <-scratches:
+		return sc
+	default:
+		return new(scratch)
+	}
+}
+
+// release clears what sc holds of the query and the zones, so the free
+// list pins neither, and returns sc to it.
+func (sc *scratch) release() {
+	clear(sc.query.Questions)
+	clear(sc.res.Answer)
+	clear(sc.res.Authority)
+	clear(sc.res.Additional)
+	sc.reply = dnswire.Message{}
+	select {
+	case scratches <- sc:
+	default:
 	}
 }
 
 // answer decodes, handles, and responds to one datagram; malformed input
-// is dropped as real servers do. When a process tracer is installed
+// is dropped as real servers do. It is the one answer body: a transport
+// that dispatches inline calls it in the sender's goroutine, and serve
+// calls it for kernel sockets. When a process tracer is installed
 // (trace.SetDefault) the query is recorded as a `dnsserver.handle` root
 // span, sampled by qname with the same deterministic hash the client
 // side uses, so server-side traces exist for the same sampled names.
 // When a fault injector is installed, its verdict is applied here —
 // before zone lookup for drops, after it for truncation — and recorded
 // as a `chaos` span attribute so injected faults are visible in traces.
-// The response is packed into out, the serve loop's own buffer (the
-// transport does not retain it past WriteTo), which answer returns for
-// the next call, grown if need be.
-func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort, out []byte) []byte {
-	q, err := dnswire.Unpack(data)
+// A slow answer is packed at once and sent from a timer, so it delays
+// neither the server's other queries nor, inline, its sender's goroutine.
+// Decoding, lookup and packing reuse a scratch from the free list: the
+// question's name is the one allocation of an answer.
+func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort) {
+	s.received.Add(1)
+	sc := getScratch()
+	defer sc.release()
+	q := &sc.query
+	ednsSize, err := dnswire.UnpackQuery(data, q)
 	if err != nil {
-		return out
+		return
 	}
 	var qname string
 	if len(q.Questions) == 1 {
@@ -338,6 +322,7 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort, o
 			trace.Str("qtype", q.Questions[0].Type.String()),
 			trace.Str("client", from.String()))
 	}
+	defer sp.End()
 	fault, delay := FaultNone, time.Duration(0)
 	if qname != "" {
 		fault, delay = s.faultFor(qname)
@@ -345,21 +330,17 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort, o
 	if fault != FaultNone {
 		sp.SetAttr(trace.Str("chaos", fault.String()))
 	}
-	switch fault {
-	case FaultDrop:
-		sp.End()
-		return out
-	case FaultSlow:
-		time.Sleep(delay)
+	if fault == FaultDrop {
+		return
 	}
-	var resp *dnswire.Message
+	resp := &sc.reply
+	resp.SetReply(q)
 	if fault == FaultServfail {
 		s.queries.Add(1)
 		mQueries.Inc()
-		resp = q.Reply()
 		resp.Flags.RCode = dnswire.RCodeServFail
 	} else {
-		resp = s.Handle(q)
+		s.respond(resp, q.Flags, &sc.res)
 	}
 	if fault == FaultTruncate {
 		resp.Flags.Truncated = true
@@ -368,60 +349,82 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort, o
 	if sp != nil {
 		sp.SetAttr(trace.Str("rcode", resp.Flags.RCode.String()))
 	}
-	wire, err := packWithLimit(resp, maxPayload(q), out)
+	wire, err := packWithLimit(resp, maxPayload(ednsSize), sc.out)
 	if err != nil {
-		sp.End()
-		return out
+		return
+	}
+	sc.out = wire
+	if fault == FaultSlow {
+		held := append([]byte(nil), wire...)
+		time.AfterFunc(delay, func() { _ = conn.WriteTo(held, from) })
+		return
 	}
 	_ = conn.WriteTo(wire, from)
-	sp.End()
-	return wire
 }
 
 // Running wraps a Server bound to an address with lifecycle management.
 type Running struct {
 	Server *Server
 	conn   transport.Conn
-	done   chan struct{}
+	done   chan struct{} // closed when serve returns; nil when answering inline
 	err    error
 }
 
-// Start binds srv at addr on the network and serves it in a goroutine.
-func Start(srv *Server, net transport.Network, addr string) (*Running, error) {
-	conn, err := listen(net, addr)
+// Start binds srv at addr on the network. On a network that can answer
+// inline (transport.HandlerNetwork: Mem, and chaos over Mem) every query
+// is answered in its sender's goroutine; on kernel sockets a goroutine
+// reads the socket and answers each datagram in turn.
+func Start(srv *Server, network transport.Network, addr string) (*Running, error) {
+	ap, err := parseListenAddr(addr)
 	if err != nil {
 		return nil, err
 	}
-	r := &Running{Server: srv, conn: conn, done: make(chan struct{})}
+	r := &Running{Server: srv}
+	if hn, ok := network.(transport.HandlerNetwork); ok {
+		r.conn, err = hn.ListenHandler(ap, func(conn transport.Conn) transport.Handler {
+			return func(p []byte, from netip.AddrPort) { srv.answer(conn, p, from) }
+		})
+		if err == nil {
+			return r, nil
+		}
+		if !errors.Is(err, transport.ErrNoHandler) {
+			return nil, err
+		}
+	}
+	if r.conn, err = network.Listen(ap); err != nil {
+		return nil, err
+	}
+	r.done = make(chan struct{})
 	go func() {
 		defer close(r.done)
-		r.err = srv.Serve(conn)
+		r.err = srv.serve(r.conn)
 	}()
 	return r, nil
 }
 
-// drainTimeout bounds how long Stop waits for in-flight queries. It is a
+// Addr returns the address the server is bound to.
+func (r *Running) Addr() netip.AddrPort { return r.conn.LocalAddr() }
+
+// drainTimeout bounds how long Stop waits for the serve loop. It is a
 // deadlock backstop, not a drop policy: a drain that needs this long
 // means a handler is wedged, and Stop reports it as an error instead of
 // silently abandoning goroutines.
 const drainTimeout = 30 * time.Second
 
-// Stop closes the listener and waits for the serve loop — including all
-// worker goroutines and their queued queries — to drain completely.
+// Stop closes the listener and waits until no query is being answered:
+// inline, Close itself waits for the answers in flight; on a kernel
+// socket, Stop waits for the serve loop to finish the datagram it holds.
+// A slow answer already scheduled is a datagram in flight, and is sent
+// unless the transport refuses writes on a closed conn.
 func (r *Running) Stop() error {
 	r.conn.Close()
+	if r.done == nil {
+		return nil
+	}
 	select {
 	case <-r.done:
 	case <-time.After(drainTimeout):
 		return fmt.Errorf("dnsserver: stop: drain timed out after %v with queries in flight", drainTimeout)
 	}
 	return r.err
-}
-
-func listen(net transport.Network, addr string) (transport.Conn, error) {
-	ap, err := parseListenAddr(addr)
-	if err != nil {
-		return nil, err
-	}
-	return net.Listen(ap)
 }

@@ -128,7 +128,7 @@ func TestTruncation(t *testing.T) {
 	s.AddZone(z)
 	q := dnswire.NewQuery(9, "big.test", dnswire.TypeA)
 	resp := s.Handle(q)
-	wire, err := packWithLimit(resp, maxPayload(q), nil)
+	wire, err := packWithLimit(resp, maxPayload(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +145,12 @@ func TestTruncation(t *testing.T) {
 	// The serve loops hand in their own buffer; the truncated re-pack
 	// goes into it too and yields the same bytes.
 	scratch := bytes.Repeat([]byte{0xEE}, 64)
-	reused, err := packWithLimit(resp, maxPayload(q), scratch)
+	reused, err := packWithLimit(resp, maxPayload(0), scratch)
 	if err != nil || !bytes.Equal(reused, wire) {
 		t.Errorf("packWithLimit into a used buffer = %x, %v; want %x", reused, err, wire)
 	}
 	// With EDNS0 advertising 4096, the full response fits.
-	q.Extra = append(q.Extra, dnswire.RR{Name: ".", Type: dnswire.TypeOPT, Class: dnswire.Class(4096), Data: dnswire.OPT{}})
-	wire, err = packWithLimit(resp, maxPayload(q), nil)
+	wire, err = packWithLimit(resp, maxPayload(4096), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestServeOverUDP(t *testing.T) {
 		t.Skipf("cannot bind UDP: %v", err)
 	}
 	defer run.Stop()
-	addr := run.conn.LocalAddr()
+	addr := run.Addr()
 	resp := exchange(t, net, netip.MustParseAddr("127.0.0.1"), addr, dnswire.NewQuery(12, "www.examp.le", dnswire.TypeA))
 	if len(resp.Answers) != 1 {
 		t.Errorf("answers = %v", resp.Answers)
@@ -269,7 +268,6 @@ func TestServeConcurrent(t *testing.T) {
 	net := transport.NewMem(21)
 	s := New()
 	s.AddZone(testZone())
-	s.SetConcurrency(8)
 	run, err := Start(s, net, "10.0.0.9")
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,15 @@ package dnswire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
 // FuzzUnpack exercises the decoder with arbitrary bytes: it must never
 // panic, and anything it accepts must re-encode and decode to an
-// equivalent message (up to compression differences).
+// equivalent message (up to compression differences). UnpackQuery must
+// accept the same bytes and agree on the header, the questions and the
+// first additional OPT record's payload size.
 func FuzzUnpack(f *testing.F) {
 	seed, err := sampleMessage().Pack()
 	if err != nil {
@@ -18,10 +21,28 @@ func FuzzUnpack(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xC0}, 64)) // pointer soup
 	q, _ := NewQuery(1, "a.b", TypeA).Pack()
 	f.Add(q)
+	edns := NewQuery(2, "www.a.b", TypeAAAA)
+	opt := RR{Name: ".", Type: TypeOPT, Class: 1232, Data: OPT{}}
+	edns.Answers = []RR{{Name: ".", Type: TypeOPT, Class: 4096, Data: OPT{}}}
+	edns.Extra = []RR{sampleMessage().Answers[0], opt, {Name: ".", Type: TypeOPT, Class: 512, Data: OPT{}}}
+	q, _ = edns.Pack()
+	f.Add(q)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var qm Message
+		size, qerr := UnpackQuery(data, &qm)
 		m, err := Unpack(data)
+		if (qerr == nil) != (err == nil) {
+			t.Fatalf("UnpackQuery err = %v, Unpack err = %v", qerr, err)
+		}
 		if err != nil {
 			return
+		}
+		want := 0
+		if i := slices.IndexFunc(m.Extra, func(rr RR) bool { return rr.Type == TypeOPT }); i >= 0 {
+			want = int(m.Extra[i].Class)
+		}
+		if qm.ID != m.ID || qm.Flags != m.Flags || !slices.Equal(qm.Questions, m.Questions) || size != want {
+			t.Fatalf("UnpackQuery = %+v size %d; Unpack = %+v size %d", qm, size, m, want)
 		}
 		repacked, err := m.Pack()
 		if err != nil {

@@ -127,16 +127,24 @@ func NewQuery(id uint16, name string, qtype Type) *Message {
 
 // Reply builds a response skeleton mirroring the query's ID and question.
 func (m *Message) Reply() *Message {
-	r := &Message{
-		ID: m.ID,
+	r := new(Message)
+	r.SetReply(m)
+	r.Questions = append([]Question(nil), m.Questions...)
+	return r
+}
+
+// SetReply makes m the response skeleton to q that Reply builds, with
+// empty sections, but sharing q's question slice instead of copying it.
+func (m *Message) SetReply(q *Message) {
+	*m = Message{
+		ID: q.ID,
 		Flags: Flags{
 			Response:         true,
-			OpCode:           m.Flags.OpCode,
-			RecursionDesired: m.Flags.RecursionDesired,
+			OpCode:           q.Flags.OpCode,
+			RecursionDesired: q.Flags.RecursionDesired,
 		},
+		Questions: q.Questions,
 	}
-	r.Questions = append(r.Questions, m.Questions...)
-	return r
 }
 
 // Pack encodes the message into wire format with name compression.
@@ -229,37 +237,10 @@ func appendRR(buf []byte, rr *RR, comp *compressor) ([]byte, error) {
 
 // Unpack decodes a wire-format message.
 func Unpack(data []byte) (*Message, error) {
-	if len(data) < 12 {
-		return nil, ErrTruncatedMessage
-	}
-	m := &Message{
-		ID:    binary.BigEndian.Uint16(data[0:]),
-		Flags: unpackFlags(binary.BigEndian.Uint16(data[2:])),
-	}
-	counts := [4]int{}
-	for i := range counts {
-		counts[i] = int(binary.BigEndian.Uint16(data[4+2*i:]))
-		if counts[i] > maxSectionRecords {
-			return nil, ErrTooManyRecords
-		}
-	}
-	off := 12
-	var err error
-	if n := min(counts[0], (len(data)-off)/minQuestionLen); n > 0 {
-		m.Questions = make([]Question, 0, n)
-	}
-	for i := 0; i < counts[0]; i++ {
-		var q Question
-		if q.Name, off, err = unpackName(data, off); err != nil {
-			return nil, err
-		}
-		if off+4 > len(data) {
-			return nil, ErrTruncatedMessage
-		}
-		q.Type = Type(binary.BigEndian.Uint16(data[off:]))
-		q.Class = Class(binary.BigEndian.Uint16(data[off+2:]))
-		off += 4
-		m.Questions = append(m.Questions, q)
+	m := new(Message)
+	counts, off, err := unpackHeader(data, m)
+	if err != nil {
+		return nil, err
 	}
 	for sec, dst := range [3]*[]RR{&m.Answers, &m.Authority, &m.Extra} {
 		if n := min(counts[sec+1], (len(data)-off)/minRRLen); n > 0 {
@@ -276,14 +257,100 @@ func Unpack(data []byte) (*Message, error) {
 	return m, nil
 }
 
+// UnpackQuery decodes a query as an authoritative server reads one. The
+// header and the questions go into m, whose question slice is reused and
+// whose sections are left empty; the answer, authority and additional
+// records are checked as Unpack checks them, but not kept. It returns the
+// CLASS of the first OPT record in the additional section — the EDNS0
+// payload size the sender accepts — or 0 without one. UnpackQuery rejects
+// exactly the messages Unpack rejects, and decodes a question and an
+// EDNS0 record with one allocation, the question's name.
+func UnpackQuery(data []byte, m *Message) (ednsSize int, err error) {
+	counts, off, err := unpackHeader(data, m)
+	if err != nil {
+		return 0, err
+	}
+	sawOPT := false
+	for i := 0; i < counts[1]+counts[2]+counts[3]; i++ {
+		var rr RR
+		var rdlen int
+		// An EDNS0 record's root owner decodes without allocating, and
+		// its RDATA cannot fail to decode, so it is only bounds-checked.
+		if rr, rdlen, off, err = unpackRRHeader(data, off); err != nil {
+			return 0, err
+		}
+		if rr.Type != TypeOPT {
+			if _, err := unpackRData(rr.Type, data, off, rdlen); err != nil {
+				return 0, err
+			}
+		} else if !sawOPT && i >= counts[1]+counts[2] {
+			sawOPT, ednsSize = true, int(rr.Class)
+		}
+		off += rdlen
+	}
+	return ednsSize, nil
+}
+
+// unpackHeader decodes the header and the question section into m, which
+// it resets but for the capacity of its question slice, and returns the
+// four section counts and the offset of the answer section.
+func unpackHeader(data []byte, m *Message) (counts [4]int, off int, err error) {
+	if len(data) < 12 {
+		return counts, 0, ErrTruncatedMessage
+	}
+	*m = Message{
+		ID:        binary.BigEndian.Uint16(data[0:]),
+		Flags:     unpackFlags(binary.BigEndian.Uint16(data[2:])),
+		Questions: m.Questions[:0],
+	}
+	for i := range counts {
+		counts[i] = int(binary.BigEndian.Uint16(data[4+2*i:]))
+		if counts[i] > maxSectionRecords {
+			return counts, 0, ErrTooManyRecords
+		}
+	}
+	off = 12
+	if n := min(counts[0], (len(data)-off)/minQuestionLen); n > cap(m.Questions) {
+		m.Questions = make([]Question, 0, n)
+	}
+	for i := 0; i < counts[0]; i++ {
+		var q Question
+		if q.Name, off, err = unpackName(data, off); err != nil {
+			return counts, 0, err
+		}
+		if off+4 > len(data) {
+			return counts, 0, ErrTruncatedMessage
+		}
+		q.Type = Type(binary.BigEndian.Uint16(data[off:]))
+		q.Class = Class(binary.BigEndian.Uint16(data[off+2:]))
+		off += 4
+		m.Questions = append(m.Questions, q)
+	}
+	return counts, off, nil
+}
+
 func unpackRR(data []byte, off int) (RR, int, error) {
+	rr, rdlen, off, err := unpackRRHeader(data, off)
+	if err != nil {
+		return rr, 0, err
+	}
+	rr.Data, err = unpackRData(rr.Type, data, off, rdlen)
+	if err != nil {
+		return rr, 0, err
+	}
+	return rr, off + rdlen, nil
+}
+
+// unpackRRHeader decodes a record's owner and fixed fields, and returns
+// the RDATA's length and offset, checked to lie within data.
+func unpackRRHeader(data []byte, off int) (RR, int, int, error) {
 	var rr RR
 	var err error
 	if rr.Name, off, err = unpackName(data, off); err != nil {
-		return rr, 0, err
+		return rr, 0, 0, err
 	}
 	if off+10 > len(data) {
-		return rr, 0, ErrTruncatedMessage
+		return rr, 0, 0, ErrTruncatedMessage
 	}
 	rr.Type = Type(binary.BigEndian.Uint16(data[off:]))
 	rr.Class = Class(binary.BigEndian.Uint16(data[off+2:]))
@@ -291,13 +358,9 @@ func unpackRR(data []byte, off int) (RR, int, error) {
 	rdlen := int(binary.BigEndian.Uint16(data[off+8:]))
 	off += 10
 	if off+rdlen > len(data) {
-		return rr, 0, ErrTruncatedMessage
+		return rr, 0, 0, ErrTruncatedMessage
 	}
-	rr.Data, err = unpackRData(rr.Type, data, off, rdlen)
-	if err != nil {
-		return rr, 0, err
-	}
-	return rr, off + rdlen, nil
+	return rr, rdlen, off, nil
 }
 
 // String renders the message in a dig-like multi-section format, which the

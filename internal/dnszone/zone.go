@@ -11,7 +11,6 @@ package dnszone
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"dpsadopt/internal/dnswire"
@@ -252,47 +251,56 @@ type Result struct {
 // referral at delegation points, CNAME chains within the zone, NODATA
 // versus NXDOMAIN distinction. Out-of-zone names yield REFUSED.
 func (z *Zone) Lookup(qname string, qtype dnswire.Type) Result {
+	var res Result
+	z.LookupInto(&res, qname, qtype)
+	return res
+}
+
+// LookupInto is Lookup writing its result into res. The sections are
+// truncated and appended to, so a caller that keeps res reuses their
+// storage, and a lookup allocates nothing once they have grown.
+func (z *Zone) LookupInto(res *Result, qname string, qtype dnswire.Type) {
+	*res = Result{Answer: res.Answer[:0], Authority: res.Authority[:0], Additional: res.Additional[:0]}
 	name, err := dnswire.CanonicalName(qname)
 	if err != nil {
-		return Result{RCode: dnswire.RCodeFormErr}
+		res.RCode = dnswire.RCodeFormErr
+		return
 	}
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 
 	if !dnswire.IsSubdomain(name, z.Origin) {
-		return Result{RCode: dnswire.RCodeRefused}
+		res.RCode = dnswire.RCodeRefused
+		return
 	}
 
 	// Check for a zone cut strictly between the apex and qname.
 	if cut, ok := z.cutAboveLocked(name); ok {
-		res := Result{RCode: dnswire.RCodeNoError, Delegated: true}
+		res.Delegated = true
 		res.Authority = append(res.Authority, z.records[cut][dnswire.TypeNS]...)
-		res.Additional = z.glueLocked(res.Authority)
-		return res
+		res.Additional = z.appendGlueLocked(res.Additional, res.Authority)
+		return
 	}
 
-	res := Result{Authoritative: true}
+	res.Authoritative = true
 	cur := name
 	for hop := 0; ; hop++ {
 		byType := z.records[cur]
-		synthesized := ""
+		synthesized := false
 		if byType == nil {
 			// RFC 1034 §4.3.3 wildcard synthesis: the closest matching
 			// "*" label below the apex covers names that do not exist,
 			// provided no closer encloser exists.
-			if wc, owner := z.wildcardLocked(cur); wc != nil {
-				byType = wc
-				synthesized = owner
-			}
+			byType = z.wildcardLocked(cur)
+			synthesized = byType != nil
 		}
 		if byType == nil {
 			if len(res.Answer) == 0 {
 				res.RCode = dnswire.RCodeNXDomain
 			}
-			res.Authority = z.negativeAuthorityLocked()
-			return res
+			res.Authority = z.appendNegativeLocked(res.Authority)
+			return
 		}
-		_ = synthesized
 		// CNAME takes precedence unless the query asks for the CNAME
 		// itself (or ANY).
 		if cn, ok := byType[dnswire.TypeCNAME]; ok && qtype != dnswire.TypeCNAME && qtype != dnswire.TypeANY {
@@ -300,39 +308,36 @@ func (z *Zone) Lookup(qname string, qtype dnswire.Type) Result {
 			target := cn[0].Data.(dnswire.CNAME).Target
 			if !dnswire.IsSubdomain(target, z.Origin) || hop >= maxCNAMEChain {
 				// Chain leaves the zone; the resolver continues it.
-				res.Authority = z.apexNSLocked()
-				return res
+				res.Authority = append(res.Authority, z.records[z.Origin][dnswire.TypeNS]...)
+				return
 			}
 			cur = target
 			continue
 		}
-		var rrs []dnswire.RR
+		start := len(res.Answer)
 		if qtype == dnswire.TypeANY {
 			for _, set := range byType {
-				rrs = append(rrs, set...)
+				res.Answer = append(res.Answer, set...)
 			}
+			rrs := res.Answer[start:]
 			sort.Slice(rrs, func(i, j int) bool { return rrs[i].Type < rrs[j].Type })
 		} else {
-			rrs = byType[qtype]
+			res.Answer = append(res.Answer, byType[qtype]...)
 		}
-		if len(rrs) == 0 {
+		if len(res.Answer) == start {
 			// NODATA: the name exists but not with this type.
-			res.Authority = z.negativeAuthorityLocked()
-			return res
+			res.Authority = z.appendNegativeLocked(res.Authority)
+			return
 		}
-		if synthesized != "" {
+		if synthesized {
 			// Wildcard answers take the query name as owner.
-			renamed := make([]dnswire.RR, len(rrs))
-			for i, rr := range rrs {
-				rr.Name = cur
-				renamed[i] = rr
+			for i := start; i < len(res.Answer); i++ {
+				res.Answer[i].Name = cur
 			}
-			rrs = renamed
 		}
-		res.Answer = append(res.Answer, rrs...)
-		res.Authority = z.apexNSLocked()
-		res.Additional = z.glueLocked(res.Authority)
-		return res
+		res.Authority = append(res.Authority, z.records[z.Origin][dnswire.TypeNS]...)
+		res.Additional = z.appendGlueLocked(res.Additional, res.Authority)
+		return
 	}
 }
 
@@ -340,58 +345,51 @@ func (z *Zone) Lookup(qname string, qtype dnswire.Type) Result {
 // for a nonexistent name, per RFC 1034 §4.3.3: try "*.<ancestor>" from
 // the name's parent upward, stopping at the apex; a wildcard only applies
 // when the would-be closer name does not exist.
-func (z *Zone) wildcardLocked(name string) (map[dnswire.Type][]dnswire.RR, string) {
+func (z *Zone) wildcardLocked(name string) map[dnswire.Type][]dnswire.RR {
+	var owner [256]byte // "*." and a name of at most 253 characters
 	for anc := dnswire.Parent(name); dnswire.IsSubdomain(anc, z.Origin) && anc != "."; anc = dnswire.Parent(anc) {
-		owner := "*." + anc
-		if byType := z.records[owner]; byType != nil {
-			return byType, owner
+		if byType := z.records[string(append(append(owner[:0], "*."...), anc...))]; byType != nil {
+			return byType
 		}
 		// If the ancestor itself exists, the wildcard search stops: an
 		// existing closer encloser without a wildcard means NXDOMAIN.
 		if len(z.records[anc]) > 0 {
-			return nil, ""
+			return nil
 		}
 		if anc == z.Origin {
 			break
 		}
 	}
-	return nil, ""
+	return nil
 }
 
 // cutAboveLocked finds the highest delegation point strictly between the
 // apex and name (inclusive of name itself only for queries below it; a
 // query *at* the cut for its NS set is still a referral per RFC 1034, and
 // we treat it as such).
-func (z *Zone) cutAboveLocked(name string) (string, bool) {
-	if len(z.cuts) == 0 || name == z.Origin {
+func (z *Zone) cutAboveLocked(name string) (cut string, ok bool) {
+	if len(z.cuts) == 0 {
 		return "", false
 	}
-	// Walk ancestors from just below the apex down to name.
-	labels := dnswire.Labels(name)
-	originLabels := dnswire.CountLabels(z.Origin)
-	for i := len(labels) - originLabels - 1; i >= 0; i-- {
-		candidate := strings.Join(labels[i:], ".")
-		if z.cuts[candidate] {
-			return candidate, true
+	// Walk from name up to just below the apex; the last cut seen is the
+	// highest.
+	for cand := name; cand != z.Origin; cand = dnswire.Parent(cand) {
+		if z.cuts[cand] {
+			cut, ok = cand, true
 		}
 	}
-	return "", false
+	return cut, ok
 }
 
-func (z *Zone) apexNSLocked() []dnswire.RR {
-	return append([]dnswire.RR(nil), z.records[z.Origin][dnswire.TypeNS]...)
+// appendNegativeLocked appends the authority section of a negative
+// answer, the apex SOA, to rrs.
+func (z *Zone) appendNegativeLocked(rrs []dnswire.RR) []dnswire.RR {
+	return append(rrs, z.records[z.Origin][dnswire.TypeSOA]...)
 }
 
-func (z *Zone) negativeAuthorityLocked() []dnswire.RR {
-	if soa := z.records[z.Origin][dnswire.TypeSOA]; len(soa) > 0 {
-		return append([]dnswire.RR(nil), soa...)
-	}
-	return nil
-}
-
-// glueLocked collects in-zone A/AAAA records for NS hosts in rrs.
-func (z *Zone) glueLocked(rrs []dnswire.RR) []dnswire.RR {
-	var glue []dnswire.RR
+// appendGlueLocked appends to glue the in-zone A/AAAA records for the NS
+// hosts in rrs.
+func (z *Zone) appendGlueLocked(glue, rrs []dnswire.RR) []dnswire.RR {
 	for _, rr := range rrs {
 		ns, ok := rr.Data.(dnswire.NS)
 		if !ok {

@@ -1,6 +1,7 @@
 package dnszone
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -117,6 +118,33 @@ func TestLookupReferral(t *testing.T) {
 	}
 	if len(res.Additional) != 1 || res.Additional[0].Data.String() != "10.0.0.53" {
 		t.Errorf("glue = %v", res.Additional)
+	}
+	// Below a nested cut the referral is still to the highest one.
+	z.MustAdd(dnswire.RR{Name: "deep.child.examp.le", Type: dnswire.TypeNS, TTL: 3600, Data: dnswire.NS{Host: "ns.deep.test"}})
+	res = z.Lookup("www.deep.child.examp.le", dnswire.TypeA)
+	if !res.Delegated || len(res.Authority) != 1 || res.Authority[0].Name != "child.examp.le" {
+		t.Errorf("below a nested cut: %+v", res)
+	}
+}
+
+// One Result reused across lookups of every kind reads as a fresh Lookup
+// each time: nothing of an earlier, longer answer survives.
+func TestLookupIntoReusesResult(t *testing.T) {
+	z := exampleZone(t)
+	var res Result
+	for _, q := range []struct {
+		name  string
+		qtype dnswire.Type
+	}{
+		{"www.child.examp.le", dnswire.TypeA}, {"examp.le", dnswire.TypeANY},
+		{"alias.examp.le", dnswire.TypeA}, {"nope.examp.le", dnswire.TypeA},
+		{"examp.le", dnswire.TypeA}, {"mail.examp.le", dnswire.TypeAAAA},
+		{"www.examp.le", dnswire.TypeA}, {"other.example", dnswire.TypeA},
+	} {
+		z.LookupInto(&res, q.name, q.qtype)
+		if got, want := fmt.Sprintf("%+v", res), fmt.Sprintf("%+v", z.Lookup(q.name, q.qtype)); got != want {
+			t.Errorf("%s %s: LookupInto into a used result = %s, Lookup = %s", q.name, q.qtype, got, want)
+		}
 	}
 }
 

@@ -7,11 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"dpsadopt/internal/chaos"
+	"dpsadopt/internal/dnsserver"
 	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/store"
 	"dpsadopt/internal/transport"
@@ -368,9 +373,7 @@ func TestWireSurvivesPacketLoss(t *testing.T) {
 	lossy := store.New()
 	cfg := Config{Mode: ModeWire, Workers: 8, Timeout: 20, Retries: 8,
 		WireNetwork: func(simtime.Day) transport.Network {
-			n := transport.NewMem(99)
-			n.SetLoss(0.10)
-			return n
+			return chaos.Wrap(transport.NewMem(99), chaos.Config{Name: "lossy", Loss: 0.10}, 99)
 		}}
 	if err := New(w, lossy, cfg).RunDay(context.Background(), day); err != nil {
 		t.Fatal(err)
@@ -570,5 +573,72 @@ func TestDictReadersBesideCommits(t *testing.T) {
 				t.Errorf("%s/%s: rows differ when committed beside another pipeline", src, day)
 			}
 		}
+	}
+}
+
+// TestWireDayLosesNothing runs fault-free wire days at the benchmark's
+// size (1:48000). Nothing may be lost — one lost datagram costs a whole
+// resolver timeout — the servers must leave no goroutine behind once the
+// day's wire is closed, and two runs must do the same work.
+func TestWireDayLosesNothing(t *testing.T) {
+	w, err := worldsim.New(worldsim.DefaultConfig(48_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	day := simtime.Day(10)
+	before := runtime.NumGoroutine()
+	run := func() NetStats {
+		p := New(w, store.New(), Config{Mode: ModeWire, Workers: 2})
+		if err := p.RunDay(context.Background(), day); err != nil {
+			t.Fatal(err)
+		}
+		return p.LastNetStats()
+	}
+	a, b := run(), run()
+	if a.Lost != 0 || a.GaveUp != 0 || a.Resolutions == 0 {
+		t.Errorf("fault-free day: %+v; want queries, nothing lost, nothing given up", a)
+	}
+	if a.Queries != b.Queries || a.Resolutions != b.Resolutions {
+		t.Errorf("two runs of one day differ: %+v vs %+v", a, b)
+	}
+	// Goroutines that other tests left behind may still be exiting; none
+	// of this test's may remain.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
+		t.Errorf("%d goroutines before the wire days, %d after", before, after)
+	}
+}
+
+// slowFirstQuery orders a slow answer for the day's first query only.
+type slowFirstQuery struct {
+	delay time.Duration
+	seen  atomic.Int64
+}
+
+func (f *slowFirstQuery) QueryFault(string) (dnsserver.Fault, time.Duration) {
+	if f.seen.Add(1) == 1 {
+		return dnsserver.FaultSlow, f.delay
+	}
+	return dnsserver.FaultNone, 0
+}
+
+// A slow answer that arrives after the resolver's timeout is a lost
+// attempt, counted in NetStats.Lost, though the server answered inline;
+// the retry recovers the data point.
+func TestWireSlowAnswerCountsAsLost(t *testing.T) {
+	w := tinyWorld(t)
+	cfg := Config{Mode: ModeWire, Workers: 4, Timeout: 100, Retries: 3,
+		OnWire: func(_ simtime.Day, wire *worldsim.Wire, _ transport.Network) {
+			wire.SetFaults(&slowFirstQuery{delay: 400 * time.Millisecond})
+		}}
+	p := New(w, store.New(), cfg)
+	if err := p.RunDay(context.Background(), 10); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.LastNetStats(); st.Lost < 1 || st.GaveUp != 0 {
+		t.Errorf("net stats %+v: want the slow answer lost and no data point given up", st)
 	}
 }

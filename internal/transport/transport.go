@@ -3,15 +3,16 @@
 // servers.
 //
 // Two implementations are provided: an in-memory switched network (Mem)
-// with optional loss and latency for large-scale deterministic simulation,
-// and an adapter over real UDP sockets (UDP) so the same server and
-// resolver code can be exercised over the loopback interface.
+// for large-scale deterministic simulation, whose listeners may answer
+// inline (HandlerNetwork), and an adapter over real UDP sockets (UDP) so
+// the same server and resolver code can be exercised over the loopback
+// interface. Loss and latency are injected by wrapping either one
+// (internal/chaos).
 package transport
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
@@ -30,6 +31,7 @@ var (
 	ErrNoRoute      = errors.New("transport: no listener at destination")
 	ErrPayloadSize  = errors.New("transport: payload exceeds MTU")
 	ErrNoEphemerals = errors.New("transport: ephemeral ports exhausted")
+	ErrNoHandler    = errors.New("transport: network cannot answer inline")
 )
 
 // MTU is the largest datagram the in-memory network will carry; it mirrors
@@ -60,65 +62,68 @@ type Network interface {
 	Dial(local netip.Addr) (Conn, error)
 }
 
-// Mem is a deterministic in-memory datagram network.
+// Handler answers one datagram sent to a handler-bound address. It runs
+// in the sender's goroutine, inside the sender's WriteTo, and must not
+// retain p after it returns.
+type Handler func(p []byte, from netip.AddrPort)
+
+// HandlerNetwork is a Network whose listeners can answer inline: a query
+// becomes a function call instead of a hand-off to a serving goroutine.
+type HandlerNetwork interface {
+	Network
+	// ListenHandler binds addr like Listen, but every datagram sent to
+	// addr is passed to the handler that bind returns instead of being
+	// queued; ReadFrom on the returned Conn never yields a datagram.
+	// bind receives that Conn, for the handler to reply through, and runs
+	// before any datagram reaches the handler. Close waits for handler
+	// calls in flight and refuses later ones, so a handler must not close
+	// its own conn. Networks that cannot dispatch inline return
+	// ErrNoHandler.
+	ListenHandler(addr netip.AddrPort, bind func(Conn) Handler) (Conn, error)
+}
+
+// Mem is a deterministic in-memory datagram network: it loses nothing
+// and delays nothing (wrap it with internal/chaos for that). Its
+// listeners can answer inline (ListenHandler).
 //
-// The zero value is not usable; create one with NewMem. Loss and latency
-// are applied per datagram using the network's seeded PRNG, so a run is
-// reproducible for a given seed.
+// The zero value is not usable; create one with NewMem.
 type Mem struct {
-	mu        sync.Mutex
+	mu        sync.Mutex // guards conns and nextEphem
 	conns     map[netip.AddrPort]*memConn
-	rng       *rand.Rand
-	loss      float64
-	delay     time.Duration
 	nextEphem uint16
-	// Stats counts datagrams carried and dropped, for the ablation bench.
-	sent    int64
-	dropped int64
 	// streamTab lazily holds the in-memory stream listeners (stream.go).
 	streamTab *memStreams
 }
 
-// NewMem creates an in-memory network. seed makes loss decisions
-// reproducible.
-func NewMem(seed int64) *Mem {
+// NewMem creates an in-memory network. Mem draws nothing at random; the
+// argument is accepted, and ignored, for callers that pass a per-day seed.
+func NewMem(int64) *Mem {
 	return &Mem{
 		conns:     make(map[netip.AddrPort]*memConn),
-		rng:       rand.New(rand.NewSource(seed)),
 		nextEphem: 32768,
 	}
 }
 
-// SetLoss sets the independent per-datagram drop probability in [0,1).
-func (n *Mem) SetLoss(p float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.loss = p
-}
-
-// SetDelay sets a fixed one-way delivery delay.
-func (n *Mem) SetDelay(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.delay = d
-}
-
-// Stats returns the number of datagrams delivered and dropped so far.
-func (n *Mem) Stats() (sent, dropped int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sent, n.dropped
-}
-
 // Listen implements Network.
 func (n *Mem) Listen(addr netip.AddrPort) (Conn, error) {
+	return n.register(newMemConn(n, addr))
+}
+
+// ListenHandler implements HandlerNetwork. The bound conn has no queue.
+func (n *Mem) ListenHandler(addr netip.AddrPort, bind func(Conn) Handler) (Conn, error) {
+	c := &memConn{net: n, addr: addr, done: make(chan struct{})}
+	c.handler = bind(c)
+	return n.register(c)
+}
+
+// register binds c at its fixed address.
+func (n *Mem) register(c *memConn) (Conn, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.conns[addr]; ok {
-		return nil, fmt.Errorf("%w: %v", ErrAddrInUse, addr)
+	if _, ok := n.conns[c.addr]; ok {
+		return nil, fmt.Errorf("%w: %v", ErrAddrInUse, c.addr)
 	}
-	c := newMemConn(n, addr)
-	n.conns[addr] = c
+	n.conns[c.addr] = c
 	return c, nil
 }
 
@@ -158,12 +163,18 @@ type datagram struct {
 type memConn struct {
 	net   *Mem
 	addr  netip.AddrPort
-	queue chan datagram
+	queue chan datagram // nil on a handler conn
 	done  chan struct{}
 	once  sync.Once
 	// timer is the read-timeout timer, parked here stopped and drained
 	// between ReadFrom calls; nil while a reader holds it.
 	timer atomic.Pointer[time.Timer]
+	// handler, when set, answers every datagram sent to the conn. Each
+	// call holds hmu's read side; Close takes its write side, so it waits
+	// for calls in flight, and sets closed, which refuses later ones.
+	handler Handler
+	hmu     sync.RWMutex
+	closed  bool
 }
 
 func newMemConn(n *Mem, addr netip.AddrPort) *memConn {
@@ -188,31 +199,33 @@ func (c *memConn) WriteTo(p []byte, to netip.AddrPort) error {
 		return ErrClosed
 	default:
 	}
-	n := c.net
-	n.mu.Lock()
-	dst, ok := n.conns[to]
-	drop := ok && n.loss > 0 && n.rng.Float64() < n.loss
-	delay := n.delay
-	if drop {
-		n.dropped++
-	} else if ok {
-		n.sent++
-	}
-	n.mu.Unlock()
-	if !ok || drop {
-		// Mirror UDP: a datagram to nowhere (or lost) vanishes silently;
-		// the caller discovers it via timeout. Return nil.
-		return nil
-	}
-	body := payloadPool.Get().(*payload)
-	body.b = append(body.b[:0], p...)
-	d := datagram{from: c.addr, body: body}
-	if delay > 0 {
-		time.AfterFunc(delay, func() { dst.deliver(d) })
-	} else {
-		dst.deliver(d)
+	c.net.mu.Lock()
+	dst := c.net.conns[to]
+	c.net.mu.Unlock()
+	switch {
+	case dst == nil:
+		// Mirror UDP: a datagram to nowhere vanishes silently; the
+		// caller discovers it via timeout.
+	case dst.handler != nil:
+		dst.handle(p, c.addr)
+	default:
+		body := payloadPool.Get().(*payload)
+		body.b = append(body.b[:0], p...)
+		dst.deliver(datagram{from: c.addr, body: body})
 	}
 	return nil
+}
+
+// handle passes one datagram to the handler of c, unless c is closed.
+func (c *memConn) handle(p []byte, from netip.AddrPort) {
+	c.hmu.RLock()
+	defer c.hmu.RUnlock()
+	if c.closed {
+		return
+	}
+	mPacketsSent.Inc()
+	mBytesSent.Add(int64(len(p)))
+	c.handler(p, from)
 }
 
 // deliver queues d on the receiving conn c, or drops it if c is closed or
@@ -227,11 +240,6 @@ func (c *memConn) deliver(d datagram) {
 	case <-c.done:
 	default:
 		// Queue overflow: drop, like a kernel socket buffer.
-		n := c.net
-		n.mu.Lock()
-		n.dropped++
-		n.sent--
-		n.mu.Unlock()
 	}
 	payloadPool.Put(d.body)
 }
@@ -289,6 +297,9 @@ func receive(buf []byte, d datagram) (int, netip.AddrPort, error) {
 func (c *memConn) Close() error {
 	c.once.Do(func() {
 		close(c.done)
+		c.hmu.Lock()
+		c.closed = true
+		c.hmu.Unlock()
 		c.net.mu.Lock()
 		delete(c.net.conns, c.addr)
 		c.net.mu.Unlock()

@@ -12,6 +12,7 @@ func ap(s string) netip.AddrPort { return netip.MustParseAddrPort(s) }
 
 func TestMemRoundTrip(t *testing.T) {
 	n := NewMem(1)
+	packets := mPacketsSent.Value()
 	srv, err := n.Listen(ap("10.0.0.1:53"))
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +45,8 @@ func TestMemRoundTrip(t *testing.T) {
 	if string(buf[:nr]) != "pong" || from != srv.LocalAddr() {
 		t.Errorf("got %q from %v", buf[:nr], from)
 	}
-	if sent, dropped := n.Stats(); sent != 2 || dropped != 0 {
-		t.Errorf("stats = %d sent, %d dropped", sent, dropped)
+	if got := mPacketsSent.Value() - packets; got != 2 {
+		t.Errorf("%d datagrams delivered, want 2", got)
 	}
 }
 
@@ -110,66 +111,6 @@ func TestMemCloseUnblocksReader(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("reader not unblocked by Close")
-	}
-}
-
-func TestMemLossIsApplied(t *testing.T) {
-	n := NewMem(42)
-	n.SetLoss(0.5)
-	srv, _ := n.Listen(ap("10.0.0.1:53"))
-	defer srv.Close()
-	cli, _ := n.Dial(netip.MustParseAddr("10.9.0.1"))
-	defer cli.Close()
-	const total = 400
-	for i := 0; i < total; i++ {
-		if err := cli.WriteTo([]byte{byte(i)}, srv.LocalAddr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sent, dropped := n.Stats()
-	if sent+dropped != total {
-		t.Fatalf("sent+dropped = %d", sent+dropped)
-	}
-	if dropped < total/4 || dropped > 3*total/4 {
-		t.Errorf("dropped = %d of %d, expected near half", dropped, total)
-	}
-}
-
-func TestMemLossDeterministic(t *testing.T) {
-	run := func() (int64, int64) {
-		n := NewMem(7)
-		n.SetLoss(0.3)
-		srv, _ := n.Listen(ap("10.0.0.1:53"))
-		defer srv.Close()
-		cli, _ := n.Dial(netip.MustParseAddr("10.9.0.1"))
-		defer cli.Close()
-		for i := 0; i < 100; i++ {
-			_ = cli.WriteTo([]byte{1}, srv.LocalAddr())
-		}
-		return n.Stats()
-	}
-	s1, d1 := run()
-	s2, d2 := run()
-	if s1 != s2 || d1 != d2 {
-		t.Errorf("runs differ: (%d,%d) vs (%d,%d)", s1, d1, s2, d2)
-	}
-}
-
-func TestMemDelay(t *testing.T) {
-	n := NewMem(1)
-	n.SetDelay(30 * time.Millisecond)
-	srv, _ := n.Listen(ap("10.0.0.1:53"))
-	defer srv.Close()
-	cli, _ := n.Dial(netip.MustParseAddr("10.9.0.1"))
-	defer cli.Close()
-	start := time.Now()
-	_ = cli.WriteTo([]byte("x"), srv.LocalAddr())
-	_, _, err := srv.ReadFrom(make([]byte, 16), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < 25*time.Millisecond {
-		t.Errorf("delivered after %v, want >= ~30ms", el)
 	}
 }
 
@@ -490,5 +431,81 @@ func TestMemConcurrentReaders(t *testing.T) {
 		if c != 1 {
 			t.Errorf("datagram %x read %d times", k, c)
 		}
+	}
+}
+
+// echoHandler binds an echo server at 10.0.0.1:53 that answers inline.
+func echoHandler(t *testing.T, n *Mem) Conn {
+	t.Helper()
+	srv, err := n.ListenHandler(ap("10.0.0.1:53"), func(c Conn) Handler {
+		return func(p []byte, from netip.AddrPort) { _ = c.WriteTo(p, from) }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// A handler answers in the sender's goroutine: the reply is queued before
+// WriteTo returns, so the client's read finds it without waiting.
+func TestMemHandlerAnswersInline(t *testing.T) {
+	n := NewMem(1)
+	srv := echoHandler(t, n)
+	if _, err := n.Listen(srv.LocalAddr()); !errors.Is(err, ErrAddrInUse) {
+		t.Errorf("Listen on a handler address: err = %v", err)
+	}
+	cli, _ := n.Dial(netip.MustParseAddr("10.9.0.1"))
+	defer cli.Close()
+	if err := cli.WriteTo([]byte("ping"), srv.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16)
+	nr, from, err := cli.ReadFrom(buf, time.Nanosecond)
+	if err != nil || string(buf[:nr]) != "ping" || from != srv.LocalAddr() {
+		t.Fatalf("reply = %q from %v, %v", buf[:nr], from, err)
+	}
+}
+
+// Close waits for handler calls in flight, and a datagram sent after Close
+// reaches no handler.
+func TestMemHandlerCloseWaitsForCalls(t *testing.T) {
+	n := NewMem(1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls, finished int
+	srv, err := n.ListenHandler(ap("10.0.0.1:53"), func(Conn) Handler {
+		return func([]byte, netip.AddrPort) {
+			calls++
+			if calls == 1 {
+				close(entered)
+				<-release
+			}
+			finished++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, _ := n.Dial(netip.MustParseAddr("10.9.0.1"))
+	defer cli.Close()
+	go func() { _ = cli.WriteTo([]byte("x"), srv.LocalAddr()) }()
+	<-entered
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handler call was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if finished != 1 {
+		t.Fatalf("finished = %d after Close, want 1", finished)
+	}
+	if err := cli.WriteTo([]byte("y"), srv.LocalAddr()); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Errorf("handler called %d times, want 1: a datagram after Close reached it", calls)
 	}
 }
