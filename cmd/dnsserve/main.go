@@ -45,7 +45,6 @@ func main() {
 		scale       = flag.Int("scale", 400_000, "world scale divisor (keep coarse: every domain gets a zone)")
 		date        = flag.String("date", "2015-03-05", "day to serve")
 		resolve     = flag.String("resolve", "", "name to resolve as a demonstration, then keep serving")
-		axfr        = flag.String("axfr", "", "zone to transfer (AXFR over TCP) as a demonstration")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 	)
 	flags := cli.Parse("dnsserve", cli.Profiling|cli.Faults)
@@ -83,39 +82,6 @@ func main() {
 			fmt.Printf(";; %s %s -> %s, %d records\n", *resolve, qt, res.RCode, len(res.Records))
 			for _, rr := range res.Records {
 				fmt.Println("  ", rr)
-			}
-		}
-	}
-
-	if *axfr != "" {
-		r, err := dnsclient.NewResolver(network, netip.MustParseAddr("10.250.0.2"), wire.Roots, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer r.Close()
-		// Find the TLD server: resolve the zone's NS, then its address.
-		res, err := r.Resolve(context.Background(), strings.ToLower(*axfr), dnswire.TypeNS)
-		if err != nil || len(res.Records) == 0 {
-			fmt.Printf("axfr: cannot find NS for %s: %v\n", *axfr, err)
-		} else if ns, ok := res.Records[0].Data.(dnswire.NS); ok {
-			addrRes, err := r.Resolve(context.Background(), ns.Host, dnswire.TypeA)
-			if err != nil || len(addrRes.Addrs()) == 0 {
-				fmt.Printf("axfr: cannot resolve %s: %v\n", ns.Host, err)
-			} else {
-				server := netip.AddrPortFrom(addrRes.Addrs()[0], transport.DNSPort)
-				records, err := r.AXFR(server, *axfr)
-				if err != nil {
-					fmt.Printf("axfr %s: %v\n", *axfr, err)
-				} else {
-					fmt.Printf(";; AXFR %s from %v: %d records\n", *axfr, server, len(records))
-					for i, rr := range records {
-						if i >= 8 {
-							fmt.Printf("   ... %d more\n", len(records)-8)
-							break
-						}
-						fmt.Println("  ", rr)
-					}
-				}
 			}
 		}
 	}

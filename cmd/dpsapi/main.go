@@ -17,8 +17,8 @@
 // rate-limits with a token bucket (429 beyond it), -max-inflight bounds
 // concurrency (503 when the gate stays full past the deadline), and
 // -timeout caps every request. SIGINT/SIGTERM drain gracefully: the
-// listener closes, in-flight requests finish (up to -drain), then the
-// process exits.
+// listener closes, in-flight requests finish (up to drainTimeout), then
+// the process exits.
 //
 // With -follow the server goes live: it tails a feed of committed
 // (source, day) partitions — a dpscoord coordination directory (the
@@ -32,7 +32,7 @@
 // Usage:
 //
 //	dpsapi -data world.dpsa [-addr :8080] [-qps 0] [-max-inflight 256]
-//	       [-timeout 2s] [-cache 4096] [-drain 5s] [-quiet] [-log-json]
+//	       [-timeout 2s] [-cache 4096] [-quiet] [-log-json]
 //	       [-prof-mutex 5] [-prof-block 0]
 //	dpsapi -follow coorddir/ [-data world.dpsa] [-poll 500ms]
 //	       [-follow-cursor auto|off|PATH] [...]
@@ -65,6 +65,10 @@ import (
 	"dpsadopt/internal/store"
 )
 
+// drainTimeout bounds the graceful shutdown: in-flight requests get this
+// long to finish after SIGINT/SIGTERM.
+const drainTimeout = 5 * time.Second
+
 func main() {
 	var (
 		data         = flag.String("data", "", "dataset file (.dpsa) to serve (required unless -follow)")
@@ -78,7 +82,6 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 256, "max concurrently handled requests")
 		timeout      = flag.Duration("timeout", 2*time.Second, "per-request deadline")
 		cacheSize    = flag.Int("cache", 4096, "response cache entries (negative = disabled)")
-		drain        = flag.Duration("drain", 5*time.Second, "graceful shutdown deadline")
 	)
 	cli.Parse("dpsapi", cli.Logging|cli.Profiling)
 	if *data == "" && *followTgt == "" {
@@ -220,11 +223,11 @@ func main() {
 			log.Fatal(err)
 		}
 	case <-ctx.Done():
-		logger.Info("signal received; draining", "deadline", drain.String())
+		logger.Info("signal received; draining", "deadline", drainTimeout.String())
 		if followDone != nil {
 			<-followDone // follower sees the same ctx; wait out any in-flight apply
 		}
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
+		sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := httpSrv.Shutdown(sctx); err != nil {
 			logger.Warn("drain incomplete, closing", "err", err)

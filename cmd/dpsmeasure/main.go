@@ -47,7 +47,7 @@
 //	           [-coord-workers 3] [-coord-dir coordrun]
 //	           [-fault-scenario flaky-1pct] [-fault-seed 7] [-wire-timeout 100]
 //	           [-metrics-addr :9090] [-prof-mutex 5] [-prof-block 0]
-//	           [-quiet] [-log-json] [-v]
+//	           [-quiet] [-log-json]
 //	           [-trace-out traces] [-trace-sample 0.01] [-trace-slow 250ms]
 package main
 
@@ -79,7 +79,6 @@ func main() {
 		days        = flag.Int("days", 3, "days to measure")
 		mode        = flag.String("mode", "direct", "direct or wire")
 		workers     = flag.Int("workers", 4, "measurement workers")
-		verbose     = flag.Bool("v", false, "print sample rows")
 		out         = flag.String("out", "", "write the dataset to this .dpsa file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/traces on this address")
 		traceOut    = flag.String("trace-out", "", "enable tracing; write <base>.json (Chrome trace_event) and <base>.jsonl")
@@ -238,23 +237,6 @@ func main() {
 			log.Fatal(err)
 		}
 		logger.Info("dataset written", "path", *out)
-	}
-
-	if *verbose && !flags.Quiet {
-		day := w.Cfg.Window.Start
-		fmt.Printf("\nsample rows (com, %s):\n", day)
-		n := 0
-		s.ForEachRow("com", day, func(r store.Row) {
-			if n >= 12 {
-				return
-			}
-			n++
-			if r.Str != "" {
-				fmt.Printf("  %-20s %-10s %s\n", r.Domain, r.Kind, r.Str)
-			} else {
-				fmt.Printf("  %-20s %-10s %-15s AS%v\n", r.Domain, r.Kind, r.Addr, r.ASNs)
-			}
-		})
 	}
 
 	if interrupted {

@@ -17,9 +17,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"dpsadopt/cmd/internal/cli"
@@ -28,18 +31,97 @@ import (
 	"dpsadopt/internal/simtime"
 )
 
+// artifacts are the tables and figures -artifact selects, in print
+// order; their names also make -artifact's usage string.
+var artifacts = []struct {
+	name  string
+	print func(out io.Writer, r *experiment.Runner, samples int, quietDay simtime.Day) error
+}{
+	{"table1", func(out io.Writer, r *experiment.Runner, _ int, _ simtime.Day) error {
+		report.Table1(out, r.Table1())
+		return nil
+	}},
+	{"table2", func(out io.Writer, r *experiment.Runner, _ int, qd simtime.Day) error {
+		if !r.Window().Contains(qd) {
+			fmt.Fprintf(out, "Table 2: quiet day %s outside run window %s; skipped\n", qd, r.Window())
+			return nil
+		}
+		t2, err := r.Table2(qd)
+		if err != nil {
+			return err
+		}
+		report.Table2(out, t2)
+		return nil
+	}},
+	{"fig2", func(out io.Writer, r *experiment.Runner, samples int, _ simtime.Day) error {
+		report.Figure2(out, r.Figure2(), samples)
+		return nil
+	}},
+	{"fig3", func(out io.Writer, r *experiment.Runner, samples int, _ simtime.Day) error {
+		report.Figure3(out, r.Figure3(), samples)
+		return nil
+	}},
+	{"fig4", func(out io.Writer, r *experiment.Runner, _ int, _ simtime.Day) error {
+		report.Figure4(out, r.Figure4())
+		return nil
+	}},
+	{"fig5", func(out io.Writer, r *experiment.Runner, samples int, _ simtime.Day) error {
+		report.Growth(out, "Figure 5: growth of DPS use in 50% of the DNS (smoothed, anomaly-cleaned)", r.Figure5(), samples)
+		return nil
+	}},
+	{"fig6", func(out io.Writer, r *experiment.Runner, samples int, _ simtime.Day) error {
+		f6 := r.Figure6()
+		report.Growth(out, "Figure 6a: growth of DPS use in .nl", f6.NL, samples)
+		report.Growth(out, "Figure 6b: growth of DPS use in the Alexa list", f6.Alexa, samples)
+		return nil
+	}},
+	{"fig7", func(out io.Writer, r *experiment.Runner, _ int, _ simtime.Day) error {
+		report.Figure7(out, r.Figure7())
+		return nil
+	}},
+	{"fig8", func(out io.Writer, r *experiment.Runner, _ int, _ simtime.Day) error {
+		report.Figure8(out, r.Figure8())
+		return nil
+	}},
+	{"classification", func(out io.Writer, r *experiment.Runner, _ int, _ simtime.Day) error {
+		report.Classification(out, r.Classification())
+		return nil
+	}},
+	{"anomalies", func(out io.Writer, r *experiment.Runner, _ int, _ simtime.Day) error {
+		an, err := r.Anomalies(1)
+		if err != nil {
+			return err
+		}
+		report.Anomalies(out, an)
+		return nil
+	}},
+}
+
 func main() {
+	names := []string{"all"}
+	for _, a := range artifacts {
+		names = append(names, a.name)
+	}
 	var (
 		scale    = flag.Int("scale", 1000, "world scale divisor (1000 = paper at 1:1000)")
 		days     = flag.Int("days", 0, "truncate the run to N days (0 = full 550)")
 		workers  = flag.Int("workers", 8, "measurement workers")
 		samples  = flag.Int("samples", 24, "rows per rendered series")
-		artifact = flag.String("artifact", "all", "which artifact to print")
+		artifact = flag.String("artifact", "all", "which artifact to print ("+strings.Join(names, ", ")+")")
 		csvDir   = flag.String("csv", "", "directory for CSV series (optional)")
 		svgDir   = flag.String("svg", "", "directory for SVG figures (optional)")
 		quietDay = flag.String("quiet-day", "2015-07-25", "anomaly-free day for Table 2 discovery")
 	)
 	cli.Parse("dpsreport", 0)
+	// Both are checked before the measurement pass, which takes minutes
+	// at the default scale.
+	if !slices.Contains(names, *artifact) {
+		log.Fatalf("unknown -artifact %q (want one of %s)", *artifact, strings.Join(names, ", "))
+	}
+	qd, err := simtime.Parse(*quietDay)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	r, err := experiment.New(experiment.Config{
 		Scale:   *scale,
@@ -61,69 +143,16 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "measurement+analysis pass: %s\n", time.Since(start).Round(time.Millisecond))
 
-	qd, err := simtime.Parse(*quietDay)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out := os.Stdout
-	show := func(name string) bool { return *artifact == "all" || *artifact == name }
-
-	if show("table1") {
-		report.Table1(out, r.Table1())
-		fmt.Fprintln(out)
-	}
-	if show("table2") {
-		if !r.Window().Contains(qd) {
-			fmt.Fprintf(out, "Table 2: quiet day %s outside run window %s; skipped\n\n", qd, r.Window())
-		} else {
-			t2, err := r.Table2(qd)
-			if err != nil {
-				log.Fatal(err)
-			}
-			report.Table2(out, t2)
-			fmt.Fprintln(out)
+	for i, a := range artifacts {
+		if *artifact != "all" && *artifact != a.name {
+			continue
 		}
-	}
-	if show("fig2") {
-		report.Figure2(out, r.Figure2(), *samples)
-		fmt.Fprintln(out)
-	}
-	if show("fig3") {
-		report.Figure3(out, r.Figure3(), *samples)
-		fmt.Fprintln(out)
-	}
-	if show("fig4") {
-		report.Figure4(out, r.Figure4())
-		fmt.Fprintln(out)
-	}
-	if show("fig5") {
-		report.Growth(out, "Figure 5: growth of DPS use in 50% of the DNS (smoothed, anomaly-cleaned)", r.Figure5(), *samples)
-		fmt.Fprintln(out)
-	}
-	if show("fig6") {
-		f6 := r.Figure6()
-		report.Growth(out, "Figure 6a: growth of DPS use in .nl", f6.NL, *samples)
-		report.Growth(out, "Figure 6b: growth of DPS use in the Alexa list", f6.Alexa, *samples)
-		fmt.Fprintln(out)
-	}
-	if show("fig7") {
-		report.Figure7(out, r.Figure7())
-		fmt.Fprintln(out)
-	}
-	if show("fig8") {
-		report.Figure8(out, r.Figure8())
-		fmt.Fprintln(out)
-	}
-	if show("classification") {
-		report.Classification(out, r.Classification())
-		fmt.Fprintln(out)
-	}
-	if show("anomalies") {
-		an, err := r.Anomalies(1)
-		if err != nil {
+		if err := a.print(os.Stdout, r, *samples, qd); err != nil {
 			log.Fatal(err)
 		}
-		report.Anomalies(out, an)
+		if i < len(artifacts)-1 {
+			fmt.Println()
+		}
 	}
 	if *csvDir != "" {
 		if err := writeCSVs(r, *csvDir); err != nil {

@@ -21,8 +21,7 @@
 //  4. The index lookup itself, lock-free on the immutable Index.
 //
 // Every request is recorded by the query observatory (rolling per-route
-// latency and error windows, SLO scorecard, slow log) and optionally
-// traced with a per-request root span.
+// latency and error windows, SLO scorecard, slow log).
 package api
 
 import (
@@ -37,7 +36,6 @@ import (
 
 	"dpsadopt/internal/obs"
 	"dpsadopt/internal/simtime"
-	"dpsadopt/internal/trace"
 )
 
 // Config tunes the server's admission and caching layers.
@@ -55,11 +53,6 @@ type Config struct {
 	// CacheEntries sizes the response cache: 0 means the 4096 default,
 	// negative disables caching.
 	CacheEntries int
-	// CacheShards is rounded up to a power of two (default 16).
-	CacheShards int
-	// Tracer, when enabled, opens a sampled root span per request and
-	// stamps its trace ID on the request's slow-log entry.
-	Tracer *trace.Tracer
 	// Observatory overrides the windowed query observatory (rolling
 	// latency/error windows, SLO scorecard, slow-query log, heavy-hitter
 	// sketches). Nil builds a default one with DefaultSLOs on the
@@ -109,9 +102,6 @@ func NewServer(idx *Index, cfg Config) *Server {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 16
-	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 4096
 	}
@@ -122,7 +112,7 @@ func NewServer(idx *Index, cfg Config) *Server {
 	}
 	s.idx.Store(idx)
 	if cfg.CacheEntries > 0 {
-		s.cache = newCache(cfg.CacheEntries, cfg.CacheShards)
+		s.cache = newCache(cfg.CacheEntries, cacheShards)
 	}
 	if cfg.QPS > 0 {
 		s.bucket = newTokenBucket(cfg.QPS, cfg.Burst)
@@ -169,7 +159,7 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 		if s.bucket != nil && !s.bucket.allow() {
 			mRateLimited.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(s.bucket.retryAfterSeconds()))
-			s.finish(w, r, name, start, nil, errResponse(http.StatusTooManyRequests, "rate limit exceeded"),
+			s.finish(w, r, name, start, errResponse(http.StatusTooManyRequests, "rate limit exceeded"),
 				obs.RequestOutcome{Admission: obs.AdmissionRateLimited})
 			return
 		}
@@ -185,25 +175,19 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 			case s.gate <- struct{}{}:
 			case <-ctx.Done():
 				mShed.Inc()
-				s.finish(w, r, name, start, nil, errResponse(http.StatusServiceUnavailable, "server overloaded"),
+				s.finish(w, r, name, start, errResponse(http.StatusServiceUnavailable, "server overloaded"),
 					obs.RequestOutcome{Admission: obs.AdmissionShed})
 				return
 			}
 		}
 		defer func() { <-s.gate }()
 
-		var sp *trace.Span
-		if t := s.cfg.Tracer; t.Enabled() && t.SampleName(r.URL.Path) {
-			ctx, sp = t.StartRoot(ctx, "api.request",
-				trace.Str("route", name), trace.Str("path", r.URL.Path))
-			defer sp.End()
-		}
 		r = r.WithContext(ctx)
 		if s.testHook != nil {
 			s.testHook(name)
 		}
 		val, hit, shared := s.respond(name, r, fn)
-		s.finish(w, r, name, start, sp, val, obs.RequestOutcome{CacheHit: hit, Coalesced: shared})
+		s.finish(w, r, name, start, val, obs.RequestOutcome{CacheHit: hit, Coalesced: shared})
 	})
 }
 
@@ -245,18 +229,13 @@ func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request)
 	return val, false, shared
 }
 
-// finish writes the response and records the span status and the
-// observatory's windowed/slowlog/heavy-hitter views.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, route string, start time.Time, sp *trace.Span, val cached, out obs.RequestOutcome) {
+// finish writes the response and records it in the observatory's windowed/slowlog/heavy-hitter views.
+func (s *Server) finish(w http.ResponseWriter, r *http.Request, route string, start time.Time, val cached, out obs.RequestOutcome) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(val.status)
 	_, _ = w.Write(val.body)
 	elapsed := time.Since(start)
 	sec := elapsed.Seconds()
-	if sp != nil {
-		sp.SetAttr(trace.Int("status", int64(val.status)))
-		out.TraceID = sp.TraceID().String()
-	}
 	if s.obsv != nil {
 		// Detail only matters if the slow log will retain this request;
 		// skip the URI build for the common fast one.

@@ -44,6 +44,9 @@ type shardedCache struct {
 	gen    atomic.Uint64
 }
 
+// cacheShards is the server's response-cache shard count.
+const cacheShards = 16
+
 // newCache builds a cache holding ~entries responses across shards
 // (shards is rounded up to a power of two).
 func newCache(entries, shards int) *shardedCache {

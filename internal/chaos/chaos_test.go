@@ -175,8 +175,12 @@ func TestDuplicateIntactWhenSenderReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestDelayedDeliveryArrives: every delay fault (latency, jitter,
+// reordering hold-back, spikes) delays a datagram without losing or
+// duplicating it.
 func TestDelayedDeliveryArrives(t *testing.T) {
-	cfg := Config{Name: "slowpath", Latency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond}
+	cfg := Config{Name: "slowpath", Latency: 5 * time.Millisecond, Jitter: 5 * time.Millisecond,
+		Reorder: 0.3, ReorderDelay: 3 * time.Millisecond, SpikeProb: 0.1, SpikeDelay: 20 * time.Millisecond}
 	got := collectSurvivors(t, cfg, 3, 1, 50)
 	for i := uint32(0); i < 50; i++ {
 		if got[i] != 1 {

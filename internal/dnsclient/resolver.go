@@ -68,9 +68,6 @@ type Result struct {
 
 // takeRetry consumes one retransmission from the resolution budget.
 func (r *Result) takeRetry() bool {
-	if r == nil {
-		return true // budget-less exchange (AXFR helpers)
-	}
 	if r.budget <= 0 {
 		return false
 	}
@@ -433,9 +430,7 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 		}
 		r.queries.Add(1)
 		mQueries.Inc()
-		if res != nil {
-			res.Queries++
-		}
+		res.Queries++
 		sent := time.Now()
 		deadline := sent.Add(r.Timeout)
 		for {
@@ -488,9 +483,7 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 		// returned above. Account it and mark the server against the
 		// circuit breaker before the next attempt tries elsewhere.
 		r.timeouts.Add(1)
-		if res != nil {
-			res.Timeouts++
-		}
+		res.Timeouts++
 		r.health.fail(server)
 	}
 	return nil, fmt.Errorf("%w: %s %s", ErrExhausted, qname, qtype)

@@ -44,12 +44,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // garbage on a stream: drop the connection
 		}
-		if len(q.Questions) == 1 && q.Questions[0].Type == dnswire.TypeAXFR {
-			if err := s.serveAXFR(conn, q); err != nil {
-				return
-			}
-			continue
-		}
 		resp := s.Handle(q)
 		wire, err := resp.Pack()
 		if err != nil {
@@ -101,54 +95,4 @@ func (r *RunningStream) Stop() error {
 	case <-time.After(time.Second):
 	}
 	return r.err
-}
-
-// serveAXFR answers a zone-transfer query on a stream connection
-// (RFC 5936, simplified): the zone's records are sent as a sequence of
-// response messages, beginning with the SOA and ending with a repeated
-// SOA. Transfers are only honoured for zones the server carries and only
-// over TCP.
-func (s *Server) serveAXFR(conn net.Conn, q *dnswire.Message) error {
-	qname := q.Questions[0].Name
-	z, ok := s.Zone(qname)
-	if !ok {
-		resp := q.Reply()
-		resp.Flags.RCode = dnswire.RCodeRefused
-		wire, err := resp.Pack()
-		if err != nil {
-			return err
-		}
-		return dnswire.WriteFramed(conn, wire)
-	}
-	records := z.AllRecords()
-	if len(records) == 0 || records[0].Type != dnswire.TypeSOA {
-		resp := q.Reply()
-		resp.Flags.RCode = dnswire.RCodeServFail
-		wire, err := resp.Pack()
-		if err != nil {
-			return err
-		}
-		return dnswire.WriteFramed(conn, wire)
-	}
-	// Close the sequence with the SOA again.
-	records = append(records, records[0])
-	const batch = 200
-	for i := 0; i < len(records); i += batch {
-		hi := i + batch
-		if hi > len(records) {
-			hi = len(records)
-		}
-		resp := q.Reply()
-		resp.Flags.Authoritative = true
-		resp.Answers = records[i:hi]
-		wire, err := resp.Pack()
-		if err != nil {
-			return err
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(tcpIdleTimeout))
-		if err := dnswire.WriteFramed(conn, wire); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dpsadopt/internal/dnswire"
-	"dpsadopt/internal/dnszone"
 	"dpsadopt/internal/transport"
 )
 
@@ -68,83 +67,40 @@ func TestStreamGarbageDropsConnection(t *testing.T) {
 	}
 }
 
-func TestAXFRServerSide(t *testing.T) {
+// An AXFR question gets no zone transfer: it is answered by the same
+// lookup as any other type, in one message, and the connection goes on
+// answering.
+func TestStreamAXFRAnsweredLikeAnyType(t *testing.T) {
 	network, server := startStreamServer(t)
 	conn, err := network.DialStream(netip.MustParseAddr("10.9.0.9"), server)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	q := dnswire.NewQuery(5, "examp.le", dnswire.TypeAXFR)
-	wire, _ := q.Pack()
-	if err := dnswire.WriteFramed(conn, wire); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := dnswire.ReadFramed(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := dnswire.Unpack(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Flags.RCode != dnswire.RCodeNoError || len(resp.Answers) < 3 {
-		t.Fatalf("axfr resp = %+v", resp)
-	}
-	if resp.Answers[0].Type != dnswire.TypeSOA || resp.Answers[len(resp.Answers)-1].Type != dnswire.TypeSOA {
-		t.Error("transfer not SOA-delimited")
-	}
-}
-
-func TestAXFRRefusedForUnknownZone(t *testing.T) {
-	network, server := startStreamServer(t)
-	conn, err := network.DialStream(netip.MustParseAddr("10.9.0.10"), server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	q := dnswire.NewQuery(6, "foreign.test", dnswire.TypeAXFR)
-	wire, _ := q.Pack()
-	if err := dnswire.WriteFramed(conn, wire); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := dnswire.ReadFramed(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _ := dnswire.Unpack(msg)
-	if resp.Flags.RCode != dnswire.RCodeRefused {
-		t.Errorf("rcode = %v", resp.Flags.RCode)
-	}
-}
-
-func TestAXFRServFailWithoutSOA(t *testing.T) {
-	network := transport.NewMem(43)
-	s := New()
-	z := dnszone.MustNew("nosoa.test")
-	z.MustAdd(dnswire.RR{Name: "nosoa.test", Type: dnswire.TypeNS, TTL: 1, Data: dnswire.NS{Host: "ns.nosoa.test"}})
-	s.AddZone(z)
-	stream, err := StartStream(s, network, "10.0.0.4")
-	if err != nil || stream == nil {
-		t.Fatalf("StartStream: %v", err)
-	}
-	defer stream.Stop()
-	conn, err := network.DialStream(netip.MustParseAddr("10.9.0.11"), netip.MustParseAddrPort("10.0.0.4:53"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	q := dnswire.NewQuery(8, "nosoa.test", dnswire.TypeAXFR)
-	wire, _ := q.Pack()
-	if err := dnswire.WriteFramed(conn, wire); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := dnswire.ReadFramed(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _ := dnswire.Unpack(msg)
-	if resp.Flags.RCode != dnswire.RCodeServFail {
-		t.Errorf("rcode = %v", resp.Flags.RCode)
+	ref := New()
+	ref.AddZone(testZone())
+	for _, q := range []*dnswire.Message{
+		dnswire.NewQuery(5, "examp.le", dnswire.TypeAXFR),
+		dnswire.NewQuery(6, "www.examp.le", dnswire.TypeA),
+	} {
+		wire, _ := q.Pack()
+		if err := dnswire.WriteFramed(conn, wire); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := dnswire.ReadFramed(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := dnswire.Unpack(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != q.ID || !resp.Flags.Response || len(resp.Questions) != 1 || resp.Questions[0] != q.Questions[0] {
+			t.Fatalf("%s: reply %+v does not answer query %d", q.Questions[0].Type, resp, q.ID)
+		}
+		want := ref.Handle(q)
+		if resp.Flags.RCode != want.Flags.RCode || len(resp.Answers) != len(want.Answers) || len(resp.Authority) != len(want.Authority) {
+			t.Errorf("%s: stream reply %+v, Handle gives %+v", q.Questions[0].Type, resp, want)
+		}
 	}
 }

@@ -425,36 +425,3 @@ func (z *Zone) Clone() *Zone {
 	}
 	return c
 }
-
-// AllRecords returns every record in the zone, SOA first, the rest in
-// sorted owner/type order — the sequence a zone transfer emits.
-func (z *Zone) AllRecords() []dnswire.RR {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make([]dnswire.RR, 0, 64)
-	if soa := z.records[z.Origin][dnswire.TypeSOA]; len(soa) > 0 {
-		out = append(out, soa[0])
-	}
-	names := make([]string, 0, len(z.records))
-	for n := range z.records {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		byType := z.records[n]
-		types := make([]dnswire.Type, 0, len(byType))
-		for t := range byType {
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			for _, rr := range byType[t] {
-				if t == dnswire.TypeSOA && n == z.Origin {
-					continue // already emitted first
-				}
-				out = append(out, rr)
-			}
-		}
-	}
-	return out
-}

@@ -8,7 +8,7 @@
 //
 // Two fidelity modes share the same storage schema. ModeWire drives real
 // DNS messages through resolvers against authoritative servers built by
-// worldsim.BuildWire — byte-level fidelity, used by tests and examples.
+// worldsim.BuildWire — byte-level fidelity, used by tests and -mode wire.
 // ModeDirect derives the identical records from the world model in
 // process, which makes 550-day full-namespace runs tractable; the
 // equivalence of both modes is asserted by TestModesEquivalent.
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -67,11 +66,6 @@ type Config struct {
 	// installing server-side fault injectors or protecting root addresses
 	// on a chaos transport.
 	OnWire func(day simtime.Day, wire *worldsim.Wire, network transport.Network)
-	// StageIZoneFiles, when true, derives the daily TLD domain lists by
-	// rendering and parsing the registry zone files instead of reading
-	// the world model — the literal Stage I of Fig 1. Slower; used by
-	// fidelity tests and demos.
-	StageIZoneFiles bool
 	// OnDay, when set, receives per-day progress.
 	OnDay func(day simtime.Day, rows int)
 }
@@ -157,48 +151,19 @@ type task struct {
 func (p *Pipeline) stageOneLists(day simtime.Day) map[string][]task {
 	lists := make(map[string][]task)
 	w := p.World
-	if p.Cfg.StageIZoneFiles {
-		// Literal Stage I: render each TLD's registry zone file and parse
-		// the delegations back out.
-		for tld := range w.TLDs {
-			var window simtime.Range
-			if tld == "nl" {
-				window = w.Cfg.NLWindow
-			} else {
-				window = w.Cfg.Window
-			}
-			if !window.Contains(day) {
-				continue
-			}
-			var buf strings.Builder
-			if err := w.WriteZoneFile(tld, day, &buf); err != nil {
-				continue
-			}
-			_, names, err := worldsim.ZoneFileDomains(strings.NewReader(buf.String()))
-			if err != nil {
-				continue
-			}
-			for _, name := range names {
-				if d, ok := w.DomainByName(name); ok {
-					lists[tld] = append(lists[tld], task{dom: d})
-				}
-			}
+	// The world's flat domain table is TLD-ordered and carries
+	// lifetimes; one scan assembles every TLD's list.
+	for _, d := range w.Domains {
+		var window simtime.Range
+		if d.TLD == "nl" {
+			window = w.Cfg.NLWindow
+		} else {
+			window = w.Cfg.Window
 		}
-	} else {
-		// The world's flat domain table is TLD-ordered and carries
-		// lifetimes; one scan assembles every TLD's list.
-		for _, d := range w.Domains {
-			var window simtime.Range
-			if d.TLD == "nl" {
-				window = w.Cfg.NLWindow
-			} else {
-				window = w.Cfg.Window
-			}
-			if !window.Contains(day) || !d.Life.Contains(day) {
-				continue
-			}
-			lists[d.TLD] = append(lists[d.TLD], task{dom: d})
+		if !window.Contains(day) || !d.Life.Contains(day) {
+			continue
 		}
+		lists[d.TLD] = append(lists[d.TLD], task{dom: d})
 	}
 	if w.Cfg.NLWindow.Contains(day) {
 		for _, idx := range w.AlexaList(day) {

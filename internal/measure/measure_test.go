@@ -330,36 +330,6 @@ func TestAAAAMeasured(t *testing.T) {
 	}
 }
 
-// TestStageIZoneFilesEquivalent checks the literal zone-file Stage I
-// produces the same measurement rows as the direct domain-table listing.
-func TestStageIZoneFilesEquivalent(t *testing.T) {
-	w := midWorld(t)
-	day := simtime.Day(20)
-
-	plain := store.New()
-	if err := New(w, plain, Config{Mode: ModeDirect, Workers: 2}).RunDay(context.Background(), day); err != nil {
-		t.Fatal(err)
-	}
-	viaZone := store.New()
-	if err := New(w, viaZone, Config{Mode: ModeDirect, Workers: 2, StageIZoneFiles: true}).RunDay(context.Background(), day); err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range plain.Sources() {
-		want := collectRows(plain, src, day)
-		got := collectRows(viaZone, src, day)
-		if len(want) != len(got) {
-			t.Errorf("%s: %d vs %d rows", src, len(want), len(got))
-			continue
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Errorf("%s row %d differs", src, i)
-				break
-			}
-		}
-	}
-}
-
 // TestWireSurvivesPacketLoss injects 10% datagram loss: the resolvers'
 // retries must still produce a (nearly) complete measurement.
 func TestWireSurvivesPacketLoss(t *testing.T) {

@@ -1,16 +1,13 @@
 package obs_test
 
 import (
-	"bufio"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -20,27 +17,21 @@ import (
 	_ "dpsadopt/internal/dnsserver"
 	_ "dpsadopt/internal/experiment"
 	_ "dpsadopt/internal/follow"
+	"dpsadopt/internal/inventory"
 	_ "dpsadopt/internal/measure"
 	"dpsadopt/internal/obs"
 	"dpsadopt/internal/store"
 	_ "dpsadopt/internal/transport"
 )
 
-// inventoryLine is one entry of testdata/metrics.txt.
-type inventoryLine struct {
-	name, kind string
-	consumers  []string
-	lineNo     int
-}
-
 // prefix is the name a family line (…_<route>) matches registered names
 // by, or the whole name for a plain line.
-func (l inventoryLine) prefix() string {
-	p, _, _ := strings.Cut(l.name, "<route>")
+func prefix(l inventory.Line) string {
+	p, _, _ := strings.Cut(l.Name, "<route>")
 	return p
 }
 
-func (l inventoryLine) family() bool { return strings.Contains(l.name, "<route>") }
+func family(l inventory.Line) bool { return strings.Contains(l.Name, "<route>") }
 
 // TestMetricInventory holds testdata/metrics.txt to the process: the
 // inventory names exactly the metrics the default registry exports (with
@@ -51,7 +42,10 @@ func TestMetricInventory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := readInventory(t)
+	inv, err := inventory.Read(filepath.Join("testdata", "metrics.txt"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := scanSource(t, root)
 
 	// Every instrumented package is imported above; the runtime collector
@@ -71,9 +65,9 @@ func TestMetricInventory(t *testing.T) {
 			t.Errorf("%s (%s) is exported but has no line in testdata/metrics.txt", name, kind)
 			continue
 		}
-		matched[l.lineNo] = true
-		if l.kind != kind {
-			t.Errorf("%s: exported as %s, inventory line %d says %s", name, kind, l.lineNo, l.kind)
+		matched[l.No] = true
+		if l.Kind != kind {
+			t.Errorf("%s: exported as %s, inventory line %d says %s", name, kind, l.No, l.Kind)
 		}
 	}
 	for name, files := range src.registered {
@@ -88,77 +82,47 @@ func TestMetricInventory(t *testing.T) {
 	}
 
 	for _, l := range inv {
-		if l.kind == "endpoint" {
-			if len(src.mounted[l.name]) == 0 {
-				t.Errorf("endpoint %s (line %d) is not mounted anywhere", l.name, l.lineNo)
+		if l.Kind == "endpoint" {
+			if len(src.mounted[l.Name]) == 0 {
+				t.Errorf("endpoint %s (line %d) is not mounted anywhere", l.Name, l.No)
 			}
-		} else if !matched[l.lineNo] {
-			t.Errorf("%s (line %d) is not exported", l.name, l.lineNo)
+		} else if !matched[l.No] {
+			t.Errorf("%s (line %d) is not exported", l.Name, l.No)
 		}
-		if len(l.consumers) == 0 {
-			t.Errorf("%s (line %d) names no consumer", l.name, l.lineNo)
+		if len(l.Consumers) == 0 {
+			t.Errorf("%s (line %d) names no consumer", l.Name, l.No)
 		}
-		for _, c := range l.consumers {
+		for _, c := range l.Consumers {
 			if err := checkConsumer(root, src, l, c); err != "" {
-				t.Errorf("%s (line %d): consumer %s %s", l.name, l.lineNo, c, err)
+				t.Errorf("%s (line %d): consumer %s %s", l.Name, l.No, c, err)
 			}
 		}
 	}
-}
-
-func readInventory(t *testing.T) []inventoryLine {
-	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", "metrics.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var inv []inventoryLine
-	seen := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for n := 1; sc.Scan(); n++ {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		if len(fields) < 2 {
-			t.Fatalf("testdata/metrics.txt:%d: want <name> <kind> <consumer>...", n)
-		}
-		if seen[fields[0]] {
-			t.Errorf("%s is listed twice (line %d)", fields[0], n)
-		}
-		seen[fields[0]] = true
-		inv = append(inv, inventoryLine{name: fields[0], kind: fields[1], consumers: fields[2:], lineNo: n})
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return inv
 }
 
 // lineFor finds the metric line a registered name belongs to: its own
 // line, or the per-route family its name extends.
-func lineFor(inv []inventoryLine, name string) (inventoryLine, bool) {
+func lineFor(inv []inventory.Line, name string) (inventory.Line, bool) {
 	for _, l := range inv {
-		if l.kind == "endpoint" {
+		if l.Kind == "endpoint" {
 			continue
 		}
-		if l.name == name || l.family() && strings.HasPrefix(name, l.prefix()) {
+		if l.Name == name || family(l) && strings.HasPrefix(name, prefix(l)) {
 			return l, true
 		}
 	}
-	return inventoryLine{}, false
+	return inventory.Line{}, false
 }
 
 // endpointFor finds the endpoint line covering a mounted pattern: its
 // own, or a line ending in / that the pattern lies below.
-func endpointFor(inv []inventoryLine, pattern string) (inventoryLine, bool) {
+func endpointFor(inv []inventory.Line, pattern string) (inventory.Line, bool) {
 	for _, l := range inv {
-		if l.kind == "endpoint" && (l.name == pattern || strings.HasSuffix(l.name, "/") && strings.HasPrefix(pattern, l.name)) {
+		if l.Kind == "endpoint" && (l.Name == pattern || strings.HasSuffix(l.Name, "/") && strings.HasPrefix(pattern, l.Name)) {
 			return l, true
 		}
 	}
-	return inventoryLine{}, false
+	return inventory.Line{}, false
 }
 
 // exportedKinds reads every metric family and its kind off the default
@@ -189,11 +153,6 @@ type source struct {
 var registerCalls = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true, "GaugeVec": true,
 	"HistogramVec": true, "RegisterWindowCounter": true, "RegisterWindowHistogram": true,
-}
-
-// messageCalls are the testing.T methods whose arguments are messages.
-var messageCalls = map[string]bool{
-	"Error": true, "Errorf": true, "Fatal": true, "Fatalf": true, "Log": true, "Logf": true,
 }
 
 // scanSource walks the module's non-test Go files (bench/ is a separate
@@ -230,7 +189,7 @@ func scanSource(t *testing.T, root string) source {
 			if !ok {
 				return true
 			}
-			arg, ok := stringLit(call.Args[0])
+			arg, ok := inventory.StringLit(call.Args[0])
 			if !ok {
 				return true
 			}
@@ -253,87 +212,20 @@ func scanSource(t *testing.T, root string) source {
 	return src
 }
 
-func stringLit(n ast.Node) (string, bool) {
-	lit, ok := n.(*ast.BasicLit)
-	if !ok || lit.Kind != token.STRING {
-		return "", false
-	}
-	s, err := strconv.Unquote(lit.Value)
-	return s, err == nil
-}
-
-// checkConsumer returns why consumer path c does not consume line l, or
-// "" when it does.
-func checkConsumer(root string, src source, l inventoryLine, c string) string {
-	dir, base := filepath.Split(c)
-	isGo := strings.HasSuffix(c, ".go")
-	switch {
-	case strings.HasSuffix(c, "_test.go"):
-	case dir == "scripts/" && strings.HasSuffix(base, ".sh"):
-	case dir == "bench/" && isGo:
-	case isGo:
-		for _, f := range append(src.registered[l.name], src.mounted[l.name]...) {
-			if f == c {
-				return "is the file that registers it"
+// checkConsumer returns why consumer path c does not consume line l,
+// or "" when it does. In Go only string literals count, and not those
+// of a test's failure messages.
+func checkConsumer(root string, src source, l inventory.Line, c string) string {
+	open := family(l) || strings.HasSuffix(l.Name, "/")
+	return inventory.Consumer(root, c, append(src.registered[l.Name], src.mounted[l.Name]...), func(f *ast.File, text string) bool {
+		if f == nil {
+			return inventory.Mentions(text, prefix(l), open)
+		}
+		for _, s := range inventory.StringLiterals(f) {
+			if inventory.Mentions(s, prefix(l), open) {
+				return true
 			}
 		}
-	default:
-		return "is not a test, a scripts/*.sh smoke script, a bench/*.go file or Go code reading it"
-	}
-	data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(c)))
-	if err != nil {
-		return "cannot be read: " + err.Error()
-	}
-	texts := []string{string(data)}
-	if isGo {
-		// In Go only string literals count, and not those of a test's
-		// failure messages: a comment or a message naming a metric does
-		// not read it.
-		file, err := parser.ParseFile(token.NewFileSet(), c, data, 0)
-		if err != nil {
-			return "does not parse: " + err.Error()
-		}
-		texts = texts[:0]
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && messageCalls[sel.Sel.Name] {
-					return false
-				}
-			}
-			if s, ok := stringLit(n); ok {
-				texts = append(texts, s)
-			}
-			return true
-		})
-	}
-	for _, s := range texts {
-		if mentions(s, l) {
-			return ""
-		}
-	}
-	return "does not name it outside comments and failure messages"
-}
-
-// mentions reports whether s names l as a whole token: a metric name
-// not embedded in a longer identifier, an endpoint not the prefix of a
-// longer path segment.
-func mentions(s string, l inventoryLine) bool {
-	needle := l.prefix()
-	for i := 0; ; {
-		j := strings.Index(s[i:], needle)
-		if j < 0 {
-			return false
-		}
-		start, end := i+j, i+j+len(needle)
-		before := start == 0 || !identByte(s[start-1]) || strings.HasPrefix(needle, "/")
-		after := l.family() || strings.HasSuffix(needle, "/") || end == len(s) || !identByte(s[end])
-		if before && after {
-			return true
-		}
-		i = start + 1
-	}
-}
-
-func identByte(c byte) bool {
-	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+		return false
+	})
 }

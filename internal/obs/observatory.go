@@ -59,7 +59,6 @@ type RequestOutcome struct {
 	CacheHit  bool
 	Coalesced bool
 	Admission string // AdmissionOK when empty
-	TraceID   string
 	Detail    string // request detail for the slow log, e.g. the URI
 }
 
@@ -218,7 +217,6 @@ func (o *Observatory) RecordRequestAt(now time.Time, route string, seconds float
 		CacheHit:  out.CacheHit,
 		Coalesced: out.Coalesced,
 		Admission: out.Admission,
-		TraceID:   out.TraceID,
 		At:        now.UTC(),
 	}, rw.slowCap)
 }

@@ -16,8 +16,8 @@ const DefaultSlowLogSize = 32
 
 // SlowQuery is one retained request in the slow-query log: enough
 // context to answer "what was slow and why" without replaying traffic —
-// the request detail, where the latency went past admission and cache,
-// and the trace ID when the request was sampled.
+// the request detail and where the latency went past admission and
+// cache.
 type SlowQuery struct {
 	Route     string    `json:"route"`
 	Detail    string    `json:"detail"`
@@ -26,7 +26,6 @@ type SlowQuery struct {
 	CacheHit  bool      `json:"cache_hit"`
 	Coalesced bool      `json:"coalesced,omitempty"`
 	Admission string    `json:"admission"`
-	TraceID   string    `json:"trace_id,omitempty"`
 	At        time.Time `json:"at"`
 }
 

@@ -798,11 +798,5 @@ func (w *World) AlexaList(day simtime.Day) []int {
 	return out
 }
 
-// DomainByName looks a domain up by its SLD name.
-func (w *World) DomainByName(name string) (*Domain, bool) {
-	d, ok := w.byName[name]
-	return d, ok
-}
-
 // GTLDs returns the measured generic TLD labels in order.
 func GTLDs() []string { return []string{"com", "net", "org"} }

@@ -2,7 +2,6 @@ package worldsim
 
 import (
 	"net/netip"
-	"strings"
 	"testing"
 	"time"
 
@@ -450,52 +449,6 @@ func TestNonexistentDomainState(t *testing.T) {
 
 func hasSuffix(s, suffix string) bool {
 	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
-}
-
-func TestZoneFileRoundTrip(t *testing.T) {
-	w := getWorld(t)
-	var buf strings.Builder
-	if err := w.WriteZoneFile("com", 100, &buf); err != nil {
-		t.Fatal(err)
-	}
-	origin, names, err := ZoneFileDomains(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if origin != "com" {
-		t.Errorf("origin = %q", origin)
-	}
-	// Every active .com domain is delegated exactly once.
-	want := 0
-	for _, d := range w.Domains {
-		if d.TLD == "com" && d.Life.Contains(100) {
-			want++
-		}
-	}
-	if len(names) != want {
-		t.Errorf("zone file delegates %d SLDs, want %d", len(names), want)
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate delegation %s", n)
-		}
-		seen[n] = true
-	}
-	// Unknown TLD errors.
-	if err := w.WriteZoneFile("xyz", 100, &buf); err == nil {
-		t.Error("unknown TLD accepted")
-	}
-	// Sedo outage day: delegations still present (registry is fine, the
-	// operator's servers are down).
-	var sb strings.Builder
-	outage := simtime.FromDate(2015, time.November, 22)
-	if err := w.WriteZoneFile("com", outage, &sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "sedoparking.com") {
-		t.Error("outage day zone file lost Sedo delegations")
-	}
 }
 
 func TestDualStackState(t *testing.T) {

@@ -1,9 +1,10 @@
 #!/bin/sh
 # End-to-end smoke test of the serving layer: measure a tiny world, save
 # the .dpsa, start dpsapi on it, exercise every /v1 route with real HTTP,
-# assert the response cache is counter-visibly working, and verify the
-# server drains cleanly on SIGTERM. Mirrors the CI `api` job; run locally
-# with `make api`.
+# assert the response cache is counter-visibly working, read the same
+# dataset with each dpsdata mode but -ledger, and verify the server
+# drains cleanly on SIGTERM. Mirrors the CI `api` job; run locally with
+# `make api`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,6 +20,7 @@ trap cleanup EXIT INT TERM
 echo "== build"
 go build -o "$WORK/dpsmeasure" ./cmd/dpsmeasure
 go build -o "$WORK/dpsapi" ./cmd/dpsapi
+go build -o "$WORK/dpsdata" ./cmd/dpsdata
 
 echo "== measure tiny dataset"
 "$WORK/dpsmeasure" -scale 50000 -days 3 -quiet -out "$WORK/smoke.dpsa"
@@ -58,6 +60,20 @@ curl -sf "$BASE/v1/provider/$PROVIDER_ENC/series" >"$WORK/series.json"
 grep -q '"raw"' "$WORK/series.json" || { echo "api_smoke: bad series body" >&2; exit 1; }
 curl -sf "$BASE/v1/day/$DAY" >"$WORK/day.json"
 grep -q '"domains_measured"' "$WORK/day.json" || { echo "api_smoke: bad day body" >&2; exit 1; }
+
+echo "== dpsdata over the same dataset"
+DATA="$WORK/smoke.dpsa"
+"$WORK/dpsdata" -data "$DATA" | grep -q '^com ' || { echo "api_smoke: dpsdata stats lack com" >&2; exit 1; }
+"$WORK/dpsdata" -data "$DATA" -info | grep -q '^partitions' ||
+    { echo "api_smoke: dpsdata -info printed no partition count" >&2; exit 1; }
+"$WORK/dpsdata" -data "$DATA" -domain "$DOMAIN" | grep -q "^$DOMAIN: detected on" ||
+    { echo "api_smoke: dpsdata -domain has no history for $DOMAIN" >&2; exit 1; }
+[ "$("$WORK/dpsdata" -data "$DATA" -dump com/0 -limit 3 | wc -l)" -eq 3 ] ||
+    { echo "api_smoke: dpsdata -dump com/0 -limit 3 did not print 3 rows" >&2; exit 1; }
+"$WORK/dpsdata" -data "$DATA" -detect | grep -q "^com $DAY: measured=" ||
+    { echo "api_smoke: dpsdata -detect has no com count for $DAY" >&2; exit 1; }
+[ "$("$WORK/dpsdata" -data "$DATA" -grep . -limit 2 | wc -l)" -eq 2 ] ||
+    { echo "api_smoke: dpsdata -grep . -limit 2 did not print 2 rows" >&2; exit 1; }
 
 echo "== error paths"
 [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/domain/never-seen.example")" = "404" ] ||
