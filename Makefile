@@ -81,8 +81,8 @@ api:
 
 # Live-follower suite under the race detector: delta-apply equivalence,
 # publish/invalidation precision, stale-fill fencing, journal tailing,
-# and the follower e2e tests (coord feed, dataset feed, damaged-spool
-# skip, seeded boot).
+# and the follower e2e tests (coord feed, damaged-spool skip, seeded
+# boot, non-directory target refused).
 follow:
 	$(GO) test -race ./internal/follow/ ./internal/api/ ./internal/coord/
 

@@ -20,14 +20,13 @@
 // listener closes, in-flight requests finish (up to drainTimeout), then
 // the process exits.
 //
-// With -follow the server goes live: it tails a feed of committed
-// (source, day) partitions — a dpscoord coordination directory (the
-// journal is the change feed) or a growing .dpsa re-saved atomically —
-// verifies each partition, detects it, and folds it into the serving
-// index via a copy-on-write delta publish with precise cache
+// With -follow the server goes live: it tails a dpscoord coordination
+// directory, whose journal is a feed of committed (source, day)
+// partitions, verifies each partition, detects it, and folds it into the
+// serving index via a copy-on-write delta publish with precise cache
 // invalidation. -data becomes optional: a follower may boot from an
 // empty index and converge on the feed. /v1/stats reports freshness
-// (mode, epoch, lag, skips) while following.
+// (target, epoch, lag, skips) while following.
 //
 // Usage:
 //
@@ -72,7 +71,7 @@ const drainTimeout = 5 * time.Second
 func main() {
 	var (
 		data         = flag.String("data", "", "dataset file (.dpsa) to serve (required unless -follow)")
-		followTgt    = flag.String("follow", "", "live feed to tail: a dpscoord directory or a growing .dpsa")
+		followTgt    = flag.String("follow", "", "live feed to tail: a dpscoord coordination directory")
 		poll         = flag.Duration("poll", 500*time.Millisecond, "feed polling interval (with -follow)")
 		followWk     = flag.Int("follow-workers", 4, "catch-up detection workers (with -follow)")
 		followCursor = flag.String("follow-cursor", "auto", "restart cursor path for -follow (\"auto\" = derive from target, \"off\" = disabled)")
@@ -189,7 +188,7 @@ func main() {
 			defer close(followDone)
 			_ = fl.Run(ctx) // returns only on ctx cancellation
 		}()
-		logger.Info("following feed", "target", *followTgt, "mode", string(fl.Mode()), "poll", poll.String())
+		logger.Info("following feed", "target", *followTgt, "poll", poll.String())
 	}
 
 	// The query observatory re-evaluates its SLO scorecard periodically,

@@ -43,7 +43,7 @@ func (p *presence) add(day simtime.Day) {
 }
 
 // Aggregator folds per-day detections into the aggregates. Feed days in
-// ascending order per source via AddDay (or use Run).
+// ascending order per source via AddDetections (or use Run).
 type Aggregator struct {
 	Refs  *core.References
 	Store *store.Store
@@ -81,11 +81,6 @@ func NewAggregator(refs *core.References, s *store.Store, trackSources []string)
 		a.trackSources[s] = true
 	}
 	return a
-}
-
-// AddDay detects and folds one (source, day) partition.
-func (a *Aggregator) AddDay(source string, day simtime.Day) error {
-	return a.AddDetections(core.DetectDay(a.Store, source, day, a.Refs))
 }
 
 // AddDetections folds one partition's precomputed detections — the hook
@@ -158,7 +153,7 @@ func (a *Aggregator) Run(sources []string) error {
 }
 
 // DetectStats returns the stage-timing summary accumulated over Run
-// calls (zero if detection was fed through AddDay/AddDetections).
+// calls (zero if detection was fed through AddDetections).
 func (a *Aggregator) DetectStats() core.RangeStats { return a.detectStats }
 
 // Days returns the aggregated days for a source, sorted.
@@ -170,11 +165,6 @@ func (a *Aggregator) Days(source string) []simtime.Day {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Counts returns the aggregates of one (source, day), or nil.
-func (a *Aggregator) Counts(source string, day simtime.Day) *DayCounts {
-	return a.counts[source][day]
 }
 
 // SumAny returns the total DPS-using domains across sources on a day
@@ -268,9 +258,6 @@ const (
 
 var classNames = [...]string{"not-seen", "always-on", "single", "on-demand", "intermittent"}
 
-// String names the class.
-func (c UseClass) String() string { return classNames[c] }
-
 // Classify labels domain's use of provider p, given the measurement
 // window (to distinguish always-on from a bounded single interval).
 func (a *Aggregator) Classify(p int, domain string, window simtime.Range) UseClass {
@@ -290,15 +277,6 @@ func (a *Aggregator) Classify(p int, domain string, window simtime.Range) UseCla
 		}
 		return ClassSingle
 	}
-}
-
-// Intervals exposes a domain's detection intervals for provider p.
-func (a *Aggregator) Intervals(p int, domain string) []simtime.Range {
-	pr := a.trackers[p][domain]
-	if pr == nil {
-		return nil
-	}
-	return pr.intervals
 }
 
 // FluxBin is one Fig 7 window: domains first seen and last seen in it.

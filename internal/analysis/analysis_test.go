@@ -78,11 +78,11 @@ func syntheticAgg(t *testing.T) *Aggregator {
 
 func TestAggregatorCounts(t *testing.T) {
 	a := syntheticAgg(t)
-	dc := a.Counts("com", 0)
+	dc := a.counts["com"][0]
 	if dc == nil || dc.Measured != 4 || dc.Any != 1 || dc.PerProvider[0] != 1 {
 		t.Fatalf("day 0: %+v", dc)
 	}
-	dc = a.Counts("com", 4)
+	dc = a.counts["com"][4]
 	if dc.Any != 3 {
 		t.Errorf("day 4 Any = %d, want 3 (a, b, c)", dc.Any)
 	}
@@ -108,10 +108,10 @@ func TestAddDayOrderEnforced(t *testing.T) {
 	refs := oneProviderRefs(t)
 	s := syntheticStore(t)
 	a := NewAggregator(refs, s, nil)
-	if err := a.AddDay("com", 5); err != nil {
+	if err := a.AddDetections(core.DetectDay(s, "com", 5, refs)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddDay("com", 4); err == nil {
+	if err := a.AddDetections(core.DetectDay(s, "com", 4, refs)); err == nil {
 		t.Error("out-of-order day accepted")
 	}
 }
@@ -133,7 +133,7 @@ func TestClassify(t *testing.T) {
 			t.Errorf("Classify(%s) = %v, want %v", c.dom, got, c.want)
 		}
 	}
-	if ivs := a.Intervals(0, "b.com"); len(ivs) != 3 {
+	if ivs := a.trackers[0]["b.com"].intervals; len(ivs) != 3 {
 		t.Errorf("b.com intervals = %v", ivs)
 	}
 }
@@ -293,10 +293,6 @@ func TestGrowthPipeline(t *testing.T) {
 		if v > 1.5 {
 			t.Fatalf("anomaly leaked at day %d: %.2f", i, v)
 		}
-	}
-	pg := a.ProviderGrowth([]string{"com"}, 0)
-	if got := pg.AdoptionGrowth(); got < 1.20 || got > 1.28 {
-		t.Errorf("provider growth = %.3f", got)
 	}
 }
 

@@ -84,7 +84,7 @@ func BenchmarkAggregatorAddDay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := NewAggregator(refs, s, []string{"com"})
-		if err := a.AddDay("com", 1); err != nil {
+		if err := a.AddDetections(core.DetectDay(s, "com", 1, refs)); err != nil {
 			b.Fatal(err)
 		}
 	}

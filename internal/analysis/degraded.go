@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"dpsadopt/internal/simtime"
-)
+import "dpsadopt/internal/simtime"
 
 // Degraded-day handling. The paper's crawl had partial measurement days —
 // "measurement or data processing failures led to eight days of missing
@@ -22,19 +18,6 @@ func (a *Aggregator) MarkDegraded(day simtime.Day) {
 		a.degraded = make(map[simtime.Day]bool)
 	}
 	a.degraded[day] = true
-}
-
-// IsDegraded reports whether a day was committed degraded.
-func (a *Aggregator) IsDegraded(day simtime.Day) bool { return a.degraded[day] }
-
-// DegradedDays returns the degraded days, sorted.
-func (a *Aggregator) DegradedDays() []simtime.Day {
-	out := make([]simtime.Day, 0, len(a.degraded))
-	for d := range a.degraded {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // degradedMask builds the per-index mask for a day series.

@@ -90,18 +90,14 @@ func TestSmoothMaskedRecoversTrend(t *testing.T) {
 
 func TestAggregatorDegradedDays(t *testing.T) {
 	a := NewAggregator(oneProviderRefs(t), nil, nil)
-	if a.IsDegraded(5) || len(a.DegradedDays()) != 0 {
+	if len(a.degraded) != 0 {
 		t.Fatal("fresh aggregator has degraded days")
 	}
 	a.MarkDegraded(9)
 	a.MarkDegraded(3)
 	a.MarkDegraded(9) // idempotent
-	if !a.IsDegraded(9) || !a.IsDegraded(3) || a.IsDegraded(4) {
-		t.Error("IsDegraded wrong")
-	}
-	got := a.DegradedDays()
-	if len(got) != 2 || got[0] != 3 || got[1] != 9 {
-		t.Errorf("DegradedDays = %v", got)
+	if len(a.degraded) != 2 || !a.degraded[9] || !a.degraded[3] {
+		t.Errorf("degraded days = %v, want 3 and 9", a.degraded)
 	}
 	mask := a.degradedMask([]simtime.Day{2, 3, 4, 9})
 	want := []bool{false, true, false, true}

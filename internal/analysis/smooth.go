@@ -159,20 +159,3 @@ func (a *Aggregator) Growth(sources []string) GrowthResult {
 	g.Expansion = Relative(SmoothMasked(measured, mask))
 	return g
 }
-
-// ProviderGrowth computes the smoothed relative series for one provider
-// (the per-provider contributions called out in §4.2).
-func (a *Aggregator) ProviderGrowth(sources []string, p int) GrowthResult {
-	days := a.Days(sources[0])
-	var g GrowthResult
-	if len(days) == 0 {
-		return g
-	}
-	g.Days = days
-	use := make([]float64, len(days))
-	for i, d := range days {
-		use[i] = float64(a.SumProvider(sources, p, d))
-	}
-	g.Adoption = Relative(SmoothMasked(use, a.degradedMask(days)))
-	return g
-}

@@ -153,14 +153,3 @@ func (c *shardedCache) sweep(match func(key string) bool) int {
 	}
 	return dropped
 }
-
-// len reports the number of resident entries (test/diagnostic use).
-func (c *shardedCache) len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
-}

@@ -28,17 +28,28 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatalf("%s missing after eviction", k)
 		}
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if resident(c) != 2 {
+		t.Fatalf("len = %d, want 2", resident(c))
 	}
 	// Refreshing an existing key replaces the value without growing.
 	c.put("a", body("A2"), c.generation())
 	if v, _ := c.get("a"); string(v.body) != "A2" {
 		t.Fatalf("refresh lost: %q", v.body)
 	}
-	if c.len() != 2 {
-		t.Fatalf("len after refresh = %d", c.len())
+	if resident(c) != 2 {
+		t.Fatalf("len after refresh = %d", resident(c))
 	}
+}
+
+// resident counts c's entries across its shards.
+func resident(c *shardedCache) int {
+	n := 0
+	for _, s := range c.shards {
+		s.mu.Lock()
+		n += s.ll.Len()
+		s.mu.Unlock()
+	}
+	return n
 }
 
 func TestCacheShardRounding(t *testing.T) {

@@ -2,6 +2,7 @@ package api
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"dpsadopt/internal/core"
@@ -26,8 +27,8 @@ import (
 func synthPart(t *testing.T, refs *core.References, src string, day simtime.Day) *store.Store {
 	t.Helper()
 	p0 := refs.Providers[0]
-	cf, ok := refs.ProviderIndex("CloudFlare")
-	if !ok {
+	cf := slices.IndexFunc(refs.Providers, func(p core.ProviderRefs) bool { return p.Name == "CloudFlare" })
+	if cf < 0 {
 		t.Fatal("no CloudFlare in ground truth")
 	}
 	pcf := refs.Providers[cf]

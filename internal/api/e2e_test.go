@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -193,8 +194,8 @@ func TestEndToEnd(t *testing.T) {
 		}
 		allDays := make(map[simtime.Day]bool)
 		for _, pu := range got.Providers {
-			pi, ok := refs.ProviderIndex(pu.Provider)
-			if !ok {
+			pi := slices.IndexFunc(refs.Providers, func(p core.ProviderRefs) bool { return p.Name == pu.Provider })
+			if pi < 0 {
 				t.Fatalf("domain %s: unknown provider %q served", dom, pu.Provider)
 			}
 			want := expectDays[domProv{dom, pi}]

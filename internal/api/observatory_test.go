@@ -1,6 +1,7 @@
 package api
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -91,16 +92,16 @@ func TestObservatoryRecordsRequests(t *testing.T) {
 		t.Fatalf("domain window count = %d, want 4", snap.Count)
 	}
 
-	top := o.TopKDim("domain").Top(0)
+	top := o.Sketch("domain").Top(0)
 	if len(top) != 2 || top[0].Key != "alpha.com" || top[0].Count != 2 {
 		t.Fatalf("domain heavy hitters = %+v", top)
 	}
-	ptop := o.TopKDim("provider").Top(0)
+	ptop := o.Sketch("provider").Top(0)
 	if len(ptop) != 1 || ptop[0].Key != "akamai" {
 		t.Fatalf("provider heavy hitters = %+v", ptop)
 	}
 
-	entries := o.SlowLog().Entries("domain")
+	entries := slowEntries(t, o, "domain")
 	if len(entries) != 4 {
 		t.Fatalf("slowlog entries = %d, want 4", len(entries))
 	}
@@ -118,6 +119,20 @@ func TestObservatoryRecordsRequests(t *testing.T) {
 	}
 }
 
+// slowEntries reads one route's slow-query log through /debug/slowlog.
+func slowEntries(t *testing.T, o *obs.Observatory, route string) []obs.SlowQuery {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	o.SlowLogHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slowlog?route="+route, nil))
+	var resp struct {
+		Routes map[string][]obs.SlowQuery `json:"routes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("/debug/slowlog: %v", err)
+	}
+	return resp.Routes[route]
+}
+
 func TestObservatoryWindowedP99Deterministic(t *testing.T) {
 	clk := newStepClock()
 	o := obs.NewObservatory(obs.ObservatoryConfig{Clock: clk.Now, SLOs: DefaultSLOs()})
@@ -125,9 +140,9 @@ func TestObservatoryWindowedP99Deterministic(t *testing.T) {
 	// over the fast window must be exactly the interpolated bucket
 	// value, and advancing the clock must age it out.
 	for i := 0; i < 99; i++ {
-		o.RecordRequest("domain", 0.0008, 200, obs.RequestOutcome{})
+		o.RecordRequestAt(time.Now(), "domain", 0.0008, 200, obs.RequestOutcome{})
 	}
-	o.RecordRequest("domain", 0.05, 200, obs.RequestOutcome{})
+	o.RecordRequestAt(time.Now(), "domain", 0.05, 200, obs.RequestOutcome{})
 
 	snap := o.Route("domain").Latency.MergedAt(clk.Now(), obs.FastWindow)
 	if got := snap.Quantile(0.99); got != 0.001 {

@@ -30,10 +30,8 @@ import (
 // Freshness is the live-follow digest embedded in /v1/stats when the
 // server is tailing a feed (see SetFreshnessFunc).
 type Freshness struct {
-	// Following is the feed target (coordination directory or dataset
-	// file) and Mode how it is tailed ("coord" or "dataset").
+	// Following is the coordination directory being tailed.
 	Following string `json:"following"`
-	Mode      string `json:"mode"`
 	// Epoch is the served index's version (one per applied delta).
 	Epoch uint64 `json:"epoch"`
 	// Partitions counts (source, day) partitions applied since start;

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,8 +27,8 @@ func fixtureStore(t *testing.T) (*store.Store, *core.References) {
 	t.Helper()
 	refs := core.MustGroundTruth()
 	p0 := refs.Providers[0] // Akamai: has ASNs, CNAME SLDs and NS SLDs
-	cf, ok := refs.ProviderIndex("CloudFlare")
-	if !ok {
+	cf := slices.IndexFunc(refs.Providers, func(p core.ProviderRefs) bool { return p.Name == "CloudFlare" })
+	if cf < 0 {
 		t.Fatal("no CloudFlare in ground truth")
 	}
 	pcf := refs.Providers[cf]
@@ -302,7 +303,7 @@ func TestCoalescing(t *testing.T) {
 	// leader finished) hit the cache; at least one must have coalesced
 	// because the leader was provably blocked when it launched.
 	coalesced := 0
-	for _, e := range srv.Observatory().SlowLog().Entries("domain") {
+	for _, e := range slowEntries(t, srv.Observatory(), "domain") {
 		if e.Coalesced {
 			coalesced++
 		}

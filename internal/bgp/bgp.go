@@ -1,8 +1,9 @@
 // Package bgp models the parts of inter-domain routing that the paper's
 // methodology consumes: autonomous systems with names (the "AS-to-name
-// data" used to seed reference discovery, §3.3), prefix announcements and
-// withdrawals over time (the diversion mechanism of §2.2), and daily
-// Routeviews-style prefix-to-AS snapshots (§3.2).
+// data" used to seed reference discovery, §3.3), a RIB of prefix
+// announcements rebuilt per day (whose origins carry the diversion
+// mechanism of §2.2), and daily Routeviews-style prefix-to-AS snapshots
+// (§3.2), which pfx2as looks addresses up in.
 package bgp
 
 import (
@@ -37,13 +38,6 @@ func (r *Registry) Register(asn ASN, name string) {
 	r.names[asn] = name
 }
 
-// Name returns the registered holder name, or "" if unknown.
-func (r *Registry) Name(asn ASN) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.names[asn]
-}
-
 // FindByName returns all ASNs whose holder name contains the query,
 // case-insensitively — this is how the discovery procedure seeds a DPS's
 // AS set from AS-to-name data.
@@ -61,13 +55,6 @@ func (r *Registry) FindByName(query string) []ASN {
 	return out
 }
 
-// Len returns the number of registered ASes.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.names)
-}
-
 // RIB is a routing information base: the set of currently announced
 // prefixes with their origin ASes. Multi-origin (MOAS) prefixes are
 // supported: a prefix announced by several origins carries all of them,
@@ -77,10 +64,6 @@ type RIB struct {
 	mu sync.RWMutex
 	// routes maps masked prefix → set of origins.
 	routes map[netip.Prefix]map[ASN]bool
-	// maskLens tracks which prefix lengths are present, per family, so
-	// lookups only probe existing lengths.
-	maskLens4 [33]int
-	maskLens6 [129]int
 }
 
 // NewRIB creates an empty RIB.
@@ -97,66 +80,8 @@ func (r *RIB) Announce(p netip.Prefix, origin ASN) {
 	if set == nil {
 		set = make(map[ASN]bool)
 		r.routes[p] = set
-		if p.Addr().Is4() {
-			r.maskLens4[p.Bits()]++
-		} else {
-			r.maskLens6[p.Bits()]++
-		}
 	}
 	set[origin] = true
-}
-
-// Withdraw removes origin from the prefix's origin set, dropping the route
-// entirely when no origins remain.
-func (r *RIB) Withdraw(p netip.Prefix, origin ASN) {
-	p = p.Masked()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.routes[p]
-	if set == nil {
-		return
-	}
-	delete(set, origin)
-	if len(set) == 0 {
-		delete(r.routes, p)
-		if p.Addr().Is4() {
-			r.maskLens4[p.Bits()]--
-		} else {
-			r.maskLens6[p.Bits()]--
-		}
-	}
-}
-
-// Origins returns the origin set of the most specific announced prefix
-// containing addr, plus the prefix itself. ok is false when no route
-// covers addr.
-func (r *RIB) Origins(addr netip.Addr) (origins []ASN, prefix netip.Prefix, ok bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	maxBits := 32
-	lens := r.maskLens4[:]
-	if !addr.Is4() {
-		maxBits = 128
-		lens = r.maskLens6[:]
-	}
-	for bits := maxBits; bits >= 0; bits-- {
-		if lens[bits] == 0 {
-			continue
-		}
-		p, err := addr.Prefix(bits)
-		if err != nil {
-			continue
-		}
-		if set, found := r.routes[p]; found {
-			out := make([]ASN, 0, len(set))
-			for asn := range set {
-				out = append(out, asn)
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			return out, p, true
-		}
-	}
-	return nil, netip.Prefix{}, false
 }
 
 // Routes returns all announced prefixes with their origins, sorted by
@@ -175,13 +100,6 @@ func (r *RIB) Routes() []Route {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.String() < out[j].Prefix.String() })
 	return out
-}
-
-// Len returns the number of announced prefixes.
-func (r *RIB) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.routes)
 }
 
 // Route is one announced prefix and its origin set.

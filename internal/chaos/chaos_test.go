@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -39,6 +41,61 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 	if _, err := Scenario("no-such-scenario"); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+}
+
+// TestScenarioSignatures holds each network and server scenario to what
+// its name says: through the hash decisions a run makes — a datagram's
+// fate, a server's death, a query's server fault — every signature fault
+// fires at its nominal rate, within four binomial standard deviations.
+// Nothing is sent, so no delay is waited out.
+func TestScenarioSignatures(t *testing.T) {
+	// draw is every decision a run makes for the i-th datagram, server
+	// address and query name.
+	type draw struct {
+		drop, dup, dead bool
+		delay, slow     time.Duration
+		fault           dnsserver.Fault
+	}
+	const draws = 4000
+	for _, tc := range []struct {
+		scenario, fault string
+		rate            float64
+		hit             func(cfg Config, d draw) bool
+	}{
+		{"flaky-1pct", "loss", 0.01, func(_ Config, d draw) bool { return d.drop }},
+		{"flaky-10pct", "loss", 0.10, func(_ Config, d draw) bool { return d.drop }},
+		{"dead-ns", "dead server", 0.25, func(_ Config, d draw) bool { return d.dead }},
+		{"latency-spike", "spike", 0.05, func(cfg Config, d draw) bool { return d.delay == cfg.SpikeDelay }},
+		{"dup-reorder", "duplicate", 0.05, func(_ Config, d draw) bool { return d.dup }},
+		{"dup-reorder", "reorder", 0.10, func(cfg Config, d draw) bool { return d.delay == cfg.ReorderDelay }},
+		{"servfail-burst", "servfail", 0.20, func(_ Config, d draw) bool { return d.fault == dnsserver.FaultServfail }},
+		{"slow-server", "slow answer", 0.15, func(cfg Config, d draw) bool { return d.fault == dnsserver.FaultSlow && d.slow == cfg.SlowDelay }},
+		{"trunc-storm", "truncate", 1, func(_ Config, d draw) bool { return d.fault == dnsserver.FaultTruncate }},
+		{"trunc-storm", "loss", 0.05, func(_ Config, d draw) bool { return d.drop }},
+		{"dead-day", "loss", 0.45, func(_ Config, d draw) bool { return d.drop }},
+		{"dead-day", "server drop", 0.20, func(_ Config, d draw) bool { return d.fault == dnsserver.FaultDrop }},
+	} {
+		cfg, err := Scenario(tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &faultConn{net: Wrap(nil, cfg, 7), local: hashString("10.9.0.1:40000")}
+		sf := NewServerFaults(cfg, 7)
+		n := 0
+		for i := 0; i < draws; i++ {
+			var d draw
+			d.drop, d.dup, d.delay = c.datagram(netip.MustParseAddrPort("10.0.0.1:53"), uint64(i))
+			d.dead = c.net.dead(netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), transport.DNSPort))
+			d.fault, d.slow = sf.QueryFault(fmt.Sprintf("q%d.test", i))
+			if tc.hit(cfg, d) {
+				n++
+			}
+		}
+		got, tol := float64(n)/draws, 4*math.Sqrt(tc.rate*(1-tc.rate)/draws)+1.0/draws
+		if math.Abs(got-tc.rate) > tol {
+			t.Errorf("%s: %s rate %.4f, want %.2f ± %.4f", tc.scenario, tc.fault, got, tc.rate, tol)
+		}
 	}
 }
 
@@ -310,17 +367,6 @@ func TestServerFaults(t *testing.T) {
 	if fa, _ := nilF.QueryFault("example.com"); fa != dnsserver.FaultNone {
 		t.Errorf("nil injector fault = %v", fa)
 	}
-	// trunc-storm truncates every query.
-	cfg, err := Scenario("trunc-storm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewServerFaults(cfg, 5)
-	for i := 0; i < 20; i++ {
-		if fa, _ := f.QueryFault("example.com"); fa != dnsserver.FaultTruncate {
-			t.Fatalf("query %d: fault = %v, want truncate", i, fa)
-		}
-	}
 	// Same seed → identical fault sequence; different seed → different.
 	seq := func(seed int64) []dnsserver.Fault {
 		sf := NewServerFaults(Config{Name: "sf", Servfail: 0.3, Slow: 0.2, SlowDelay: time.Millisecond}, seed)
@@ -342,11 +388,6 @@ func TestServerFaults(t *testing.T) {
 	}
 	if same {
 		t.Error("seeds 5 and 6 produced identical fault sequences")
-	}
-	// Slow faults carry the configured delay.
-	sf := NewServerFaults(Config{Name: "slow", Slow: 1, SlowDelay: 7 * time.Millisecond}, 1)
-	if fa, d := sf.QueryFault("x.test"); fa != dnsserver.FaultSlow || d != 7*time.Millisecond {
-		t.Errorf("slow fault = %v/%v", fa, d)
 	}
 }
 
@@ -386,28 +427,25 @@ func TestServerAnswersInlineThroughFaults(t *testing.T) {
 	if _, _, err := cli.ReadFrom(buf, 10*time.Millisecond); !errors.Is(err, transport.ErrTimeout) {
 		t.Errorf("fifth read: err = %v, want timeout", err)
 	}
-	if got := srv.Queries(); got != 2 {
-		t.Errorf("server answered %d queries, want 2", got)
-	}
 }
 
 // Over kernel sockets the wrapper cannot answer inline; a server started
 // on it falls back to reading its socket and still answers.
 func TestServerOverWrappedUDP(t *testing.T) {
-	net := Wrap(transport.UDP{}, Config{Name: "dup", Duplicate: 1}, 5)
-	if _, err := net.ListenHandler(netip.MustParseAddrPort("127.0.0.1:0"), nil); !errors.Is(err, transport.ErrNoHandler) {
+	net := Wrap(transport.NewMappedUDP(), Config{Name: "dup", Duplicate: 1}, 5)
+	if _, err := net.ListenHandler(netip.MustParseAddrPort("10.0.0.9:53"), nil); !errors.Is(err, transport.ErrNoHandler) {
 		t.Fatalf("ListenHandler over UDP: err = %v, want ErrNoHandler", err)
 	}
 	z := dnszone.MustNew("f.test")
 	z.MustAdd(dnswire.RR{Name: "f.test", Type: dnswire.TypeA, TTL: 1, Data: dnswire.A{Addr: netip.MustParseAddr("10.1.0.1")}})
 	srv := dnsserver.New()
 	srv.AddZone(z)
-	run, err := dnsserver.Start(srv, net, "127.0.0.1:0")
+	run, err := dnsserver.Start(srv, net, "10.0.0.1")
 	if err != nil {
 		t.Skipf("cannot bind UDP: %v", err)
 	}
 	defer run.Stop()
-	cli, err := net.Dial(netip.MustParseAddr("127.0.0.1"))
+	cli, err := net.Dial(netip.MustParseAddr("10.9.0.1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +454,7 @@ func TestServerOverWrappedUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.WriteTo(wire, run.Addr()); err != nil {
+	if err := cli.WriteTo(wire, netip.MustParseAddrPort("10.0.0.1:53")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, transport.MTU)

@@ -51,9 +51,6 @@ func (n *Network) Protect(addrs ...netip.Addr) {
 	}
 }
 
-// Config returns the active scenario configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // dead reports whether dst is blackholed. Only name-server addresses
 // (port 53) die: responses to ephemeral client ports always route.
 func (n *Network) dead(dst netip.AddrPort) bool {
@@ -166,8 +163,7 @@ const (
 )
 
 func (c *faultConn) WriteTo(p []byte, to netip.AddrPort) error {
-	cfg := c.net.cfg
-	if !cfg.Active() {
+	if !c.net.cfg.Active() {
 		return c.inner.WriteTo(p, to)
 	}
 	if c.net.dead(to) {
@@ -177,24 +173,9 @@ func (c *faultConn) WriteTo(p []byte, to netip.AddrPort) error {
 	seq := c.seqs[to]
 	c.seqs[to] = seq + 1
 	c.mu.Unlock()
-	base := mix2(mix2(c.net.seed, c.local), mix2(hashString(to.String()), seq))
-	if cfg.Loss > 0 && unit(mix2(base, streamLoss)) < cfg.Loss {
+	drop, dup, delay := c.datagram(to, seq)
+	if drop {
 		return nil
-	}
-	dup := cfg.Duplicate > 0 && unit(mix2(base, streamDup)) < cfg.Duplicate
-	delay := time.Duration(0)
-	if cfg.SpikeProb > 0 && unit(mix2(base, streamSpike)) < cfg.SpikeProb {
-		delay = cfg.SpikeDelay
-	} else {
-		if cfg.Latency > 0 {
-			delay = cfg.Latency
-		}
-		if cfg.Jitter > 0 {
-			delay += time.Duration(unit(mix2(base, streamJitter)) * float64(cfg.Jitter))
-		}
-		if cfg.Reorder > 0 && unit(mix2(base, streamReorder)) < cfg.Reorder {
-			delay += cfg.ReorderDelay
-		}
 	}
 	send := func() error { return c.inner.WriteTo(p, to) }
 	if delay > 0 {
@@ -213,4 +194,30 @@ func (c *faultConn) WriteTo(p []byte, to netip.AddrPort) error {
 		return send()
 	}
 	return nil
+}
+
+// datagram decides the fate of the seq-th datagram of this conn's flow to
+// to: whether it is lost, whether it is duplicated, and how long it is
+// held before delivery. It is a pure function of the seed, the flow and
+// seq.
+func (c *faultConn) datagram(to netip.AddrPort, seq uint64) (drop, dup bool, delay time.Duration) {
+	cfg := c.net.cfg
+	base := mix2(mix2(c.net.seed, c.local), mix2(hashString(to.String()), seq))
+	if cfg.Loss > 0 && unit(mix2(base, streamLoss)) < cfg.Loss {
+		return true, false, 0
+	}
+	dup = cfg.Duplicate > 0 && unit(mix2(base, streamDup)) < cfg.Duplicate
+	if cfg.SpikeProb > 0 && unit(mix2(base, streamSpike)) < cfg.SpikeProb {
+		return false, dup, cfg.SpikeDelay
+	}
+	if cfg.Latency > 0 {
+		delay = cfg.Latency
+	}
+	if cfg.Jitter > 0 {
+		delay += time.Duration(unit(mix2(base, streamJitter)) * float64(cfg.Jitter))
+	}
+	if cfg.Reorder > 0 && unit(mix2(base, streamReorder)) < cfg.Reorder {
+		delay += cfg.ReorderDelay
+	}
+	return false, dup, delay
 }

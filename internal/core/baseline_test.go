@@ -45,11 +45,11 @@ func DetectDayBaseline(s *store.Store, source string, day simtime.Day, refs *Ref
 				}
 			}
 		case store.KindWWWCNAME:
-			if p, ok := refs.MatchCNAME(r.Str); ok {
+			if p, ok := refs.byCNAME[SLD(r.Str)]; ok {
 				d.Uses[p][r.Domain] |= RefCNAME
 			}
 		case store.KindNS:
-			if p, ok := refs.MatchNS(r.Str); ok {
+			if p, ok := refs.byNS[SLD(r.Str)]; ok {
 				d.Uses[p][r.Domain] |= RefNS
 			}
 		}

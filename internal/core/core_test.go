@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"net/netip"
 
-	"dpsadopt/internal/bgp"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,13 +80,13 @@ func TestReferencesIndexes(t *testing.T) {
 	if p, ok := refs.MatchASN(13335); !ok || refs.Providers[p].Name != "CloudFlare" {
 		t.Error("ASN 13335 not CloudFlare")
 	}
-	if p, ok := refs.MatchCNAME("foo.incapdns.net"); !ok || refs.Providers[p].Name != "Incapsula" {
+	if p, ok := refs.byCNAME[SLD("foo.incapdns.net")]; !ok || refs.Providers[p].Name != "Incapsula" {
 		t.Error("incapdns.net not Incapsula")
 	}
-	if p, ok := refs.MatchNS("kate.ns.cloudflare.com"); !ok || refs.Providers[p].Name != "CloudFlare" {
+	if p, ok := refs.byNS[SLD("kate.ns.cloudflare.com")]; !ok || refs.Providers[p].Name != "CloudFlare" {
 		t.Error("cloudflare.com NS not CloudFlare")
 	}
-	if _, ok := refs.MatchNS("ns1.hostco3.net"); ok {
+	if _, ok := refs.byNS[SLD("ns1.hostco3.net")]; ok {
 		t.Error("hoster NS matched a provider")
 	}
 	if _, ok := refs.MatchASN(14618); ok {
@@ -194,14 +194,14 @@ func TestDetectDayFindsCustomers(t *testing.T) {
 	w, s := measuredWorld(t)
 	refs := MustGroundTruth()
 	day := quietDay
-	cf, _ := refs.ProviderIndex("CloudFlare")
+	cf := providerIndex(refs, "CloudFlare")
 	det := DetectDay(s, "com", day, refs)
 	if det.Count(cf) == 0 {
 		t.Fatal("no CloudFlare domains detected in .com")
 	}
 	// Cross-check against the world's ground truth for .com.
 	want := 0
-	rib := w.RIBForDay(day)
+	tbl := dayTable(t, w, day)
 	for _, d := range w.Domains {
 		if d.TLD != "com" || !d.Life.Contains(day) {
 			continue
@@ -210,7 +210,7 @@ func TestDetectDayFindsCustomers(t *testing.T) {
 		if !st.Exists || st.Unmeasurable {
 			continue
 		}
-		if usesProvider(w, rib, d, day, worldsim.CloudFlare) {
+		if usesProvider(w, tbl, d, day, worldsim.CloudFlare) {
 			want++
 		}
 	}
@@ -222,26 +222,38 @@ func TestDetectDayFindsCustomers(t *testing.T) {
 	}
 }
 
+// providerIndex finds a provider of refs by name.
+func providerIndex(refs *References, name string) int {
+	return slices.IndexFunc(refs.Providers, func(p ProviderRefs) bool { return p.Name == name })
+}
+
+// uses is provider p's detections as domain name → methods.
+func uses(d *DayDetections, p int) map[string]Method {
+	out := make(map[string]Method, d.Count(p))
+	d.EachUse(p, func(id uint32, m Method) { out[d.dict.Str(id)] = m })
+	return out
+}
+
 // usesProvider recomputes expected detection from world state.
-func usesProvider(w *worldsim.World, rib *bgp.RIB, d *worldsim.Domain, day simtime.Day, provider int) bool {
+func usesProvider(w *worldsim.World, tbl pfx2as.Table, d *worldsim.Domain, day simtime.Day, provider int) bool {
 	st := w.StateFor(d, day)
 	refs := MustGroundTruth()
 	for _, a := range append(append([]netip.Addr{}, st.ApexA...), st.WWWA...) {
-		if origins, _, ok := rib.Origins(a); ok {
+		if origins, ok := tbl.Lookup(a); ok {
 			for _, o := range origins {
-				if p, ok := refs.MatchASN(uint32(o)); ok && p == provider {
+				if p, ok := refs.MatchASN(o); ok && p == provider {
 					return true
 				}
 			}
 		}
 	}
 	if st.WWWCNAME != "" {
-		if p, ok := refs.MatchCNAME(st.WWWCNAME); ok && p == provider {
+		if p, ok := refs.byCNAME[SLD(st.WWWCNAME)]; ok && p == provider {
 			return true
 		}
 	}
 	for _, ns := range st.NSHosts {
-		if p, ok := refs.MatchNS(ns); ok && p == provider {
+		if p, ok := refs.byNS[SLD(ns)]; ok && p == provider {
 			return true
 		}
 	}
@@ -254,10 +266,15 @@ func TestDetectMethodCombinations(t *testing.T) {
 	day := quietDay
 	// CloudFlare: most customers are NS-delegated AND routed (NS+AS); the
 	// NS share must be large (≈75% per §4.3).
-	cf, _ := refs.ProviderIndex("CloudFlare")
+	cf := providerIndex(refs, "CloudFlare")
 	det := DetectDay(s, "com", day, refs)
 	total := det.Count(cf)
-	ns := det.CountMethod(cf, RefNS)
+	ns := 0
+	for _, m := range uses(det, cf) {
+		if m.Has(RefNS) {
+			ns++
+		}
+	}
 	if total == 0 {
 		t.Fatal("no CloudFlare detections")
 	}
@@ -266,9 +283,9 @@ func TestDetectMethodCombinations(t *testing.T) {
 		t.Errorf("CloudFlare NS share = %.2f (%d/%d), want ≈0.75", frac, ns, total)
 	}
 	// Verisign NS-only customers: NS reference without AS reference.
-	vs, _ := refs.ProviderIndex("Verisign")
+	vs := providerIndex(refs, "Verisign")
 	nsOnly := 0
-	for _, m := range det.Uses(vs) {
+	for _, m := range uses(det, vs) {
 		if m.Has(RefNS) && !m.Has(RefAS) {
 			nsOnly++
 		}
@@ -281,7 +298,7 @@ func TestDetectMethodCombinations(t *testing.T) {
 func TestDetectWixPeak(t *testing.T) {
 	_, s := measuredWorld(t)
 	refs := MustGroundTruth()
-	inc, _ := refs.ProviderIndex("Incapsula")
+	inc := providerIndex(refs, "Incapsula")
 	quiet := DetectDay(s, "com", quietDay, refs)
 	peak := DetectDay(s, "com", simtime.FromDate(2015, 3, 5), refs)
 	if peak.Count(inc) <= quiet.Count(inc)*3 {
@@ -289,7 +306,7 @@ func TestDetectWixPeak(t *testing.T) {
 	}
 	// Wix peak domains reference Incapsula by AS only (no CNAME, no NS).
 	asOnly := 0
-	for _, m := range peak.Uses(inc) {
+	for _, m := range uses(peak, inc) {
 		if m == RefAS {
 			asOnly++
 		}
@@ -354,7 +371,7 @@ func TestDetectDayMatchesBaseline(t *testing.T) {
 				t.Errorf("%s %s: CountAny = %d, baseline %d", src, day, id.CountAny(), base.CountAny())
 			}
 			for p := range refs.Providers {
-				got := id.Uses(p)
+				got := uses(id, p)
 				want := base.Uses[p]
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s %s %s: uses diverge (got %d, want %d domains)",
@@ -424,13 +441,12 @@ func TestDetectDayMergesInterleavedMethods(t *testing.T) {
 	w3.Commit()
 
 	refs := MustGroundTruth()
-	cf, _ := refs.ProviderIndex("CloudFlare")
+	cf := providerIndex(refs, "CloudFlare")
 	det := DetectDay(s, "com", day, refs)
 	if det.Count(cf) != 1 {
 		t.Fatalf("CloudFlare count = %d, want 1", det.Count(cf))
 	}
-	uses := det.Uses(cf)
-	if m := uses["split.com"]; m != RefNS|RefAS {
+	if m := uses(det, cf)["split.com"]; m != RefNS|RefAS {
 		t.Errorf("split.com methods = %v, want NS+AS", m)
 	}
 	if det.CountAny() != 1 {

@@ -182,18 +182,6 @@ func (d *DayDetections) NumProviders() int { return len(d.off) - 1 }
 // Count returns the number of domains using provider p by any reference.
 func (d *DayDetections) Count(p int) int { return int(d.off[p+1] - d.off[p]) }
 
-// CountMethod returns the number of domains whose references toward p
-// include the given method bits.
-func (d *DayDetections) CountMethod(p int, m Method) int {
-	n := 0
-	for _, v := range d.span(p) {
-		if Method(v).Has(m) {
-			n++
-		}
-	}
-	return n
-}
-
 // CountAny returns the number of domains using at least one provider
 // (precomputed at build; repeated calls are free).
 func (d *DayDetections) CountAny() int { return d.anyCount }
@@ -209,15 +197,6 @@ func (d *DayDetections) EachUse(p int, fn func(id uint32, m Method)) {
 // DomainName resolves a domain ID from EachUse against the store
 // dictionary the detections were built over.
 func (d *DayDetections) DomainName(id uint32) string { return d.dict.Str(id) }
-
-// Uses materializes provider p's detections as domain name → methods:
-// the string view for reports and tests. It allocates per call; hot
-// paths should iterate EachUse instead.
-func (d *DayDetections) Uses(p int) map[string]Method {
-	out := make(map[string]Method, d.Count(p))
-	d.EachUse(p, func(id uint32, m Method) { out[d.dict.Str(id)] = m })
-	return out
-}
 
 // MergeAny folds the per-provider detections into dst: domain → union of
 // methods over a set of detections (used to combine sources).

@@ -155,16 +155,6 @@ func NewReferences(provs []ProviderRefs) (*References, error) {
 // NumProviders returns the number of providers in the table.
 func (r *References) NumProviders() int { return len(r.Providers) }
 
-// ProviderIndex finds a provider by name.
-func (r *References) ProviderIndex(name string) (int, bool) {
-	for i := range r.Providers {
-		if r.Providers[i].Name == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // MatchASN returns the provider owning an origin AS.
 func (r *References) MatchASN(asn uint32) (int, bool) {
 	if int(asn) < len(r.asnDense) {
@@ -175,18 +165,6 @@ func (r *References) MatchASN(asn uint32) (int, bool) {
 		return 0, false
 	}
 	i, ok := r.byASN[asn]
-	return i, ok
-}
-
-// MatchCNAME returns the provider owning a CNAME target's SLD.
-func (r *References) MatchCNAME(target string) (int, bool) {
-	i, ok := r.byCNAME[SLD(target)]
-	return i, ok
-}
-
-// MatchNS returns the provider owning an NS host's SLD.
-func (r *References) MatchNS(host string) (int, bool) {
-	i, ok := r.byNS[SLD(host)]
 	return i, ok
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,7 +85,7 @@ func TestTCPFallbackUnderTruncStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Addrs()); got != records {
+	if got := len(addrs(res)); got != records {
 		t.Errorf("addresses = %d, want %d (TCP fallback should deliver all)", got, records)
 	}
 }
@@ -124,9 +125,18 @@ func TestTCPFallbackUnderServerTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Addrs()) != 1 {
-		t.Errorf("addrs = %v, want one", res.Addrs())
+	if len(addrs(res)) != 1 {
+		t.Errorf("addrs = %v, want one", addrs(res))
 	}
+}
+
+// queryCount is a fault injector that injects nothing and counts the
+// queries a server is asked.
+type queryCount struct{ atomic.Int64 }
+
+func (c *queryCount) QueryFault(string) (dnsserver.Fault, time.Duration) {
+	c.Add(1)
+	return dnsserver.FaultNone, 0
 }
 
 // TestRotationSpreadsLoad checks retry fairness: with three healthy name
@@ -135,6 +145,10 @@ func TestTCPFallbackUnderServerTruncation(t *testing.T) {
 func TestRotationSpreadsLoad(t *testing.T) {
 	network := transport.NewMem(43)
 	roots, _, srvs := nsWorld(t, network, 3, nil)
+	counts := make([]queryCount, len(srvs))
+	for i, srv := range srvs {
+		srv.SetFaults(&counts[i])
+	}
 	r, err := NewResolver(network, netip.MustParseAddr("10.9.0.12"), roots, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +161,8 @@ func TestRotationSpreadsLoad(t *testing.T) {
 		}
 	}
 	var total int64
-	for i, srv := range srvs[1:] {
-		q := srv.Queries()
+	for i := range srvs[1:] {
+		q := counts[i+1].Load()
 		total += q
 		if q == 0 {
 			t.Errorf("ns%d answered no queries: rotation is not spreading load", i)
@@ -184,7 +198,7 @@ func TestHealthDeprioritizesDeadServer(t *testing.T) {
 	if got := r.QueriesSent(); got != 4 {
 		t.Errorf("steady-state resolutions sent %d queries, want 4 (1 each): dead server still being tried first", got)
 	}
-	if dead, live := r.ServerScore(nsAddrs[1]), r.ServerScore(nsAddrs[0]); dead >= unhealthyScore || live < 0.9 {
+	if dead, live := score(r.health, nsAddrs[1]), score(r.health, nsAddrs[0]); dead >= unhealthyScore || live < 0.9 {
 		t.Errorf("scores: dead=%v live=%v", dead, live)
 	}
 	if r.TimeoutsSeen() == 0 {
@@ -243,8 +257,8 @@ func TestResolveUnderFlakyLoss(t *testing.T) {
 		if err != nil {
 			t.Fatalf("x%d: %v", i, err)
 		}
-		if len(res.Addrs()) != 1 {
-			t.Fatalf("x%d: addrs = %v", i, res.Addrs())
+		if len(addrs(res)) != 1 {
+			t.Fatalf("x%d: addrs = %v", i, addrs(res))
 		}
 	}
 }

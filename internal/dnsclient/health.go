@@ -91,14 +91,6 @@ func (h *healthTable) penalty(s netip.AddrPort) int {
 	}
 }
 
-// Score exposes a server's current health in [0,1] (1 when unknown).
-func (h *healthTable) Score(s netip.AddrPort) float64 {
-	if sh := h.servers[s]; sh != nil {
-		return sh.score
-	}
-	return 1
-}
-
 // order returns servers rotated by rot and stably sorted healthy-first:
 // the rotation spreads first-query load across the NS set (a slow
 // servers[0] must not eat every resolution's timeout budget), and the

@@ -8,15 +8,23 @@ import (
 	"testing"
 )
 
+// score is a server's health in [0,1], 1 when it was never queried.
+func score(h *healthTable, s netip.AddrPort) float64 {
+	if sh := h.servers[s]; sh != nil {
+		return sh.score
+	}
+	return 1
+}
+
 func TestHealthScoring(t *testing.T) {
 	h := newHealthTable()
 	s := netip.MustParseAddrPort("10.0.0.1:53")
-	if h.Score(s) != 1 {
-		t.Errorf("unknown server score = %v, want 1", h.Score(s))
+	if score(h, s) != 1 {
+		t.Errorf("unknown server score = %v, want 1", score(h, s))
 	}
 	h.fail(s)
 	h.fail(s)
-	if got := h.Score(s); got >= unhealthyScore {
+	if got := score(h, s); got >= unhealthyScore {
 		t.Errorf("score after 2 timeouts = %v, want < %v", got, unhealthyScore)
 	}
 	if h.penalty(s) != 1 {

@@ -75,31 +75,6 @@ func (r *Result) takeRetry() bool {
 	return true
 }
 
-// Addrs extracts the final A/AAAA addresses from the expansion.
-func (r *Result) Addrs() []netip.Addr {
-	var out []netip.Addr
-	for _, rr := range r.Records {
-		switch d := rr.Data.(type) {
-		case dnswire.A:
-			out = append(out, d.Addr)
-		case dnswire.AAAA:
-			out = append(out, d.Addr)
-		}
-	}
-	return out
-}
-
-// CNAMEs extracts the CNAME chain targets from the expansion, in order.
-func (r *Result) CNAMEs() []string {
-	var out []string
-	for _, rr := range r.Records {
-		if c, ok := rr.Data.(dnswire.CNAME); ok {
-			out = append(out, c.Target)
-		}
-	}
-	return out
-}
-
 // Resolver performs iterative resolution. It is not safe for concurrent
 // use: the measurement pipeline creates one Resolver per worker.
 type Resolver struct {
@@ -194,16 +169,6 @@ func (r *Resolver) Resolutions() int64 { return r.resolutions.Load() }
 // GiveUps returns the number of resolutions that returned an error — the
 // "gave-up" column of the per-day failure accounting. Safe concurrently.
 func (r *Resolver) GiveUps() int64 { return r.giveups.Load() }
-
-// ServerScore exposes the health EWMA of one server in [0,1] (1 when the
-// server has never been queried), for tests and diagnostics.
-func (r *Resolver) ServerScore(s netip.AddrPort) float64 { return r.health.Score(s) }
-
-// FlushCache drops learned referrals; the daily measurement loop calls it
-// between days so delegation changes are observed.
-func (r *Resolver) FlushCache() {
-	r.cache = make(map[string][]netip.AddrPort)
-}
 
 // Resolve iteratively resolves name/qtype, chasing CNAMEs across zones.
 // The context carries cancellation (checked between datagram exchanges)

@@ -67,7 +67,7 @@ func TestTCPFallbackOnTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Addrs()); got != records {
+	if got := len(addrs(res)); got != records {
 		t.Errorf("addresses = %d, want %d (TCP fallback should deliver all)", got, records)
 	}
 }
@@ -87,7 +87,7 @@ func TestTCPFallbackSmallEDNS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Addrs()); got != records {
+	if got := len(addrs(res)); got != records {
 		t.Errorf("addresses = %d, want %d", got, records)
 	}
 	// Small answers still travel UDP-only: resolve the NS set and check
@@ -114,7 +114,7 @@ func TestTCPFallbackOverKernelSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Addrs()); got != records {
+	if got := len(addrs(res)); got != records {
 		t.Errorf("addresses = %d, want %d", got, records)
 	}
 }

@@ -4,7 +4,7 @@
 // routed to the zone with the longest matching origin suffix.
 //
 // The server is intentionally a pure responder: it answers from zone data
-// via dnszone.Lookup, sets AA, returns referrals below zone cuts, and
+// via dnszone.LookupInto, sets AA, returns referrals below zone cuts, and
 // truncates oversized UDP responses with the TC bit, mirroring the
 // behaviour the paper's measurement infrastructure observes from real
 // authoritative servers.
@@ -92,44 +92,6 @@ func (s *Server) AddZone(z *dnszone.Zone) {
 	defer s.mu.Unlock()
 	s.zones[z.Origin] = z
 }
-
-// RemoveZone drops authority for the zone rooted at origin.
-func (s *Server) RemoveZone(origin string) {
-	o, err := dnswire.CanonicalName(origin)
-	if err != nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.zones, o)
-}
-
-// Zone returns the zone with the given origin, if the server carries it.
-func (s *Server) Zone(origin string) (*dnszone.Zone, bool) {
-	o, err := dnswire.CanonicalName(origin)
-	if err != nil {
-		return nil, false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	z, ok := s.zones[o]
-	return z, ok
-}
-
-// ZoneCount returns the number of zones served.
-func (s *Server) ZoneCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.zones)
-}
-
-// Queries returns the number of queries handled so far.
-func (s *Server) Queries() int64 { return s.queries.Load() }
-
-// Received returns the number of datagrams that reached the server,
-// whether or not they decoded to a query. After Stop drains, every
-// received well-formed query has been handled.
-func (s *Server) Received() int64 { return s.received.Load() }
 
 // SetFaults installs (or, with nil, removes) a fault injector consulted
 // for every UDP query. Safe to call while serving.
@@ -401,9 +363,6 @@ func Start(srv *Server, network transport.Network, addr string) (*Running, error
 	}()
 	return r, nil
 }
-
-// Addr returns the address the server is bound to.
-func (r *Running) Addr() netip.AddrPort { return r.conn.LocalAddr() }
 
 // drainTimeout bounds how long Stop waits for the serve loop. It is a
 // deadlock backstop, not a drop policy: a drain that needs this long

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // Errors returned by message packing and unpacking.
@@ -81,11 +80,6 @@ type Question struct {
 	Name  string
 	Type  Type
 	Class Class
-}
-
-// String renders the question in dig-like presentation format.
-func (q Question) String() string {
-	return fmt.Sprintf("%s %s %s", q.Name, q.Class, q.Type)
 }
 
 // RR is a resource record: an owner name plus typed RDATA.
@@ -361,52 +355,4 @@ func unpackRRHeader(data []byte, off int) (RR, int, int, error) {
 		return rr, 0, 0, ErrTruncatedMessage
 	}
 	return rr, rdlen, off, nil
-}
-
-// String renders the message in a dig-like multi-section format, which the
-// examples use to show measurement responses.
-func (m *Message) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, ";; id %d %s %s", m.ID, m.Flags.RCode, m.Flags.OpCode.flagString(m.Flags))
-	sb.WriteByte('\n')
-	if len(m.Questions) > 0 {
-		sb.WriteString(";; QUESTION SECTION:\n")
-		for _, q := range m.Questions {
-			fmt.Fprintf(&sb, ";%s\n", q)
-		}
-	}
-	for _, s := range []struct {
-		name string
-		rrs  []RR
-	}{{"ANSWER", m.Answers}, {"AUTHORITY", m.Authority}, {"ADDITIONAL", m.Extra}} {
-		if len(s.rrs) == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, ";; %s SECTION:\n", s.name)
-		for _, rr := range s.rrs {
-			sb.WriteString(rr.String())
-			sb.WriteByte('\n')
-		}
-	}
-	return sb.String()
-}
-
-func (o OpCode) flagString(f Flags) string {
-	var parts []string
-	if f.Response {
-		parts = append(parts, "qr")
-	}
-	if f.Authoritative {
-		parts = append(parts, "aa")
-	}
-	if f.Truncated {
-		parts = append(parts, "tc")
-	}
-	if f.RecursionDesired {
-		parts = append(parts, "rd")
-	}
-	if f.RecursionAvailable {
-		parts = append(parts, "ra")
-	}
-	return strings.Join(parts, " ")
 }

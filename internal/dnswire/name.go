@@ -79,16 +79,6 @@ func CanonicalName(name string) (string, error) {
 	return string(lower), nil
 }
 
-// MustCanonical is CanonicalName for trusted, programmatically built names;
-// it panics on invalid input and is intended for tests and generators.
-func MustCanonical(name string) string {
-	c, err := CanonicalName(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Labels splits a canonical name into its labels, most-significant last
 // ("www.example.com" → ["www" "example" "com"]). The root name has no labels.
 func Labels(name string) []string {
@@ -96,14 +86,6 @@ func Labels(name string) []string {
 		return nil
 	}
 	return strings.Split(name, ".")
-}
-
-// CountLabels returns the number of labels in a canonical name.
-func CountLabels(name string) int {
-	if name == "." || name == "" {
-		return 0
-	}
-	return strings.Count(name, ".") + 1
 }
 
 // Parent returns the name with its leftmost label removed

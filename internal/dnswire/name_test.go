@@ -85,9 +85,6 @@ func TestLabelsAndParent(t *testing.T) {
 	if got := Parent("."); got != "." {
 		t.Errorf("Parent(.) = %q", got)
 	}
-	if CountLabels("a.b.c") != 3 || CountLabels(".") != 0 {
-		t.Error("CountLabels wrong")
-	}
 }
 
 func TestIsSubdomain(t *testing.T) {

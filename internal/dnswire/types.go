@@ -54,16 +54,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("TYPE%d", uint16(t))
 }
 
-// ParseType converts a mnemonic ("A", "aaaa", ...) to a Type.
-func ParseType(s string) (Type, error) {
-	for t, name := range typeNames {
-		if equalFold(s, name) {
-			return t, nil
-		}
-	}
-	return TypeNone, fmt.Errorf("dnswire: unknown RR type %q", s)
-}
-
 // Class is a DNS class (RFC 1035 §3.2.4). Only IN is used in practice.
 type Class uint16
 
@@ -121,20 +111,6 @@ func (rc RCode) String() string {
 		return s
 	}
 	return fmt.Sprintf("RCODE%d", uint8(rc))
-}
-
-// equalFold is an ASCII-only case-insensitive comparison. DNS names are
-// ASCII; using the ASCII fold avoids Unicode case pitfalls.
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		if lowerByte(a[i]) != lowerByte(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func lowerByte(c byte) byte {

@@ -27,10 +27,11 @@ func bigZone(b *testing.B, n int) *Zone {
 
 func BenchmarkZoneReferral(b *testing.B) {
 	z := bigZone(b, 50_000)
+	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := z.Lookup(fmt.Sprintf("www.dom%06d.com", i%50_000), dnswire.TypeA)
+		z.LookupInto(&res, fmt.Sprintf("www.dom%06d.com", i%50_000), dnswire.TypeA)
 		if !res.Delegated {
 			b.Fatal("expected referral")
 		}
@@ -39,10 +40,11 @@ func BenchmarkZoneReferral(b *testing.B) {
 
 func BenchmarkZoneNXDomain(b *testing.B) {
 	z := bigZone(b, 50_000)
+	var res Result
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := z.Lookup("no-such-name.com", dnswire.TypeA)
+		z.LookupInto(&res, "no-such-name.com", dnswire.TypeA)
 		if res.RCode != dnswire.RCodeNXDomain {
 			b.Fatal("expected NXDOMAIN")
 		}

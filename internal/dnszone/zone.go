@@ -1,11 +1,10 @@
 // Package dnszone models authoritative DNS zone data: RRsets keyed by owner
 // name and type, with RFC 1034 lookup semantics (CNAME chains, delegation
-// referrals, NODATA vs NXDOMAIN) and a textual zone-file format.
+// referrals, NODATA vs NXDOMAIN).
 //
 // Zones are the unit served by internal/dnsserver and the unit generated
 // per day per TLD by the world simulator. A Zone is safe for concurrent
-// readers with a single writer holding its lock through the provided
-// mutation methods.
+// readers beside a writer calling Add.
 package dnszone
 
 import (
@@ -98,139 +97,6 @@ func (z *Zone) MustAdd(rr dnswire.RR) {
 	}
 }
 
-// SetRRSet replaces the whole RRset (owner, type) with the given records,
-// all of which must share the owner and type.
-func (z *Zone) SetRRSet(owner string, t dnswire.Type, rrs []dnswire.RR) error {
-	name, err := dnswire.CanonicalName(owner)
-	if err != nil {
-		return err
-	}
-	if !dnswire.IsSubdomain(name, z.Origin) {
-		return fmt.Errorf("dnszone: %s is out of zone %s", name, z.Origin)
-	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.removeLocked(name, t)
-	if len(rrs) == 0 {
-		return nil
-	}
-	byType := z.records[name]
-	if byType == nil {
-		byType = make(map[dnswire.Type][]dnswire.RR)
-		z.records[name] = byType
-	}
-	for _, rr := range rrs {
-		rr.Name = name
-		rr.Type = t
-		if rr.Class == 0 {
-			rr.Class = dnswire.ClassIN
-		}
-		byType[t] = append(byType[t], rr)
-	}
-	if t == dnswire.TypeNS && name != z.Origin {
-		z.cuts[name] = true
-	}
-	return nil
-}
-
-// Remove deletes the RRset (owner, type). Removing a nonexistent set is a
-// no-op.
-func (z *Zone) Remove(owner string, t dnswire.Type) {
-	name, err := dnswire.CanonicalName(owner)
-	if err != nil {
-		return
-	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.removeLocked(name, t)
-}
-
-func (z *Zone) removeLocked(name string, t dnswire.Type) {
-	byType := z.records[name]
-	if byType == nil {
-		return
-	}
-	delete(byType, t)
-	if len(byType) == 0 {
-		delete(z.records, name)
-	}
-	if t == dnswire.TypeNS && name != z.Origin {
-		delete(z.cuts, name)
-	}
-}
-
-// RemoveName deletes every record owned by name.
-func (z *Zone) RemoveName(owner string) {
-	name, err := dnswire.CanonicalName(owner)
-	if err != nil {
-		return
-	}
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	delete(z.records, name)
-	delete(z.cuts, name)
-}
-
-// Get returns a copy of the RRset (owner, type), or nil.
-func (z *Zone) Get(owner string, t dnswire.Type) []dnswire.RR {
-	name, err := dnswire.CanonicalName(owner)
-	if err != nil {
-		return nil
-	}
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	rrs := z.records[name][t]
-	if len(rrs) == 0 {
-		return nil
-	}
-	return append([]dnswire.RR(nil), rrs...)
-}
-
-// HasName reports whether any record is owned by name.
-func (z *Zone) HasName(owner string) bool {
-	name, err := dnswire.CanonicalName(owner)
-	if err != nil {
-		return false
-	}
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return len(z.records[name]) > 0
-}
-
-// Names returns all owner names in the zone, sorted.
-func (z *Zone) Names() []string {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	names := make([]string, 0, len(z.records))
-	for n := range z.records {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Len returns the total number of records in the zone.
-func (z *Zone) Len() int {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	n := 0
-	for _, byType := range z.records {
-		for _, rrs := range byType {
-			n += len(rrs)
-		}
-	}
-	return n
-}
-
-// SOA returns the zone's SOA record, if present.
-func (z *Zone) SOA() (dnswire.RR, bool) {
-	rrs := z.Get(z.Origin, dnswire.TypeSOA)
-	if len(rrs) == 0 {
-		return dnswire.RR{}, false
-	}
-	return rrs[0], true
-}
-
 // Result is the outcome of an authoritative lookup.
 type Result struct {
 	RCode         dnswire.RCode
@@ -247,18 +113,12 @@ type Result struct {
 	Delegated bool
 }
 
-// Lookup answers qname/qtype from the zone following RFC 1034 §4.3.2:
-// referral at delegation points, CNAME chains within the zone, NODATA
-// versus NXDOMAIN distinction. Out-of-zone names yield REFUSED.
-func (z *Zone) Lookup(qname string, qtype dnswire.Type) Result {
-	var res Result
-	z.LookupInto(&res, qname, qtype)
-	return res
-}
-
-// LookupInto is Lookup writing its result into res. The sections are
-// truncated and appended to, so a caller that keeps res reuses their
-// storage, and a lookup allocates nothing once they have grown.
+// LookupInto answers qname/qtype from the zone into res, following RFC
+// 1034 §4.3.2: referral at delegation points, CNAME chains within the
+// zone, NODATA versus NXDOMAIN distinction. Out-of-zone names yield
+// REFUSED. The sections are truncated and appended to, so a caller that
+// keeps res reuses their storage, and a lookup allocates nothing once
+// they have grown.
 func (z *Zone) LookupInto(res *Result, qname string, qtype dnswire.Type) {
 	*res = Result{Answer: res.Answer[:0], Authority: res.Authority[:0], Additional: res.Additional[:0]}
 	name, err := dnswire.CanonicalName(qname)
@@ -401,27 +261,4 @@ func (z *Zone) appendGlueLocked(glue, rrs []dnswire.RR) []dnswire.RR {
 		}
 	}
 	return glue
-}
-
-// Clone returns a deep-enough copy of the zone (records are value types)
-// usable as an immutable daily snapshot.
-func (z *Zone) Clone() *Zone {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	c := &Zone{
-		Origin:  z.Origin,
-		records: make(map[string]map[dnswire.Type][]dnswire.RR, len(z.records)),
-		cuts:    make(map[string]bool, len(z.cuts)),
-	}
-	for name, byType := range z.records {
-		nb := make(map[dnswire.Type][]dnswire.RR, len(byType))
-		for t, rrs := range byType {
-			nb[t] = append([]dnswire.RR(nil), rrs...)
-		}
-		c.records[name] = nb
-	}
-	for k := range z.cuts {
-		c.cuts[k] = true
-	}
-	return c
 }

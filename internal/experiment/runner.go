@@ -254,13 +254,6 @@ func armWire(wire *worldsim.Wire, network transport.Network, fc chaos.Config, se
 	}
 }
 
-// Accounting returns the per-day network ledger of a completed wire run:
-// one row per measured day, in day order, with degraded days marked.
-func (r *Runner) Accounting() []DayAccounting { return r.accounting }
-
-// DegradedDays returns the days committed as degraded.
-func (r *Runner) DegradedDays() []simtime.Day { return r.Agg.DegradedDays() }
-
 // Window returns the days actually run.
 func (r *Runner) Window() simtime.Range { return r.window }
 

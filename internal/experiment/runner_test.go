@@ -343,7 +343,7 @@ func TestRunnerCancellationDropsPartialDay(t *testing.T) {
 	if committed == 0 || committed >= 6 {
 		t.Fatalf("committed %d days before cancel, want partial progress", committed)
 	}
-	if got := len(r.Accounting()); got != committed {
+	if got := len(r.accounting); got != committed {
 		t.Fatalf("accounting has %d rows, want %d (committed days only)", got, committed)
 	}
 	// No partition survives past the last committed day.

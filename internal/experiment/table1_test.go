@@ -75,7 +75,7 @@ func TestCancelledRunLeavesNothingBehind(t *testing.T) {
 	}
 	// Read at once: a run that returned before its accountant finished
 	// shows here as a short Table 1 or resident partitions.
-	committed := len(r.Accounting())
+	committed := len(r.accounting)
 	if committed != 3 {
 		t.Fatalf("%d days committed, want 3", committed)
 	}

@@ -25,8 +25,8 @@ import (
 // full journal scan instead.
 
 // cursorEntry is one partition in the cursor snapshot. Spool is set for
-// coord-mode partitions folded from a spool file (the path the follower
-// used), empty for seeded or dataset-mode partitions.
+// partitions folded from a spool file (the path the follower used), empty
+// for seeded ones.
 type cursorEntry struct {
 	Source string      `json:"source"`
 	Day    simtime.Day `json:"day"`
@@ -37,9 +37,10 @@ func (e cursorEntry) key() store.PartitionKey {
 	return store.PartitionKey{Source: e.Source, Day: e.Day}
 }
 
-// cursorFile is the on-disk format (JSON, written atomically).
+// cursorFile is the on-disk format (JSON, written atomically). Cursors
+// written while the follower also tailed .dpsa files carry a "mode" key,
+// which decoding ignores.
 type cursorFile struct {
-	Mode          Mode          `json:"mode"`
 	JournalOffset int64         `json:"journal_offset,omitempty"`
 	JournalSeq    uint64        `json:"journal_seq,omitempty"`
 	Applied       []cursorEntry `json:"applied,omitempty"`
@@ -58,10 +59,8 @@ func (f *Follower) saveCursor() {
 	if f.cursorPath == "" {
 		return
 	}
-	c := cursorFile{Mode: f.mode}
-	if f.reader != nil {
-		c.JournalOffset, c.JournalSeq = f.reader.Offset()
-	}
+	var c cursorFile
+	c.JournalOffset, c.JournalSeq = f.reader.Offset()
 	for k := range f.applied {
 		c.Applied = append(c.Applied, cursorEntry{Source: k.Source, Day: k.Day, Spool: f.appliedSpool[k]})
 	}
@@ -94,11 +93,11 @@ func (f *Follower) saveCursor() {
 
 // restoreCursor folds a previously saved cursor into a freshly booted
 // follower (called once, from the first Poll, after Seed). Skipped
-// partitions stay skipped in both modes. In coord mode, applied
-// partitions absent from the boot seed are queued for re-detection from
-// their recorded spools, pending discoveries are re-queued, and — only
-// when nothing applied has become unreachable — the journal reader seeks
-// to the saved offset so history before it is never re-read.
+// partitions stay skipped, applied partitions absent from the boot seed
+// are queued for re-detection from their recorded spools, pending
+// discoveries are re-queued, and — only when nothing applied has become
+// unreachable — the journal reader seeks to the saved offset so history
+// before it is never re-read.
 func (f *Follower) restoreCursor() {
 	if f.cursorPath == "" {
 		return
@@ -109,16 +108,12 @@ func (f *Follower) restoreCursor() {
 	}
 	log := obs.Logger().With("component", "follow", "cursor", f.cursorPath)
 	var c cursorFile
-	if err := json.Unmarshal(data, &c); err != nil || c.Mode != f.mode {
-		log.Warn("ignoring unreadable or mode-mismatched cursor", "err", err)
+	if err := json.Unmarshal(data, &c); err != nil {
+		log.Warn("ignoring unreadable cursor", "err", err)
 		return
 	}
 	for _, e := range c.Skipped {
 		f.skipped[e.key()] = true
-	}
-	if f.mode != ModeCoord {
-		log.Info("cursor restored", "skipped", len(c.Skipped))
-		return
 	}
 	seekable := true
 	requeued := 0

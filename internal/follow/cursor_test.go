@@ -1,6 +1,7 @@
 package follow
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -36,6 +37,15 @@ func TestFollowCursorSeededRestart(t *testing.T) {
 		t.Fatalf("CursorAuto wrote no cursor: %v", err)
 	}
 	wantOff, wantSeq := f1.reader.Offset()
+	// Cursors written while the follower also tailed .dpsa files carry a
+	// mode key; such a cursor must still restore.
+	data, err := os.ReadFile(cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cursor, bytes.Replace(data, []byte("{"), []byte(`{"mode": "coord",`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Restart, seeded the way dpsapi seeds after booting from a dataset.
 	var keys []store.PartitionKey
@@ -171,40 +181,5 @@ func TestFollowCursorDisabledByDefault(t *testing.T) {
 	drain(t, f)
 	if _, err := os.Stat(filepath.Join(dir, "follower.cursor.json")); !os.IsNotExist(err) {
 		t.Fatal("cursor written despite CursorPath being unset")
-	}
-}
-
-// TestFollowCursorDatasetMode: in dataset mode the cursor derives its
-// path from the target file and round-trips the skip set; a mode
-// mismatch (coord cursor fed to a dataset follower) is ignored.
-func TestFollowCursorDatasetMode(t *testing.T) {
-	refs := core.MustGroundTruth()
-	path := filepath.Join(t.TempDir(), "data.dpsa")
-	all := store.New()
-	all.Absorb(synthPart(t, refs, "com", 0))
-	if err := all.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
-	f, err := New(Config{Target: path, Refs: refs, Sink: srv, CursorPath: CursorAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain(t, f)
-	if _, err := os.Stat(path + ".cursor.json"); err != nil {
-		t.Fatalf("dataset-mode cursor missing: %v", err)
-	}
-
-	// A coord-mode cursor at the same path must be ignored, not crash
-	// or corrupt state.
-	if err := os.WriteFile(path+".cursor.json", []byte(`{"mode":"coord","journal_offset":999,"journal_seq":9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := New(Config{Target: path, Refs: refs, Sink: srv, CursorPath: CursorAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := f2.Poll(t.Context()); err != nil {
-		t.Fatalf("poll with mismatched cursor: n=%d err=%v", n, err)
 	}
 }

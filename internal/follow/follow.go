@@ -1,23 +1,22 @@
 // Package follow is the live ingestion tier: it turns a batch-built
-// dpsapi into a continuously updated one. A Follower tails a feed of
-// committed (source, day) partitions — either a dpscoord coordination
-// directory (the journal doubles as a change feed, read via
-// coord.JournalReader) or a growing .dpsa dataset file (discovered via
-// its partition directory) — verifies each partition's CRCs, runs
-// ID-native detection on just the new partitions, and folds the results
-// into the serving index through api's copy-on-write delta path. The
-// publish is one atomic pointer swap plus a precise cache sweep, so the
-// service keeps answering at full rate while a freshly measured day
-// becomes queryable within one poll interval of its commit.
+// dpsapi into a continuously updated one. A Follower tails a dpscoord
+// coordination directory — the journal doubles as a change feed of
+// committed (source, day) partitions, read via coord.JournalReader —
+// verifies each partition's spool CRCs, runs ID-native detection on just
+// the new partitions, and folds the results into the serving index
+// through api's copy-on-write delta path. The publish is one atomic
+// pointer swap plus a precise cache sweep, so the service keeps
+// answering at full rate while a freshly measured day becomes queryable
+// within one poll interval of its commit.
 //
-// The follower is strictly read-only toward its feed: both modes read
-// through store.Open, which never writes, so it never truncates the
-// coordinator's journal, never moves its spools and never quarantines
-// part of a followed dataset. A partition that fails verification is
-// logged, counted, and skipped permanently (commits are terminal; a torn
-// spool at rest will not heal) — the day serves degraded rather than
-// wedging the feed, exactly like coord.Assemble's quarantine policy, and
-// the operator sees it in /v1/stats freshness (skipped_partitions).
+// The follower is strictly read-only toward its feed: it reads through
+// store.Open, which never writes, so it never truncates the
+// coordinator's journal and never moves its spools. A partition that
+// fails verification is logged, counted, and skipped permanently
+// (commits are terminal; a torn spool at rest will not heal) — the day
+// serves degraded rather than wedging the feed, exactly like
+// coord.Assemble's quarantine policy, and the operator sees it in
+// /v1/stats freshness (skipped_partitions).
 //
 // The one file a follower does write is its own restart cursor
 // (Config.CursorPath): a small JSON snapshot of the journal offset and
@@ -53,22 +52,11 @@ type Sink interface {
 	Publish(*api.Index, *api.Delta)
 }
 
-// Mode says how a target is tailed.
-type Mode string
-
-const (
-	// ModeCoord tails a dpscoord coordination directory: the journal is
-	// the feed, spool files are the payload.
-	ModeCoord Mode = "coord"
-	// ModeDataset tails a .dpsa file that grows by atomic re-saves: the
-	// partition directory is diffed against the applied set.
-	ModeDataset Mode = "dataset"
-)
-
 // Config parameterises a follower.
 type Config struct {
-	// Target is the feed: a coordination directory or a .dpsa path. A
-	// not-yet-existing target is legal — the follower waits for it.
+	// Target is the feed: a dpscoord coordination directory, whose
+	// journal lists the commits and whose spool files hold them. A
+	// not-yet-existing directory is legal — the follower waits for it.
 	Target string
 	// Refs is the provider ground truth detection runs against; it must
 	// be the same References the sink's index was built with.
@@ -84,9 +72,8 @@ type Config struct {
 	// results hostage to the last (default 64).
 	MaxBatch int
 	// CursorPath is where the restart cursor is persisted. "" disables
-	// the cursor (every restart replays the feed); CursorAuto derives a
-	// path from the target (coord: <dir>/follower.cursor.json, dataset:
-	// <file>.cursor.json); anything else is used verbatim.
+	// the cursor (every restart replays the feed); CursorAuto puts it at
+	// <Target>/follower.cursor.json; anything else is used verbatim.
 	CursorPath string
 }
 
@@ -96,7 +83,6 @@ const CursorAuto = "auto"
 // Status is a point-in-time snapshot of the follower, safe to read
 // while Run is live.
 type Status struct {
-	Mode      Mode      `json:"mode"`
 	Target    string    `json:"target"`
 	Epoch     uint64    `json:"epoch"`
 	Applied   int       `json:"partitions_applied"`
@@ -111,33 +97,28 @@ type Status struct {
 // any.
 type Follower struct {
 	cfg    Config
-	mode   Mode
-	reader *coord.JournalReader // coord mode
+	reader *coord.JournalReader
 
 	// Feed bookkeeping, owned by the polling goroutine.
-	pending map[store.PartitionKey]string // discovered, not yet applied (value: spool path, "" in dataset mode)
+	pending map[store.PartitionKey]string // discovered, not yet applied (value: spool path)
 	applied map[store.PartitionKey]bool
 	skipped map[store.PartitionKey]bool
-	// appliedSpool remembers the spool each coord-mode partition was
-	// folded from, so the cursor can re-reach it after a restart whose
-	// boot index doesn't contain it.
+	// appliedSpool remembers the spool each partition was folded from, so
+	// the cursor can re-reach it after a restart whose boot index doesn't
+	// contain it.
 	appliedSpool map[store.PartitionKey]string
 	// Restart cursor: resolved path ("" when disabled) and whether the
 	// one-time restore ran (lazily, at the first Poll, after Seed).
 	cursorPath string
 	restored   bool
-	// Dataset-mode change detection: the directory is re-read only when
-	// the file's (size, mtime) moved.
-	lastSize int64
-	lastMod  time.Time
 
 	mu sync.Mutex
 	st Status
 }
 
-// New builds a follower. The mode is inferred from the target: an
-// existing directory (or a path without a .dpsa suffix) is a
-// coordination directory, anything else a dataset file.
+// New builds a follower. A target that exists and is not a directory,
+// or that names a .dpsa dataset, is refused: only a coordination
+// directory is a feed.
 func New(cfg Config) (*Follower, error) {
 	if cfg.Target == "" {
 		return nil, errors.New("follow: Config.Target required")
@@ -157,36 +138,24 @@ func New(cfg Config) (*Follower, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	mode := ModeDataset
-	if fi, err := os.Stat(cfg.Target); err == nil {
-		if fi.IsDir() {
-			mode = ModeCoord
-		}
-	} else if !strings.HasSuffix(cfg.Target, ".dpsa") {
-		mode = ModeCoord
+	if fi, err := os.Stat(cfg.Target); err == nil && !fi.IsDir() || strings.HasSuffix(cfg.Target, ".dpsa") {
+		return nil, fmt.Errorf("follow: %s is not a coordination directory", cfg.Target)
 	}
 	f := &Follower{
 		cfg:          cfg,
-		mode:         mode,
+		reader:       coord.NewJournalReader(cfg.Target),
 		pending:      make(map[store.PartitionKey]string),
 		applied:      make(map[store.PartitionKey]bool),
 		skipped:      make(map[store.PartitionKey]bool),
 		appliedSpool: make(map[store.PartitionKey]string),
-		st:           Status{Mode: mode, Target: cfg.Target},
+		st:           Status{Target: cfg.Target},
 	}
 	switch cfg.CursorPath {
 	case "":
 	case CursorAuto:
-		if mode == ModeCoord {
-			f.cursorPath = filepath.Join(cfg.Target, "follower.cursor.json")
-		} else {
-			f.cursorPath = cfg.Target + ".cursor.json"
-		}
+		f.cursorPath = filepath.Join(cfg.Target, "follower.cursor.json")
 	default:
 		f.cursorPath = cfg.CursorPath
-	}
-	if mode == ModeCoord {
-		f.reader = coord.NewJournalReader(cfg.Target)
 	}
 	return f, nil
 }
@@ -199,14 +168,11 @@ func (f *Follower) Seed(keys []store.PartitionKey) {
 	}
 }
 
-// Mode reports how the target is tailed.
-func (f *Follower) Mode() Mode { return f.mode }
-
 // Run polls the feed until ctx is cancelled, draining all discovered
 // partitions batch by batch each tick. Transient errors are logged and
 // retried on the next tick; Run only returns ctx.Err().
 func (f *Follower) Run(ctx context.Context) error {
-	log := obs.Logger().With("component", "follow", "target", f.cfg.Target, "mode", string(f.mode))
+	log := obs.Logger().With("component", "follow", "target", f.cfg.Target)
 	log.Info("follower started", "poll", f.cfg.Poll.String())
 	tick := time.NewTicker(f.cfg.Poll)
 	defer tick.Stop()
@@ -248,13 +214,7 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		f.restored = true
 		f.restoreCursor()
 	}
-	var err error
-	if f.mode == ModeCoord {
-		err = f.discoverCoord()
-	} else {
-		err = f.discoverDataset()
-	}
-	if err != nil {
+	if err := f.discover(); err != nil {
 		return 0, err
 	}
 	if len(f.pending) == 0 {
@@ -278,20 +238,10 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 		batch = batch[:f.cfg.MaxBatch]
 	}
 
-	var ups []api.PartitionUpdate
-	if f.mode == ModeCoord {
-		ups = f.loadCoordBatch(ctx, batch)
-	} else {
-		ups, err = f.loadDatasetBatch(ctx, batch)
-		if err != nil {
-			return 0, err
-		}
-	}
+	ups := f.loadBatch(ctx, batch)
 	for _, u := range ups {
 		k := store.PartitionKey{Source: u.Source, Day: u.Day}
-		if f.mode == ModeCoord {
-			f.appliedSpool[k] = f.pending[k]
-		}
+		f.appliedSpool[k] = f.pending[k]
 		delete(f.pending, k)
 		f.applied[k] = true
 	}
@@ -318,8 +268,8 @@ func (f *Follower) Poll(ctx context.Context) (int, error) {
 	return len(ups), nil
 }
 
-// discoverCoord folds newly journaled commits into the pending set.
-func (f *Follower) discoverCoord() error {
+// discover folds newly journaled commits into the pending set.
+func (f *Follower) discover() error {
 	recs, err := f.reader.Next()
 	if err != nil {
 		return err
@@ -337,42 +287,14 @@ func (f *Follower) discoverCoord() error {
 	return nil
 }
 
-// discoverDataset diffs the dataset's partition directory against the
-// applied set when the file changed. Saves are atomic whole-file
-// renames, so a directory read never sees a half-written dataset.
-func (f *Follower) discoverDataset() error {
-	fi, err := os.Stat(f.cfg.Target)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // not born yet: keep waiting
-		}
-		return err
-	}
-	if fi.Size() == f.lastSize && fi.ModTime().Equal(f.lastMod) {
-		return nil
-	}
-	r, err := store.Open(f.cfg.Target)
-	if err != nil {
-		return fmt.Errorf("follow: dataset directory: %w", err)
-	}
-	defer r.Close()
-	for _, k := range r.Keys() {
-		if !f.applied[k] && !f.skipped[k] {
-			f.pending[k] = ""
-		}
-	}
-	f.lastSize, f.lastMod = fi.Size(), fi.ModTime()
-	return nil
-}
-
-// loadCoordBatch detects spool partitions with bounded concurrency via
+// loadBatch detects spool partitions with bounded concurrency via
 // the streaming read path: store.Open reads only the spool's footer and
 // directory, and core.DetectPartition preads, CRC-checks, and decodes
 // exactly the committed partition in one pass — half the I/O of the old
 // Verify-then-Load sequence, and no resident *store.Store per spool.
 // Damaged spools are skipped permanently (and counted); the survivors
 // come back as updates.
-func (f *Follower) loadCoordBatch(ctx context.Context, batch []store.PartitionKey) []api.PartitionUpdate {
+func (f *Follower) loadBatch(ctx context.Context, batch []store.PartitionKey) []api.PartitionUpdate {
 	log := obs.Logger().With("component", "follow")
 	type result struct {
 		up   api.PartitionUpdate
@@ -439,45 +361,6 @@ func (f *Follower) loadCoordBatch(ctx context.Context, batch []store.PartitionKe
 	return ups
 }
 
-// loadDatasetBatch detects a batch of partitions straight off the
-// dataset file through the same streaming read path as coord mode: one
-// store.Open, then the shared DetectRangeSource pool preads, CRC-checks
-// and decodes each partition. A partition that fails to read is skipped
-// permanently and the survivors are applied; a file that will not open
-// retries next poll.
-func (f *Follower) loadDatasetBatch(ctx context.Context, batch []store.PartitionKey) ([]api.PartitionUpdate, error) {
-	r, err := store.Open(f.cfg.Target)
-	if err != nil {
-		// The file may have been atomically replaced mid-discovery;
-		// force a directory rescan and retry next poll.
-		f.lastSize, f.lastMod = 0, time.Time{}
-		return nil, err
-	}
-	defer r.Close()
-	parts := make([]core.Partition, len(batch))
-	for i, k := range batch {
-		parts[i] = core.Partition{Source: k.Source, Day: k.Day}
-	}
-	dets, _, failed := core.DetectRangeSource(ctx, r, parts, f.cfg.Refs, f.cfg.Workers)
-	// Every Open decodes its own dictionary: drop its matcher with the
-	// reader, or Refs grows by one per batch.
-	if dict, derr := r.SharedDict(); derr == nil {
-		f.cfg.Refs.Forget(dict)
-	}
-	log := obs.Logger().With("component", "follow")
-	for _, pf := range failed {
-		f.skip(store.PartitionKey{Source: pf.Source, Day: pf.Day}, pf.Err.Error(), log)
-	}
-	ups := make([]api.PartitionUpdate, 0, len(batch))
-	for i, k := range batch {
-		if dets[i] == nil {
-			continue // skipped above, or cancelled and left pending
-		}
-		ups = append(ups, api.PartitionUpdate{Source: k.Source, Day: k.Day, Det: dets[i]})
-	}
-	return ups, nil
-}
-
 // skip permanently abandons a damaged partition.
 func (f *Follower) skip(k store.PartitionKey, cause string, log interface {
 	Warn(string, ...any)
@@ -500,7 +383,6 @@ func (f *Follower) Freshness() *api.Freshness {
 	st := f.Status()
 	fr := &api.Freshness{
 		Following:  st.Target,
-		Mode:       string(st.Mode),
 		Epoch:      st.Epoch,
 		Partitions: st.Applied,
 		Lag:        st.Lag,
@@ -523,16 +405,4 @@ func (f *Follower) setErr(err error) {
 	f.mu.Lock()
 	f.st.LastErr = err.Error()
 	f.mu.Unlock()
-}
-
-// Keys lists a store's (source, day) partitions — the seed for a
-// follower booted from an existing dataset.
-func Keys(s *store.Store) []store.PartitionKey {
-	var out []store.PartitionKey
-	for _, src := range s.Sources() {
-		for _, d := range s.Days(src) {
-			out = append(out, store.PartitionKey{Source: src, Day: d})
-		}
-	}
-	return out
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,8 +25,8 @@ import (
 func synthPart(t *testing.T, refs *core.References, src string, day simtime.Day) *store.Store {
 	t.Helper()
 	p0 := refs.Providers[0]
-	cf, ok := refs.ProviderIndex("CloudFlare")
-	if !ok {
+	cf := slices.IndexFunc(refs.Providers, func(p core.ProviderRefs) bool { return p.Name == "CloudFlare" })
+	if cf < 0 {
 		t.Fatal("no CloudFlare in ground truth")
 	}
 	s := store.New()
@@ -139,9 +141,6 @@ func TestFollowCoordFeedConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Mode() != ModeCoord {
-		t.Fatalf("mode = %s, want coord", f.Mode())
-	}
 	srv.SetFreshnessFunc(f.Freshness)
 	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
 		t.Fatalf("pre-birth poll: n=%d err=%v", n, err)
@@ -160,7 +159,7 @@ func TestFollowCoordFeedConverges(t *testing.T) {
 		t.Fatalf("epoch = %d, want >= 3 (batched catch-up)", e)
 	}
 	fr := f.Freshness()
-	if fr.Mode != "coord" || fr.Partitions != len(parts) || fr.Epoch != srv.Index().Epoch() {
+	if fr.Following != dir || fr.Partitions != len(parts) || fr.Epoch != srv.Index().Epoch() {
 		t.Fatalf("freshness: %+v", fr)
 	}
 
@@ -174,68 +173,33 @@ func TestFollowCoordFeedConverges(t *testing.T) {
 	}
 }
 
-// TestFollowDatasetFeedGrows tails a .dpsa file that grows by atomic
-// re-saves, including the empty-boot case (the file does not exist when
-// the follower starts).
-func TestFollowDatasetFeedGrows(t *testing.T) {
-	refs := core.MustGroundTruth()
-	path := filepath.Join(t.TempDir(), "data.dpsa")
-
-	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
-	f, err := New(Config{Target: path, Refs: refs, Sink: srv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Mode() != ModeDataset {
-		t.Fatalf("mode = %s, want dataset", f.Mode())
-	}
-	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
-		t.Fatalf("poll before file exists: n=%d err=%v", n, err)
-	}
-
-	// First save: two days of one source.
-	all := store.New()
-	for d := 0; d < 2; d++ {
-		all.Absorb(synthPart(t, refs, "com", simtime.Day(d)))
-	}
-	if err := all.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, f)
-	assertSameView(t, api.NewIndex(all, refs), srv.Index())
-
-	// Growth: a new day and a new source land in one re-save.
-	all.Absorb(synthPart(t, refs, "com", 2))
-	all.Absorb(synthPart(t, refs, "net", 2))
-	if err := all.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, f)
-	assertSameView(t, api.NewIndex(all, refs), srv.Index())
-	if st := f.Status(); st.Applied != 4 || st.Lag != 0 {
-		t.Fatalf("status: %+v", st)
-	}
-}
-
-// TestFollowSeedSkipsBootPartitions: a follower booted from an existing
-// dataset must not re-apply the partitions already in the boot index.
+// TestFollowSeedSkipsBootPartitions is dpsapi's -data + -follow boot: a
+// follower seeded with the boot dataset's partitions must not re-apply
+// them from the coordination directory's journal, and a day committed
+// later into the same directory applies alone.
 func TestFollowSeedSkipsBootPartitions(t *testing.T) {
 	refs := core.MustGroundTruth()
-	path := filepath.Join(t.TempDir(), "data.dpsa")
-	all := store.New()
-	all.Absorb(synthPart(t, refs, "com", 0))
-	all.Absorb(synthPart(t, refs, "com", 1))
-	if err := all.Save(path); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "boot.dpsa")
+	if err := runCoordinator(t, dir, refs, coordParts([]string{"com"}, 2)).Save(path); err != nil {
 		t.Fatal(err)
 	}
-
-	boot := api.NewIndex(all, refs)
-	srv := api.NewServer(boot, api.Config{ObservatoryOff: true})
-	f, err := New(Config{Target: path, Refs: refs, Sink: srv})
+	r, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Seed(Keys(all))
+	boot, err := api.NewIndexReader(r, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := r.Keys()
+	r.Close()
+	srv := api.NewServer(boot, api.Config{ObservatoryOff: true})
+	f, err := New(Config{Target: dir, Refs: refs, Sink: srv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Seed(keys)
 
 	// Nothing new: no publish, epoch stays 0.
 	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
@@ -246,15 +210,29 @@ func TestFollowSeedSkipsBootPartitions(t *testing.T) {
 	}
 
 	// One genuinely new day applies alone.
-	all.Absorb(synthPart(t, refs, "com", 2))
-	if err := all.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	all := runCoordinator(t, dir, refs, coordParts([]string{"com"}, 3))
 	drain(t, f)
 	if st := f.Status(); st.Applied != 1 {
 		t.Fatalf("applied = %d, want 1: %+v", st.Applied, st)
 	}
 	assertSameView(t, api.NewIndex(all, refs), srv.Index())
+}
+
+// TestFollowRefusesNonDirectory: only a coordination directory is a
+// feed. An existing file, or a path naming a .dpsa dataset, is refused
+// by New with an error naming it.
+func TestFollowRefusesNonDirectory(t *testing.T) {
+	refs := core.MustGroundTruth()
+	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
+	file := filepath.Join(t.TempDir(), "journal")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []string{file, filepath.Join(t.TempDir(), "grow.dpsa")} {
+		if _, err := New(Config{Target: target, Refs: refs, Sink: srv}); err == nil || !strings.Contains(err.Error(), target) {
+			t.Errorf("New(%s) = %v, want an error naming it", target, err)
+		}
+	}
 }
 
 // TestFollowSkipsDamagedSpool: a committed spool torn at rest is
@@ -297,61 +275,6 @@ func TestFollowSkipsDamagedSpool(t *testing.T) {
 
 	// The skip is permanent: repairing the file later does not resurrect
 	// it (commits are terminal; operators re-measure instead).
-	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
-		t.Fatalf("post-skip poll: n=%d err=%v", n, err)
-	}
-}
-
-// TestFollowSkipsDamagedDatasetPartition is the dataset-mode twin: one
-// partition of the followed file torn at rest is skipped and counted,
-// the survivors apply, and the follower leaves the feed alone — no
-// quarantine/ directory appears beside a file it only reads.
-func TestFollowSkipsDamagedDatasetPartition(t *testing.T) {
-	refs := core.MustGroundTruth()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.dpsa")
-	all := store.New()
-	for d := 0; d < 3; d++ {
-		all.Absorb(synthPart(t, refs, "com", simtime.Day(d)))
-	}
-	if err := all.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	parts, err := store.Directory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, length := parts[1].Extent()
-	data[off+length/2] ^= 0xA5
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := api.NewServer(api.NewIndex(store.New(), refs), api.Config{ObservatoryOff: true})
-	f, err := New(Config{Target: path, Refs: refs, Sink: srv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := matcherCount(refs)
-	drain(t, f)
-	if after := matcherCount(refs); after != before {
-		t.Errorf("matcher cache grew from %d to %d: the closed dataset reader left its dictionary behind", before, after)
-	}
-
-	if st := f.Status(); st.Applied != 2 || st.Skipped != 1 || st.Lag != 0 {
-		t.Fatalf("status: %+v", st)
-	}
-	want := store.New()
-	want.Absorb(synthPart(t, refs, "com", 0))
-	want.Absorb(synthPart(t, refs, "com", 2))
-	assertSameView(t, api.NewIndex(want, refs), srv.Index())
-	if _, err := os.Stat(filepath.Join(dir, "quarantine")); !os.IsNotExist(err) {
-		t.Fatalf("follower wrote beside the file it follows: stat quarantine = %v", err)
-	}
 	if n, err := f.Poll(context.Background()); n != 0 || err != nil {
 		t.Fatalf("post-skip poll: n=%d err=%v", n, err)
 	}

@@ -66,14 +66,6 @@ func NthSubnet(p netip.Prefix, bits int, n uint64) (netip.Prefix, error) {
 	return netip.PrefixFrom(u64ToAddr(base+n*step), bits), nil
 }
 
-// SubnetCount returns how many subnets of the given length fit in p.
-func SubnetCount(p netip.Prefix, bits int) uint64 {
-	if bits < p.Bits() || bits > 32 {
-		return 0
-	}
-	return 1 << (bits - p.Bits())
-}
-
 // HostCount returns the number of addresses in an IPv4 prefix.
 func HostCount(p netip.Prefix) uint64 {
 	if !p.Addr().Is4() {
@@ -82,7 +74,7 @@ func HostCount(p netip.Prefix) uint64 {
 	return 1 << (32 - p.Bits())
 }
 
-// Pool deterministically hands out host addresses from an IPv4 prefix.
+// Pool deterministically hands out subnets of an IPv4 prefix.
 // The zero value is not usable; construct with NewPool.
 type Pool struct {
 	prefix netip.Prefix
@@ -106,22 +98,9 @@ func MustPool(s string) *Pool {
 	return p
 }
 
-// Prefix returns the pool's covering prefix.
-func (p *Pool) Prefix() netip.Prefix { return p.prefix }
-
-// Alloc returns the next unused address.
-func (p *Pool) Alloc() (netip.Addr, error) {
-	a, err := NthAddr(p.prefix, p.next)
-	if err != nil {
-		return netip.Addr{}, err
-	}
-	p.next++
-	return a, nil
-}
-
 // AllocSubnet returns the next unused subnet of the given length, advancing
-// the pool cursor past it. Mixing Alloc and AllocSubnet is supported: the
-// subnet is aligned upward from the cursor.
+// the pool cursor past it. The subnet is aligned upward from the cursor, so
+// lengths can be mixed; a /32 is one host.
 func (p *Pool) AllocSubnet(bits int) (netip.Prefix, error) {
 	if bits < p.prefix.Bits() || bits > 32 {
 		return netip.Prefix{}, fmt.Errorf("%w: /%d from %v", ErrBadSize, bits, p.prefix)
@@ -139,9 +118,6 @@ func (p *Pool) AllocSubnet(bits int) (netip.Prefix, error) {
 	p.next = aligned + step
 	return netip.PrefixFrom(base, bits), nil
 }
-
-// Remaining returns how many individual addresses are left in the pool.
-func (p *Pool) Remaining() uint64 { return HostCount(p.prefix) - p.next }
 
 // MaskBitsFor returns the smallest prefix length whose block holds at
 // least n addresses.

@@ -1,6 +1,7 @@
 package ipam
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 )
@@ -39,32 +40,26 @@ func TestNthSubnet(t *testing.T) {
 	if _, err := NthSubnet(pfx("10.0.0.0/16"), 8, 0); err == nil {
 		t.Error("supernet carve accepted")
 	}
-	if got := SubnetCount(pfx("10.0.0.0/16"), 24); got != 256 {
-		t.Errorf("SubnetCount = %d", got)
-	}
 }
 
 func TestPoolAlloc(t *testing.T) {
 	p := MustPool("192.0.2.0/30")
 	want := []string{"192.0.2.0", "192.0.2.1", "192.0.2.2", "192.0.2.3"}
 	for i, w := range want {
-		a, err := p.Alloc()
-		if err != nil || a.String() != w {
-			t.Errorf("alloc %d = %v, %v; want %s", i, a, err, w)
+		a, err := p.AllocSubnet(32)
+		if err != nil || a.Addr().String() != w {
+			t.Errorf("alloc %d = %v, %v; want %s/32", i, a, err, w)
 		}
 	}
-	if _, err := p.Alloc(); err == nil {
-		t.Error("alloc past exhaustion accepted")
-	}
-	if p.Remaining() != 0 {
-		t.Errorf("Remaining = %d", p.Remaining())
+	if _, err := p.AllocSubnet(32); !errors.Is(err, ErrExhausted) {
+		t.Errorf("alloc past exhaustion: err = %v, want ErrExhausted", err)
 	}
 }
 
 func TestPoolAllocSubnet(t *testing.T) {
 	p := MustPool("10.0.0.0/16")
 	// One host alloc, then a /24: the /24 must be aligned past the host.
-	if _, err := p.Alloc(); err != nil {
+	if _, err := p.AllocSubnet(32); err != nil {
 		t.Fatal(err)
 	}
 	sub, err := p.AllocSubnet(24)
@@ -75,8 +70,8 @@ func TestPoolAllocSubnet(t *testing.T) {
 	if err != nil || sub2 != pfx("10.0.2.0/24") {
 		t.Errorf("second AllocSubnet = %v, %v", sub2, err)
 	}
-	a, err := p.Alloc()
-	if err != nil || a != netip.MustParseAddr("10.0.3.0") {
+	a, err := p.AllocSubnet(32)
+	if err != nil || a != pfx("10.0.3.0/32") {
 		t.Errorf("host after subnets = %v, %v", a, err)
 	}
 }
@@ -84,8 +79,8 @@ func TestPoolAllocSubnet(t *testing.T) {
 func TestPoolDeterministic(t *testing.T) {
 	p1, p2 := MustPool("10.1.0.0/24"), MustPool("10.1.0.0/24")
 	for i := 0; i < 10; i++ {
-		a1, _ := p1.Alloc()
-		a2, _ := p2.Alloc()
+		a1, _ := p1.AllocSubnet(32)
+		a2, _ := p2.AllocSubnet(32)
 		if a1 != a2 {
 			t.Fatalf("allocation %d diverged: %v vs %v", i, a1, a2)
 		}

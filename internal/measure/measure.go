@@ -93,14 +93,6 @@ func (s NetStats) FailureRate() float64 {
 	return float64(s.GaveUp) / float64(s.Resolutions)
 }
 
-// LossRate is the fraction of query attempts that went unanswered.
-func (s NetStats) LossRate() float64 {
-	if s.Queries == 0 {
-		return 0
-	}
-	return float64(s.Lost) / float64(s.Queries)
-}
-
 // add folds one worker resolver's counters in.
 func (s *NetStats) add(r *dnsclient.Resolver) {
 	s.Queries += r.QueriesSent()

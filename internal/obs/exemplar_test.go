@@ -8,7 +8,7 @@ import (
 )
 
 func TestObserveExemplarKeepsSlowest(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 1})
+	h := newHistogram([]float64{0.1, 1})
 	h.ObserveExemplar(0.05, "aaaa")
 	h.ObserveExemplar(0.08, "bbbb") // slower, same bucket: replaces
 	h.ObserveExemplar(0.02, "cccc") // faster: kept out
@@ -34,7 +34,7 @@ func TestObserveExemplarKeepsSlowest(t *testing.T) {
 }
 
 func TestObserveExemplarEmptyTraceID(t *testing.T) {
-	h := NewHistogram([]float64{1})
+	h := newHistogram([]float64{1})
 	h.ObserveExemplar(0.5, "")
 	if ex := h.Exemplars(); ex[0] != nil {
 		t.Errorf("empty trace id stored an exemplar: %+v", ex[0])
@@ -42,7 +42,7 @@ func TestObserveExemplarEmptyTraceID(t *testing.T) {
 }
 
 func TestObserveExemplarConcurrent(t *testing.T) {
-	h := NewHistogram([]float64{1})
+	h := newHistogram([]float64{1})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

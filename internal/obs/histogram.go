@@ -53,10 +53,6 @@ func newHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// NewHistogram creates a standalone histogram (not attached to a
-// registry); nil bounds use DefBuckets.
-func NewHistogram(bounds []float64) *Histogram { return newHistogram(bounds) }
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	h.counts[bucketIndex(h.bounds, v)].Add(1)
@@ -127,9 +123,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Bounds returns the bucket upper bounds (excluding the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
 
 // BucketCounts returns per-bucket (non-cumulative) counts; the final
 // element is the overflow (+Inf) bucket.

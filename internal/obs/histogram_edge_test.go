@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistogramQuantileEmpty(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram(nil)
 	for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2} {
 		if got := h.Quantile(q); got != 0 {
 			t.Fatalf("Quantile(%v) on empty histogram = %v, want 0", q, got)
@@ -16,14 +16,14 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 }
 
 func TestHistogramQuantileClamps(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
+	h := newHistogram([]float64{1, 2})
 	h.Observe(0.5)
 	h.Observe(1.5)
 	if lo, hi := h.Quantile(-5), h.Quantile(5); lo != h.Quantile(0) || hi != h.Quantile(1) {
 		t.Fatalf("out-of-range q not clamped: %v/%v", lo, hi)
 	}
 	// Everything beyond the last bound saturates there.
-	h2 := NewHistogram([]float64{1, 2})
+	h2 := newHistogram([]float64{1, 2})
 	h2.Observe(100)
 	if got := h2.Quantile(0.99); got != 2 {
 		t.Fatalf("overflow quantile = %v, want 2", got)
@@ -85,7 +85,7 @@ func TestHistogramObserveNSnapshotRace(t *testing.T) {
 }
 
 func TestHistogramObserveNZero(t *testing.T) {
-	h := NewHistogram(nil)
+	h := newHistogram(nil)
 	h.ObserveN(1, 0)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatalf("ObserveN(_, 0) recorded something: count %d sum %v", h.Count(), h.Sum())

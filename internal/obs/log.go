@@ -21,7 +21,7 @@ func init() {
 // NewLogger builds a structured logger writing to w. json selects the
 // JSON handler (one object per line, for log shippers) over the
 // human-oriented text handler. The returned logger shares the package
-// level, so SetQuiet/SetLevel apply to it.
+// level, so SetQuiet applies to it.
 func NewLogger(w io.Writer, lvl slog.Level, json bool) *slog.Logger {
 	level.Set(lvl)
 	opts := &slog.HandlerOptions{Level: &level}
@@ -44,9 +44,6 @@ func SetLogger(l *slog.Logger) {
 		current.Store(l)
 	}
 }
-
-// SetLevel adjusts the dynamic level shared by loggers from NewLogger.
-func SetLevel(lvl slog.Level) { level.Set(lvl) }
 
 // SetQuiet suppresses Info/Debug output, keeping warnings and errors.
 func SetQuiet() { level.Set(slog.LevelWarn) }

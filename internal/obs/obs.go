@@ -68,12 +68,6 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current level.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -214,13 +208,6 @@ func (r *Registry) Lookup(name string) (any, bool) {
 		return nil, false
 	}
 	return e.m, true
-}
-
-// Names lists the registered metric names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
 }
 
 // GaugeVec is a family of gauges distinguished by one label value

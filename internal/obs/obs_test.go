@@ -23,7 +23,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				c.Add(1)
 				g.Add(0.5)
 				g.Add(-0.25)
 			}
@@ -46,7 +46,7 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 // TestHistogramConcurrent checks total counts and sums survive concurrent
 // observation.
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram([]float64{0.25, 0.5, 0.75, 1})
+	h := newHistogram([]float64{0.25, 0.5, 0.75, 1})
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -83,7 +83,7 @@ func TestQuantileAccuracy(t *testing.T) {
 	for i := range bounds {
 		bounds[i] = float64(i+1) * 0.05
 	}
-	h := NewHistogram(bounds)
+	h := newHistogram(bounds)
 	const n = 100000
 	for i := 0; i < n; i++ {
 		h.Observe(float64(i) / n) // uniform on [0,1)
@@ -96,11 +96,11 @@ func TestQuantileAccuracy(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want %v ± 0.05", tc.q, got, tc.want)
 		}
 	}
-	if got := NewHistogram(nil).Quantile(0.5); got != 0 {
+	if got := newHistogram(nil).Quantile(0.5); got != 0 {
 		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
 	// Observations beyond the last bound saturate at it.
-	h2 := NewHistogram([]float64{1, 2})
+	h2 := newHistogram([]float64{1, 2})
 	h2.Observe(50)
 	if got := h2.Quantile(0.99); got != 2 {
 		t.Errorf("overflow quantile = %v, want 2", got)
@@ -129,7 +129,7 @@ func TestVecChildren(t *testing.T) {
 	r := NewRegistry()
 	v := r.GaugeVec("rcode_total", "per rcode", "rcode")
 	v.With("NOERROR").Add(3)
-	v.With("NXDOMAIN").Inc()
+	v.With("NXDOMAIN").Add(1)
 	if got := v.With("NOERROR").Value(); got != 3 {
 		t.Errorf("NOERROR = %v", got)
 	}
@@ -162,7 +162,7 @@ func TestSnapshotJSON(t *testing.T) {
 	h := r.Histogram("lat_seconds", "", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
-	r.GaugeVec("byrcode_total", "", "rcode").With("NOERROR").Inc()
+	r.GaugeVec("byrcode_total", "", "rcode").With("NOERROR").Add(1)
 	snap := r.Snapshot()
 	if snap.Counter("q_total") != 42 {
 		t.Errorf("snapshot counter = %d", snap.Counter("q_total"))
@@ -194,7 +194,7 @@ func TestLoggerQuiet(t *testing.T) {
 	l := NewLogger(&buf, slog.LevelInfo, true)
 	l.Info("visible", "k", 1)
 	SetQuiet()
-	defer SetLevel(slog.LevelInfo)
+	defer level.Set(slog.LevelInfo)
 	l.Info("suppressed")
 	l.Warn("warned")
 	out := buf.String()

@@ -67,7 +67,7 @@ type RouteWindows struct {
 	Latency *WindowedHistogram
 	Errors  *WindowedCounter // 5xx responses
 
-	// slow is the route's slow-log shard, cached here so RecordRequest
+	// slow is the route's slow-log shard, cached here so RecordRequestAt
 	// can run the floor check without a second route lookup.
 	slow    *slowRouteLog
 	slowCap int
@@ -125,14 +125,6 @@ func NewObservatory(cfg ObservatoryConfig) *Observatory {
 	return o
 }
 
-// SlowLog returns the observatory's slow-query log.
-func (o *Observatory) SlowLog() *SlowLog {
-	if o == nil {
-		return nil
-	}
-	return o.slowlog
-}
-
 // Route returns (creating on first use) the windowed telemetry for a
 // route.
 func (o *Observatory) Route(route string) *RouteWindows {
@@ -167,7 +159,7 @@ func (o *Observatory) Route(route string) *RouteWindows {
 // WouldRetain reports whether a request this slow would currently enter
 // the slow-query log — a single atomic load, so hot paths can skip
 // building RequestOutcome.Detail for requests the log will reject.
-// Advisory: the floor can move between this check and RecordRequest.
+// Advisory: the floor can move between this check and RecordRequestAt.
 func (o *Observatory) WouldRetain(route string, seconds float64) bool {
 	if o == nil {
 		return false
@@ -175,19 +167,11 @@ func (o *Observatory) WouldRetain(route string, seconds float64) bool {
 	return o.Route(route).slow.aboveFloor(seconds)
 }
 
-// RecordRequest records one served request: latency into the route's
-// windowed histogram, 5xx into its windowed error counter, and the
-// request into the slow-query log.
-func (o *Observatory) RecordRequest(route string, seconds float64, status int, out RequestOutcome) {
-	if o == nil {
-		return
-	}
-	o.RecordRequestAt(o.clock(), route, seconds, status, out)
-}
-
-// RecordRequestAt is RecordRequest reusing a wall-clock timestamp the
-// caller already has (e.g. start.Add(elapsed)), saving a clock read per
-// request. An observatory on an injected clock ignores the hint and
+// RecordRequestAt records one served request at now, a wall-clock
+// timestamp the caller already has (e.g. start.Add(elapsed)), saving a
+// clock read per request: latency into the route's windowed histogram,
+// 5xx into its windowed error counter, and the request into the
+// slow-query log. An observatory on an injected clock ignores the hint and
 // keeps its own time, so deterministic tests stay deterministic.
 func (o *Observatory) RecordRequestAt(now time.Time, route string, seconds float64, status int, out RequestOutcome) {
 	if o == nil {
@@ -240,25 +224,6 @@ func (o *Observatory) Sketch(dim string) *TopK {
 		o.mu.Unlock()
 	}
 	return t
-}
-
-// RecordKey counts one occurrence of key in the named heavy-hitter
-// dimension (e.g. "domain", "provider").
-func (o *Observatory) RecordKey(dim, key string) {
-	if o == nil || key == "" {
-		return
-	}
-	o.Sketch(dim).Offer(key)
-}
-
-// TopKDim returns the sketch for one dimension (nil if never recorded).
-func (o *Observatory) TopKDim(dim string) *TopK {
-	if o == nil {
-		return nil
-	}
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.topks[dim]
 }
 
 // Scorecard evaluates every objective as of the observatory clock. It is

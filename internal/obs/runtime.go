@@ -186,14 +186,6 @@ func (c *RuntimeCollector) Poll() {
 	c.polls++
 }
 
-// Polls returns how many times the collector has read the runtime
-// metrics (tests use it to prove the loop stopped).
-func (c *RuntimeCollector) Polls() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.polls
-}
-
 // Close stops the poll loop and waits for it to exit. Safe to call more
 // than once.
 func (c *RuntimeCollector) Close() {

@@ -14,7 +14,7 @@ func TestRuntimeCollectorRegisters(t *testing.T) {
 	defer c.Close()
 
 	names := map[string]bool{}
-	for _, n := range reg.Names() {
+	for _, n := range reg.order {
 		names[n] = true
 	}
 	for _, want := range []string{
@@ -70,6 +70,13 @@ func TestRuntimeCollectorObservesGC(t *testing.T) {
 	}
 }
 
+// polls reads how many times c has read the runtime metrics.
+func polls(c *RuntimeCollector) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.polls
+}
+
 // TestRuntimeCollectorCloseStopsLoop proves Close terminates the poll
 // loop: after Close returns, the poll count stays frozen. Close is also
 // required to be idempotent.
@@ -77,16 +84,16 @@ func TestRuntimeCollectorCloseStopsLoop(t *testing.T) {
 	reg := NewRegistry()
 	c := StartRuntimeCollector(reg, time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Polls() < 3 && time.Now().Before(deadline) {
+	for polls(c) < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if c.Polls() < 3 {
+	if polls(c) < 3 {
 		t.Fatal("poll loop never ran")
 	}
 	c.Close()
-	n := c.Polls()
+	n := polls(c)
 	time.Sleep(20 * time.Millisecond)
-	if got := c.Polls(); got != n {
+	if got := polls(c); got != n {
 		t.Errorf("polls advanced after Close: %d -> %d", n, got)
 	}
 	c.Close() // idempotent
@@ -95,8 +102,8 @@ func TestRuntimeCollectorCloseStopsLoop(t *testing.T) {
 // TestObserveN checks the bulk observation path agrees with repeated
 // Observe calls on count, sum, and bucket placement.
 func TestObserveN(t *testing.T) {
-	a := NewHistogram([]float64{1, 10})
-	b := NewHistogram([]float64{1, 10})
+	a := newHistogram([]float64{1, 10})
+	b := newHistogram([]float64{1, 10})
 	a.ObserveN(5, 3)
 	a.ObserveN(0.5, 2)
 	for i := 0; i < 3; i++ {

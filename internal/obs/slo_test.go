@@ -28,10 +28,10 @@ func testObservatory(clk *fakeClock, reg *Registry) *Observatory {
 // observatory's current clock.
 func loadMixed(o *Observatory) {
 	for i := 0; i < 990; i++ {
-		o.RecordRequest("r", 0.0008, 200, RequestOutcome{CacheHit: i%2 == 0})
+		o.RecordRequestAt(o.clock(), "r", 0.0008, 200, RequestOutcome{CacheHit: i%2 == 0})
 	}
 	for i := 0; i < 10; i++ {
-		o.RecordRequest("r", 0.05, 500, RequestOutcome{})
+		o.RecordRequestAt(o.clock(), "r", 0.05, 500, RequestOutcome{})
 	}
 }
 
@@ -125,9 +125,9 @@ func TestPublishGaugesAndTransitions(t *testing.T) {
 	reg := NewRegistry()
 	o := testObservatory(clk, reg)
 	loadMixed(o)
-	o.RecordKey("domain", "alpha.com")
-	o.RecordKey("domain", "alpha.com")
-	o.RecordKey("domain", "beta.com")
+	o.Sketch("domain").Offer("alpha.com")
+	o.Sketch("domain").Offer("alpha.com")
+	o.Sketch("domain").Offer("beta.com")
 
 	o.Publish()
 
@@ -184,8 +184,10 @@ func TestSLOHandler(t *testing.T) {
 
 func TestObservatoryNilSafe(t *testing.T) {
 	var o *Observatory
-	o.RecordRequest("r", 0.001, 200, RequestOutcome{})
-	o.RecordKey("domain", "x")
+	o.RecordRequestAt(time.Now(), "r", 0.001, 200, RequestOutcome{})
+	if o.Sketch("domain") != nil {
+		t.Fatalf("nil observatory sketch != nil")
+	}
 	if o.Summary() != nil {
 		t.Fatalf("nil observatory summary != nil")
 	}
@@ -197,7 +199,7 @@ func TestObservatorySummary(t *testing.T) {
 	clk := newFakeClock()
 	o := testObservatory(clk, nil)
 	loadMixed(o)
-	o.RecordKey("domain", "alpha.com")
+	o.Sketch("domain").Offer("alpha.com")
 
 	sum := o.Summary()
 	r := sum.Routes["r"]

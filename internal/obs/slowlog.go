@@ -55,19 +55,6 @@ func NewSlowLog(perRoute int) *SlowLog {
 	return &SlowLog{perRoute: perRoute, routes: make(map[string]*slowRouteLog)}
 }
 
-// Capacity returns the per-route retention limit.
-func (l *SlowLog) Capacity() int { return l.perRoute }
-
-// Record offers one request to the log; it is retained if its route's
-// heap has room or it is slower than the current floor.
-func (l *SlowLog) Record(q SlowQuery) {
-	r := l.route(q.Route)
-	if !r.aboveFloor(q.Seconds) {
-		return
-	}
-	r.offer(q, l.perRoute)
-}
-
 // aboveFloor reports whether a latency would currently be retained: a
 // single atomic load, so hot paths can skip building the SlowQuery (and
 // its Detail string) for the common fast request.

@@ -8,10 +8,17 @@ import (
 	"testing"
 )
 
+// record offers q to l the way Observatory.RecordRequestAt does.
+func record(l *SlowLog, q SlowQuery) {
+	if r := l.route(q.Route); r.aboveFloor(q.Seconds) {
+		r.offer(q, l.perRoute)
+	}
+}
+
 func TestSlowLogRetainsSlowest(t *testing.T) {
 	l := NewSlowLog(4)
 	for i := 1; i <= 10; i++ {
-		l.Record(SlowQuery{Route: "r", Detail: fmt.Sprintf("q%d", i), Seconds: float64(i)})
+		record(l, SlowQuery{Route: "r", Detail: fmt.Sprintf("q%d", i), Seconds: float64(i)})
 	}
 	got := l.Entries("r")
 	if len(got) != 4 {
@@ -25,13 +32,13 @@ func TestSlowLogRetainsSlowest(t *testing.T) {
 
 	// A fast request after the heap is full is rejected on the atomic
 	// floor without displacing anything.
-	l.Record(SlowQuery{Route: "r", Seconds: 0.5})
+	record(l, SlowQuery{Route: "r", Seconds: 0.5})
 	if got := l.Entries("r"); len(got) != 4 || got[3].Seconds != 7 {
 		t.Fatalf("fast request displaced an entry: %+v", got)
 	}
 
 	// A slower one replaces the floor entry.
-	l.Record(SlowQuery{Route: "r", Seconds: 7.5})
+	record(l, SlowQuery{Route: "r", Seconds: 7.5})
 	got = l.Entries("r")
 	if got[3].Seconds != 7.5 {
 		t.Fatalf("floor not replaced: %+v", got)
@@ -44,8 +51,8 @@ func TestSlowLogRetainsSlowest(t *testing.T) {
 
 func TestSlowLogRoutesIsolated(t *testing.T) {
 	l := NewSlowLog(2)
-	l.Record(SlowQuery{Route: "a", Seconds: 1})
-	l.Record(SlowQuery{Route: "b", Seconds: 2})
+	record(l, SlowQuery{Route: "a", Seconds: 1})
+	record(l, SlowQuery{Route: "b", Seconds: 2})
 	if routes := l.Routes(); len(routes) != 2 || routes[0] != "a" || routes[1] != "b" {
 		t.Fatalf("routes = %v", routes)
 	}
@@ -57,9 +64,9 @@ func TestSlowLogRoutesIsolated(t *testing.T) {
 func TestSlowLogHandler(t *testing.T) {
 	l := NewSlowLog(8)
 	for i := 1; i <= 6; i++ {
-		l.Record(SlowQuery{Route: "domain", Detail: fmt.Sprintf("/v1/domain/d%d.com", i), Seconds: float64(i), Status: 200, Admission: AdmissionOK})
+		record(l, SlowQuery{Route: "domain", Detail: fmt.Sprintf("/v1/domain/d%d.com", i), Seconds: float64(i), Status: 200, Admission: AdmissionOK})
 	}
-	l.Record(SlowQuery{Route: "day", Seconds: 0.5, Status: 200, Admission: AdmissionOK})
+	record(l, SlowQuery{Route: "day", Seconds: 0.5, Status: 200, Admission: AdmissionOK})
 
 	rec := httptest.NewRecorder()
 	l.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slowlog?route=domain&n=3", nil))
@@ -90,7 +97,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				l.Record(SlowQuery{Route: "r", Seconds: float64(g*1000 + i)})
+				record(l, SlowQuery{Route: "r", Seconds: float64(g*1000 + i)})
 				if i%100 == 0 {
 					l.Entries("r")
 				}

@@ -122,14 +122,8 @@ func NewWindowedCounter(step, span time.Duration, clock Clock) *WindowedCounter 
 	return w
 }
 
-// Step returns the bucket width.
-func (w *WindowedCounter) Step() time.Duration { return w.ring.Step() }
-
 // Span returns the longest answerable window.
 func (w *WindowedCounter) Span() time.Duration { return w.ring.Span() }
-
-// Add records n events now.
-func (w *WindowedCounter) Add(n int64) { w.AddAt(w.ring.clock(), n) }
 
 // AddAt records n events at time t (the injectable-clock form).
 func (w *WindowedCounter) AddAt(t time.Time, n int64) {
@@ -180,20 +174,6 @@ func (w *WindowedCounter) TotalAt(t time.Time, window time.Duration) int64 {
 	return sum
 }
 
-// Rate returns events per second over the trailing window.
-func (w *WindowedCounter) Rate(window time.Duration) float64 {
-	return w.RateAt(w.ring.clock(), window)
-}
-
-// RateAt is Rate evaluated as of time t.
-func (w *WindowedCounter) RateAt(t time.Time, window time.Duration) float64 {
-	sec := (time.Duration(w.ring.ticksFor(window)) * w.ring.Step()).Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(w.TotalAt(t, window)) / sec
-}
-
 // WindowedHistogram is a fixed-bucket histogram per ring slot: Observe
 // lands in the current slot, and Merged folds the trailing window's
 // slots into one WindowSnapshot for quantile and threshold queries. It
@@ -235,17 +215,8 @@ func NewWindowedHistogram(bounds []float64, step, span time.Duration, clock Cloc
 	return w
 }
 
-// Step returns the bucket width.
-func (w *WindowedHistogram) Step() time.Duration { return w.ring.Step() }
-
 // Span returns the longest answerable window.
 func (w *WindowedHistogram) Span() time.Duration { return w.ring.Span() }
-
-// Bounds returns the value-bucket upper bounds (excluding +Inf).
-func (w *WindowedHistogram) Bounds() []float64 { return append([]float64(nil), w.bounds...) }
-
-// Observe records one value now.
-func (w *WindowedHistogram) Observe(v float64) { w.ObserveAt(w.ring.clock(), v) }
 
 // ObserveAt records one value at time t (the injectable-clock form).
 func (w *WindowedHistogram) ObserveAt(t time.Time, v float64) {
@@ -336,14 +307,6 @@ type WindowSnapshot struct {
 // interpolation semantics as Histogram.Quantile; 0 when empty).
 func (s WindowSnapshot) Quantile(q float64) float64 {
 	return quantileFromCounts(s.Bounds, s.Counts, q)
-}
-
-// Mean returns the average observed value (0 when empty).
-func (s WindowSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // GoodCount returns how many observations were <= threshold, along with

@@ -34,11 +34,11 @@ func (c *fakeClock) Advance(d time.Duration) {
 func TestWindowedCounterRotation(t *testing.T) {
 	clk := newFakeClock()
 	w := NewWindowedCounter(10*time.Second, time.Hour, clk.Now)
-	if w.Step() != 10*time.Second || w.Span() != time.Hour {
-		t.Fatalf("geometry = %v/%v", w.Step(), w.Span())
+	if w.ring.Step() != 10*time.Second || w.Span() != time.Hour {
+		t.Fatalf("geometry = %v/%v", w.ring.Step(), w.Span())
 	}
 
-	w.Add(5)
+	w.AddAt(w.ring.clock(), 5)
 	if got := w.Total(FastWindow); got != 5 {
 		t.Fatalf("fast total = %d, want 5", got)
 	}
@@ -49,7 +49,7 @@ func TestWindowedCounterRotation(t *testing.T) {
 	// 29 steps later the t0 bucket is still the oldest of the 30 the
 	// fast window covers; one more step rotates it out exactly.
 	clk.Advance(4*time.Minute + 50*time.Second)
-	w.Add(2)
+	w.AddAt(w.ring.clock(), 2)
 	if got := w.Total(FastWindow); got != 7 {
 		t.Fatalf("fast total at edge = %d, want 7", got)
 	}
@@ -68,7 +68,7 @@ func TestWindowedCounterRotation(t *testing.T) {
 	}
 
 	// Ring reuse after wraparound only sees the fresh write.
-	w.Add(3)
+	w.AddAt(w.ring.clock(), 3)
 	if got := w.Total(SlowWindow); got != 3 {
 		t.Fatalf("slow total after wraparound = %d, want 3", got)
 	}
@@ -81,25 +81,13 @@ func TestWindowedCounterRotation(t *testing.T) {
 	}
 }
 
-func TestWindowedCounterRate(t *testing.T) {
-	clk := newFakeClock()
-	w := NewWindowedCounter(10*time.Second, time.Hour, clk.Now)
-	w.Add(600)
-	if got, want := w.Rate(FastWindow), 600.0/300.0; got != want {
-		t.Fatalf("rate = %v, want %v", got, want)
-	}
-	if got := w.Rate(0); got < 0 {
-		t.Fatalf("degenerate-window rate = %v", got)
-	}
-}
-
 func TestWindowedHistogramRotation(t *testing.T) {
 	clk := newFakeClock()
 	bounds := []float64{0.001, 0.01, 0.1}
 	w := NewWindowedHistogram(bounds, 10*time.Second, time.Hour, clk.Now)
 
-	w.Observe(0.0005)
-	w.Observe(0.05)
+	w.ObserveAt(w.ring.clock(), 0.0005)
+	w.ObserveAt(w.ring.clock(), 0.05)
 	fast := w.Merged(FastWindow)
 	if fast.Count != 2 || fast.Sum != 0.0505 {
 		t.Fatalf("fast merged = count %d sum %v", fast.Count, fast.Sum)
@@ -121,7 +109,7 @@ func TestWindowedHistogramRotation(t *testing.T) {
 		t.Fatalf("slow count past span = %d, want 0", got)
 	}
 
-	w.Observe(0.2)
+	w.ObserveAt(w.ring.clock(), 0.2)
 	reused := w.Merged(FastWindow)
 	if reused.Count != 1 || reused.Counts[3] != 1 {
 		t.Fatalf("after reuse: count %d overflow %d", reused.Count, reused.Counts[3])
@@ -132,9 +120,9 @@ func TestWindowedHistogramQuantileDeterministic(t *testing.T) {
 	clk := newFakeClock()
 	w := NewWindowedHistogram(nil, 10*time.Second, time.Hour, clk.Now)
 	for i := 0; i < 99; i++ {
-		w.Observe(0.0008) // bucket (0.0005, 0.001]
+		w.ObserveAt(w.ring.clock(), 0.0008) // bucket (0.0005, 0.001]
 	}
-	w.Observe(0.05)
+	w.ObserveAt(w.ring.clock(), 0.05)
 	s := w.Merged(FastWindow)
 	if got := s.Quantile(0.99); got != 0.001 {
 		t.Fatalf("p99 = %v, want 0.001", got)
@@ -144,18 +132,15 @@ func TestWindowedHistogramQuantileDeterministic(t *testing.T) {
 	if got := s.Quantile(0.50); got != want {
 		t.Fatalf("p50 = %v, want %v", got, want)
 	}
-	if got := s.Mean(); got == 0 {
-		t.Fatalf("mean = 0 on populated window")
-	}
 }
 
 func TestWindowSnapshotGoodCount(t *testing.T) {
 	clk := newFakeClock()
 	w := NewWindowedHistogram([]float64{0.001, 0.01, 0.1}, 10*time.Second, time.Hour, clk.Now)
-	w.Observe(0.0005)
-	w.Observe(0.005)
-	w.Observe(0.05)
-	w.Observe(5) // overflow
+	w.ObserveAt(w.ring.clock(), 0.0005)
+	w.ObserveAt(w.ring.clock(), 0.005)
+	w.ObserveAt(w.ring.clock(), 0.05)
+	w.ObserveAt(w.ring.clock(), 5) // overflow
 	s := w.Merged(FastWindow)
 
 	// 0.002 is not a bucket bound: snaps up to 0.01.
@@ -175,9 +160,6 @@ func TestWindowSnapshotGoodCount(t *testing.T) {
 	empty := WindowSnapshot{}
 	if got := empty.Quantile(0.99); got != 0 {
 		t.Fatalf("empty snapshot quantile = %v", got)
-	}
-	if got := empty.Mean(); got != 0 {
-		t.Fatalf("empty snapshot mean = %v", got)
 	}
 }
 
@@ -214,8 +196,8 @@ func TestWindowedConcurrentFixedTick(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for j := 0; j < perWorker; j++ {
-				h.Observe(0.001)
-				c.Add(1)
+				h.ObserveAt(h.ring.clock(), 0.001)
+				c.AddAt(c.ring.clock(), 1)
 			}
 		}()
 	}
@@ -251,8 +233,8 @@ func TestWindowedConcurrentRotation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perWorker; j++ {
-				h.Observe(0.0005)
-				c.Add(1)
+				h.ObserveAt(h.ring.clock(), 0.0005)
+				c.AddAt(c.ring.clock(), 1)
 				if j%64 == 0 {
 					h.Merged(5 * time.Millisecond)
 					c.Total(5 * time.Millisecond)
@@ -277,8 +259,8 @@ func TestWindowedRegistryExposition(t *testing.T) {
 	c := NewWindowedCounter(10*time.Second, time.Hour, clk.Now)
 	reg.RegisterWindowCounter("test_window_errors", "rolling errors", c)
 
-	h.Observe(0.002)
-	c.Add(4)
+	h.ObserveAt(h.ring.clock(), 0.002)
+	c.AddAt(c.ring.clock(), 4)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

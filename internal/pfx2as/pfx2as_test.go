@@ -278,8 +278,8 @@ func TestImplementationsAgree(t *testing.T) {
 }
 
 // TestRIBSnapshotRoundTrip feeds a bgp.RIB snapshot through Parse and
-// checks lookups match the RIB's own view — the exact path the daily
-// measurement pipeline takes.
+// checks lookups find each address's most specific announcement, MOAS
+// included — the exact path the daily measurement pipeline takes.
 func TestRIBSnapshotRoundTrip(t *testing.T) {
 	rib := bgp.NewRIB()
 	rib.Announce(netip.MustParsePrefix("10.0.0.0/8"), 100)
@@ -292,18 +292,18 @@ func TestRIBSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := NewWalk(entries)
-	for _, a := range []string{"10.0.0.1", "10.1.2.3", "203.0.113.9"} {
-		addr := netip.MustParseAddr(a)
-		ribOrigins, _, ribOK := rib.Origins(addr)
-		tblOrigins, tblOK := tbl.Lookup(addr)
-		if ribOK != tblOK || len(ribOrigins) != len(tblOrigins) {
-			t.Errorf("%s: rib %v/%v, table %v/%v", a, ribOrigins, ribOK, tblOrigins, tblOK)
-			continue
-		}
-		for i := range ribOrigins {
-			if uint32(ribOrigins[i]) != tblOrigins[i] {
-				t.Errorf("%s: origin %d mismatch", a, i)
-			}
+	for _, c := range []struct {
+		addr string
+		want Origins
+	}{
+		{"10.0.0.1", Origins{100}},
+		{"10.1.2.3", Origins{200}},
+		{"203.0.113.9", Origins{19551, 55002}},
+		{"192.0.2.1", nil},
+	} {
+		got, ok := tbl.Lookup(netip.MustParseAddr(c.addr))
+		if ok != (c.want != nil) || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: table %v/%v, want %v", c.addr, got, ok, c.want)
 		}
 	}
 }

@@ -32,11 +32,11 @@ func TestReaderSweepAllocs(t *testing.T) {
 	}
 	sweep(t, path) // warm: the pools now hold blocks that grew with headroom
 	got := allocated(func() { sweep(t, path) })
-	// Measured: 94 KB for 72 partitions — Open's dictionary (63 KB) and
-	// directory, then a channel, a cache entry and a closure per acquire,
-	// some 430 bytes a partition — against a largest partition of 248 KB
-	// and 7.1 MB in all; the budget is 1.5× that. Exact-fit or per-Reader
-	// pools allocated 8.2 MB here.
+	// Measured: 83 KB for 72 partitions — Open's dictionary (63 KB) and
+	// directory, then a release closure per acquire, some 280 bytes a
+	// partition — against a largest partition of 248 KB and 7.1 MB in
+	// all; the budget is 1.8× that. Exact-fit or per-Reader pools
+	// allocated 8.2 MB here.
 	if budget := largest * 3 / 5; got > budget {
 		t.Errorf("warm sweep of %d partitions (%d bytes, largest %d) allocated %d bytes, budget %d",
 			len(lay.parts), total, largest, got, budget)

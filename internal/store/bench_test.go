@@ -196,18 +196,3 @@ func BenchmarkDirectoryLookupScan(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStoreScanID is BenchmarkStoreScan in ID space: same rows, no
-// per-row string materialization.
-func BenchmarkStoreScanID(b *testing.B) {
-	s, day := benchBlock(30_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		s.ForEachRowID("com", day, func(RowID) { n++ })
-		if n == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}

@@ -209,7 +209,7 @@ func TestSaveCrashMidStreamKeepsOldFile(t *testing.T) {
 	// part of the dictionary have already been written — the moral
 	// equivalent of kill -9 halfway through the stream.
 	bad := populatedStore()
-	bad.Dict().ID(strings.Repeat("x", 1<<16+1))
+	id(bad.Dict(), strings.Repeat("x", 1<<16+1))
 	if err := bad.Save(path); err == nil {
 		t.Fatal("mid-stream save failure not reported")
 	}

@@ -18,16 +18,11 @@ var (
 	mQuarantined = obs.Default().Counter("store_quarantined_partitions_total",
 		"damaged partitions moved into quarantine/ by salvaging loads")
 	// Read path (store.Reader): AcquireBatch's traffic — on-demand
-	// partition decodes, LRU hits, and raw bytes pread. The three
-	// counters move in AcquireBatch only, not when Load or Verify read
-	// through the same Reader, so they stay a measure of streaming reads.
-	// A high decode:hit ratio on an interactive consumer means the cache
-	// is undersized; streaming sweeps visit each partition once, so
-	// decodes ≈ partitions is expected there.
+	// partition decodes and raw bytes pread. The counters move in
+	// AcquireBatch only, not when Load or Verify read through the same
+	// Reader, so they stay a measure of streaming reads.
 	mReaderPartitionsDecoded = obs.Default().Counter("store_reader_partitions_decoded_total",
 		"partitions decoded on demand by streaming readers")
-	mReaderCacheHits = obs.Default().Counter("store_reader_cache_hits_total",
-		"partition acquisitions served from a reader's decoded-partition LRU")
 	mReaderBytesRead = obs.Default().Counter("store_reader_bytes_read_total",
 		"partition bytes pread from dataset files by streaming readers")
 )

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dpsadopt/internal/simtime"
 )
@@ -27,11 +28,12 @@ import (
 // the file is trusted before the bytes carrying it passed their checksum,
 // and none sizes an allocation beyond the bytes that back it.
 //
-// Each AcquireBatch miss is one pread of the partition's byte range,
+// Each AcquireBatch is one pread of the partition's byte range,
 // CRC-verified against the directory entry over the same buffer that is
-// then decoded, cached in a small LRU of decoded partitions and backed by
-// the process-wide buffer pools below, so a full streaming sweep's
-// steady-state allocations stay bounded by the pools, not the dataset.
+// then decoded into a block from the process-wide pools below, so a full
+// streaming sweep's steady-state allocations stay bounded by the pools,
+// not the dataset. Nothing is cached: every consumer reads a partition
+// once per pass.
 //
 // A Reader is safe for concurrent use. AcquireBatch never writes: a
 // corrupt partition surfaces as a *CorruptPartitionError instead of being
@@ -52,12 +54,7 @@ type Reader struct {
 	dict     *Dict
 	dictErr  error
 
-	mu       sync.Mutex
-	closed   bool
-	cache    map[PartitionKey]*cachedBlock
-	lru      []PartitionKey // recency order, most recent last
-	capacity int
-	inflight map[PartitionKey]chan struct{}
+	closed atomic.Bool
 }
 
 // The decoded-block and raw-buffer pools are process-wide, not per Reader:
@@ -83,20 +80,6 @@ func fit[T any](buf []T, n int) []T {
 	}
 	return make([]T, n, n+n/8)
 }
-
-// cachedBlock is one decoded partition resident in the Reader's LRU.
-// pins counts outstanding acquires; only unpinned blocks are evicted, so
-// a batch stays valid until its release is called.
-type cachedBlock struct {
-	blk  *dayBlock
-	pins int
-}
-
-// DefaultCachePartitions is the decoded-partition LRU capacity a fresh
-// Reader starts with. Streaming detection visits each partition once, so
-// the cache exists for interactive consumers (dpsdata, repeated spool
-// reads); concurrent pins may push residency above it temporarily.
-const DefaultCachePartitions = 4
 
 // CorruptPartitionError reports a partition whose bytes failed the
 // checksum or structural validation during a streaming read — the
@@ -124,13 +107,7 @@ func Open(path string) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{
-		path:     path,
-		f:        f,
-		capacity: DefaultCachePartitions,
-		cache:    make(map[PartitionKey]*cachedBlock),
-		inflight: make(map[PartitionKey]chan struct{}),
-	}
+	r := &Reader{path: path, f: f}
 	if err := r.readLayout(); err != nil {
 		f.Close()
 		return nil, err
@@ -302,21 +279,11 @@ func parseDict(data []byte, partitions int) (*Dict, error) {
 	return d, nil
 }
 
-// Close releases the Reader and hands its unpinned cached blocks back to
-// the pool. A batch still outstanding keeps its block — it stays valid
-// until released and is then left to the collector. Acquires racing Close
-// fail with a read error.
+// Close releases the Reader's file. A batch still outstanding owns its
+// block and stays valid until released. Acquires racing Close fail with a
+// read error.
 func (r *Reader) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	for _, cb := range r.cache {
-		if cb.pins == 0 {
-			blockPool.Put(cb.blk)
-		}
-	}
-	r.cache = make(map[PartitionKey]*cachedBlock)
-	r.lru = nil
-	r.mu.Unlock()
+	r.closed.Store(true)
 	return r.f.Close()
 }
 
@@ -335,17 +302,6 @@ func (r *Reader) Keys() []PartitionKey {
 	return out
 }
 
-// setCachePartitions resizes the decoded-partition LRU (minimum 1).
-func (r *Reader) setCachePartitions(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.mu.Lock()
-	r.capacity = n
-	r.evictLocked()
-	r.mu.Unlock()
-}
-
 // SharedDict returns the file's dictionary, decoding it on first call.
 // It implements half of core's BatchSource contract; *Store carries the
 // same method for the in-memory side.
@@ -357,12 +313,12 @@ func (r *Reader) SharedDict() (*Dict, error) {
 	return r.dict, r.dictErr
 }
 
-// AcquireBatch decodes (or fetches from the LRU) one partition and
-// returns its columnar view plus a release func. The batch is valid only
-// until release is called — the backing columns may then be recycled for
-// another partition — and release must be called exactly once. A
-// checksum or structural failure returns a *CorruptPartitionError; a key
-// absent from the directory is a plain error.
+// AcquireBatch decodes one partition into a pooled block and returns its
+// columnar view plus a release func that hands the block back. The batch
+// is valid only until release is called — the backing columns may then be
+// recycled for another partition — and release must be called exactly
+// once. A checksum or structural failure returns a *CorruptPartitionError;
+// a key absent from the directory is a plain error.
 func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(), error) {
 	noop := func() {}
 	k := PartitionKey{Source: source, Day: day}
@@ -374,96 +330,21 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 	if err != nil {
 		return RowBatch{}, noop, err
 	}
-
-	r.mu.Lock()
-	for {
-		if r.closed {
-			r.mu.Unlock()
-			return RowBatch{}, noop, errors.New("store: reader closed")
-		}
-		if cb, ok := r.cache[k]; ok {
-			cb.pins++
-			r.touchLocked(k)
-			r.mu.Unlock()
-			mReaderCacheHits.Inc()
-			return cb.blk.batch(), func() { r.release(cb) }, nil
-		}
-		ch, busy := r.inflight[k]
-		if !busy {
-			break
-		}
-		// Another goroutine is decoding this partition: wait for it and
-		// re-check the cache rather than decoding twice.
-		r.mu.Unlock()
-		<-ch
-		r.mu.Lock()
+	if r.closed.Load() {
+		return RowBatch{}, noop, errors.New("store: reader closed")
 	}
-	ch := make(chan struct{})
-	r.inflight[k] = ch
-	r.mu.Unlock()
 
 	// The store_reader_* traffic counters are AcquireBatch's alone: Load
 	// and Verify share the primitives below but are not streaming reads.
 	blk := blockPool.Get().(*dayBlock)
 	err = r.decodePartition(&ent, dict.Len(), blk)
 	mReaderBytesRead.Add(int64(ent.length))
-
-	r.mu.Lock()
-	delete(r.inflight, k)
-	close(ch)
 	if err != nil {
-		r.mu.Unlock()
 		blockPool.Put(blk)
 		return RowBatch{}, noop, &CorruptPartitionError{Source: ent.Source, Day: ent.Day, Err: err}
 	}
 	mReaderPartitionsDecoded.Inc()
-	cb := &cachedBlock{blk: blk, pins: 1}
-	r.cache[k] = cb
-	r.lru = append(r.lru, k)
-	r.evictLocked()
-	r.mu.Unlock()
-	return blk.batch(), func() { r.release(cb) }, nil
-}
-
-func (r *Reader) release(cb *cachedBlock) {
-	r.mu.Lock()
-	cb.pins--
-	r.evictLocked()
-	r.mu.Unlock()
-}
-
-// touchLocked moves k to the most-recent end of the LRU order.
-func (r *Reader) touchLocked(k PartitionKey) {
-	for i := range r.lru {
-		if r.lru[i] == k {
-			copy(r.lru[i:], r.lru[i+1:])
-			r.lru[len(r.lru)-1] = k
-			return
-		}
-	}
-}
-
-// evictLocked drops least-recently-used unpinned blocks until the cache
-// fits. Pinned blocks are never evicted, so concurrent acquires can push
-// residency above capacity until their releases land.
-func (r *Reader) evictLocked() {
-	for len(r.lru) > r.capacity {
-		victim := -1
-		for i, k := range r.lru {
-			if r.cache[k].pins == 0 {
-				victim = i
-				break
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		k := r.lru[victim]
-		blk := r.cache[k].blk
-		delete(r.cache, k)
-		r.lru = append(r.lru[:victim], r.lru[victim+1:]...)
-		blockPool.Put(blk)
-	}
+	return blk.batch(), func() { blockPool.Put(blk) }, nil
 }
 
 // checkedBytes preads one partition's byte range into a pooled buffer

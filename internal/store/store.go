@@ -62,24 +62,6 @@ type Row struct {
 // string value).
 const NoStr = ^uint32(0)
 
-// RowID is one data point in dictionary-ID form: the zero-materialization
-// counterpart of Row. Consumers that stay in ID space (the detection
-// engine) never pay a Dict.Str resolution per row.
-type RowID struct {
-	// Domain is the dict ID of the domain name.
-	Domain uint32
-	Kind   Kind
-	// Addr is the IPv4 address as big-endian uint32; for IPv6 kinds it
-	// is an index into the batch's Addrs6 column.
-	Addr uint32
-	// Str is the dict ID of the CNAME target or NS host; NoStr for
-	// address rows.
-	Str uint32
-	// ASNs is the packed origin-AS view; must not be retained or
-	// mutated.
-	ASNs []uint32
-}
-
 // Dict interns strings (domain names, NS hosts, CNAME targets).
 type Dict struct {
 	mu   sync.RWMutex
@@ -90,13 +72,6 @@ type Dict struct {
 // NewDict creates an empty dictionary.
 func NewDict() *Dict {
 	return &Dict{ids: make(map[string]uint32)}
-}
-
-// ID interns s. (Writers intern at commit, under one lock per commit.)
-func (d *Dict) ID(s string) uint32 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.intern(s)
 }
 
 // intern is ID with d.mu held for writing.
@@ -455,25 +430,6 @@ func (s *Store) RowBatch(source string, day simtime.Day) (RowBatch, bool) {
 		asnOff:  b.asnOff,
 		asnVals: b.asnVals,
 	}, true
-}
-
-// ForEachRowID streams one partition's rows in dictionary-ID form: no
-// string materialization, no per-row dict lock. The ASNs slice must not
-// be retained. For the tightest loops, index a RowBatch directly.
-func (s *Store) ForEachRowID(source string, day simtime.Day, fn func(RowID)) {
-	b, ok := s.RowBatch(source, day)
-	if !ok {
-		return
-	}
-	for i, n := 0, b.Rows(); i < n; i++ {
-		fn(RowID{
-			Domain: b.Domains[i],
-			Kind:   b.Kinds[i],
-			Addr:   b.Addrs[i],
-			Str:    b.Strs[i],
-			ASNs:   b.ASNs(i),
-		})
-	}
 }
 
 // ForEachRow streams one partition's rows in presentation form — the

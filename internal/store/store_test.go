@@ -13,14 +13,21 @@ import (
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
+// id interns s in d, under the lock a commit holds.
+func id(d *Dict, s string) uint32 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.intern(s)
+}
+
 func TestDict(t *testing.T) {
 	d := NewDict()
-	a := d.ID("example.com")
-	b := d.ID("other.com")
+	a := id(d, "example.com")
+	b := id(d, "other.com")
 	if a == b {
 		t.Fatal("distinct strings share ID")
 	}
-	if d.ID("example.com") != a {
+	if id(d, "example.com") != a {
 		t.Fatal("re-intern changed ID")
 	}
 	if d.Str(a) != "example.com" || d.Str(b) != "other.com" {
@@ -156,7 +163,7 @@ func TestCommitRemap(t *testing.T) {
 	w.Commit()
 	wantIDs := map[string]uint32{"a.com": 0, "b.com": 1, "ns.example": 2, "c.com": 3}
 	for str, id := range wantIDs {
-		if got := one.Dict().ID(str); got != id {
+		if got, ok := one.Dict().ids[str]; !ok || got != id {
 			t.Errorf("dict ID of %q = %d, want %d (row order, domain then value)", str, got, id)
 		}
 	}
@@ -343,11 +350,11 @@ func TestIPv6Rows(t *testing.T) {
 	}
 }
 
-// TestForEachRowIDAgreesWithForEachRow builds a randomized store —
-// several interleaved writer commits with a mix of address, CNAME, NS,
-// IPv4 and IPv6 rows — and demands that the ID-space iterator resolve to
-// exactly the presentation rows, in the same order.
-func TestForEachRowIDAgreesWithForEachRow(t *testing.T) {
+// TestRowBatchAgreesWithForEachRow builds a randomized store — several
+// interleaved writer commits with a mix of address, CNAME, NS, IPv4 and
+// IPv6 rows — and demands that the ID-space batch resolve to exactly the
+// presentation rows, in the same order.
+func TestRowBatchAgreesWithForEachRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := New()
 	day := simtime.Day(7)
@@ -385,33 +392,28 @@ func TestForEachRowIDAgreesWithForEachRow(t *testing.T) {
 	}
 
 	dict := s.Dict()
-	i := 0
-	s.ForEachRowID("com", day, func(r RowID) {
-		w := want[i]
-		if dict.Str(r.Domain) != w.Domain || r.Kind != w.Kind {
-			t.Fatalf("row %d: (%s, %v) vs (%s, %v)", i, dict.Str(r.Domain), r.Kind, w.Domain, w.Kind)
-		}
-		if r.Str == NoStr {
-			if w.Str != "" {
-				t.Fatalf("row %d: ID form has no string, presentation has %q", i, w.Str)
-			}
-		} else if got := dict.Str(r.Str); got != w.Str {
-			t.Fatalf("row %d: Str %q vs %q", i, got, w.Str)
-		}
-		if !reflect.DeepEqual(append([]uint32{}, r.ASNs...), append([]uint32{}, w.ASNs...)) {
-			t.Fatalf("row %d: ASNs %v vs %v", i, r.ASNs, w.ASNs)
-		}
-		i++
-	})
-	if i != total {
-		t.Fatalf("ForEachRowID yielded %d rows, want %d", i, total)
-	}
-
-	// The batch view resolves addresses identically (both families).
 	b, ok := s.RowBatch("com", day)
 	if !ok || b.Rows() != total {
 		t.Fatalf("RowBatch: ok=%v rows=%d", ok, b.Rows())
 	}
+	for i := 0; i < b.Rows(); i++ {
+		w := want[i]
+		if dict.Str(b.Domains[i]) != w.Domain || b.Kinds[i] != w.Kind {
+			t.Fatalf("row %d: (%s, %v) vs (%s, %v)", i, dict.Str(b.Domains[i]), b.Kinds[i], w.Domain, w.Kind)
+		}
+		if b.Strs[i] == NoStr {
+			if w.Str != "" {
+				t.Fatalf("row %d: ID form has no string, presentation has %q", i, w.Str)
+			}
+		} else if got := dict.Str(b.Strs[i]); got != w.Str {
+			t.Fatalf("row %d: Str %q vs %q", i, got, w.Str)
+		}
+		if !reflect.DeepEqual(append([]uint32{}, b.ASNs(i)...), append([]uint32{}, w.ASNs...)) {
+			t.Fatalf("row %d: ASNs %v vs %v", i, b.ASNs(i), w.ASNs)
+		}
+	}
+
+	// The batch view resolves addresses identically (both families).
 	for j := 0; j < b.Rows(); j++ {
 		if r := b.Row(j, dict); r.Addr != want[j].Addr {
 			t.Fatalf("row %d: Addr %v vs %v", j, r.Addr, want[j].Addr)

@@ -123,14 +123,6 @@ func (s *Span) TraceID() TraceID {
 	return s.rec.Trace
 }
 
-// Tracer returns the owning tracer (nil for a nil span).
-func (s *Span) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
 // SetAttr annotates the span; no-op on nil.
 func (s *Span) SetAttr(attrs ...Attr) {
 	if s == nil {
@@ -276,9 +268,6 @@ func (t *Tracer) SampleName(name string) bool {
 	// Map the hash to [0,1) and compare against the rate.
 	return float64(h.Sum64()>>11)/float64(1<<53) < t.sample
 }
-
-// Enabled reports whether the tracer records anything at all (nil-safe).
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // StartRoot begins a new trace with a root span and returns a context
 // carrying it. On a nil tracer it returns ctx and a nil span.

@@ -320,15 +320,6 @@ func (UDP) Listen(addr netip.AddrPort) (Conn, error) {
 	return &udpConn{c: uc}, nil
 }
 
-// Dial implements Network.
-func (UDP) Dial(local netip.Addr) (Conn, error) {
-	uc, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(netip.AddrPortFrom(local, 0)))
-	if err != nil {
-		return nil, err
-	}
-	return &udpConn{c: uc}, nil
-}
-
 type udpConn struct {
 	c *net.UDPConn
 }

@@ -195,7 +195,7 @@ func TestUDPRoundTrip(t *testing.T) {
 		t.Skipf("cannot bind UDP: %v", err)
 	}
 	defer srv.Close()
-	cli, err := n.Dial(netip.MustParseAddr("127.0.0.1"))
+	cli, err := n.Listen(ap("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestUDPRoundTrip(t *testing.T) {
 
 func TestUDPTimeout(t *testing.T) {
 	var n UDP
-	cli, err := n.Dial(netip.MustParseAddr("127.0.0.1"))
+	cli, err := n.Listen(ap("127.0.0.1:0"))
 	if err != nil {
 		t.Skipf("cannot bind UDP: %v", err)
 	}

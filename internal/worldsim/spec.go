@@ -39,14 +39,6 @@ const (
 
 var profileNames = [...]string{"A", "CNAME", "NS-proxied", "NS-only", "BGP"}
 
-// String names the profile.
-func (p Profile) String() string {
-	if int(p) < len(profileNames) {
-		return profileNames[p]
-	}
-	return "?"
-}
-
 // ASSpec is one autonomous system of a provider or operator.
 type ASSpec struct {
 	ASN  bgp.ASN

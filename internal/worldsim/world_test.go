@@ -7,6 +7,7 @@ import (
 
 	"dpsadopt/internal/bgp"
 	"dpsadopt/internal/ipam"
+	"dpsadopt/internal/pfx2as"
 	"dpsadopt/internal/simtime"
 )
 
@@ -41,8 +42,14 @@ func TestWorldSizes(t *testing.T) {
 	// gTLD active counts: start ≈ 7000, end ≈ 7610 (1.087×).
 	start, end := 0, 0
 	for _, tld := range GTLDs() {
-		start += w.TLDs[tld].ActiveCount(0)
-		end += w.TLDs[tld].ActiveCount(549)
+		for _, d := range w.TLDs[tld].Domains {
+			if d.Active.Contains(0) {
+				start++
+			}
+			if d.Active.Contains(549) {
+				end++
+			}
+		}
 	}
 	ratio := float64(end) / float64(start)
 	if ratio < 1.06 || ratio > 1.12 {
@@ -112,7 +119,7 @@ func TestStateCloudFlareNSProxied(t *testing.T) {
 	}
 	// Address must be CloudFlare-announced.
 	rib := w.RIBForDay(100)
-	origins, _, ok := rib.Origins(st.ApexA[0])
+	origins, ok := ribTable(t, rib).Lookup(st.ApexA[0])
 	if !ok || origins[0] != 13335 {
 		t.Errorf("apex origin = %v (%v)", origins, ok)
 	}
@@ -129,7 +136,7 @@ func TestStateIncapsulaCNAME(t *testing.T) {
 		t.Errorf("CNAME = %q", st.WWWCNAME)
 	}
 	rib := w.RIBForDay(100)
-	origins, _, _ := rib.Origins(st.ApexA[0])
+	origins, _ := ribTable(t, rib).Lookup(st.ApexA[0])
 	if len(origins) == 0 || origins[0] != 19551 {
 		t.Errorf("origin = %v", origins)
 	}
@@ -159,7 +166,7 @@ func TestStateVerisignNSOnly(t *testing.T) {
 	}
 	// Addresses stay on the customer's own hosting: NOT Verisign ASes.
 	rib := w.RIBForDay(100)
-	origins, _, ok := rib.Origins(st.ApexA[0])
+	origins, ok := ribTable(t, rib).Lookup(st.ApexA[0])
 	if !ok {
 		t.Fatal("no route for NS-only customer address")
 	}
@@ -195,12 +202,12 @@ func TestStateOnDemandFlips(t *testing.T) {
 	// time of which the prior does not and the latter does reference a
 	// DPS" (§3.4).
 	rib := w.RIBForDay(peak.Start)
-	origins, _, _ := rib.Origins(inPeak.ApexA[0])
+	origins, _ := ribTable(t, rib).Lookup(inPeak.ApexA[0])
 	providerASNs := map[bgp.ASN]bool{}
 	for _, as := range w.Providers[c.Provider].Spec.ASes {
 		providerASNs[as.ASN] = true
 	}
-	if len(origins) == 0 || !providerASNs[origins[0]] {
+	if len(origins) == 0 || !providerASNs[bgp.ASN(origins[0])] {
 		t.Errorf("peak origin = %v, want one of %v", origins, providerASNs)
 	}
 }
@@ -225,7 +232,7 @@ func TestWixMarch2015Peak(t *testing.T) {
 		t.Errorf("quiet CNAME = %q", st.WWWCNAME)
 	}
 	rib := w.RIBForDay(quiet)
-	if o, _, _ := rib.Origins(st.ApexA[0]); len(o) == 0 || o[0] != 14618 {
+	if o, _ := ribTable(t, rib).Lookup(st.ApexA[0]); len(o) == 0 || o[0] != 14618 {
 		t.Errorf("quiet origin = %v", o)
 	}
 	// Peak day: no CNAME, A record in Wix space announced by Incapsula.
@@ -234,7 +241,7 @@ func TestWixMarch2015Peak(t *testing.T) {
 		t.Errorf("peak still has CNAME %q", st.WWWCNAME)
 	}
 	rib = w.RIBForDay(peak)
-	if o, _, _ := rib.Origins(st.ApexA[0]); len(o) == 0 || o[0] != 19551 {
+	if o, _ := ribTable(t, rib).Lookup(st.ApexA[0]); len(o) == 0 || o[0] != 19551 {
 		t.Errorf("peak origin = %v", o)
 	}
 	// NS stays Wix's own throughout.
@@ -263,10 +270,10 @@ func TestWixF5OpposingSwing(t *testing.T) {
 	if stQ.ApexA[0] != stP.ApexA[0] {
 		t.Errorf("BGP flip changed the address: %v vs %v", stQ.ApexA[0], stP.ApexA[0])
 	}
-	if o, _, _ := w.RIBForDay(quiet).Origins(stQ.ApexA[0]); len(o) == 0 || o[0] != 55002 {
+	if o, _ := ribTable(t, w.RIBForDay(quiet)).Lookup(stQ.ApexA[0]); len(o) == 0 || o[0] != 55002 {
 		t.Errorf("quiet origin = %v, want F5", o)
 	}
-	if o, _, _ := w.RIBForDay(peak).Origins(stP.ApexA[0]); len(o) == 0 || o[0] != 19551 {
+	if o, _ := ribTable(t, w.RIBForDay(peak)).Lookup(stP.ApexA[0]); len(o) == 0 || o[0] != 19551 {
 		t.Errorf("peak origin = %v, want Incapsula", o)
 	}
 }
@@ -292,7 +299,7 @@ func TestSedoOutage(t *testing.T) {
 		t.Error("Sedo domain should be back the next day")
 	}
 	// Normally an always-on Akamai customer.
-	if o, _, _ := w.RIBForDay(outage + 1).Origins(st.ApexA[0]); len(o) == 0 || o[0] != 20940 {
+	if o, _ := ribTable(t, w.RIBForDay(outage+1)).Lookup(st.ApexA[0]); len(o) == 0 || o[0] != 20940 {
 		t.Errorf("Sedo baseline origin = %v, want Akamai", o)
 	}
 	if !hasSuffix(st.NSHosts[0], ".sedoparking.com") {
@@ -315,11 +322,11 @@ func TestFabulousTermination(t *testing.T) {
 		t.Fatal("no Fabulous domain")
 	}
 	stB := w.StateFor(d, before)
-	if o, _, _ := w.RIBForDay(before).Origins(stB.ApexA[0]); len(o) == 0 || o[0] != 3561 {
+	if o, _ := ribTable(t, w.RIBForDay(before)).Lookup(stB.ApexA[0]); len(o) == 0 || o[0] != 3561 {
 		t.Errorf("before origin = %v, want CenturyLink AS3561", o)
 	}
 	stA := w.StateFor(d, after)
-	if o, _, _ := w.RIBForDay(after).Origins(stA.ApexA[0]); len(o) == 0 || o[0] != 24940 {
+	if o, _ := ribTable(t, w.RIBForDay(after)).Lookup(stA.ApexA[0]); len(o) == 0 || o[0] != 24940 {
 		t.Errorf("after origin = %v, want Fabulous", o)
 	}
 }
@@ -343,7 +350,7 @@ func TestNamecheapEpisode(t *testing.T) {
 	if !hasSuffix(st.NSHosts[0], ".registrar-servers.com") {
 		t.Errorf("NS = %v", st.NSHosts)
 	}
-	if o, _, _ := w.RIBForDay(during).Origins(st.ApexA[0]); len(o) == 0 || o[0] != 13335 {
+	if o, _ := ribTable(t, w.RIBForDay(during)).Lookup(st.ApexA[0]); len(o) == 0 || o[0] != 13335 {
 		t.Errorf("episode origin = %v, want CloudFlare", o)
 	}
 }
@@ -385,6 +392,7 @@ func TestAnnounceRangeExactCover(t *testing.T) {
 	block := netip.MustParsePrefix("10.50.0.0/18")
 	announceRange(rib, block, 0, 550, 1111)
 	announceRange(rib, block, 550, int(ipam.HostCount(block)), 2222)
+	tbl := ribTable(t, rib)
 	for _, tc := range []struct {
 		n    uint64
 		want bgp.ASN
@@ -393,8 +401,8 @@ func TestAnnounceRangeExactCover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, _, ok := rib.Origins(a)
-		if !ok || o[0] != tc.want {
+		o, ok := tbl.Lookup(a)
+		if !ok || bgp.ASN(o[0]) != tc.want {
 			t.Errorf("addr %d: origins %v, want %v", tc.n, o, tc.want)
 		}
 	}
@@ -447,6 +455,17 @@ func TestNonexistentDomainState(t *testing.T) {
 	}
 }
 
+// ribTable is a day's RIB as the measurement looks it up: its pfx2as
+// snapshot, parsed.
+func ribTable(t *testing.T, rib *bgp.RIB) *pfx2as.Walk {
+	t.Helper()
+	tbl, err := pfx2as.FromSnapshot(rib.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 func hasSuffix(s, suffix string) bool {
 	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }
@@ -454,7 +473,7 @@ func hasSuffix(s, suffix string) bool {
 func TestDualStackState(t *testing.T) {
 	w := getWorld(t)
 	day := simtime.Day(100)
-	rib := w.RIBForDay(day)
+	tbl := ribTable(t, w.RIBForDay(day))
 	dualSeen, v4Only := 0, 0
 	for _, d := range w.Domains {
 		st := w.StateFor(d, day)
@@ -469,8 +488,8 @@ func TestDualStackState(t *testing.T) {
 			}
 			// Every published v6 address is routed, and for cloud-diverted
 			// customers it originates at the same provider as the v4.
-			o6, _, ok6 := rib.Origins(a6)
-			o4, _, ok4 := rib.Origins(st.ApexA[0])
+			o6, ok6 := tbl.Lookup(a6)
+			o4, ok4 := tbl.Lookup(st.ApexA[0])
 			if !ok6 || !ok4 {
 				t.Fatalf("%s: unrouted address (v4 ok=%v, v6 ok=%v)", d.Name, ok4, ok6)
 			}

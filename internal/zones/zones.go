@@ -121,27 +121,3 @@ func domainName(tld string, idx int) string {
 	}
 	return fmt.Sprintf("%s%d.%s", buf, idx, tld)
 }
-
-// ActiveCount returns the number of domains registered on the given day.
-func (t *TLD) ActiveCount(day simtime.Day) int {
-	n := 0
-	for i := range t.Domains {
-		if t.Domains[i].Active.Contains(day) {
-			n++
-		}
-	}
-	return n
-}
-
-// ObservedSLDs returns the number of unique names seen at any point during
-// the window — the Table 1 "#SLDs" statistic.
-func (t *TLD) ObservedSLDs() int { return len(t.Domains) }
-
-// ForEachActive calls fn for every domain index active on day.
-func (t *TLD) ForEachActive(day simtime.Day, fn func(i int, lt Lifetime)) {
-	for i := range t.Domains {
-		if t.Domains[i].Active.Contains(day) {
-			fn(i, t.Domains[i])
-		}
-	}
-}

@@ -26,21 +26,32 @@ func TestGrowthTargetsHit(t *testing.T) {
 		Seed:        1,
 	}
 	tld := build(t, cfg)
-	if got := tld.ActiveCount(0); got != 10000 {
+	if got := activeCount(tld, 0); got != 10000 {
 		t.Errorf("day 0 count = %d", got)
 	}
-	if got := tld.ActiveCount(99); got != 11000 {
+	if got := activeCount(tld, 99); got != 11000 {
 		t.Errorf("day 99 count = %d", got)
 	}
 	// Growth should be roughly monotone day over day.
-	prev := tld.ActiveCount(0)
+	prev := activeCount(tld, 0)
 	for d := simtime.Day(10); d < 100; d += 10 {
-		cur := tld.ActiveCount(d)
+		cur := activeCount(tld, d)
 		if cur < prev-20 {
 			t.Errorf("population dropped: day %d %d -> %d", d, prev, cur)
 		}
 		prev = cur
 	}
+}
+
+// activeCount is the number of t's domains registered on day.
+func activeCount(t *TLD, day simtime.Day) int {
+	n := 0
+	for _, d := range t.Domains {
+		if d.Active.Contains(day) {
+			n++
+		}
+	}
+	return n
 }
 
 func TestChurnCreatesTurnover(t *testing.T) {
@@ -53,14 +64,14 @@ func TestChurnCreatesTurnover(t *testing.T) {
 		Seed:        2,
 	}
 	tld := build(t, cfg)
-	if tld.ObservedSLDs() <= 5000 {
-		t.Errorf("no turnover: observed = %d", tld.ObservedSLDs())
+	if len(tld.Domains) <= 5000 {
+		t.Errorf("no turnover: observed = %d", len(tld.Domains))
 	}
 	// Observed should be ~5000 + 200*10 = ~7000.
-	if tld.ObservedSLDs() < 6500 || tld.ObservedSLDs() > 7500 {
-		t.Errorf("observed = %d, want ≈7000", tld.ObservedSLDs())
+	if len(tld.Domains) < 6500 || len(tld.Domains) > 7500 {
+		t.Errorf("observed = %d, want ≈7000", len(tld.Domains))
 	}
-	if got := tld.ActiveCount(199); got < 4950 || got > 5050 {
+	if got := activeCount(tld, 199); got < 4950 || got > 5050 {
 		t.Errorf("final count = %d, want ≈5000", got)
 	}
 }
@@ -74,7 +85,7 @@ func TestShrinkingTLD(t *testing.T) {
 		Seed:       3,
 	}
 	tld := build(t, cfg)
-	if got := tld.ActiveCount(49); got != 900 {
+	if got := activeCount(tld, 49); got != 900 {
 		t.Errorf("final = %d", got)
 	}
 }
@@ -106,30 +117,13 @@ func TestDeterministic(t *testing.T) {
 	}
 	a := build(t, cfg)
 	b := build(t, cfg)
-	if a.ObservedSLDs() != b.ObservedSLDs() {
+	if len(a.Domains) != len(b.Domains) {
 		t.Fatal("runs differ in size")
 	}
 	for i := range a.Domains {
 		if a.Domains[i] != b.Domains[i] {
 			t.Fatalf("domain %d differs", i)
 		}
-	}
-}
-
-func TestForEachActive(t *testing.T) {
-	tld := build(t, Config{
-		TLD: "com", Window: simtime.Range{Start: 0, End: 10},
-		StartCount: 100, EndCount: 110, Seed: 5,
-	})
-	n := 0
-	tld.ForEachActive(5, func(i int, lt Lifetime) {
-		if !lt.Active.Contains(5) {
-			t.Fatal("inactive domain visited")
-		}
-		n++
-	})
-	if n != tld.ActiveCount(5) {
-		t.Errorf("visited %d, ActiveCount %d", n, tld.ActiveCount(5))
 	}
 }
 

@@ -3,7 +3,8 @@
 # -help output against scripts/testdata/cli-help/<binary>.txt, so a flag
 # added, removed, renamed, re-typed or re-defaulted fails here and the
 # golden diff lists it; a golden file whose binary is gone fails too, and
-# so does a dpsreport that measures before rejecting a bad argument.
+# so does a dpsreport that measures before rejecting a bad argument or a
+# dpsapi that starts following a file.
 # After an intended change, regenerate the golden files with
 # `sh scripts/cli_help.sh -update` and commit them.
 set -eu
@@ -34,6 +35,13 @@ for args in "-artifact fig9" "-quiet-day nope"; do
 		status=1
 	fi
 done
+# dpsapi -follow takes a coordination directory: a regular file fails
+# at start-up with one error line (the timeout ends a server that starts).
+if out=$(cd "$bin" && timeout 10 ./dpsapi -quiet -addr 127.0.0.1:0 -follow dpsapi.txt 2>&1) ||
+	[ "$(printf '%s\n' "$out" | wc -l)" -ne 1 ]; then
+	printf 'cli-help: dpsapi -follow FILE: want one error line and exit != 0, got:\n%s\n' "$out"
+	status=1
+fi
 for g in "$golden"/*.txt; do
 	name=$(basename "$g" .txt)
 	if [ ! -f "cmd/$name/main.go" ]; then

@@ -88,8 +88,8 @@ grep -q '"lag_partitions":0' "$WORK/stats.json" ||
     { echo "follow_smoke: converged stats still report lag" >&2; cat "$WORK/stats.json" >&2; exit 1; }
 grep -q '"skipped_partitions":0' "$WORK/stats.json" ||
     { echo "follow_smoke: clean run skipped partitions" >&2; cat "$WORK/stats.json" >&2; exit 1; }
-grep -q '"mode":"coord"' "$WORK/stats.json" ||
-    { echo "follow_smoke: freshness mode is not coord" >&2; exit 1; }
+grep -q "\"following\":\"$COORD_DIR\"" "$WORK/stats.json" ||
+    { echo "follow_smoke: freshness does not name $COORD_DIR as followed" >&2; cat "$WORK/stats.json" >&2; exit 1; }
 
 # The newest committed day answers, and a detected domain's history is
 # servable from the followed index.
