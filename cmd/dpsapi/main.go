@@ -10,15 +10,14 @@
 // the go_*/process_* runtime gauges and build_info), expvar /debug/vars
 // and pprof profiles; -prof-mutex and -prof-block arm the runtime's
 // contention profilers behind /debug/pprof/{mutex,block}. The query
-// observatory adds /debug/slo (rolling-window SLO burn
-// scorecard), /debug/slowlog (N slowest requests per route), and
-// /debug/topk (heavy-hitter domains and providers); its final scorecard
-// is logged on drain. Admission control is layered: -qps
-// rate-limits with a token bucket (429 beyond it), -max-inflight bounds
-// concurrency (503 when the gate stays full past the deadline), and
-// -timeout caps every request. SIGINT/SIGTERM drain gracefully: the
-// listener closes, in-flight requests finish (up to drainTimeout), then
-// the process exits.
+// observatory keeps rolling per-route latency and 5xx windows and scores
+// them against the SLOs: /debug/slo serves the burn-rate scorecard,
+// /v1/stats digests it, and the final scorecard is logged on drain.
+// Admission control is layered: -qps rate-limits with a token bucket
+// (429 beyond it), -max-inflight bounds concurrency (503 when the gate
+// stays full past the deadline), and -timeout caps every request.
+// SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
+// requests finish (up to drainTimeout), then the process exits.
 //
 // With -follow the server goes live: it tails a dpscoord coordination
 // directory, whose journal is a feed of committed (source, day)
@@ -211,7 +210,7 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	logger.Info("serving", "addr", ln.Addr().String(),
-		"routes", "/v1/domain/{name} /v1/provider/{name}/series /v1/day/{date} /v1/stats /metrics /debug/slo /debug/slowlog /debug/topk")
+		"routes", "/v1/domain/{name} /v1/provider/{name}/series /v1/day/{date} /v1/stats /metrics /debug/slo")
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()

@@ -20,8 +20,8 @@
 //     one index walk and share the bytes.
 //  4. The index lookup itself, lock-free on the immutable Index.
 //
-// Every request is recorded by the query observatory (rolling per-route
-// latency and error windows, SLO scorecard, slow log).
+// Every request is recorded by the query observatory: rolling per-route
+// latency and 5xx windows, scored by the SLO scorecard.
 package api
 
 import (
@@ -54,9 +54,9 @@ type Config struct {
 	// negative disables caching.
 	CacheEntries int
 	// Observatory overrides the windowed query observatory (rolling
-	// latency/error windows, SLO scorecard, slow-query log, heavy-hitter
-	// sketches). Nil builds a default one with DefaultSLOs on the
-	// process registry; set ObservatoryOff to run without one.
+	// latency/5xx windows and the SLO scorecard over them). Nil builds a
+	// default one with DefaultSLOs on the process registry; set
+	// ObservatoryOff to run without one.
 	Observatory *obs.Observatory
 	// ObservatoryOff disables the observatory entirely (benchmarks use
 	// this to measure the hot path's windowing overhead).
@@ -76,10 +76,6 @@ type Server struct {
 	gate   chan struct{}
 	mux    *http.ServeMux
 	obsv   *obs.Observatory // nil when ObservatoryOff
-	// Heavy-hitter sketches, resolved once at construction so finish
-	// skips the per-request dimension lookup.
-	topkDomain   *obs.TopK
-	topkProvider *obs.TopK
 
 	// testHook, when set by tests, runs inside the concurrency gate
 	// before the handler — it simulates slow handlers for shed tests.
@@ -122,8 +118,6 @@ func NewServer(idx *Index, cfg Config) *Server {
 		if s.obsv == nil {
 			s.obsv = newDefaultObservatory()
 		}
-		s.topkDomain = s.obsv.Sketch("domain")
-		s.topkProvider = s.obsv.Sketch("provider")
 	}
 	s.mux = http.NewServeMux()
 	s.Register(s.mux)
@@ -139,8 +133,6 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.Handle("GET /v1/stats", s.route("stats", s.handleStats))
 	if s.obsv != nil {
 		mux.Handle("GET /debug/slo", s.obsv.SLOHandler())
-		mux.Handle("GET /debug/slowlog", s.obsv.SlowLogHandler())
-		mux.Handle("GET /debug/topk", s.obsv.TopKHandler())
 	}
 }
 
@@ -159,8 +151,7 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 		if s.bucket != nil && !s.bucket.allow() {
 			mRateLimited.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(s.bucket.retryAfterSeconds()))
-			s.finish(w, r, name, start, errResponse(http.StatusTooManyRequests, "rate limit exceeded"),
-				obs.RequestOutcome{Admission: obs.AdmissionRateLimited})
+			s.finish(w, name, start, errResponse(http.StatusTooManyRequests, "rate limit exceeded"))
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
@@ -175,8 +166,7 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 			case s.gate <- struct{}{}:
 			case <-ctx.Done():
 				mShed.Inc()
-				s.finish(w, r, name, start, errResponse(http.StatusServiceUnavailable, "server overloaded"),
-					obs.RequestOutcome{Admission: obs.AdmissionShed})
+				s.finish(w, name, start, errResponse(http.StatusServiceUnavailable, "server overloaded"))
 				return
 			}
 		}
@@ -186,34 +176,31 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 		if s.testHook != nil {
 			s.testHook(name)
 		}
-		val, hit, shared := s.respond(name, r, fn)
-		s.finish(w, r, name, start, val, obs.RequestOutcome{CacheHit: hit, Coalesced: shared})
+		s.finish(w, name, start, s.respond(name, r, fn))
 	})
 }
 
-// respond resolves a request through cache and singleflight, reporting
-// how it was satisfied for the observatory.
-func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request) cached) (val cached, hit, shared bool) {
+// respond resolves a request through cache and singleflight.
+func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request) cached) cached {
 	key := route + " " + r.URL.RequestURI()
 	if s.cache == nil {
-		val, shared = s.flight.do(key, func() cached {
+		return s.flight.do(key, func() cached {
 			if s.flightHook != nil {
 				s.flightHook()
 			}
 			return fn(r)
 		})
-		return val, false, shared
 	}
 	if val, ok := s.cache.get(key); ok {
 		mCacheHits.Inc()
-		return val, true, false
+		return val
 	}
 	mCacheMisses.Inc()
 	// The cache generation is read before the handler resolves the index
 	// pointer: if a Publish lands in between, put rejects this (possibly
 	// stale) fill instead of resurrecting an invalidated key.
 	gen := s.cache.generation()
-	val, shared = s.flight.do(key, func() cached {
+	return s.flight.do(key, func() cached {
 		if s.flightHook != nil {
 			s.flightHook()
 		}
@@ -226,36 +213,16 @@ func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request)
 		}
 		return val
 	})
-	return val, false, shared
 }
 
-// finish writes the response and records it in the observatory's windowed/slowlog/heavy-hitter views.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, route string, start time.Time, val cached, out obs.RequestOutcome) {
+// finish writes the response and records its route, latency and status
+// in the observatory.
+func (s *Server) finish(w http.ResponseWriter, route string, start time.Time, val cached) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(val.status)
 	_, _ = w.Write(val.body)
 	elapsed := time.Since(start)
-	sec := elapsed.Seconds()
-	if s.obsv != nil {
-		// Detail only matters if the slow log will retain this request;
-		// skip the URI build for the common fast one.
-		if s.obsv.WouldRetain(route, sec) {
-			out.Detail = r.URL.RequestURI()
-		}
-		s.obsv.RecordRequestAt(start.Add(elapsed), route, sec, val.status, out)
-		// Heavy-hitter dimensions: which domains and providers the query
-		// mix concentrates on, normalized the way the handlers match.
-		switch route {
-		case "domain":
-			if name := strings.ToLower(strings.TrimSuffix(r.PathValue("name"), ".")); name != "" && len(name) <= maxDomainName {
-				s.topkDomain.Offer(name)
-			}
-		case "series":
-			if name := strings.ToLower(r.PathValue("name")); name != "" {
-				s.topkProvider.Offer(name)
-			}
-		}
-	}
+	s.obsv.RecordRequestAt(start.Add(elapsed), route, elapsed.Seconds(), val.status)
 }
 
 // jsonResponse marshals v into a cached response.
@@ -318,8 +285,8 @@ func (s *Server) handleDay(r *http.Request) cached {
 type StatsResponse struct {
 	Stats
 	Process obs.ProcessInfo `json:"process"`
-	// Observatory digests the rolling windows, SLO statuses, and
-	// heavy-hitter heads; omitted when the observatory is disabled.
+	// Observatory digests the rolling windows and SLO statuses; omitted
+	// when the observatory is disabled.
 	Observatory *obs.ObservatorySummary `json:"observatory,omitempty"`
 	// Freshness reports the live-follow state; omitted when the server
 	// is not following a feed.

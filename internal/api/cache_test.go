@@ -146,14 +146,14 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		val, shared := g.do("k", func() cached {
+		val := g.do("k", func() cached {
 			execs.Add(1)
 			close(started)
 			<-block
 			return cached{status: 200, body: []byte("once")}
 		})
-		if shared || string(val.body) != "once" {
-			t.Errorf("leader: shared=%v val=%q", shared, val.body)
+		if string(val.body) != "once" {
+			t.Errorf("leader: val=%q", val.body)
 		}
 	}()
 	<-started
@@ -161,14 +161,15 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			val, shared := g.do("k", func() cached {
+			val := g.do("k", func() cached {
 				execs.Add(1)
 				return cached{status: 200, body: []byte("again")}
 			})
-			if shared {
+			switch string(val.body) {
+			case "once": // waited on the leader's computation
 				sharedCount.Add(1)
-			}
-			if string(val.body) != "once" && string(val.body) != "again" {
+			case "again":
+			default:
 				t.Errorf("bad value %q", val.body)
 			}
 		}()
@@ -197,12 +198,12 @@ func TestFlightGroupDistinctKeys(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			key := fmt.Sprintf("key-%d", i)
-			val, shared := g.do(key, func() cached {
+			val := g.do(key, func() cached {
 				execs.Add(1)
 				return cached{status: 200, body: []byte(key)}
 			})
-			if shared || string(val.body) != key {
-				t.Errorf("%s: shared=%v val=%q", key, shared, val.body)
+			if string(val.body) != key {
+				t.Errorf("%s: val=%q", key, val.body)
 			}
 		}(i)
 	}

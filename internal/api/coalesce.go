@@ -22,14 +22,14 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{calls: make(map[string]*flightCall)}
 }
 
-// do runs fn for key, or waits for an in-flight fn for the same key.
-// shared reports whether this caller waited on another's computation.
-func (g *flightGroup) do(key string, fn func() cached) (val cached, shared bool) {
+// do runs fn for key, or waits for an in-flight fn for the same key and
+// returns its result.
+func (g *flightGroup) do(key string, fn func() cached) cached {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
 		c.wg.Wait()
-		return c.val, true
+		return c.val
 	}
 	c := &flightCall{}
 	c.wg.Add(1)
@@ -43,5 +43,5 @@ func (g *flightGroup) do(key string, fn func() cached) (val cached, shared bool)
 		c.wg.Done()
 	}()
 	c.val = fn()
-	return c.val, false
+	return c.val
 }

@@ -43,14 +43,8 @@ func DefaultSLOs() []obs.Objective {
 }
 
 // newDefaultObservatory builds the observatory a server uses when the
-// config supplies none: stock SLOs, default windows, and per-route
-// window series + slo_* gauges exposed on the process-wide registry.
-// Registration is idempotent, so multiple servers in one process share
-// the same underlying series.
+// config supplies none: stock SLOs, with the slo_* gauges on the
+// process-wide registry.
 func newDefaultObservatory() *obs.Observatory {
-	return obs.NewObservatory(obs.ObservatoryConfig{
-		SLOs:               DefaultSLOs(),
-		Registry:           obs.Default(),
-		WindowMetricPrefix: "api_request_window",
-	})
+	return obs.NewObservatory(obs.ObservatoryConfig{SLOs: DefaultSLOs(), Registry: obs.Default()})
 }

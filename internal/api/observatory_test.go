@@ -1,7 +1,6 @@
 package api
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -84,53 +83,13 @@ func TestObservatoryRecordsRequests(t *testing.T) {
 	get(t, h, "/v1/domain/alpha.com") // cache hit
 	get(t, h, "/v1/domain/gamma.com")
 	get(t, h, "/v1/provider/Akamai/series")
-	get(t, h, "/v1/domain/"+strings.Repeat("a", 300)) // 400, no heavy-hitter key
+	get(t, h, "/v1/domain/"+strings.Repeat("a", 300)) // 400
 
 	o := srv.Observatory()
 	snap := o.Route("domain").Latency.MergedAt(clk.Now(), obs.FastWindow)
 	if snap.Count != 4 {
 		t.Fatalf("domain window count = %d, want 4", snap.Count)
 	}
-
-	top := o.Sketch("domain").Top(0)
-	if len(top) != 2 || top[0].Key != "alpha.com" || top[0].Count != 2 {
-		t.Fatalf("domain heavy hitters = %+v", top)
-	}
-	ptop := o.Sketch("provider").Top(0)
-	if len(ptop) != 1 || ptop[0].Key != "akamai" {
-		t.Fatalf("provider heavy hitters = %+v", ptop)
-	}
-
-	entries := slowEntries(t, o, "domain")
-	if len(entries) != 4 {
-		t.Fatalf("slowlog entries = %d, want 4", len(entries))
-	}
-	sawHit := false
-	for _, e := range entries {
-		if e.Admission != obs.AdmissionOK {
-			t.Fatalf("admission = %q", e.Admission)
-		}
-		if e.CacheHit {
-			sawHit = true
-		}
-	}
-	if !sawHit {
-		t.Fatalf("no cache-hit entry in slowlog: %+v", entries)
-	}
-}
-
-// slowEntries reads one route's slow-query log through /debug/slowlog.
-func slowEntries(t *testing.T, o *obs.Observatory, route string) []obs.SlowQuery {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	o.SlowLogHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slowlog?route="+route, nil))
-	var resp struct {
-		Routes map[string][]obs.SlowQuery `json:"routes"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("/debug/slowlog: %v", err)
-	}
-	return resp.Routes[route]
 }
 
 func TestObservatoryWindowedP99Deterministic(t *testing.T) {
@@ -140,9 +99,9 @@ func TestObservatoryWindowedP99Deterministic(t *testing.T) {
 	// over the fast window must be exactly the interpolated bucket
 	// value, and advancing the clock must age it out.
 	for i := 0; i < 99; i++ {
-		o.RecordRequestAt(time.Now(), "domain", 0.0008, 200, obs.RequestOutcome{})
+		o.RecordRequestAt(time.Now(), "domain", 0.0008, 200)
 	}
-	o.RecordRequestAt(time.Now(), "domain", 0.05, 200, obs.RequestOutcome{})
+	o.RecordRequestAt(time.Now(), "domain", 0.05, 200)
 
 	snap := o.Route("domain").Latency.MergedAt(clk.Now(), obs.FastWindow)
 	if got := snap.Quantile(0.99); got != 0.001 {
@@ -184,58 +143,27 @@ func TestDebugSLOEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugSlowLogEndpoint(t *testing.T) {
-	clk := newStepClock()
-	srv := observedServer(t, clk, Config{})
-	h := srv.Handler()
+// assertRetiredEndpoint checks that a debug endpoint whose backing
+// structure is gone is no longer mounted, even after traffic.
+func assertRetiredEndpoint(t *testing.T, path string) {
+	t.Helper()
+	h := observedServer(t, newStepClock(), Config{}).Handler()
 	get(t, h, "/v1/domain/alpha.com")
-	get(t, h, "/v1/day/2016-02-01") // 404 still logged
-
-	code, body := get(t, h, "/debug/slowlog")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/slowlog: %d", code)
-	}
-	resp := decodeAs[struct {
-		PerRouteCapacity int                        `json:"per_route_capacity"`
-		Routes           map[string][]obs.SlowQuery `json:"routes"`
-	}](t, body)
-	if resp.PerRouteCapacity != obs.DefaultSlowLogSize {
-		t.Fatalf("capacity = %d", resp.PerRouteCapacity)
-	}
-	if len(resp.Routes["domain"]) != 1 || resp.Routes["domain"][0].Detail != "/v1/domain/alpha.com" {
-		t.Fatalf("domain slowlog = %+v", resp.Routes["domain"])
-	}
-	if len(resp.Routes["day"]) != 1 || resp.Routes["day"][0].Status != http.StatusNotFound {
-		t.Fatalf("day slowlog = %+v", resp.Routes["day"])
+	if code, _ := get(t, h, path); code != http.StatusNotFound {
+		t.Fatalf("%s: %d, want 404", path, code)
 	}
 }
 
-func TestDebugTopKEndpoint(t *testing.T) {
-	clk := newStepClock()
-	srv := observedServer(t, clk, Config{})
-	h := srv.Handler()
-	get(t, h, "/v1/domain/alpha.com")
-	get(t, h, "/v1/domain/alpha.com")
-	get(t, h, "/v1/domain/beta.com")
-	get(t, h, "/v1/provider/Akamai/series")
+// TestDebugSlowLogEndpoint: the slow-query log is gone, and its endpoint
+// with it.
+func TestDebugSlowLogEndpoint(t *testing.T) {
+	assertRetiredEndpoint(t, "/debug/slowlog")
+}
 
-	code, body := get(t, h, "/debug/topk")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/topk: %d", code)
-	}
-	resp := decodeAs[map[string]struct {
-		K          int             `json:"k"`
-		Total      uint64          `json:"total"`
-		ErrorBound uint64          `json:"error_bound"`
-		Top        []obs.TopKEntry `json:"top"`
-	}](t, body)
-	dom := resp["domain"]
-	if dom.Total != 3 || len(dom.Top) != 2 || dom.Top[0].Key != "alpha.com" || dom.Top[0].Count != 2 {
-		t.Fatalf("domain topk = %+v", dom)
-	}
-	if resp["provider"].Top[0].Key != "akamai" {
-		t.Fatalf("provider topk = %+v", resp["provider"])
-	}
+// TestDebugTopKEndpoint: the heavy-hitter sketches are gone, and their
+// endpoint with them.
+func TestDebugTopKEndpoint(t *testing.T) {
+	assertRetiredEndpoint(t, "/debug/topk")
 }
 
 func TestStatsEmbedsObservatory(t *testing.T) {
@@ -257,17 +185,18 @@ func TestStatsEmbedsObservatory(t *testing.T) {
 	}
 }
 
-// TestDefaultObservatoryExposesRouteWindows: a server configured without
-// an observatory builds the default one, whose per-route windows are
-// series on the process registry.
-func TestDefaultObservatoryExposesRouteWindows(t *testing.T) {
-	get(t, fixtureServer(t, Config{}).Handler(), "/v1/domain/alpha.com")
+// TestDefaultObservatoryExposesSLOGauges: a server configured without
+// an observatory builds the default one, which publishes its scorecard
+// on the process registry.
+func TestDefaultObservatoryExposesSLOGauges(t *testing.T) {
+	srv := fixtureServer(t, Config{})
+	get(t, srv.Handler(), "/v1/domain/alpha.com")
+	srv.Observatory().Publish()
 	snap := obs.Default().Snapshot()
-	if got := snap.Histograms[`api_request_window_seconds_domain{window="5m"}`].Count; got < 1 {
-		t.Fatalf("api_request_window_seconds_domain 5m count = %d, want >= 1", got)
-	}
-	if _, ok := snap.Gauges[`api_request_window_errors_domain{window="5m"}`]; !ok {
-		t.Fatal("api_request_window_errors_domain not exposed")
+	for _, key := range []string{`slo_status{slo="domain-availability"}`, `slo_burn_rate{slo="domain-latency:5m"}`} {
+		if _, ok := snap.Gauges[key]; !ok {
+			t.Fatalf("%s not exposed", key)
+		}
 	}
 }
 

@@ -69,12 +69,6 @@ type Server struct {
 
 	// faults, when set, is consulted for every UDP query (see SetFaults).
 	faults atomic.Pointer[faultBox]
-
-	// Queries counts handled queries (including refused ones).
-	queries atomic.Int64
-	// received counts datagrams that reached the server, before decode
-	// or fault injection — Stop's drain guarantee is Received() == handled.
-	received atomic.Int64
 }
 
 // faultBox wraps the injector so a nil interface can be stored atomically.
@@ -139,7 +133,6 @@ func (s *Server) Handle(q *dnswire.Message) *dnswire.Message {
 // with the given flags (dnswire.Message.SetReply), with its answer. The
 // zone's sections are looked up into res, so resp shares their storage.
 func (s *Server) respond(resp *dnswire.Message, query dnswire.Flags, res *dnszone.Result) {
-	s.queries.Add(1)
 	mQueries.Inc()
 	if query.Response || len(resp.Questions) != 1 {
 		resp.Flags.RCode = dnswire.RCodeFormErr
@@ -263,7 +256,6 @@ func (sc *scratch) release() {
 // Decoding, lookup and packing reuse a scratch from the free list: the
 // question's name is the one allocation of an answer.
 func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort) {
-	s.received.Add(1)
 	sc := getScratch()
 	defer sc.release()
 	q := &sc.query
@@ -298,7 +290,6 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort) {
 	resp := &sc.reply
 	resp.SetReply(q)
 	if fault == FaultServfail {
-		s.queries.Add(1)
 		mQueries.Inc()
 		resp.Flags.RCode = dnswire.RCodeServFail
 	} else {

@@ -26,6 +26,7 @@ func TestHandlePositive(t *testing.T) {
 	s := New()
 	s.AddZone(testZone())
 	q := dnswire.NewQuery(1, "www.examp.le", dnswire.TypeA)
+	before := mQueries.Value()
 	r := s.Handle(q)
 	if r.Flags.RCode != dnswire.RCodeNoError || !r.Flags.Authoritative || !r.Flags.Response {
 		t.Fatalf("bad response: %+v", r.Flags)
@@ -36,8 +37,8 @@ func TestHandlePositive(t *testing.T) {
 	if r.ID != 1 {
 		t.Errorf("ID = %d", r.ID)
 	}
-	if s.queries.Load() != 1 {
-		t.Errorf("Queries = %d", s.queries.Load())
+	if got := mQueries.Value() - before; got != 1 {
+		t.Errorf("queries counted = %d", got)
 	}
 }
 
@@ -252,6 +253,7 @@ func TestServeConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer run.Stop()
+	before := mQueries.Value()
 	done := make(chan bool, 16)
 	for i := 0; i < 16; i++ {
 		go func(i int) {
@@ -270,7 +272,7 @@ func TestServeConcurrent(t *testing.T) {
 			t.Fatal("concurrent exchange failed")
 		}
 	}
-	if s.queries.Load() != 16*30 {
-		t.Errorf("Queries = %d", s.queries.Load())
+	if got := mQueries.Value() - before; got != 16*30 {
+		t.Errorf("queries counted = %d", got)
 	}
 }

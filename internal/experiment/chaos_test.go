@@ -24,10 +24,12 @@ import (
 // the same place — regardless of worker scheduling.
 func TestDegradedAccountingDeterministic(t *testing.T) {
 	run := func() []byte {
+		var acct []DayAccounting
 		r, err := New(Config{
 			Scale: 400000, Workers: 4, Days: 4,
 			Wire: true, FaultScenario: "flaky-1pct", FaultSeed: 7,
-			WireTimeout: 100,
+			WireTimeout:   100,
+			OnDayProgress: func(dp DayProgress) { acct = append(acct, AccountDay(dp.Day, dp.Net)) },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -35,7 +37,6 @@ func TestDegradedAccountingDeterministic(t *testing.T) {
 		if err := r.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		acct := r.accounting
 		if len(acct) != 4 {
 			t.Fatalf("accounting rows = %d, want 4", len(acct))
 		}
@@ -70,11 +71,13 @@ func TestChaosDegradedDayRecovery(t *testing.T) {
 	var start simtime.Day
 	badIdx := func(d simtime.Day) int { return int(d - start) }
 	const badLo, badHi = 6, 11 // [badLo, badHi) are struck days
+	var accounting []DayAccounting
 	r, err := New(Config{
 		Scale: 1000000, Workers: 8, Days: 16,
 		Wire: true, FaultScenario: "dead-day", FaultSeed: 7,
 		FaultDays:   func(d simtime.Day) bool { i := badIdx(d); return i >= badLo && i < badHi },
 		WireTimeout: 10, WireRetries: 1, WireRetryBudget: 4,
+		OnDayProgress: func(dp DayProgress) { accounting = append(accounting, AccountDay(dp.Day, dp.Net)) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,7 @@ func TestChaosDegradedDayRecovery(t *testing.T) {
 	}
 
 	// Exactly the struck days are committed degraded.
-	for _, a := range r.accounting {
+	for _, a := range accounting {
 		bad := badIdx(a.Day) >= badLo && badIdx(a.Day) < badHi
 		if a.Degraded != bad {
 			t.Errorf("day %s (idx %d): degraded = %v, failure rate %.3f", a.Day, badIdx(a.Day), a.Degraded, a.FailureRate)
@@ -107,7 +110,7 @@ func TestChaosDegradedDayRecovery(t *testing.T) {
 		}
 	}
 	degraded := 0
-	for _, a := range r.accounting {
+	for _, a := range accounting {
 		if a.Degraded {
 			degraded++
 		}

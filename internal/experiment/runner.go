@@ -128,7 +128,6 @@ type Runner struct {
 	stats       map[string]*SourceStats
 	window      simtime.Range
 	ran         bool
-	accounting  []DayAccounting
 	detectStats core.RangeStats
 }
 
@@ -327,7 +326,6 @@ func (r *Runner) Run(ctx context.Context) error {
 			r.Agg.MarkDegraded(day)
 			sp.SetAttr(trace.Str("degraded", "true"))
 		}
-		r.accounting = append(r.accounting, acct)
 		sp.SetAttr(trace.Int("rows", dayRows), trace.Int("detected", int64(detected)))
 		sp.End()
 		mDaysCompleted.Set(float64(i + 1))

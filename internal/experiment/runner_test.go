@@ -320,9 +320,8 @@ func TestRunnerFullWindowTiny(t *testing.T) {
 }
 
 // TestRunnerCancellationDropsPartialDay: a SIGTERM-style cancellation
-// mid-run surfaces a wrapped context error, keeps the accounting ledger
-// for the days that committed, and leaves no partial-day partitions in
-// the store.
+// mid-run surfaces a wrapped context error after some days committed,
+// and leaves no partial-day partitions in the store.
 func TestRunnerCancellationDropsPartialDay(t *testing.T) {
 	r, err := New(Config{Scale: 200000, Workers: 2, Days: 6, KeepStore: true})
 	if err != nil {
@@ -342,9 +341,6 @@ func TestRunnerCancellationDropsPartialDay(t *testing.T) {
 	}
 	if committed == 0 || committed >= 6 {
 		t.Fatalf("committed %d days before cancel, want partial progress", committed)
-	}
-	if got := len(r.accounting); got != committed {
-		t.Fatalf("accounting has %d rows, want %d (committed days only)", got, committed)
 	}
 	// No partition survives past the last committed day.
 	lastCommitted := r.Window().Start + simtime.Day(committed) - 1

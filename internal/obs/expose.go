@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // WritePrometheus renders every registered metric in the Prometheus text
@@ -41,41 +40,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			for _, val := range m.sortedValues() {
 				writeHistogram(&b, e.name, fmt.Sprintf("%s=%q,", m.label, escapeLabel(val)), m.With(val))
 			}
-		case *WindowedCounter:
-			for _, wd := range exposeWindows(m.Span()) {
-				fmt.Fprintf(&b, "%s{window=%q} %d\n", e.name, wd.label, m.Total(wd.d))
-			}
-		case *WindowedHistogram:
-			for _, wd := range exposeWindows(m.Span()) {
-				s := m.Merged(wd.d)
-				writeHistogramSeries(&b, e.name, fmt.Sprintf("window=%q,", wd.label), s.Bounds, s.Counts, s.Count, s.Sum, nil)
-			}
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// exposeWindow pairs a window label with its duration for exposition.
-type exposeWindow struct {
-	label string
-	d     time.Duration
-}
-
-// exposeWindows lists the standard windows a ring of the given span can
-// answer; rings narrower than FastWindow expose their full span.
-func exposeWindows(span time.Duration) []exposeWindow {
-	out := make([]exposeWindow, 0, 2)
-	if FastWindow <= span {
-		out = append(out, exposeWindow{"5m", FastWindow})
-	}
-	if SlowWindow <= span {
-		out = append(out, exposeWindow{"1h", SlowWindow})
-	}
-	if len(out) == 0 {
-		out = append(out, exposeWindow{span.String(), span})
-	}
-	return out
 }
 
 // writeHistogram emits the _bucket/_sum/_count series for one histogram;
@@ -84,26 +52,15 @@ func exposeWindows(span time.Duration) []exposeWindow {
 // (`# {trace_id="..."} value`), linking the bucket to the trace of its
 // slowest observation.
 func writeHistogram(b *strings.Builder, name, labelPrefix string, h *Histogram) {
-	writeHistogramSeries(b, name, labelPrefix, h.bounds, h.BucketCounts(), h.Count(), h.Sum(), h.Exemplars())
-}
-
-// writeHistogramSeries renders the series from raw bucket data, so both
-// cumulative histograms and merged window snapshots share one emitter;
-// exemplars may be nil.
-func writeHistogramSeries(b *strings.Builder, name, labelPrefix string, bounds []float64, counts []uint64, count uint64, sum float64, exemplars []*Exemplar) {
-	ex := func(i int) string {
-		if exemplars == nil {
-			return ""
-		}
-		return exemplarSuffix(exemplars[i])
-	}
+	counts, exemplars := h.BucketCounts(), h.Exemplars()
+	count, sum := h.Count(), h.Sum()
 	var cum uint64
-	for i, bound := range bounds {
+	for i, bound := range h.bounds {
 		cum += counts[i]
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d%s\n", name, labelPrefix, formatFloat(bound), cum, ex(i))
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d%s\n", name, labelPrefix, formatFloat(bound), cum, exemplarSuffix(exemplars[i]))
 	}
-	cum += counts[len(bounds)]
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d%s\n", name, labelPrefix, cum, ex(len(bounds)))
+	cum += counts[len(h.bounds)]
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d%s\n", name, labelPrefix, cum, exemplarSuffix(exemplars[len(h.bounds)]))
 	if labelPrefix == "" {
 		fmt.Fprintf(b, "%s_sum %s\n", name, formatFloat(sum))
 		fmt.Fprintf(b, "%s_count %d\n", name, count)
@@ -192,21 +149,6 @@ func (r *Registry) Snapshot() Snapshot {
 		case *HistogramVec:
 			for _, val := range m.sortedValues() {
 				snap.Histograms[childKey(e.name, m.label, val)] = histSnap(m.With(val))
-			}
-		case *WindowedCounter:
-			for _, wd := range exposeWindows(m.Span()) {
-				snap.Gauges[childKey(e.name, "window", wd.label)] = float64(m.Total(wd.d))
-			}
-		case *WindowedHistogram:
-			for _, wd := range exposeWindows(m.Span()) {
-				s := m.Merged(wd.d)
-				snap.Histograms[childKey(e.name, "window", wd.label)] = HistogramSnapshot{
-					Count: s.Count,
-					Sum:   s.Sum,
-					P50:   s.Quantile(0.50),
-					P90:   s.Quantile(0.90),
-					P99:   s.Quantile(0.99),
-				}
 			}
 		}
 	}

@@ -24,15 +24,6 @@ import (
 	_ "dpsadopt/internal/transport"
 )
 
-// prefix is the name a family line (…_<route>) matches registered names
-// by, or the whole name for a plain line.
-func prefix(l inventory.Line) string {
-	p, _, _ := strings.Cut(l.Name, "<route>")
-	return p
-}
-
-func family(l inventory.Line) bool { return strings.Contains(l.Name, "<route>") }
-
 // TestMetricInventory holds testdata/metrics.txt to the process: the
 // inventory names exactly the metrics the default registry exports (with
 // their kinds) and the /metrics and /debug/ endpoints the source mounts,
@@ -100,14 +91,10 @@ func TestMetricInventory(t *testing.T) {
 	}
 }
 
-// lineFor finds the metric line a registered name belongs to: its own
-// line, or the per-route family its name extends.
+// lineFor finds the metric line of a registered name.
 func lineFor(inv []inventory.Line, name string) (inventory.Line, bool) {
 	for _, l := range inv {
-		if l.Kind == "endpoint" {
-			continue
-		}
-		if l.Name == name || family(l) && strings.HasPrefix(name, prefix(l)) {
+		if l.Kind != "endpoint" && l.Name == name {
 			return l, true
 		}
 	}
@@ -152,7 +139,7 @@ type source struct {
 // registerCalls are the Registry methods that take a metric name first.
 var registerCalls = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true, "GaugeVec": true,
-	"HistogramVec": true, "RegisterWindowCounter": true, "RegisterWindowHistogram": true,
+	"HistogramVec": true,
 }
 
 // scanSource walks the module's non-test Go files (bench/ is a separate
@@ -216,13 +203,13 @@ func scanSource(t *testing.T, root string) source {
 // or "" when it does. In Go only string literals count, and not those
 // of a test's failure messages.
 func checkConsumer(root string, src source, l inventory.Line, c string) string {
-	open := family(l) || strings.HasSuffix(l.Name, "/")
+	open := strings.HasSuffix(l.Name, "/")
 	return inventory.Consumer(root, c, append(src.registered[l.Name], src.mounted[l.Name]...), func(f *ast.File, text string) bool {
 		if f == nil {
-			return inventory.Mentions(text, prefix(l), open)
+			return inventory.Mentions(text, l.Name, open)
 		}
 		for _, s := range inventory.StringLiterals(f) {
-			if inventory.Mentions(s, prefix(l), open) {
+			if inventory.Mentions(s, l.Name, open) {
 				return true
 			}
 		}

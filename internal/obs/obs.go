@@ -80,19 +80,15 @@ const (
 	kindHistogram
 	kindGaugeVec
 	kindHistogramVec
-	kindWindowCounter
-	kindWindowHistogram
 )
 
 func (k metricKind) String() string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeVec, kindWindowCounter:
-		// Windowed counters age out old buckets, so the exposed
-		// per-window totals can go down: a gauge, not a counter.
+	case kindGauge, kindGaugeVec:
 		return "gauge"
-	case kindHistogram, kindHistogramVec, kindWindowHistogram:
+	case kindHistogram, kindHistogramVec:
 		return "histogram"
 	}
 	return "untyped"
@@ -184,22 +180,8 @@ func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *His
 	}).(*HistogramVec)
 }
 
-// RegisterWindowCounter adopts an already-constructed windowed counter
-// (e.g. one built with an injected clock) under name. If the name is
-// already registered the existing counter wins and is returned, so
-// concurrent components share one series.
-func (r *Registry) RegisterWindowCounter(name, help string, w *WindowedCounter) *WindowedCounter {
-	return r.register(name, help, kindWindowCounter, func() any { return w }).(*WindowedCounter)
-}
-
-// RegisterWindowHistogram adopts an already-constructed windowed
-// histogram under name; an existing registration wins and is returned.
-func (r *Registry) RegisterWindowHistogram(name, help string, w *WindowedHistogram) *WindowedHistogram {
-	return r.register(name, help, kindWindowHistogram, func() any { return w }).(*WindowedHistogram)
-}
-
 // Lookup returns the registered metric (a *Counter, *Gauge, *Histogram,
-// a windowed type, or vec) by name.
+// or vec) by name.
 func (r *Registry) Lookup(name string) (any, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -3,124 +3,65 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
 
-// Admission outcomes recorded per request.
-const (
-	AdmissionOK          = "ok"
-	AdmissionRateLimited = "rate_limited"
-	AdmissionShed        = "shed"
-)
-
 // ObservatoryConfig configures an Observatory. The zero value is usable:
-// default windows, DefBuckets latency resolution, default slowlog/top-K
-// sizes, wall clock, no registry exposition, and no objectives.
+// wall clock, no registry exposition, and no objectives.
 type ObservatoryConfig struct {
 	// Clock injects a time source for deterministic tests; nil uses
 	// time.Now.
 	Clock Clock
-	// Step and Span size the windowed rings (defaults:
-	// DefaultWindowStep / SlowWindow).
-	Step, Span time.Duration
-	// LatencyBounds are the histogram bucket bounds in seconds (nil
-	// uses DefBuckets).
-	LatencyBounds []float64
-	// SlowLogSize is the per-route slow-query retention (<=0 uses
-	// DefaultSlowLogSize).
-	SlowLogSize int
-	// TopK is the heavy-hitter sketch capacity per dimension (<=0 uses
-	// DefaultTopK).
-	TopK int
 	// SLOs are the objectives the scorecard evaluates, in report order.
 	SLOs []Objective
-	// WarnBurn and PageBurn are the status thresholds (<=0 uses
-	// DefaultWarnBurn / DefaultPageBurn).
-	WarnBurn, PageBurn float64
-	// Registry, when set, exposes per-route windows (under
-	// WindowMetricPrefix), slo_* gauges, and heavy-hitter gauges on
-	// /metrics. Adoption is idempotent: if another observatory already
-	// registered a route's window, this one records into the shared
-	// series.
+	// Registry, when set, carries the scorecard on /metrics as the
+	// slo_burn_rate and slo_status gauges.
 	Registry *Registry
-	// WindowMetricPrefix names the per-route window series, e.g.
-	// "api_request_window" yields api_request_window_seconds_<route>
-	// and api_request_window_errors_<route>. Empty skips per-route
-	// exposition even with a Registry.
-	WindowMetricPrefix string
-}
-
-// RequestOutcome carries the per-request context the observatory records
-// beyond route/latency/status.
-type RequestOutcome struct {
-	CacheHit  bool
-	Coalesced bool
-	Admission string // AdmissionOK when empty
-	Detail    string // request detail for the slow log, e.g. the URI
 }
 
 // RouteWindows is the windowed telemetry of one route.
 type RouteWindows struct {
 	Latency *WindowedHistogram
 	Errors  *WindowedCounter // 5xx responses
-
-	// slow is the route's slow-log shard, cached here so RecordRequestAt
-	// can run the floor check without a second route lookup.
-	slow    *slowRouteLog
-	slowCap int
 }
 
-// Observatory is the serving-tier query observatory: rolling windowed
-// latency/error tracking per route, an SLO scorecard over those windows,
-// a bounded slow-query log, and heavy-hitter sketches over query keys.
-// All methods are safe for concurrent use and nil-receiver-safe, so
-// callers can thread an optional *Observatory without guards.
+// Observatory is the serving tier's query observatory: rolling windowed
+// latency and 5xx tracking per route, and an SLO scorecard over those
+// windows. All methods are safe for concurrent use and
+// nil-receiver-safe, so callers can thread an optional *Observatory
+// without guards.
 type Observatory struct {
-	cfg   ObservatoryConfig
+	slos  []Objective
 	clock Clock
 	// realClock is true when no clock was injected; RecordRequestAt may
 	// then trust caller-supplied timestamps.
 	realClock bool
-	slowlog   *SlowLog
 
 	mu     sync.RWMutex
 	routes map[string]*RouteWindows
-	topks  map[string]*TopK
 
 	sloMu      sync.Mutex
 	lastStatus map[string]string
 
-	gBurn, gStatus, gTopTracked *GaugeVec
+	gBurn, gStatus *GaugeVec
 }
 
 // NewObservatory creates an observatory from cfg.
 func NewObservatory(cfg ObservatoryConfig) *Observatory {
-	realClock := cfg.Clock == nil
-	if realClock {
-		cfg.Clock = time.Now
-	}
-	if cfg.WarnBurn <= 0 {
-		cfg.WarnBurn = DefaultWarnBurn
-	}
-	if cfg.PageBurn <= 0 {
-		cfg.PageBurn = DefaultPageBurn
-	}
 	o := &Observatory{
-		cfg:        cfg,
+		slos:       cfg.SLOs,
 		clock:      cfg.Clock,
-		realClock:  realClock,
-		slowlog:    NewSlowLog(cfg.SlowLogSize),
+		realClock:  cfg.Clock == nil,
 		routes:     make(map[string]*RouteWindows),
-		topks:      make(map[string]*TopK),
 		lastStatus: make(map[string]string),
+	}
+	if o.realClock {
+		o.clock = time.Now
 	}
 	if reg := cfg.Registry; reg != nil {
 		o.gBurn = reg.GaugeVec("slo_burn_rate", "error-budget burn rate per objective and window (label is objective:window)", "slo")
 		o.gStatus = reg.GaugeVec("slo_status", "objective status: 0 ok, 1 warn, 2 breach", "slo")
-		o.gTopTracked = reg.GaugeVec("heavy_hitter_tracked_keys", "keys tracked by the top-K sketch per dimension", "dim")
 	}
 	return o
 }
@@ -139,41 +80,18 @@ func (o *Observatory) Route(route string) *RouteWindows {
 	if rw := o.routes[route]; rw != nil {
 		return rw
 	}
-	lat := NewWindowedHistogram(o.cfg.LatencyBounds, o.cfg.Step, o.cfg.Span, o.clock)
-	errs := NewWindowedCounter(o.cfg.Step, o.cfg.Span, o.clock)
-	if o.cfg.Registry != nil && o.cfg.WindowMetricPrefix != "" {
-		base := o.cfg.WindowMetricPrefix + "_"
-		lat = o.cfg.Registry.RegisterWindowHistogram(base+"seconds_"+metricName(route),
-			"rolling request latency of route "+route, lat)
-		errs = o.cfg.Registry.RegisterWindowCounter(base+"errors_"+metricName(route),
-			"rolling 5xx responses of route "+route, errs)
-	}
-	rw = &RouteWindows{
-		Latency: lat, Errors: errs,
-		slow: o.slowlog.route(route), slowCap: o.slowlog.perRoute,
-	}
+	rw = &RouteWindows{Latency: NewWindowedHistogram(), Errors: new(WindowedCounter)}
 	o.routes[route] = rw
 	return rw
 }
 
-// WouldRetain reports whether a request this slow would currently enter
-// the slow-query log — a single atomic load, so hot paths can skip
-// building RequestOutcome.Detail for requests the log will reject.
-// Advisory: the floor can move between this check and RecordRequestAt.
-func (o *Observatory) WouldRetain(route string, seconds float64) bool {
-	if o == nil {
-		return false
-	}
-	return o.Route(route).slow.aboveFloor(seconds)
-}
-
 // RecordRequestAt records one served request at now, a wall-clock
 // timestamp the caller already has (e.g. start.Add(elapsed)), saving a
-// clock read per request: latency into the route's windowed histogram,
-// 5xx into its windowed error counter, and the request into the
-// slow-query log. An observatory on an injected clock ignores the hint and
-// keeps its own time, so deterministic tests stay deterministic.
-func (o *Observatory) RecordRequestAt(now time.Time, route string, seconds float64, status int, out RequestOutcome) {
+// clock read per request: latency into the route's windowed histogram
+// and a 5xx into its windowed error counter. An observatory on an
+// injected clock ignores the hint and keeps its own time, so
+// deterministic tests stay deterministic.
+func (o *Observatory) RecordRequestAt(now time.Time, route string, seconds float64, status int) {
 	if o == nil {
 		return
 	}
@@ -185,45 +103,6 @@ func (o *Observatory) RecordRequestAt(now time.Time, route string, seconds float
 	if status >= 500 {
 		rw.Errors.AddAt(now, 1)
 	}
-	// Steady-state fast path: one atomic floor load rejects requests
-	// faster than the slowest retained entry before any struct is built.
-	if !rw.slow.aboveFloor(seconds) {
-		return
-	}
-	if out.Admission == "" {
-		out.Admission = AdmissionOK
-	}
-	rw.slow.offer(SlowQuery{
-		Route:     route,
-		Detail:    out.Detail,
-		Seconds:   seconds,
-		Status:    status,
-		CacheHit:  out.CacheHit,
-		Coalesced: out.Coalesced,
-		Admission: out.Admission,
-		At:        now.UTC(),
-	}, rw.slowCap)
-}
-
-// Sketch returns (creating on first use) the heavy-hitter sketch for
-// one dimension. Hot paths can cache the returned sketch and Offer keys
-// directly, skipping the dimension lookup per request.
-func (o *Observatory) Sketch(dim string) *TopK {
-	if o == nil {
-		return nil
-	}
-	o.mu.RLock()
-	t := o.topks[dim]
-	o.mu.RUnlock()
-	if t == nil {
-		o.mu.Lock()
-		if t = o.topks[dim]; t == nil {
-			t = NewTopK(o.cfg.TopK)
-			o.topks[dim] = t
-		}
-		o.mu.Unlock()
-	}
-	return t
 }
 
 // Scorecard evaluates every objective as of the observatory clock. It is
@@ -235,11 +114,11 @@ func (o *Observatory) Scorecard() Scorecard {
 		GeneratedAt: now.UTC().Format(time.RFC3339Nano),
 		FastWindow:  FastWindow.String(),
 		SlowWindow:  SlowWindow.String(),
-		WarnBurn:    o.cfg.WarnBurn,
-		PageBurn:    o.cfg.PageBurn,
-		Objectives:  make([]ObjectiveScore, 0, len(o.cfg.SLOs)),
+		WarnBurn:    DefaultWarnBurn,
+		PageBurn:    DefaultPageBurn,
+		Objectives:  make([]ObjectiveScore, 0, len(o.slos)),
 	}
-	for _, obj := range o.cfg.SLOs {
+	for _, obj := range o.slos {
 		sc.Objectives = append(sc.Objectives, o.scoreObjective(obj, now))
 	}
 	return sc
@@ -277,12 +156,12 @@ func (o *Observatory) scoreObjective(obj Objective, now time.Time) ObjectiveScor
 	}
 	score.Fast = windowScore("5m", fastSnap, FastWindow)
 	score.Slow = windowScore("1h", slowSnap, SlowWindow)
-	score.Status = statusFor(score.Fast, score.Slow, o.cfg.WarnBurn, o.cfg.PageBurn)
+	score.Status = statusFor(score.Fast, score.Slow)
 	return score
 }
 
-// Publish evaluates the scorecard, pushes it into the slo_* and
-// heavy-hitter gauges, and emits a structured log event on every status
+// Publish evaluates the scorecard, pushes it into the slo_* gauges, and
+// emits a structured log event on every status
 // transition (worsening logs at warn level, recovery at info). The
 // evaluator loop calls this periodically; callers may also invoke it
 // directly (e.g. right before shutdown).
@@ -298,17 +177,6 @@ func (o *Observatory) Publish() Scorecard {
 			o.gStatus.With(obj.Name).Set(statusLevel(obj.Status))
 		}
 		o.logTransition(obj)
-	}
-	if o.gTopTracked != nil {
-		o.mu.RLock()
-		dims := make(map[string]*TopK, len(o.topks))
-		for dim, t := range o.topks {
-			dims[dim] = t
-		}
-		o.mu.RUnlock()
-		for dim, t := range dims {
-			o.gTopTracked.With(dim).Set(float64(len(t.Top(0))))
-		}
 	}
 	return sc
 }
@@ -371,12 +239,10 @@ type RouteWindowSummary struct {
 }
 
 // ObservatorySummary is the digest embedded in /v1/stats: per-route
-// fast-window traffic, objective statuses, and the head of each
-// heavy-hitter dimension.
+// fast-window traffic and objective statuses.
 type ObservatorySummary struct {
 	Routes    map[string]RouteWindowSummary `json:"routes"`
 	SLOStatus map[string]string             `json:"slo_status"`
-	TopK      map[string][]TopKEntry        `json:"top_k"`
 }
 
 // Summary builds the /v1/stats digest (nil receiver yields nil, so the
@@ -389,19 +255,9 @@ func (o *Observatory) Summary() *ObservatorySummary {
 	sum := &ObservatorySummary{
 		Routes:    make(map[string]RouteWindowSummary),
 		SLOStatus: make(map[string]string),
-		TopK:      make(map[string][]TopKEntry),
 	}
 	o.mu.RLock()
-	routes := make(map[string]*RouteWindows, len(o.routes))
 	for name, rw := range o.routes {
-		routes[name] = rw
-	}
-	dims := make(map[string]*TopK, len(o.topks))
-	for dim, t := range o.topks {
-		dims[dim] = t
-	}
-	o.mu.RUnlock()
-	for name, rw := range routes {
 		s := rw.Latency.MergedAt(now, FastWindow)
 		sum.Routes[name] = RouteWindowSummary{
 			Requests5m: s.Count,
@@ -411,11 +267,9 @@ func (o *Observatory) Summary() *ObservatorySummary {
 			P99MS5m:    s.Quantile(0.99) * 1000,
 		}
 	}
-	for _, obj := range o.cfg.SLOs {
+	o.mu.RUnlock()
+	for _, obj := range o.slos {
 		sum.SLOStatus[obj.Name] = o.scoreObjective(obj, now).Status
-	}
-	for dim, t := range dims {
-		sum.TopK[dim] = t.Top(5)
 	}
 	return sum
 }
@@ -423,67 +277,9 @@ func (o *Observatory) Summary() *ObservatorySummary {
 // SLOHandler serves the scorecard at /debug/slo.
 func (o *Observatory) SLOHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, o.Scorecard())
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(o.Scorecard())
 	})
-}
-
-// SlowLogHandler serves the slow-query log at /debug/slowlog.
-func (o *Observatory) SlowLogHandler() http.Handler { return o.slowlog.Handler() }
-
-// topkReport is one dimension's /debug/topk block.
-type topkReport struct {
-	K          int         `json:"k"`
-	Total      uint64      `json:"total"`
-	ErrorBound uint64      `json:"error_bound"`
-	Top        []TopKEntry `json:"top"`
-}
-
-// TopKHandler serves the heavy-hitter sketches at /debug/topk: one block
-// per dimension; `?n=` caps entries (default 20).
-func (o *Observatory) TopKHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n := 20
-		if s := r.URL.Query().Get("n"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil && v > 0 {
-				n = v
-			}
-		}
-		o.mu.RLock()
-		dims := make([]string, 0, len(o.topks))
-		sketches := make(map[string]*TopK, len(o.topks))
-		for dim, t := range o.topks {
-			dims = append(dims, dim)
-			sketches[dim] = t
-		}
-		o.mu.RUnlock()
-		sort.Strings(dims)
-		resp := make(map[string]topkReport, len(dims))
-		for _, dim := range dims {
-			t := sketches[dim]
-			resp[dim] = topkReport{K: t.K(), Total: t.Total(), ErrorBound: t.ErrorBound(), Top: t.Top(n)}
-		}
-		writeJSON(w, resp)
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// metricName sanitizes a route name into a metric-name suffix.
-func metricName(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

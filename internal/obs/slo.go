@@ -20,7 +20,7 @@ const (
 	KindLatency ObjectiveKind = "latency"
 )
 
-// Default burn-rate thresholds for status classification.
+// Burn-rate thresholds for status classification.
 const (
 	DefaultWarnBurn = 3.0
 	DefaultPageBurn = 14.4
@@ -132,12 +132,12 @@ func goodRatio(bad, total uint64) float64 {
 	return float64(total-bad) / float64(total)
 }
 
-func statusFor(fast, slow WindowScore, warnBurn, pageBurn float64) string {
+func statusFor(fast, slow WindowScore) string {
 	b := min(fast.BurnRate, slow.BurnRate)
 	switch {
-	case b >= pageBurn:
+	case b >= DefaultPageBurn:
 		return "breach"
-	case b >= warnBurn:
+	case b >= DefaultWarnBurn:
 		return "warn"
 	default:
 		return "ok"

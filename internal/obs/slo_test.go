@@ -14,9 +14,8 @@ func approx(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
 
 func testObservatory(clk *fakeClock, reg *Registry) *Observatory {
 	return NewObservatory(ObservatoryConfig{
-		Clock:              clk.Now,
-		Registry:           reg,
-		WindowMetricPrefix: "test_request_window",
+		Clock:    clk.Now,
+		Registry: reg,
 		SLOs: []Objective{
 			{Name: "r-availability", Route: "r", Kind: KindAvailability, Target: 0.999},
 			{Name: "r-latency", Route: "r", Kind: KindLatency, Target: 0.99, LatencyThreshold: 0.005},
@@ -28,10 +27,10 @@ func testObservatory(clk *fakeClock, reg *Registry) *Observatory {
 // observatory's current clock.
 func loadMixed(o *Observatory) {
 	for i := 0; i < 990; i++ {
-		o.RecordRequestAt(o.clock(), "r", 0.0008, 200, RequestOutcome{CacheHit: i%2 == 0})
+		o.RecordRequestAt(o.clock(), "r", 0.0008, 200)
 	}
 	for i := 0; i < 10; i++ {
-		o.RecordRequestAt(o.clock(), "r", 0.05, 500, RequestOutcome{})
+		o.RecordRequestAt(o.clock(), "r", 0.05, 500)
 	}
 }
 
@@ -125,9 +124,6 @@ func TestPublishGaugesAndTransitions(t *testing.T) {
 	reg := NewRegistry()
 	o := testObservatory(clk, reg)
 	loadMixed(o)
-	o.Sketch("domain").Offer("alpha.com")
-	o.Sketch("domain").Offer("alpha.com")
-	o.Sketch("domain").Offer("beta.com")
 
 	o.Publish()
 
@@ -141,16 +137,6 @@ func TestPublishGaugesAndTransitions(t *testing.T) {
 	st, _ := reg.Lookup("slo_status")
 	if got := st.(*GaugeVec).With("r-availability").Value(); got != 1 {
 		t.Fatalf("status gauge = %v, want 1 (warn)", got)
-	}
-	hh, _ := reg.Lookup("heavy_hitter_tracked_keys")
-	if got := hh.(*GaugeVec).With("domain").Value(); got != 2 {
-		t.Fatalf("tracked keys = %v, want 2", got)
-	}
-
-	// The per-route window series were adopted into the registry.
-	snap := reg.Snapshot()
-	if got := snap.Histograms[`test_request_window_seconds_r{window="5m"}`].Count; got != 1000 {
-		t.Fatalf("windowed series count = %d, want 1000", got)
 	}
 
 	// Worst picks the highest two-window burn.
@@ -184,10 +170,7 @@ func TestSLOHandler(t *testing.T) {
 
 func TestObservatoryNilSafe(t *testing.T) {
 	var o *Observatory
-	o.RecordRequestAt(time.Now(), "r", 0.001, 200, RequestOutcome{})
-	if o.Sketch("domain") != nil {
-		t.Fatalf("nil observatory sketch != nil")
-	}
+	o.RecordRequestAt(time.Now(), "r", 0.001, 200)
 	if o.Summary() != nil {
 		t.Fatalf("nil observatory summary != nil")
 	}
@@ -199,7 +182,6 @@ func TestObservatorySummary(t *testing.T) {
 	clk := newFakeClock()
 	o := testObservatory(clk, nil)
 	loadMixed(o)
-	o.Sketch("domain").Offer("alpha.com")
 
 	sum := o.Summary()
 	r := sum.Routes["r"]
@@ -211,8 +193,5 @@ func TestObservatorySummary(t *testing.T) {
 	}
 	if sum.SLOStatus["r-availability"] != "warn" {
 		t.Fatalf("slo status = %+v", sum.SLOStatus)
-	}
-	if len(sum.TopK["domain"]) != 1 || sum.TopK["domain"][0].Key != "alpha.com" {
-		t.Fatalf("topk head = %+v", sum.TopK)
 	}
 }

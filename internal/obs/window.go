@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Clock is an injectable time source for the windowed types. Production
+// Clock is an injectable time source for the observatory. Production
 // code leaves it nil (time.Now); tests drive it forward explicitly so
 // bucket-rotation boundaries are exercised without wall-clock flakiness.
 // Times must be after the Unix epoch.
@@ -19,89 +19,46 @@ const (
 	FastWindow = 5 * time.Minute
 	SlowWindow = time.Hour
 
-	// DefaultWindowStep is the bucket width of the slot ring: windows
-	// are resolved to this granularity, so a "5m" read actually covers
-	// the last 30 buckets including the current partial one.
-	DefaultWindowStep = 10 * time.Second
+	// WindowStep is the bucket width of the slot ring: windows are
+	// resolved to this granularity, so a "5m" read actually covers the
+	// last 30 buckets including the current partial one.
+	WindowStep = 10 * time.Second
+
+	// windowSlots buckets span the slow window, the longest one read.
+	windowSlots = int(SlowWindow / WindowStep)
 )
 
-// Sentinel epochs for ring slots. Real epochs are UnixNano/step ticks of
-// post-1970 clocks, so large negative values can never collide.
-const (
-	epochEmpty   = math.MinInt64     // slot never written
-	epochClaimed = math.MinInt64 + 1 // slot mid-reset by a writer
-)
+// epochClaimed marks a ring slot mid-reset by a writer. Real epochs are
+// UnixNano/WindowStep ticks of post-1970 clocks, so they are positive,
+// and the zero epoch of a slot never written matches no tick.
+const epochClaimed = -1
 
-// windowRing holds the geometry shared by WindowedCounter and
-// WindowedHistogram: a ring of nslots buckets, each step wide, indexed by
-// tick = UnixNano/step. A slot is valid for exactly one tick; the writer
+// The ring geometry shared by WindowedCounter and WindowedHistogram:
+// windowSlots buckets, each WindowStep wide, indexed by tick =
+// UnixNano/WindowStep. A slot is valid for exactly one tick; the writer
 // that first touches a recycled slot CASes its epoch to epochClaimed,
 // zeroes it, then publishes the new tick. Readers merge only slots whose
 // epoch matches the tick they expect and re-check the epoch after
 // reading, so a concurrent recycle at worst drops that slot from one
 // read instead of corrupting it.
-type windowRing struct {
-	step   int64 // bucket width in nanoseconds
-	nslots int64
-	clock  Clock
+
+func windowTick(t time.Time) int64 { return t.UnixNano() / int64(WindowStep) }
+
+func windowSlot(tick int64) int { return int(tick % int64(windowSlots)) }
+
+// windowTicks converts a window to a bucket count, clamped to [1,
+// windowSlots].
+func windowTicks(window time.Duration) int64 {
+	return min(max(int64(window/WindowStep), 1), int64(windowSlots))
 }
 
-func (r *windowRing) init(step, span time.Duration, clock Clock) {
-	if step <= 0 {
-		step = DefaultWindowStep
-	}
-	if span <= 0 {
-		span = SlowWindow
-	}
-	if clock == nil {
-		clock = time.Now
-	}
-	n := int64(span / step)
-	if n < 2 {
-		n = 2
-	}
-	r.step = int64(step)
-	r.nslots = n
-	r.clock = clock
-}
-
-func (r *windowRing) tick(t time.Time) int64 { return t.UnixNano() / r.step }
-
-// idx maps a tick to its slot, tolerating pre-epoch clocks.
-func (r *windowRing) idx(tick int64) int {
-	i := int(tick % r.nslots)
-	if i < 0 {
-		i += int(r.nslots)
-	}
-	return i
-}
-
-// ticksFor converts a window to a bucket count, clamped to [1, nslots].
-func (r *windowRing) ticksFor(window time.Duration) int64 {
-	k := int64(window) / r.step
-	if k < 1 {
-		k = 1
-	}
-	if k > r.nslots {
-		k = r.nslots
-	}
-	return k
-}
-
-// Step returns the bucket width.
-func (r *windowRing) Step() time.Duration { return time.Duration(r.step) }
-
-// Span returns the longest window the ring can answer.
-func (r *windowRing) Span() time.Duration { return time.Duration(r.step * r.nslots) }
-
-// WindowedCounter counts events per fixed-duration bucket in a ring, so
-// totals and rates over the trailing window (up to the ring span) can be
+// WindowedCounter counts events per WindowStep bucket in a ring spanning
+// SlowWindow, so totals over any trailing window up to that span can be
 // read at any time. The hot path is one atomic add when the slot is
-// current; recycling a slot costs one CAS. Unlike Counter it is not
-// monotonic from a reader's perspective: old buckets age out.
+// current; recycling a slot costs one CAS. Old buckets age out. The
+// zero value is ready to use.
 type WindowedCounter struct {
-	ring  windowRing
-	slots []counterSlot
+	slots [windowSlots]counterSlot
 }
 
 type counterSlot struct {
@@ -109,26 +66,10 @@ type counterSlot struct {
 	n     atomic.Int64
 }
 
-// NewWindowedCounter creates a windowed counter with the given bucket
-// step and total span (zero values use DefaultWindowStep / SlowWindow);
-// nil clock uses time.Now.
-func NewWindowedCounter(step, span time.Duration, clock Clock) *WindowedCounter {
-	w := &WindowedCounter{}
-	w.ring.init(step, span, clock)
-	w.slots = make([]counterSlot, w.ring.nslots)
-	for i := range w.slots {
-		w.slots[i].epoch.Store(epochEmpty)
-	}
-	return w
-}
-
-// Span returns the longest answerable window.
-func (w *WindowedCounter) Span() time.Duration { return w.ring.Span() }
-
-// AddAt records n events at time t (the injectable-clock form).
+// AddAt records n events at time t.
 func (w *WindowedCounter) AddAt(t time.Time, n int64) {
-	tick := w.ring.tick(t)
-	s := &w.slots[w.ring.idx(tick)]
+	tick := windowTick(t)
+	s := &w.slots[windowSlot(tick)]
 	for {
 		switch e := s.epoch.Load(); {
 		case e == tick:
@@ -150,18 +91,13 @@ func (w *WindowedCounter) AddAt(t time.Time, n int64) {
 	}
 }
 
-// Total sums the trailing window (clamped to the ring span), including
-// the current partial bucket.
-func (w *WindowedCounter) Total(window time.Duration) int64 {
-	return w.TotalAt(w.ring.clock(), window)
-}
-
-// TotalAt is Total evaluated as of time t.
+// TotalAt sums the trailing window (clamped to SlowWindow) as of time t,
+// including the current partial bucket.
 func (w *WindowedCounter) TotalAt(t time.Time, window time.Duration) int64 {
-	now := w.ring.tick(t)
+	now := windowTick(t)
 	var sum int64
-	for tk := now - w.ring.ticksFor(window) + 1; tk <= now; tk++ {
-		s := &w.slots[w.ring.idx(tk)]
+	for tk := now - windowTicks(window) + 1; tk <= now; tk++ {
+		s := &w.slots[windowSlot(tk)]
 		if s.epoch.Load() != tk {
 			continue
 		}
@@ -174,54 +110,35 @@ func (w *WindowedCounter) TotalAt(t time.Time, window time.Duration) int64 {
 	return sum
 }
 
-// WindowedHistogram is a fixed-bucket histogram per ring slot: Observe
-// lands in the current slot, and Merged folds the trailing window's
+// WindowedHistogram is a DefBuckets histogram per ring slot: ObserveAt
+// lands in the current slot, and MergedAt folds the trailing window's
 // slots into one WindowSnapshot for quantile and threshold queries. It
-// shares bucket semantics (and DefBuckets) with Histogram but ages out
-// old observations instead of accumulating forever.
+// shares bucket semantics with Histogram but ages out old observations
+// instead of accumulating forever.
 type WindowedHistogram struct {
-	ring   windowRing
-	bounds []float64
-	slots  []histSlot
+	slots [windowSlots]histSlot
 }
 
 type histSlot struct {
 	epoch   atomic.Int64
 	count   atomic.Uint64
 	sumBits atomic.Uint64
-	counts  []atomic.Uint64 // len(bounds)+1, last is overflow
+	counts  []atomic.Uint64 // len(DefBuckets)+1, last is overflow
 }
 
-// NewWindowedHistogram creates a windowed histogram; nil bounds use
-// DefBuckets, zero step/span use DefaultWindowStep / SlowWindow, nil
-// clock uses time.Now.
-func NewWindowedHistogram(bounds []float64, step, span time.Duration, clock Clock) *WindowedHistogram {
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	b := append([]float64(nil), bounds...)
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
-		}
-	}
-	w := &WindowedHistogram{bounds: b}
-	w.ring.init(step, span, clock)
-	w.slots = make([]histSlot, w.ring.nslots)
+// NewWindowedHistogram creates an empty windowed histogram.
+func NewWindowedHistogram() *WindowedHistogram {
+	w := &WindowedHistogram{}
 	for i := range w.slots {
-		w.slots[i].epoch.Store(epochEmpty)
-		w.slots[i].counts = make([]atomic.Uint64, len(b)+1)
+		w.slots[i].counts = make([]atomic.Uint64, len(DefBuckets)+1)
 	}
 	return w
 }
 
-// Span returns the longest answerable window.
-func (w *WindowedHistogram) Span() time.Duration { return w.ring.Span() }
-
-// ObserveAt records one value at time t (the injectable-clock form).
+// ObserveAt records one value at time t.
 func (w *WindowedHistogram) ObserveAt(t time.Time, v float64) {
-	tick := w.ring.tick(t)
-	s := &w.slots[w.ring.idx(tick)]
+	tick := windowTick(t)
+	s := &w.slots[windowSlot(tick)]
 	for {
 		e := s.epoch.Load()
 		if e == tick {
@@ -243,7 +160,7 @@ func (w *WindowedHistogram) ObserveAt(t time.Time, v float64) {
 			break
 		}
 	}
-	s.counts[bucketIndex(w.bounds, v)].Add(1)
+	s.counts[bucketIndex(DefBuckets, v)].Add(1)
 	s.count.Add(1)
 	for {
 		old := s.sumBits.Load()
@@ -254,23 +171,17 @@ func (w *WindowedHistogram) ObserveAt(t time.Time, v float64) {
 	}
 }
 
-// Merged folds the trailing window into one snapshot.
-func (w *WindowedHistogram) Merged(window time.Duration) WindowSnapshot {
-	return w.MergedAt(w.ring.clock(), window)
-}
-
-// MergedAt is Merged evaluated as of time t.
+// MergedAt folds the trailing window (clamped to SlowWindow) as of time
+// t into one snapshot.
 func (w *WindowedHistogram) MergedAt(t time.Time, window time.Duration) WindowSnapshot {
-	now := w.ring.tick(t)
-	k := w.ring.ticksFor(window)
+	now := windowTick(t)
 	snap := WindowSnapshot{
-		Window: time.Duration(k) * w.ring.Step(),
-		Bounds: w.bounds,
-		Counts: make([]uint64, len(w.bounds)+1),
+		Bounds: DefBuckets,
+		Counts: make([]uint64, len(DefBuckets)+1),
 	}
-	tmp := make([]uint64, len(w.bounds)+1)
-	for tk := now - k + 1; tk <= now; tk++ {
-		s := &w.slots[w.ring.idx(tk)]
+	tmp := make([]uint64, len(DefBuckets)+1)
+	for tk := now - windowTicks(window) + 1; tk <= now; tk++ {
+		s := &w.slots[windowSlot(tk)]
 		if s.epoch.Load() != tk {
 			continue
 		}
@@ -292,15 +203,14 @@ func (w *WindowedHistogram) MergedAt(t time.Time, window time.Duration) WindowSn
 }
 
 // WindowSnapshot is a merged read of a windowed histogram: per-bucket
-// counts over the effective window, plus total count and sum. It is a
-// plain value — safe to keep, compare, or serve — and answers quantile
-// and threshold queries against the merged distribution.
+// counts over the window, plus total count and sum. It is a plain value
+// and answers quantile and threshold queries against the merged
+// distribution.
 type WindowSnapshot struct {
-	Window time.Duration `json:"-"`
-	Bounds []float64     `json:"-"`
-	Counts []uint64      `json:"-"`
-	Count  uint64        `json:"count"`
-	Sum    float64       `json:"sum"`
+	Bounds []float64
+	Counts []uint64
+	Count  uint64
+	Sum    float64
 }
 
 // Quantile estimates the q-quantile of the merged window (same
