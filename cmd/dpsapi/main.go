@@ -14,8 +14,10 @@
 // them against the SLOs: /debug/slo serves the burn-rate scorecard,
 // /v1/stats digests it, and the final scorecard is logged on drain.
 // Admission control is layered: -qps rate-limits with a token bucket
-// (429 beyond it), -max-inflight bounds concurrency (503 when the gate
-// stays full past the deadline), and -timeout caps every request.
+// (429 beyond it), and -max-inflight bounds concurrency: a request that
+// finds the gate full waits at most -timeout for a slot (503 after
+// that, or at once if its client goes away). An admitted request runs
+// without a deadline: what follows the gate is in-memory work.
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
 // requests finish (up to drainTimeout), then the process exits.
 //
@@ -78,7 +80,7 @@ func main() {
 		qps          = flag.Float64("qps", 0, "admitted requests per second (0 = unlimited)")
 		burst        = flag.Int("burst", 0, "token bucket depth (default: qps)")
 		maxInflight  = flag.Int("max-inflight", 256, "max concurrently handled requests")
-		timeout      = flag.Duration("timeout", 2*time.Second, "per-request deadline")
+		timeout      = flag.Duration("timeout", 2*time.Second, "longest wait for a concurrency slot before a 503")
 		cacheSize    = flag.Int("cache", 4096, "response cache entries (negative = disabled)")
 	)
 	cli.Parse("dpsapi", cli.Logging|cli.Profiling)

@@ -4,6 +4,8 @@ package api
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -146,3 +148,70 @@ func leastAlloc(fn func()) uint64 {
 	}
 	return least
 }
+
+// TestCachedRequestAllocs holds a warm cached /v1/domain hit through
+// Server.Handler() to the one allocation net/http's mux makes matching
+// the {name} path value. The server itself allocates nothing on it: no
+// deadline context or timer (the gate arms one only when it must wait),
+// no request copy, no key string (the lookup uses a stack buffer) and
+// no Content-Type slice.
+func TestCachedRequestAllocs(t *testing.T) {
+	srv := fixtureServer(t, Config{})
+	hits0 := mCacheHits.Value()
+	serve := cachedRequest(t, srv)
+	if allocs := testing.AllocsPerRun(200, serve); allocs > 1 {
+		t.Errorf("cached /v1/domain hit: %.1f allocations, ceiling 1 (the mux's path match)", allocs)
+	}
+	if mCacheHits.Value()-hits0 < 200 {
+		t.Fatalf("the measured requests were not cache hits")
+	}
+}
+
+// BenchmarkCachedRequest prices one cached /v1/domain hit through the
+// whole serving stack, with the default query observatory and without
+// one: the difference is what the observatory costs a request.
+func BenchmarkCachedRequest(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"observatory", Config{}},
+		{"bare", Config{ObservatoryOff: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			serve := cachedRequest(b, fixtureServer(b, bc.cfg))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
+}
+
+// cachedRequest warms srv's cache with one /v1/domain answer and returns
+// a function that serves that request again, reusing one request and
+// one writer so that only the server's own allocations remain.
+func cachedRequest(tb testing.TB, srv *Server) func() {
+	h := srv.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/domain/alpha.com", nil)
+	w := &discardWriter{h: make(http.Header)}
+	serve := func() { h.ServeHTTP(w, req) }
+	serve()
+	serve()
+	if w.code != http.StatusOK {
+		tb.Fatalf("warm-up request: %d", w.code)
+	}
+	return serve
+}
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status code.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }

@@ -10,10 +10,13 @@
 // layered, outermost first:
 //
 //  1. Admission control: a token bucket (429 when the offered rate
-//     exceeds the configured QPS), a bounded concurrency gate (503 when
-//     the deadline expires while waiting for a slot), and a per-request
-//     deadline — load is shed at the edge instead of queueing
-//     unboundedly, in the spirit of layered-defense frontends.
+//     exceeds the configured QPS) and a bounded concurrency gate (503
+//     when no slot frees up within Config.Timeout, or the client goes
+//     away while waiting) — load is shed at the edge instead of queueing
+//     unboundedly, in the spirit of layered-defense frontends. The
+//     deadline is armed only for a request that has to wait: one that
+//     finds a free slot carries none, since behind the gate there is
+//     only in-memory work.
 //  2. A sharded LRU response cache (power-of-two shards, per-shard
 //     mutex) holding fully rendered JSON bodies.
 //  3. Singleflight coalescing: N concurrent misses for one key perform
@@ -25,7 +28,6 @@
 package api
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -47,8 +49,11 @@ type Config struct {
 	Burst int
 	// MaxInflight bounds concurrently handled requests (default 256).
 	MaxInflight int
-	// Timeout is the per-request deadline, covering both the wait for a
-	// concurrency slot and the handler itself (default 2s).
+	// Timeout bounds how long a request waits for a concurrency slot
+	// when the gate is full; it is shed with 503 after that (default
+	// 2s). An admitted request carries no deadline: behind the gate it
+	// does only in-memory work (a cache read, or an index walk it may
+	// share with concurrent misses), and no handler reads a context.
 	Timeout time.Duration
 	// CacheEntries sizes the response cache: 0 means the 4096 default,
 	// negative disables caching.
@@ -144,35 +149,27 @@ func (s *Server) Observatory() *obs.Observatory { return s.obsv }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // route wraps one handler with the full serving stack: admission
-// (bucket → gate → deadline), tracing, cache + coalescing, observatory.
+// (bucket → gate), cache + coalescing, observatory.
 func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if s.bucket != nil && !s.bucket.allow() {
 			mRateLimited.Inc()
 			w.Header().Set("Retry-After", strconv.Itoa(s.bucket.retryAfterSeconds()))
-			s.finish(w, name, start, errResponse(http.StatusTooManyRequests, "rate limit exceeded"))
+			s.finish(w, name, start, respRateLimited)
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
 		select {
 		case s.gate <- struct{}{}:
 		default:
-			// Gate full: wait, but only as long as the request deadline —
-			// the queue is bounded by MaxInflight waiters' deadlines, not
-			// by memory.
-			select {
-			case s.gate <- struct{}{}:
-			case <-ctx.Done():
+			if !s.awaitSlot(r) {
 				mShed.Inc()
-				s.finish(w, name, start, errResponse(http.StatusServiceUnavailable, "server overloaded"))
+				s.finish(w, name, start, respOverloaded)
 				return
 			}
 		}
 		defer func() { <-s.gate }()
 
-		r = r.WithContext(ctx)
 		if s.testHook != nil {
 			s.testHook(name)
 		}
@@ -180,22 +177,50 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 	})
 }
 
-// respond resolves a request through cache and singleflight.
+// awaitSlot waits for a slot of the full concurrency gate, but only up
+// to Timeout or until r's client goes away, and reports whether it got
+// one. The queue is thus bounded by MaxInflight waiters' deadlines, not
+// by memory. The timer is armed here, on the slow path, so a request
+// that finds a free slot pays for no deadline.
+func (s *Server) awaitSlot(r *http.Request) bool {
+	t := time.NewTimer(s.cfg.Timeout)
+	defer t.Stop()
+	select {
+	case s.gate <- struct{}{}:
+		return true
+	case <-t.C:
+		return false
+	case <-r.Context().Done():
+		return false
+	}
+}
+
+// keyBufLen sizes the stack buffer respond builds a cache key in: a
+// route name, a space and a /v1/domain URI of a maximal name fit.
+const keyBufLen = 320
+
+// respond resolves a request through cache and singleflight. The
+// "route RequestURI" key is built in a stack buffer, and a cache hit
+// looks it up without materialising it; only a miss copies it into a
+// string. (RequestURI allocates only for a query string, which no
+// route reads.)
 func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request) cached) cached {
-	key := route + " " + r.URL.RequestURI()
+	var buf [keyBufLen]byte
+	kb := append(append(append(buf[:0], route...), ' '), r.URL.RequestURI()...)
 	if s.cache == nil {
-		return s.flight.do(key, func() cached {
+		return s.flight.do(string(kb), func() cached {
 			if s.flightHook != nil {
 				s.flightHook()
 			}
 			return fn(r)
 		})
 	}
-	if val, ok := s.cache.get(key); ok {
+	if val, ok := s.cache.get(kb); ok {
 		mCacheHits.Inc()
 		return val
 	}
 	mCacheMisses.Inc()
+	key := string(kb)
 	// The cache generation is read before the handler resolves the index
 	// pointer: if a Publish lands in between, put rejects this (possibly
 	// stale) fill instead of resurrecting an invalidated key.
@@ -215,10 +240,14 @@ func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request)
 	})
 }
 
+// contentTypeJSON is every response's Content-Type value, shared so
+// finish assigns it instead of allocating a fresh slice per response.
+var contentTypeJSON = []string{"application/json; charset=utf-8"}
+
 // finish writes the response and records its route, latency and status
 // in the observatory.
 func (s *Server) finish(w http.ResponseWriter, route string, start time.Time, val cached) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(val.status)
 	_, _ = w.Write(val.body)
 	elapsed := time.Since(start)
@@ -229,13 +258,28 @@ func (s *Server) finish(w http.ResponseWriter, route string, start time.Time, va
 func jsonResponse(status int, v any) cached {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return errResponse(http.StatusInternalServerError, "encoding failed")
+		return respEncodingFailed
 	}
 	return cached{status: status, body: append(body, '\n')}
 }
 
-// errResponse renders the uniform error body.
-func errResponse(status int, msg string) cached {
+// The error answers, rendered once: every message is fixed, and the
+// ones a shedding server sends most (429, 503) then cost no formatting.
+// Their bodies are shared and never written to.
+var (
+	respRateLimited     = fixedError(http.StatusTooManyRequests, "rate limit exceeded")
+	respOverloaded      = fixedError(http.StatusServiceUnavailable, "server overloaded")
+	respEncodingFailed  = fixedError(http.StatusInternalServerError, "encoding failed")
+	respBadDomain       = fixedError(http.StatusBadRequest, "invalid domain name")
+	respNoDomain        = fixedError(http.StatusNotFound, "domain has no recorded DPS references")
+	respBadProvider     = fixedError(http.StatusBadRequest, "invalid provider name")
+	respUnknownProvider = fixedError(http.StatusNotFound, "unknown provider")
+	respBadDate         = fixedError(http.StatusBadRequest, "invalid date, want YYYY-MM-DD")
+	respNoDay           = fixedError(http.StatusNotFound, "day not in dataset")
+)
+
+// fixedError renders the uniform error body.
+func fixedError(status int, msg string) cached {
 	return cached{status: status, body: []byte(fmt.Sprintf("{\"error\":%q}\n", msg))}
 }
 
@@ -245,11 +289,11 @@ const maxDomainName = 253
 func (s *Server) handleDomain(r *http.Request) cached {
 	name := strings.ToLower(strings.TrimSuffix(r.PathValue("name"), "."))
 	if name == "" || len(name) > maxDomainName || strings.ContainsAny(name, " /\\") {
-		return errResponse(http.StatusBadRequest, "invalid domain name")
+		return respBadDomain
 	}
 	h, ok := s.Index().Domain(name)
 	if !ok {
-		return errResponse(http.StatusNotFound, "domain has no recorded DPS references")
+		return respNoDomain
 	}
 	return jsonResponse(http.StatusOK, h)
 }
@@ -257,11 +301,11 @@ func (s *Server) handleDomain(r *http.Request) cached {
 func (s *Server) handleSeries(r *http.Request) cached {
 	name := r.PathValue("name")
 	if name == "" {
-		return errResponse(http.StatusBadRequest, "invalid provider name")
+		return respBadProvider
 	}
 	series, ok := s.Index().Series(name)
 	if !ok {
-		return errResponse(http.StatusNotFound, "unknown provider")
+		return respUnknownProvider
 	}
 	return jsonResponse(http.StatusOK, series)
 }
@@ -269,11 +313,11 @@ func (s *Server) handleSeries(r *http.Request) cached {
 func (s *Server) handleDay(r *http.Request) cached {
 	day, err := simtime.Parse(r.PathValue("date"))
 	if err != nil {
-		return errResponse(http.StatusBadRequest, "invalid date, want YYYY-MM-DD")
+		return respBadDate
 	}
 	info, ok := s.Index().Day(day)
 	if !ok {
-		return errResponse(http.StatusNotFound, "day not in dataset")
+		return respNoDay
 	}
 	return jsonResponse(http.StatusOK, info)
 }

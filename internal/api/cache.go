@@ -72,27 +72,25 @@ func newCache(entries, shards int) *shardedCache {
 	return c
 }
 
-// fnv64a hashes the key for shard selection (inline to avoid the
-// hash/fnv allocation on the hot path).
-func fnv64a(s string) uint64 {
+// fnv64a hashes a key for shard selection (inline to avoid the
+// hash/fnv allocation on the hot path). It takes the key as a string
+// (put) or as the bytes a request built it in (get), with one result.
+func fnv64a[T string | []byte](key T) uint64 {
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
 	return h
 }
 
-func (c *shardedCache) shard(key string) *cacheShard {
-	return c.shards[fnv64a(key)&c.mask]
-}
-
-// get returns the cached response and promotes it to most-recent.
-func (c *shardedCache) get(key string) (cached, bool) {
-	s := c.shard(key)
+// get returns the response cached under key and promotes it to
+// most-recent. key is not retained, and the lookup does not copy it.
+func (c *shardedCache) get(key []byte) (cached, bool) {
+	s := c.shards[fnv64a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	el, ok := s.items[string(key)]
 	if !ok {
 		return cached{}, false
 	}
@@ -110,7 +108,7 @@ func (c *shardedCache) generation() uint64 { return c.gen.Load() }
 // replaced index and is dropped. The check happens under the shard
 // lock, so it cannot race a concurrent sweep of the same key.
 func (c *shardedCache) put(key string, val cached, gen uint64) {
-	s := c.shard(key)
+	s := c.shards[fnv64a(key)&c.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.gen.Load() != gen {

@@ -16,15 +16,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	c.put("a", body("A"), c.generation())
 	c.put("b", body("B"), c.generation())
 	// Touch "a" so "b" is the coldest, then overflow.
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get([]byte("a")); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	c.put("c", body("C"), c.generation())
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.get([]byte("b")); ok {
 		t.Fatal("b should have been evicted (LRU)")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.get([]byte(k)); !ok {
 			t.Fatalf("%s missing after eviction", k)
 		}
 	}
@@ -33,7 +33,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// Refreshing an existing key replaces the value without growing.
 	c.put("a", body("A2"), c.generation())
-	if v, _ := c.get("a"); string(v.body) != "A2" {
+	if v, _ := c.get([]byte("a")); string(v.body) != "A2" {
 		t.Fatalf("refresh lost: %q", v.body)
 	}
 	if resident(c) != 2 {
@@ -75,7 +75,7 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key-%d", i%100)
-				if v, ok := c.get(k); ok {
+				if v, ok := c.get([]byte(k)); ok {
 					if string(v.body) != k {
 						t.Errorf("corrupt value for %s: %q", k, v.body)
 						return

@@ -143,6 +143,36 @@ func TestDebugSLOEndpoint(t *testing.T) {
 	}
 }
 
+// TestScorecardIsARead: scoring an objective whose route has served
+// nothing creates no windows for it, so a fresh observatory's digest
+// lists no routes however often it is read, while /debug/slo still
+// scores every objective, as zero traffic.
+func TestScorecardIsARead(t *testing.T) {
+	srv := observedServer(t, newStepClock(), Config{})
+	o := srv.Observatory()
+	for i := 1; i <= 2; i++ {
+		if sum := o.Summary(); len(sum.Routes) != 0 {
+			t.Fatalf("Summary call %d lists routes %v with no traffic", i, sum.Routes)
+		}
+	}
+	code, body := get(t, srv.Handler(), "/debug/slo")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/slo: %d", code)
+	}
+	sc := decodeAs[obs.Scorecard](t, body)
+	if len(sc.Objectives) != len(DefaultSLOs()) {
+		t.Fatalf("objectives = %d, want %d", len(sc.Objectives), len(DefaultSLOs()))
+	}
+	for _, obj := range sc.Objectives {
+		if obj.Status != "ok" || obj.Fast.Total != 0 || obj.Slow.Total != 0 {
+			t.Fatalf("%s on no traffic: status %q, totals %d/%d", obj.Name, obj.Status, obj.Fast.Total, obj.Slow.Total)
+		}
+	}
+	if sum := o.Summary(); len(sum.Routes) != 0 {
+		t.Fatalf("routes after /debug/slo: %v", sum.Routes)
+	}
+}
+
 // assertRetiredEndpoint checks that a debug endpoint whose backing
 // structure is gone is no longer mounted, even after traffic.
 func assertRetiredEndpoint(t *testing.T, path string) {

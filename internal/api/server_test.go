@@ -1,6 +1,7 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,7 @@ func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 // provider (CNAME+NS) on days 0-2 with a method change on day 2,
 // beta.com uses it via AS on day 0 only, gamma.com uses CloudFlare on
 // days 1-2, and quiet.com never exhibits a reference.
-func fixtureStore(t *testing.T) (*store.Store, *core.References) {
+func fixtureStore(t testing.TB) (*store.Store, *core.References) {
 	t.Helper()
 	refs := core.MustGroundTruth()
 	p0 := refs.Providers[0] // Akamai: has ASNs, CNAME SLDs and NS SLDs
@@ -54,7 +55,7 @@ func fixtureStore(t *testing.T) (*store.Store, *core.References) {
 	return s, refs
 }
 
-func fixtureServer(t *testing.T, cfg Config) *Server {
+func fixtureServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, refs := fixtureStore(t)
 	return NewServer(NewIndex(s, refs), cfg)
@@ -251,6 +252,84 @@ func TestOverloadSheds503(t *testing.T) {
 	second := <-results // the occupant finishes normally
 	if second.code != http.StatusOK {
 		t.Fatalf("in-flight request status = %d, want 200", second.code)
+	}
+}
+
+// TestOverloadShedsOnClientGone: a request waiting on a full gate is
+// shed with 503 as soon as its client goes away, not at its deadline.
+func TestOverloadShedsOnClientGone(t *testing.T) {
+	const timeout = 10 * time.Second
+	srv := fixtureServer(t, Config{MaxInflight: 1, Timeout: timeout})
+	block := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	srv.testHook = func(route string) {
+		if route == "stats" {
+			entered <- struct{}{}
+			<-block
+		}
+	}
+	occupant := make(chan int, 1)
+	go func() {
+		code, _ := get(t, srv.Handler(), "/v1/stats")
+		occupant <- code
+	}()
+	<-entered // the occupant holds the only slot
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/v1/domain/alpha.com", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	shed0 := mShed.Value()
+	start := time.Now()
+	time.AfterFunc(20*time.Millisecond, cancel)
+	srv.Handler().ServeHTTP(rec, req)
+	if waited := time.Since(start); waited > timeout/2 {
+		t.Fatalf("waiter shed after %v, want well before the %v deadline", waited, timeout)
+	}
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("waiter whose client left got %d, want 503", rec.Code)
+	}
+	if d := mShed.Value() - shed0; d != 1 {
+		t.Fatalf("api_shed_total moved by %d, want 1", d)
+	}
+	close(block)
+	if code := <-occupant; code != http.StatusOK {
+		t.Fatalf("in-flight request status = %d, want 200", code)
+	}
+}
+
+// TestErrorBodies pins every error answer byte for byte: they are
+// rendered once, not per response.
+func TestErrorBodies(t *testing.T) {
+	for _, tc := range []struct {
+		val    cached
+		status int
+		body   string
+	}{
+		{respRateLimited, 429, `{"error":"rate limit exceeded"}`},
+		{respOverloaded, 503, `{"error":"server overloaded"}`},
+		{respEncodingFailed, 500, `{"error":"encoding failed"}`},
+		{respBadDomain, 400, `{"error":"invalid domain name"}`},
+		{respNoDomain, 404, `{"error":"domain has no recorded DPS references"}`},
+		{respBadProvider, 400, `{"error":"invalid provider name"}`},
+		{respUnknownProvider, 404, `{"error":"unknown provider"}`},
+		{respBadDate, 400, `{"error":"invalid date, want YYYY-MM-DD"}`},
+		{respNoDay, 404, `{"error":"day not in dataset"}`},
+	} {
+		if tc.val.status != tc.status || string(tc.val.body) != tc.body+"\n" {
+			t.Errorf("got %d %q, want %d %q", tc.val.status, tc.val.body, tc.status, tc.body+"\n")
+		}
+	}
+	// The same bytes reach the client.
+	srv := fixtureServer(t, Config{})
+	for path, want := range map[string]string{
+		"/v1/domain/nosuch.example":           `{"error":"domain has no recorded DPS references"}`,
+		"/v1/provider/NoSuchCDN/series":       `{"error":"unknown provider"}`,
+		"/v1/day/not-a-date":                  `{"error":"invalid date, want YYYY-MM-DD"}`,
+		"/v1/day/" + simtime.Day(99).String(): `{"error":"day not in dataset"}`,
+	} {
+		if _, body := get(t, srv.Handler(), path); body != want+"\n" {
+			t.Errorf("%s: body %q, want %q", path, body, want+"\n")
+		}
 	}
 }
 

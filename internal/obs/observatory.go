@@ -125,7 +125,14 @@ func (o *Observatory) Scorecard() Scorecard {
 }
 
 func (o *Observatory) scoreObjective(obj Objective, now time.Time) ObjectiveScore {
-	rw := o.Route(obj.Route)
+	// A route that has served nothing scores as zero traffic: its nil
+	// windows read as empty, and none are created for it here.
+	var rw RouteWindows
+	o.mu.RLock()
+	if p := o.routes[obj.Route]; p != nil {
+		rw = *p
+	}
+	o.mu.RUnlock()
 	fastSnap := rw.Latency.MergedAt(now, FastWindow)
 	slowSnap := rw.Latency.MergedAt(now, SlowWindow)
 	score := ObjectiveScore{

@@ -92,8 +92,12 @@ func (w *WindowedCounter) AddAt(t time.Time, n int64) {
 }
 
 // TotalAt sums the trailing window (clamped to SlowWindow) as of time t,
-// including the current partial bucket.
+// including the current partial bucket. A nil counter has counted
+// nothing.
 func (w *WindowedCounter) TotalAt(t time.Time, window time.Duration) int64 {
+	if w == nil {
+		return 0
+	}
 	now := windowTick(t)
 	var sum int64
 	for tk := now - windowTicks(window) + 1; tk <= now; tk++ {
@@ -172,12 +176,15 @@ func (w *WindowedHistogram) ObserveAt(t time.Time, v float64) {
 }
 
 // MergedAt folds the trailing window (clamped to SlowWindow) as of time
-// t into one snapshot.
+// t into one snapshot. A nil histogram yields an empty one.
 func (w *WindowedHistogram) MergedAt(t time.Time, window time.Duration) WindowSnapshot {
 	now := windowTick(t)
 	snap := WindowSnapshot{
 		Bounds: DefBuckets,
 		Counts: make([]uint64, len(DefBuckets)+1),
+	}
+	if w == nil {
+		return snap
 	}
 	tmp := make([]uint64, len(DefBuckets)+1)
 	for tk := now - windowTicks(window) + 1; tk <= now; tk++ {
