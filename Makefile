@@ -73,8 +73,9 @@ coord-smoke:
 
 # Serving-layer suite: the api package's handler/cache/admission tests
 # and the store partition-directory tests under the race detector, then
-# a real-process smoke test (measure -> save -> dpsapi -> curl every
-# route -> assert cache hits -> SIGTERM drain).
+# a real-process smoke test (a servfail-burst dpsreport run must print
+# DEGRADED ledger rows; dpsreport -out -> dpsapi -> curl every route ->
+# assert cache hits -> SIGTERM drain).
 api:
 	$(GO) test -race ./internal/api/ ./internal/store/
 	sh scripts/api_smoke.sh

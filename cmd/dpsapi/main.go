@@ -1,5 +1,5 @@
 // Command dpsapi serves detection queries over a measurement dataset
-// written by cmd/dpsmeasure -out (the .dpsa archive):
+// written by dpsreport -out or dpscoord -out (the .dpsa archive):
 //
 //	GET /v1/domain/{name}           full detection history of one domain
 //	GET /v1/provider/{name}/series  daily use counts, raw + smoothed

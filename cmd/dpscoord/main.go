@@ -1,5 +1,6 @@
 // Command dpscoord runs the measurement pipeline through the
-// fault-tolerant coordination plane: a coordinator owns a durable work
+// fault-tolerant coordination plane — the one command that does; dpsreport
+// runs every other measurement. A coordinator owns a durable work
 // ledger of (source, day) partitions and leases them to N workers, each
 // measuring one partition at a time into a checksummed spool file.
 // Leases are fenced and expire on missed heartbeats, commits are
@@ -41,10 +42,13 @@ import (
 	"time"
 
 	"dpsadopt/cmd/internal/cli"
+	"dpsadopt/internal/chaos"
 	"dpsadopt/internal/coord"
 	"dpsadopt/internal/measure"
 	"dpsadopt/internal/obs"
+	"dpsadopt/internal/simtime"
 	"dpsadopt/internal/store"
+	"dpsadopt/internal/worldsim"
 )
 
 func main() {
@@ -62,14 +66,14 @@ func main() {
 	flags := cli.Parse("dpscoord", cli.Logging|cli.Faults)
 	logger := obs.Logger()
 	if flags.FaultScenario != "" && !flags.Fault.CoordActive() {
-		log.Fatalf("scenario %q has no coordination-plane faults; dpscoord injects coordination chaos only (use dpsmeasure -mode wire for network/server faults)", flags.FaultScenario)
+		log.Fatalf("scenario %q has no coordination-plane faults; dpscoord injects coordination chaos only (use dpsreport -mode wire for network/server faults)", flags.FaultScenario)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	world := cli.World(*scale)
 	ccfg := coord.Config{Dir: *dir, Workers: *workers, LeaseTTL: *leaseTTL, MaxAttempts: *maxAttempts}
-	c, err := cli.Coordinate(ctx, world, *days, measure.Config{Mode: measure.ModeDirect, Workers: *measureWorkers}, &ccfg, flags)
+	c, err := coordinate(ctx, world, *days, *measureWorkers, &ccfg, flags)
 	stats := c.Stats()
 
 	ledger := c.Ledger()
@@ -101,7 +105,7 @@ func main() {
 		fmt.Printf("ledger complete: %d (source, day) partitions committed exactly once\n", stats.Committed)
 	}
 
-	assembled, damaged := cli.Assemble(c)
+	assembled, damaged := assemble(c)
 	if !flags.Quiet {
 		printLedger(ledger)
 		if len(damaged) > 0 {
@@ -128,6 +132,70 @@ func main() {
 		}
 		logger.Info("dataset written", "path", *out)
 	}
+}
+
+// coordinate measures the first days days of w through the coordination
+// plane under f's coordination faults: each (source, day) partition with
+// domains to measure is leased to one of ccfg's workers, which measures
+// it in direct mode with measureWorkers workers into its spool. An empty
+// ccfg.Dir becomes a fresh temp dir. coordinate returns the coordinator
+// and the error that ended its run; it is fatal only when no coordinator
+// can be built.
+func coordinate(ctx context.Context, w *worldsim.World, days, measureWorkers int, ccfg *coord.Config, f *cli.Flags) (*coord.Coordinator, error) {
+	start := time.Now()
+	if ccfg.Dir == "" {
+		dir, err := os.MkdirTemp("", "dpscoord-*")
+		if err != nil {
+			log.Fatal(err)
+		}
+		ccfg.Dir = dir
+	}
+	mcfg := measure.Config{Mode: measure.ModeDirect, Workers: measureWorkers}
+	probe := measure.New(w, store.New(), mcfg)
+	var parts []coord.Partition
+	for d := 0; d < days; d++ {
+		day := w.Cfg.Window.Start + simtime.Day(d)
+		for _, src := range probe.DaySources(day) {
+			parts = append(parts, coord.Partition{Source: src, Day: day})
+		}
+	}
+	if len(parts) == 0 {
+		log.Fatalf("no (source, day) partitions in the first %d days", days)
+	}
+	ccfg.Faults = chaos.NewCoordFaults(f.Fault, uint64(f.FaultSeed))
+	ccfg.Work = func(ctx context.Context, p coord.Partition, _ int) (*store.Store, error) {
+		s := store.New()
+		if err := measure.New(w, s, mcfg).RunPartition(ctx, p.Source, p.Day); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	obs.Logger().Info("coordination plane armed", "workers", ccfg.Workers, "partitions", len(parts), "dir", ccfg.Dir)
+	c, err := coord.Drive(ctx, *ccfg, parts, func(restarts int) error {
+		obs.Logger().Warn("coordinator crashed (chaos); replaying journal", "restarts", restarts)
+		return nil
+	})
+	if c == nil {
+		log.Fatal(err)
+	}
+	st := c.Stats()
+	obs.Logger().Info("coordination run finished", "elapsed", time.Since(start).Round(time.Millisecond).String(),
+		"partitions", st.Partitions, "committed", st.Committed, "failed", st.Failed)
+	return c, err
+}
+
+// assemble folds c's committed spools into one store, warning of each
+// spool found torn at rest: it is quarantined and its day degraded.
+func assemble(c *coord.Coordinator) (*store.Store, []coord.DamagedPartition) {
+	s, damaged, err := c.Assemble()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, d := range damaged {
+		obs.Logger().Warn("spool torn at rest; partition quarantined and day degraded",
+			"partition", d.Partition.String(), "quarantine", d.QuarantinePath, "err", d.Err)
+	}
+	return s, damaged
 }
 
 func printLedger(ledger []coord.PartitionStatus) {

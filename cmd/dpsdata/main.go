@@ -1,6 +1,7 @@
-// Command dpsdata inspects measurement dataset files written by
-// cmd/dpsmeasure -out (the .dpsa binary archive): per-source statistics,
-// row dumps, per-day DPS detection counts, and grep-style filtering.
+// Command dpsdata inspects measurement dataset files written by dpsreport
+// -out or dpscoord -out (the .dpsa binary archive): per-source
+// statistics, row dumps, per-day DPS detection counts, and grep-style
+// filtering.
 //
 // Usage:
 //

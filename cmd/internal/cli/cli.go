@@ -1,6 +1,6 @@
 // Package cli is the start-up glue two or more dps* commands share: the
 // fatal-error prefix, the logging, profiling and fault flags, the metrics
-// endpoint, the world build and the coordinated run.
+// endpoint and the world build.
 package cli
 
 import (
@@ -14,11 +14,7 @@ import (
 	"time"
 
 	"dpsadopt/internal/chaos"
-	"dpsadopt/internal/coord"
-	"dpsadopt/internal/measure"
 	"dpsadopt/internal/obs"
-	"dpsadopt/internal/simtime"
-	"dpsadopt/internal/store"
 	"dpsadopt/internal/worldsim"
 )
 
@@ -117,66 +113,4 @@ func World(scale int) *worldsim.World {
 	}
 	obs.Logger().Info("world built", "stats", w.Stats())
 	return w
-}
-
-// Coordinate measures the first days days of w through the coordination
-// plane under f's coordination faults: each (source, day) partition with
-// domains to measure is leased to one of ccfg's workers, which measures
-// it with mcfg into its spool. An empty ccfg.Dir becomes a fresh temp
-// dir. Coordinate returns the coordinator and the error that ended its
-// run; it is fatal only when no coordinator can be built.
-func Coordinate(ctx context.Context, w *worldsim.World, days int, mcfg measure.Config, ccfg *coord.Config, f *Flags) (*coord.Coordinator, error) {
-	start := time.Now()
-	if ccfg.Dir == "" {
-		dir, err := os.MkdirTemp("", "dpscoord-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		ccfg.Dir = dir
-	}
-	probe := measure.New(w, store.New(), measure.Config{Mode: measure.ModeDirect, Workers: 1})
-	var parts []coord.Partition
-	for d := 0; d < days; d++ {
-		day := w.Cfg.Window.Start + simtime.Day(d)
-		for _, src := range probe.DaySources(day) {
-			parts = append(parts, coord.Partition{Source: src, Day: day})
-		}
-	}
-	if len(parts) == 0 {
-		log.Fatalf("no (source, day) partitions in the first %d days", days)
-	}
-	ccfg.Faults = chaos.NewCoordFaults(f.Fault, uint64(f.FaultSeed))
-	ccfg.Work = func(ctx context.Context, p coord.Partition, _ int) (*store.Store, error) {
-		s := store.New()
-		if err := measure.New(w, s, mcfg).RunPartition(ctx, p.Source, p.Day); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	obs.Logger().Info("coordination plane armed", "workers", ccfg.Workers, "partitions", len(parts), "dir", ccfg.Dir)
-	c, err := coord.Drive(ctx, *ccfg, parts, func(restarts int) error {
-		obs.Logger().Warn("coordinator crashed (chaos); replaying journal", "restarts", restarts)
-		return nil
-	})
-	if c == nil {
-		log.Fatal(err)
-	}
-	st := c.Stats()
-	obs.Logger().Info("coordination run finished", "elapsed", time.Since(start).Round(time.Millisecond).String(),
-		"partitions", st.Partitions, "committed", st.Committed, "failed", st.Failed)
-	return c, err
-}
-
-// Assemble folds c's committed spools into one store, warning of each
-// spool found torn at rest: it is quarantined and its day degraded.
-func Assemble(c *coord.Coordinator) (*store.Store, []coord.DamagedPartition) {
-	s, damaged, err := c.Assemble()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, d := range damaged {
-		obs.Logger().Warn("spool torn at rest; partition quarantined and day degraded",
-			"partition", d.Partition.String(), "quarantine", d.QuarantinePath, "err", d.Err)
-	}
-	return s, damaged
 }

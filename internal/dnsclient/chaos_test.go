@@ -130,13 +130,104 @@ func TestTCPFallbackUnderServerTruncation(t *testing.T) {
 	}
 }
 
-// queryCount is a fault injector that injects nothing and counts the
-// queries a server is asked.
-type queryCount struct{ atomic.Int64 }
+// queryCount is a fault injector that orders fault (none, unset) for
+// every query and counts the queries a server is asked.
+type queryCount struct {
+	atomic.Int64
+	fault dnsserver.Fault
+}
 
 func (c *queryCount) QueryFault(string) (dnsserver.Fault, time.Duration) {
 	c.Add(1)
-	return dnsserver.FaultNone, 0
+	return c.fault, 0
+}
+
+// TestServfailTriesNextServer: a server answering SERVFAIL cannot answer,
+// so the resolver asks the next server of the set at once — no timeout,
+// no retransmission — and a name no server can answer is a lost data
+// point: Resolve fails with ErrRCode and counts a give-up.
+func TestServfailTriesNextServer(t *testing.T) {
+	network := transport.NewMem(47)
+	roots, _, srvs := nsWorld(t, network, 2, nil)
+	counts := []*queryCount{{}, {fault: dnsserver.FaultServfail}, {}}
+	for i, srv := range srvs {
+		srv.SetFaults(counts[i])
+	}
+	r, err := NewResolver(network, netip.MustParseAddr("10.9.0.16"), roots, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const n = 6
+	for i := 0; i < n; i++ {
+		res, err := r.Resolve(context.Background(), fmt.Sprintf("x%d.f.test", i), dnswire.TypeA)
+		if err != nil {
+			t.Fatalf("x%d: %v", i, err)
+		}
+		if res.RCode != dnswire.RCodeNoError || len(addrs(res)) != 1 {
+			t.Fatalf("x%d: rcode %v, addrs %v", i, res.RCode, addrs(res))
+		}
+	}
+	if counts[1].Load() == 0 {
+		t.Error("ns0 was never asked: rotation did not reach the failing server")
+	}
+	if r.TimeoutsSeen() != 0 || r.GiveUps() != 0 {
+		t.Errorf("timeouts = %d, giveups = %d, want 0 and 0", r.TimeoutsSeen(), r.GiveUps())
+	}
+
+	counts[2].fault = dnsserver.FaultServfail
+	res, err := r.Resolve(context.Background(), "x7.f.test", dnswire.TypeA)
+	if !errors.Is(err, ErrRCode) {
+		t.Fatalf("err = %v, want ErrRCode", err)
+	}
+	if res.Queries != 2 || res.Timeouts != 0 {
+		t.Errorf("queries = %d, timeouts = %d, want 2 (one per server) and 0", res.Queries, res.Timeouts)
+	}
+	if r.GiveUps() != 1 || r.Resolutions() != n+1 {
+		t.Errorf("giveups = %d, resolutions = %d, want 1 and %d", r.GiveUps(), r.Resolutions(), n+1)
+	}
+}
+
+// TestServfailAfterTimeoutSpendsNoRetry: a timeout spends a retry, but
+// the move past a SERVFAIL that follows it does not. With one server
+// dropping queries, one answering SERVFAIL and one answering, and a
+// budget of one retry, every resolution succeeds; each fault assignment
+// is tried so one of them meets the order drop, SERVFAIL, answer.
+func TestServfailAfterTimeoutSpendsNoRetry(t *testing.T) {
+	faults := []dnsserver.Fault{dnsserver.FaultDrop, dnsserver.FaultServfail, dnsserver.FaultNone}
+	met := false
+	for shift := 0; shift < len(faults); shift++ {
+		network := transport.NewMem(int64(48 + shift))
+		roots, _, srvs := nsWorld(t, network, len(faults), nil)
+		counts := make([]*queryCount, len(faults))
+		for i := range faults {
+			counts[i] = &queryCount{fault: faults[(i+shift)%len(faults)]}
+			srvs[i+1].SetFaults(counts[i])
+		}
+		r, err := NewResolver(network, netip.MustParseAddr("10.9.0.17"), roots, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Timeout = 5 * time.Millisecond
+		r.Backoff = time.Millisecond
+		r.RetryBudget = 1
+		res, err := r.Resolve(context.Background(), "x3.f.test", dnswire.TypeA)
+		r.Close()
+		if err != nil {
+			t.Fatalf("shift %d: %v", shift, err)
+		}
+		if len(addrs(res)) != 1 {
+			t.Fatalf("shift %d: addrs %v", shift, addrs(res))
+		}
+		// The root answered once; three NS queries mean the drop and
+		// the SERVFAIL server were both asked before the answering one.
+		if res.Queries == 4 && res.Timeouts == 1 {
+			met = true
+		}
+	}
+	if !met {
+		t.Error("no fault assignment met the order drop, SERVFAIL, answer")
+	}
 }
 
 // TestRotationSpreadsLoad checks retry fairness: with three healthy name

@@ -2,14 +2,10 @@ package dnsclient
 
 import "dpsadopt/internal/obs"
 
-// Process-wide resolver metrics. The pipeline creates one Resolver per
+// Process-wide resolver latency. The pipeline creates one Resolver per
 // worker per day; registering on the default registry aggregates them
-// into stable series across the whole run.
-var (
-	mQueries = obs.Default().Counter("dns_client_queries_total",
-		"query datagrams sent (UDP and TCP)")
-	mErrors = obs.Default().Counter("dns_client_errors_total",
-		"resolutions that returned an error (retries exhausted, referral limit, ...)")
-	mQueryLatency = obs.Default().Histogram("dns_client_query_seconds",
-		"latency of one query exchange, send to matching response", nil)
-)
+// into one stable series across the whole run. Query and give-up counts
+// are per resolver (QueriesSent, GiveUps), summed per day into
+// measure.NetStats.
+var mQueryLatency = obs.Default().Histogram("dns_client_query_seconds",
+	"latency of one query exchange, send to matching response", nil)

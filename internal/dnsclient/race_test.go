@@ -13,8 +13,8 @@ import (
 // at once: one goroutine resolving (the Resolver itself is
 // single-goroutine by contract) while a stats scraper polls QueriesSent.
 // Run under -race this proves the counter is safe to read
-// mid-resolution, which is exactly what the obs collector and
-// dpsmeasure's progress logging do.
+// mid-resolution, as its doc promises; the pipeline itself reads it, with
+// the other failure counters, once a worker's share of a day is done.
 func TestQueriesSentConcurrent(t *testing.T) {
 	w := newTestWorld(t)
 	r := w.resolver(t)

@@ -48,6 +48,7 @@ var (
 	ErrExhausted  = errors.New("dnsclient: retries exhausted")
 	ErrTooManyRef = errors.New("dnsclient: referral limit exceeded")
 	ErrBudget     = errors.New("dnsclient: resolution retry budget exhausted")
+	ErrRCode      = errors.New("dnsclient: every server answered with an error rcode")
 )
 
 // Result is the outcome of resolving one (name, type) pair.
@@ -202,7 +203,6 @@ func (r *Resolver) Resolve(ctx context.Context, name string, qtype dnswire.Type)
 		seen[hop] = qname
 		resp, err := r.resolveOne(ctx, qname, qtype, res, 0)
 		if err != nil {
-			mErrors.Inc()
 			r.giveups.Add(1)
 			if sp != nil {
 				sp.SetAttr(trace.Str("error", err.Error()))
@@ -258,10 +258,9 @@ func (r *Resolver) resolveOne(ctx context.Context, qname string, qtype dnswire.T
 		}
 		switch {
 		case resp.Flags.RCode == dnswire.RCodeNXDomain,
-			resp.Flags.RCode != dnswire.RCodeNoError && resp.Flags.RCode != dnswire.RCodeNXDomain,
 			len(resp.Answers) > 0,
 			resp.Flags.Authoritative:
-			// Terminal: an answer, an authoritative negative, or an error.
+			// Terminal: an answer or an authoritative negative.
 			return resp, nil
 		default:
 			// Referral: learn the cut and descend.
@@ -339,7 +338,10 @@ func (r *Resolver) referralServers(ctx context.Context, resp *dnswire.Message, r
 }
 
 // exchange sends the query to the servers in order, retrying on timeout,
-// and returns the first matching response. Each attempt is traced as a
+// and returns the first matching response whose rcode is NOERROR or
+// NXDOMAIN. A server answering any other rcode (SERVFAIL, REFUSED, ...)
+// is dropped from the set and the next one asked at once; when none is
+// left the exchange fails with ErrRCode. Each attempt is traced as a
 // `transport.send` span when the context carries a sampled span; the
 // query-latency histogram records the trace ID of the slowest query per
 // bucket as an exemplar. Cancelling the context aborts between attempts.
@@ -369,18 +371,25 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 	// the per-resolution fairness counter.
 	r.health.tick++
 	order := r.health.order(servers, r.rot)
-	for attempt := 0; attempt <= r.Retries; attempt++ {
+	// timedOut is set by a timed-out attempt: only a retransmission after
+	// a timeout spends the retry budget and backs off, never the move to
+	// the next server after a SERVFAIL.
+	timedOut := false
+next:
+	for attempt := 0; attempt <= r.Retries; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		server := order[attempt%len(order)]
-		if attempt > 0 {
+		at := attempt % len(order)
+		server := order[at]
+		if timedOut {
 			if !res.takeRetry() {
 				return nil, fmt.Errorf("%w: %s %s", ErrBudget, qname, qtype)
 			}
 			if err := r.backoffSleep(ctx, attempt); err != nil {
 				return nil, err
 			}
+			timedOut = false
 		}
 		var ssp *trace.Span
 		if parent != nil {
@@ -394,7 +403,6 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 			return nil, err
 		}
 		r.queries.Add(1)
-		mQueries.Inc()
 		res.Queries++
 		sent := time.Now()
 		deadline := sent.Add(r.Timeout)
@@ -434,19 +442,28 @@ func (r *Resolver) exchange(ctx context.Context, servers []netip.AddrPort, qname
 				ssp.SetAttr(trace.Str("outcome", "truncated"))
 				ssp.End()
 				if full, err := r.exchangeTCP(ctx, server, wire, q.ID, qname, qtype); err == nil {
-					return full, nil
+					resp = full
 				}
-				return resp, nil
-			}
-			if ssp != nil {
+			} else if ssp != nil {
 				ssp.SetAttr(trace.Str("outcome", "response"), trace.Int("resp_bytes", int64(n)))
 				ssp.End()
 			}
-			return resp, nil
+			if rc := resp.Flags.RCode; rc == dnswire.RCodeNoError || rc == dnswire.RCodeNXDomain {
+				return resp, nil
+			}
+			// The server cannot answer; the next one may. The order is
+			// the health table's scratch, rebuilt by the next exchange.
+			if order = slices.Delete(order, at, at+1); len(order) == 0 {
+				return nil, fmt.Errorf("%w: %s %s: %s", ErrRCode, qname, qtype, resp.Flags.RCode)
+			}
+			continue next
 		}
 		// Only a timed-out attempt reaches here: every response path
-		// returned above. Account it and mark the server against the
-		// circuit breaker before the next attempt tries elsewhere.
+		// returned or moved to the next server above. Account it and
+		// mark the server against the circuit breaker before the next
+		// attempt tries elsewhere.
+		attempt++
+		timedOut = true
 		r.timeouts.Add(1)
 		res.Timeouts++
 		r.health.fail(server)
@@ -501,7 +518,6 @@ func (r *Resolver) exchangeTCP(ctx context.Context, server netip.AddrPort, wire 
 		return nil, err
 	}
 	r.queries.Add(1)
-	mQueries.Inc()
 	msg, err := dnswire.ReadFramed(conn)
 	if err != nil {
 		return nil, err

@@ -63,6 +63,36 @@ func TestDegradedAccountingDeterministic(t *testing.T) {
 	}
 }
 
+// TestServfailBurstDegradesDay: authoritatives answering SERVFAIL is what
+// attacked DNS looks like, and a name no server of its set can answer is
+// a lost data point. One servfail-burst day must give resolutions up and
+// commit degraded; it loses no datagram, so it sleeps on no timeout.
+func TestServfailBurstDegradesDay(t *testing.T) {
+	var days []DayProgress
+	r, err := New(Config{
+		Scale: 400000, Workers: 1, Days: 1,
+		Wire: true, FaultScenario: "servfail-burst", FaultSeed: 7,
+		OnDayProgress: func(dp DayProgress) { days = append(days, dp) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(days) != 1 {
+		t.Fatalf("%d days committed, want 1", len(days))
+	}
+	a := AccountDay(days[0].Day, days[0].Net)
+	if a.GaveUp == 0 || !a.Degraded || !days[0].Degraded {
+		t.Errorf("servfail-burst day: %d of %d resolutions gave up (rate %.4f), accounted degraded %v, committed degraded %v; want > 0 and degraded",
+			a.GaveUp, a.Resolutions, a.FailureRate, a.Degraded, days[0].Degraded)
+	}
+	if a.Lost != 0 {
+		t.Errorf("servfail-burst day lost %d queries, want 0: SERVFAIL is an answer", a.Lost)
+	}
+}
+
 // TestChaosDegradedDayRecovery closes the loop of the robustness story:
 // a dead-day scenario strikes a mid-run window, those days commit as
 // degraded (visibly damaged raw counts), and the Fig 5 growth pipeline
@@ -73,16 +103,22 @@ func TestChaosDegradedDayRecovery(t *testing.T) {
 	const badLo, badHi = 6, 11 // [badLo, badHi) are struck days
 	var accounting []DayAccounting
 	r, err := New(Config{
-		Scale: 1000000, Workers: 8, Days: 16,
-		Wire: true, FaultScenario: "dead-day", FaultSeed: 7,
-		FaultDays:   func(d simtime.Day) bool { i := badIdx(d); return i >= badLo && i < badHi },
-		WireTimeout: 10, WireRetries: 1, WireRetryBudget: 4,
+		Scale: 1000000, Workers: 8, Days: 16, Wire: true,
 		OnDayProgress: func(dp DayProgress) { accounting = append(accounting, AccountDay(dp.Day, dp.Net)) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	start = r.Window().Start
+	// The outage strikes only the window's days, and the resolvers give
+	// up fast: a 10 ms timeout, one retry, four retries a resolution.
+	fc, err := chaos.Scenario("dead-day")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := measure.Config{Mode: measure.ModeWire, Workers: 8, Timeout: 10, Retries: 1, RetryBudget: 4}
+	armFaults(&mcfg, fc, DaySeeds(7), func(d simtime.Day) bool { i := badIdx(d); return i >= badLo && i < badHi })
+	r.pipeline.Cfg = mcfg
 	if err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +218,7 @@ func TestArmFaults(t *testing.T) {
 	// builds day's servers on the armed network.
 	arm := func(fc chaos.Config, days func(simtime.Day) bool, day simtime.Day) (transport.Network, *worldsim.Wire) {
 		var mcfg measure.Config
-		ArmFaults(&mcfg, fc, DaySeeds(7), days)
+		armFaults(&mcfg, fc, DaySeeds(7), days)
 		network := mcfg.WireNetwork(day)
 		wire, err := w.BuildWire(day, network)
 		if err != nil {

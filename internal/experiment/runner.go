@@ -50,21 +50,16 @@ type Config struct {
 	// of deriving records in process — required for fault injection, since
 	// only wire days have datagrams to lose.
 	Wire bool
-	// WireTimeout (milliseconds), WireRetries and WireRetryBudget tune the
-	// wire-mode resolvers; zero keeps the dnsclient defaults. Chaos runs
-	// lower the timeout so injected losses cost milliseconds, not seconds.
-	WireTimeout     int
-	WireRetries     int
-	WireRetryBudget int
+	// WireTimeout is the wire-mode resolver timeout in milliseconds; zero
+	// keeps the dnsclient default. Chaos runs lower it so injected losses
+	// cost milliseconds, not seconds.
+	WireTimeout int
 	// FaultScenario names a chaos scenario (chaos.ScenarioNames) injected
 	// into every wire day; empty runs fault-free. Requires Wire.
 	FaultScenario string
 	// FaultSeed fixes the fault pattern: the same scenario and seed inject
 	// the same faults, making degraded-day accounting reproducible.
 	FaultSeed int64
-	// FaultDays, when set, limits injection to days where it returns true
-	// (e.g. a mid-run outage window); nil injects on every day.
-	FaultDays func(day simtime.Day) bool
 	// OnDayProgress, when set, receives the obs-aware per-day progress
 	// event after each measured day.
 	OnDayProgress func(DayProgress)
@@ -163,15 +158,13 @@ func New(cfg Config) (*Runner, error) {
 	if cfg.Wire {
 		mcfg.Mode = measure.ModeWire
 		mcfg.Timeout = cfg.WireTimeout
-		mcfg.Retries = cfg.WireRetries
-		mcfg.RetryBudget = cfg.WireRetryBudget
 	}
 	if cfg.FaultScenario != "" {
 		fc, err := chaos.Scenario(cfg.FaultScenario)
 		if err != nil {
 			return nil, err
 		}
-		ArmFaults(&mcfg, fc, DaySeeds(cfg.FaultSeed), cfg.FaultDays)
+		armFaults(&mcfg, fc, DaySeeds(cfg.FaultSeed), nil)
 	}
 	r.pipeline = measure.New(w, s, mcfg)
 	r.window = w.Cfg.Window
@@ -205,20 +198,16 @@ func DaySeeds(seed int64) func(simtime.Day) int64 {
 	return func(day simtime.Day) int64 { return seed + int64(day)*1_000_003 }
 }
 
-// ArmFaults arms scenario fc on mcfg's wire days: each day days accepts
-// (nil: every day) gets ArmDay over its network — mcfg's own, or
-// measure.MemNetwork's — under seed(day).
-func ArmFaults(mcfg *measure.Config, fc chaos.Config, seed func(simtime.Day) int64, days func(simtime.Day) bool) {
-	base := mcfg.WireNetwork
-	if base == nil {
-		base = measure.MemNetwork
-	}
+// armFaults arms scenario fc on mcfg's wire days: each day days accepts
+// (nil: every day) gets ArmDay over measure.MemNetwork's network under
+// seed(day).
+func armFaults(mcfg *measure.Config, fc chaos.Config, seed func(simtime.Day) int64, days func(simtime.Day) bool) {
 	on := func(day simtime.Day) bool { return days == nil || days(day) }
 	mcfg.WireNetwork = func(day simtime.Day) transport.Network {
 		if !on(day) {
-			return base(day)
+			return measure.MemNetwork(day)
 		}
-		network, _ := ArmDay(base(day), fc, seed(day)) // OnWire arms the wire
+		network, _ := ArmDay(measure.MemNetwork(day), fc, seed(day)) // OnWire arms the wire
 		return network
 	}
 	mcfg.OnWire = func(day simtime.Day, wire *worldsim.Wire, network transport.Network) {

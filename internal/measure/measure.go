@@ -107,8 +107,7 @@ type Pipeline struct {
 	Store *store.Store
 	Cfg   Config
 
-	queriesSent int64
-	dayNet      NetStats
+	dayNet NetStats
 }
 
 // New creates a pipeline.
@@ -125,9 +124,6 @@ func New(w *worldsim.World, s *store.Store, cfg Config) *Pipeline {
 // MemNetwork is a wire-mode day's default network: a fresh in-memory one
 // seeded by the day.
 func MemNetwork(day simtime.Day) transport.Network { return transport.NewMem(int64(day) ^ 0x3f3f) }
-
-// QueriesSent reports wire-mode query datagrams sent so far.
-func (p *Pipeline) QueriesSent() int64 { return p.queriesSent }
 
 // LastNetStats reports the network accounting of the most recently
 // completed wire-mode day (zero for direct mode).
@@ -368,7 +364,6 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 			}
 			if resolver != nil {
 				mu.Lock()
-				p.queriesSent += resolver.QueriesSent()
 				p.dayNet.add(resolver)
 				mu.Unlock()
 			}

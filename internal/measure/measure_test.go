@@ -150,7 +150,7 @@ func TestModesEquivalent(t *testing.T) {
 	if err := pw.RunDay(context.Background(), day); err != nil {
 		t.Fatal(err)
 	}
-	if pw.QueriesSent() == 0 {
+	if pw.LastNetStats().Queries == 0 {
 		t.Error("wire mode sent no queries")
 	}
 	for _, src := range direct.Sources() {

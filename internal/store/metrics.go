@@ -2,12 +2,9 @@ package store
 
 import "dpsadopt/internal/obs"
 
-// Stage III storage metrics. Rows are counted at Commit (the append
-// path); resident rows track the streaming runner's measure-fold-drop
-// cycle.
+// Stage III storage metrics. Resident rows, raised at Commit (the append
+// path), track the streaming runner's measure-fold-drop cycle.
 var (
-	mRows = obs.Default().Counter("store_rows_total",
-		"rows committed across all stores; rate() gives the append rate")
 	mResidentRows = obs.Default().Gauge("store_resident_rows",
 		"rows currently resident across partitions (falls when days are dropped)")
 	// Crash-safety counters for the v4 checksummed format: CRC failures

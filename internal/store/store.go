@@ -244,7 +244,6 @@ func Commit(ws ...*Writer) {
 		}
 	}
 	s.dict.mu.Unlock()
-	mRows.Add(int64(rows))
 	mResidentRows.Add(float64(rows))
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,10 +1,11 @@
 #!/bin/sh
-# End-to-end smoke test of the serving layer: measure a tiny world, save
-# the .dpsa, start dpsapi on it, exercise every /v1 route with real HTTP,
-# assert the response cache is counter-visibly working, read the same
-# dataset with each dpsdata mode but -ledger, and verify the server
-# drains cleanly on SIGTERM. Mirrors the CI `api` job; run locally with
-# `make api`.
+# End-to-end smoke test of the serving layer: measure a tiny world with
+# dpsreport, save the .dpsa, start dpsapi on it, exercise every /v1 route
+# with real HTTP, assert the response cache is counter-visibly working,
+# read the same dataset with each dpsdata mode but -ledger, and verify the
+# server drains cleanly on SIGTERM. Before the dataset, a faulted wire
+# reproduction must commit its SERVFAIL-struck days as degraded. Mirrors
+# the CI `api` job; run locally with `make api`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -18,12 +19,22 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== build"
-go build -o "$WORK/dpsmeasure" ./cmd/dpsmeasure
+go build -o "$WORK/dpsreport" ./cmd/dpsreport
 go build -o "$WORK/dpsapi" ./cmd/dpsapi
 go build -o "$WORK/dpsdata" ./cmd/dpsdata
 
+echo "== faulted wire reproduction: SERVFAIL bursts degrade days"
+# Authoritatives answering SERVFAIL lose data points; the ledger must say
+# so. A SERVFAIL is an answer, so the run waits on no timeout.
+"$WORK/dpsreport" -mode wire -fault-scenario servfail-burst -fault-seed 7 \
+    -scale 400000 -days 2 -artifact fig5 >"$WORK/servfail.txt"
+grep -q 'DEGRADED$' "$WORK/servfail.txt" ||
+    { echo "api_smoke: servfail-burst ledger has no DEGRADED day:" >&2; cat "$WORK/servfail.txt" >&2; exit 1; }
+grep -q '^Figure 5' "$WORK/servfail.txt" || { echo "api_smoke: servfail-burst run printed no Figure 5" >&2; exit 1; }
+
 echo "== measure tiny dataset"
-"$WORK/dpsmeasure" -scale 50000 -days 3 -quiet -out "$WORK/smoke.dpsa"
+"$WORK/dpsreport" -scale 50000 -days 3 -quiet -artifact table1 -out "$WORK/smoke.dpsa" >"$WORK/table1.txt"
+grep -q '^com ' "$WORK/table1.txt" || { echo "api_smoke: Table 1 has no com row" >&2; exit 1; }
 
 echo "== start dpsapi on :$PORT"
 "$WORK/dpsapi" -data "$WORK/smoke.dpsa" -addr "127.0.0.1:$PORT" -quiet &

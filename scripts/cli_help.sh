@@ -27,10 +27,15 @@ for main in cmd/*/main.go; do
 	fi
 done
 # dpsreport checks its arguments before the measurement pass: a bad
-# -artifact or -quiet-day fails with one error line, world unbuilt.
-for args in "-artifact fig9" "-quiet-day nope"; do
+# -artifact, -quiet-day or -mode, or a coordination-plane fault scenario,
+# fails with one error line, world unbuilt. The scenario is parsed (and
+# logged as armed) before it is refused, so that case may print the
+# "fault injection armed" line too; no case may build the world or
+# measure a day.
+for args in "-artifact fig9" "-quiet-day nope" "-mode nope" "-fault-scenario worker-crash"; do
 	if out=$(cd "$bin" && ./dpsreport -scale 400000 -days 1 $args 2>&1) ||
-		[ "$(printf '%s\n' "$out" | wc -l)" -ne 1 ]; then
+		[ "$(printf '%s\n' "$out" | grep -cv 'fault injection armed')" -ne 1 ] ||
+		printf '%s\n' "$out" | grep -qE 'world built|day complete'; then
 		printf 'cli-help: dpsreport %s: want one error line and exit != 0, got:\n%s\n' "$args" "$out"
 		status=1
 	fi
