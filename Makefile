@@ -71,17 +71,18 @@ coord:
 coord-smoke:
 	sh scripts/coord_smoke.sh
 
-# Serving-layer suite: the api package's handler/cache/admission tests
+# Serving-layer suite: the api package's handler/memo/admission tests
 # and the store partition-directory tests under the race detector, then
 # a real-process smoke test (a servfail-burst dpsreport run must print
 # DEGRADED ledger rows; dpsreport -out -> dpsapi -> curl every route ->
-# assert cache hits -> SIGTERM drain).
+# assert memo hits -> SIGTERM drain).
 api:
 	$(GO) test -race ./internal/api/ ./internal/store/
 	sh scripts/api_smoke.sh
 
 # Live-follower suite under the race detector: delta-apply equivalence,
-# publish/invalidation precision, stale-fill fencing, journal tailing,
+# which answers a publish leaves memoized, renders parked across a
+# publish, published answers against a rebuild, journal tailing,
 # and the follower e2e tests (coord feed, damaged-spool skip, seeded
 # boot, non-directory target refused).
 follow:

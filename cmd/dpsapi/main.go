@@ -24,15 +24,16 @@
 // With -follow the server goes live: it tails a dpscoord coordination
 // directory, whose journal is a feed of committed (source, day)
 // partitions, verifies each partition, detects it, and folds it into the
-// serving index via a copy-on-write delta publish with precise cache
-// invalidation. -data becomes optional: a follower may boot from an
+// serving index via a copy-on-write delta publish; each index generation
+// memoizes its own rendered answers, so publishing is the invalidation.
+// -data becomes optional: a follower may boot from an
 // empty index and converge on the feed. /v1/stats reports freshness
 // (target, epoch, lag, skips) while following.
 //
 // Usage:
 //
 //	dpsapi -data world.dpsa [-addr :8080] [-qps 0] [-max-inflight 256]
-//	       [-timeout 2s] [-cache 4096] [-quiet] [-log-json]
+//	       [-timeout 2s] [-quiet] [-log-json]
 //	       [-prof-mutex 5] [-prof-block 0]
 //	dpsapi -follow coorddir/ [-data world.dpsa] [-poll 500ms]
 //	       [-follow-cursor auto|off|PATH] [...]
@@ -81,7 +82,6 @@ func main() {
 		burst        = flag.Int("burst", 0, "token bucket depth (default: qps)")
 		maxInflight  = flag.Int("max-inflight", 256, "max concurrently handled requests")
 		timeout      = flag.Duration("timeout", 2*time.Second, "longest wait for a concurrency slot before a 503")
-		cacheSize    = flag.Int("cache", 4096, "response cache entries (negative = disabled)")
 	)
 	cli.Parse("dpsapi", cli.Logging|cli.Profiling)
 	if *data == "" && *followTgt == "" {
@@ -154,11 +154,10 @@ func main() {
 		"barrier", dst.Barrier.Round(time.Millisecond).String())
 
 	srv := api.NewServer(idx, api.Config{
-		QPS:          *qps,
-		Burst:        *burst,
-		MaxInflight:  *maxInflight,
-		Timeout:      *timeout,
-		CacheEntries: *cacheSize,
+		QPS:         *qps,
+		Burst:       *burst,
+		MaxInflight: *maxInflight,
+		Timeout:     *timeout,
 	})
 	// Live follow: tail the feed into the serving index for the process
 	// lifetime. The follower is seeded with the boot store's partitions

@@ -10,7 +10,7 @@ import (
 // refilled at rate tokens/second up to burst. Allow is O(1) under one
 // mutex; a request that finds the bucket empty is rejected immediately
 // with 429 rather than queued — shedding at the cheapest possible point,
-// before any index or cache work.
+// before any index or render work.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second

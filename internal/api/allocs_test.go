@@ -149,25 +149,25 @@ func leastAlloc(fn func()) uint64 {
 	return least
 }
 
-// TestCachedRequestAllocs holds a warm cached /v1/domain hit through
+// TestCachedRequestAllocs holds a warm memoized /v1/domain hit through
 // Server.Handler() to the one allocation net/http's mux makes matching
 // the {name} path value. The server itself allocates nothing on it: no
 // deadline context or timer (the gate arms one only when it must wait),
-// no request copy, no key string (the lookup uses a stack buffer) and
-// no Content-Type slice.
+// no request copy, no key (the index's own map is the lookup) and no
+// Content-Type slice.
 func TestCachedRequestAllocs(t *testing.T) {
 	srv := fixtureServer(t, Config{})
 	hits0 := mCacheHits.Value()
 	serve := cachedRequest(t, srv)
 	if allocs := testing.AllocsPerRun(200, serve); allocs > 1 {
-		t.Errorf("cached /v1/domain hit: %.1f allocations, ceiling 1 (the mux's path match)", allocs)
+		t.Errorf("memoized /v1/domain hit: %.1f allocations, ceiling 1 (the mux's path match)", allocs)
 	}
 	if mCacheHits.Value()-hits0 < 200 {
-		t.Fatalf("the measured requests were not cache hits")
+		t.Fatalf("the measured requests were not memo hits")
 	}
 }
 
-// BenchmarkCachedRequest prices one cached /v1/domain hit through the
+// BenchmarkCachedRequest prices one memoized /v1/domain hit through the
 // whole serving stack, with the default query observatory and without
 // one: the difference is what the observatory costs a request.
 func BenchmarkCachedRequest(b *testing.B) {
@@ -189,7 +189,7 @@ func BenchmarkCachedRequest(b *testing.B) {
 	}
 }
 
-// cachedRequest warms srv's cache with one /v1/domain answer and returns
+// cachedRequest warms srv's memo with one /v1/domain answer and returns
 // a function that serves that request again, reusing one request and
 // one writer so that only the server's own allocations remain.
 func cachedRequest(tb testing.TB, srv *Server) func() {

@@ -17,11 +17,12 @@
 //     deadline is armed only for a request that has to wait: one that
 //     finds a free slot carries none, since behind the gate there is
 //     only in-memory work.
-//  2. A sharded LRU response cache (power-of-two shards, per-shard
-//     mutex) holding fully rendered JSON bodies.
-//  3. Singleflight coalescing: N concurrent misses for one key perform
-//     one index walk and share the bytes.
-//  4. The index lookup itself, lock-free on the immutable Index.
+//  2. The index lookup, lock-free on the immutable Index.
+//  3. The answer's memo slot in that index generation: the stored body,
+//     or a render (JSON encode) that is then stored. Each generation
+//     holds at most one body per detected domain, indexed day and
+//     provider, so the memo grows with the index and not with the
+//     traffic; publishing a new generation is its invalidation.
 //
 // Every request is recorded by the query observatory: rolling per-route
 // latency and 5xx windows, scored by the SLO scorecard.
@@ -40,7 +41,7 @@ import (
 	"dpsadopt/internal/simtime"
 )
 
-// Config tunes the server's admission and caching layers.
+// Config tunes the server's admission layers and its answer memo.
 type Config struct {
 	// QPS is the sustained admitted request rate; <= 0 disables rate
 	// limiting.
@@ -52,11 +53,13 @@ type Config struct {
 	// Timeout bounds how long a request waits for a concurrency slot
 	// when the gate is full; it is shed with 503 after that (default
 	// 2s). An admitted request carries no deadline: behind the gate it
-	// does only in-memory work (a cache read, or an index walk it may
-	// share with concurrent misses), and no handler reads a context.
+	// does only in-memory work (an index lookup and at most one render),
+	// and no handler reads a context.
 	Timeout time.Duration
-	// CacheEntries sizes the response cache: 0 means the 4096 default,
-	// negative disables caching.
+	// CacheEntries < 0 renders every answer per request, which prices
+	// the uncached handler; any other value memoizes each index
+	// generation's answers in the generation itself. Only the sign is
+	// read: the memo holds one body per domain, day and provider.
 	CacheEntries int
 	// Observatory overrides the windowed query observatory (rolling
 	// latency/5xx windows and the SLO scorecard over them). Nil builds a
@@ -75,8 +78,6 @@ type Config struct {
 type Server struct {
 	idx    atomic.Pointer[Index]
 	cfg    Config
-	cache  *shardedCache // nil when disabled
-	flight *flightGroup
 	bucket *tokenBucket // nil when unlimited
 	gate   chan struct{}
 	mux    *http.ServeMux
@@ -85,10 +86,10 @@ type Server struct {
 	// testHook, when set by tests, runs inside the concurrency gate
 	// before the handler — it simulates slow handlers for shed tests.
 	testHook func(route string)
-	// flightHook, when set by tests, runs inside the singleflight
-	// leader's computation — it lets tests hold a flight open and count
-	// real index walks.
-	flightHook func()
+	// renderHook, when set by tests, runs before every render of a
+	// memoizable answer, after the handler resolved the index — it lets
+	// tests count renders and hold one open across a Publish.
+	renderHook func()
 
 	// freshFn, when set (SetFreshnessFunc), contributes live follower
 	// freshness to /v1/stats. Holds a func() *Freshness.
@@ -103,18 +104,11 @@ func NewServer(idx *Index, cfg Config) *Server {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 4096
-	}
 	s := &Server{
-		cfg:    cfg,
-		flight: newFlightGroup(),
-		gate:   make(chan struct{}, cfg.MaxInflight),
+		cfg:  cfg,
+		gate: make(chan struct{}, cfg.MaxInflight),
 	}
 	s.idx.Store(idx)
-	if cfg.CacheEntries > 0 {
-		s.cache = newCache(cfg.CacheEntries, cacheShards)
-	}
 	if cfg.QPS > 0 {
 		s.bucket = newTokenBucket(cfg.QPS, cfg.Burst)
 	}
@@ -149,8 +143,8 @@ func (s *Server) Observatory() *obs.Observatory { return s.obsv }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // route wraps one handler with the full serving stack: admission
-// (bucket → gate), cache + coalescing, observatory.
-func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handler {
+// (bucket → gate), handler, observatory.
+func (s *Server) route(name string, fn func(r *http.Request) response) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		if s.bucket != nil && !s.bucket.allow() {
@@ -173,7 +167,7 @@ func (s *Server) route(name string, fn func(r *http.Request) cached) http.Handle
 		if s.testHook != nil {
 			s.testHook(name)
 		}
-		s.finish(w, name, start, s.respond(name, r, fn))
+		s.finish(w, name, start, fn(r))
 	})
 }
 
@@ -195,49 +189,29 @@ func (s *Server) awaitSlot(r *http.Request) bool {
 	}
 }
 
-// keyBufLen sizes the stack buffer respond builds a cache key in: a
-// route name, a space and a /v1/domain URI of a maximal name fit.
-const keyBufLen = 320
-
-// respond resolves a request through cache and singleflight. The
-// "route RequestURI" key is built in a stack buffer, and a cache hit
-// looks it up without materialising it; only a miss copies it into a
-// string. (RequestURI allocates only for a query string, which no
-// route reads.)
-func (s *Server) respond(route string, r *http.Request, fn func(r *http.Request) cached) cached {
-	var buf [keyBufLen]byte
-	kb := append(append(append(buf[:0], route...), ' '), r.URL.RequestURI()...)
-	if s.cache == nil {
-		return s.flight.do(string(kb), func() cached {
-			if s.flightHook != nil {
-				s.flightHook()
-			}
-			return fn(r)
-		})
-	}
-	if val, ok := s.cache.get(kb); ok {
-		mCacheHits.Inc()
-		return val
-	}
-	mCacheMisses.Inc()
-	key := string(kb)
-	// The cache generation is read before the handler resolves the index
-	// pointer: if a Publish lands in between, put rejects this (possibly
-	// stale) fill instead of resurrecting an invalidated key.
-	gen := s.cache.generation()
-	return s.flight.do(key, func() cached {
-		if s.flightHook != nil {
-			s.flightHook()
+// answer serves the body memoized in slot, or renders it and, if the
+// render succeeded, memoizes it. slot belongs to the index generation
+// render reads, so a render that began before a Publish lands in the
+// replaced generation and never in the one now served. Racing first
+// renders store identical bytes; the last store wins.
+func (s *Server) answer(slot *memo, render func() response) response {
+	memoize := s.cfg.CacheEntries >= 0
+	if memoize {
+		if b := slot.Load(); b != nil {
+			mCacheHits.Inc()
+			return response{status: http.StatusOK, body: *b}
 		}
-		val := fn(r)
-		// Only successful and not-found answers are cacheable: both are
-		// immutable facts of the served index generation. Errors are not,
-		// and neither are volatile responses carrying live process state.
-		if !val.volatile && (val.status == http.StatusOK || val.status == http.StatusNotFound) {
-			s.cache.put(key, val, gen)
-		}
-		return val
-	})
+	}
+	if s.renderHook != nil {
+		s.renderHook()
+	}
+	val := render()
+	if memoize && val.status == http.StatusOK {
+		mCacheMisses.Inc()
+		body := val.body
+		slot.Store(&body)
+	}
+	return val
 }
 
 // contentTypeJSON is every response's Content-Type value, shared so
@@ -246,7 +220,7 @@ var contentTypeJSON = []string{"application/json; charset=utf-8"}
 
 // finish writes the response and records its route, latency and status
 // in the observatory.
-func (s *Server) finish(w http.ResponseWriter, route string, start time.Time, val cached) {
+func (s *Server) finish(w http.ResponseWriter, route string, start time.Time, val response) {
 	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(val.status)
 	_, _ = w.Write(val.body)
@@ -254,13 +228,19 @@ func (s *Server) finish(w http.ResponseWriter, route string, start time.Time, va
 	s.obsv.RecordRequestAt(start.Add(elapsed), route, elapsed.Seconds(), val.status)
 }
 
-// jsonResponse marshals v into a cached response.
-func jsonResponse(status int, v any) cached {
+// response is one materialised answer: a status and its JSON body.
+type response struct {
+	status int
+	body   []byte
+}
+
+// jsonResponse marshals v into a response.
+func jsonResponse(status int, v any) response {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return respEncodingFailed
 	}
-	return cached{status: status, body: append(body, '\n')}
+	return response{status: status, body: append(body, '\n')}
 }
 
 // The error answers, rendered once: every message is fixed, and the
@@ -279,47 +259,59 @@ var (
 )
 
 // fixedError renders the uniform error body.
-func fixedError(status int, msg string) cached {
-	return cached{status: status, body: []byte(fmt.Sprintf("{\"error\":%q}\n", msg))}
+func fixedError(status int, msg string) response {
+	return response{status: status, body: []byte(fmt.Sprintf("{\"error\":%q}\n", msg))}
 }
 
 // maxDomainName bounds /v1/domain path values (RFC 1035 name limit).
 const maxDomainName = 253
 
-func (s *Server) handleDomain(r *http.Request) cached {
+func (s *Server) handleDomain(r *http.Request) response {
 	name := strings.ToLower(strings.TrimSuffix(r.PathValue("name"), "."))
 	if name == "" || len(name) > maxDomainName || strings.ContainsAny(name, " /\\") {
 		return respBadDomain
 	}
-	h, ok := s.Index().Domain(name)
+	x := s.Index()
+	e, ok := x.domains[name]
 	if !ok {
 		return respNoDomain
 	}
-	return jsonResponse(http.StatusOK, h)
+	return s.answer(&e.body, func() response {
+		h, _ := x.Domain(name)
+		return jsonResponse(http.StatusOK, h)
+	})
 }
 
-func (s *Server) handleSeries(r *http.Request) cached {
+func (s *Server) handleSeries(r *http.Request) response {
 	name := r.PathValue("name")
 	if name == "" {
 		return respBadProvider
 	}
-	series, ok := s.Index().Series(name)
-	if !ok {
+	x := s.Index()
+	p := x.provider(name)
+	if p < 0 {
 		return respUnknownProvider
 	}
-	return jsonResponse(http.StatusOK, series)
+	return s.answer(&x.seriesBody[p], func() response {
+		series, _ := x.Series(name)
+		return jsonResponse(http.StatusOK, series)
+	})
 }
 
-func (s *Server) handleDay(r *http.Request) cached {
+func (s *Server) handleDay(r *http.Request) response {
 	day, err := simtime.Parse(r.PathValue("date"))
 	if err != nil {
 		return respBadDate
 	}
-	info, ok := s.Index().Day(day)
+	x := s.Index()
+	di, ok := x.dayPos[day]
 	if !ok {
 		return respNoDay
 	}
-	return jsonResponse(http.StatusOK, info)
+	return s.answer(x.dayBody[di], func() response {
+		info, _ := x.Day(day)
+		return jsonResponse(http.StatusOK, info)
+	})
 }
 
 // StatsResponse is the /v1/stats body: the dataset/index summary plus a
@@ -337,7 +329,7 @@ type StatsResponse struct {
 	Freshness *Freshness `json:"freshness,omitempty"`
 }
 
-func (s *Server) handleStats(r *http.Request) cached {
+func (s *Server) handleStats(r *http.Request) response {
 	resp := StatsResponse{
 		Stats:       s.Index().Stats(),
 		Process:     obs.ReadProcessInfo(),
@@ -346,7 +338,5 @@ func (s *Server) handleStats(r *http.Request) cached {
 	if fn, ok := s.freshFn.Load().(func() *Freshness); ok {
 		resp.Freshness = fn()
 	}
-	val := jsonResponse(http.StatusOK, resp)
-	val.volatile = true
-	return val
+	return jsonResponse(http.StatusOK, resp)
 }

@@ -4,10 +4,10 @@ package api
 // committed (source, day) partition into its serving state without
 // rebuilding the whole index: Apply takes the partition's already-run
 // detections and produces a NEW Index sharing everything the delta does
-// not touch (copy-on-write), plus a Delta describing exactly which
-// days and domains changed so the response cache can be invalidated
-// precisely. The old index stays fully readable throughout — in-flight
-// requests finish against it — and the swap is a single pointer store.
+// not touch (copy-on-write), memoized answers included, plus a Delta
+// describing which days and domains changed. The old index stays fully
+// readable throughout — in-flight requests finish against it — and the
+// swap is a single pointer store.
 //
 // Three shapes of update exist, in decreasing frequency:
 //
@@ -44,7 +44,7 @@ type PartitionUpdate struct {
 	Det    *core.DayDetections
 }
 
-// Delta reports what an Apply changed, for precise cache invalidation.
+// Delta reports what an Apply changed.
 type Delta struct {
 	Epoch   uint64          // the new index's epoch
 	Applied int             // partitions folded in
@@ -207,12 +207,12 @@ func (x *Index) Apply(batch []PartitionUpdate) (*Index, *Delta) {
 		}
 	}
 	if len(mid) > 0 {
-		for dom, ivs := range x.domains {
+		for dom, e := range x.domains {
 			if delta.Domains[dom] {
 				continue
 			}
 		scan:
-			for _, iv := range ivs {
+			for _, iv := range e.ivs {
 				for _, d := range mid {
 					if iv.first < d && d < iv.last {
 						delta.Domains[dom] = true
@@ -223,26 +223,47 @@ func (x *Index) Apply(batch []PartitionUpdate) (*Index, *Delta) {
 		}
 	}
 
-	// Copy-on-write domain map: untouched domains share their interval
-	// slices with the old index; touched ones are exploded against the
-	// OLD day axis, overlaid with the new detections, and repacked
-	// against the NEW one. The daily-crawl case — every touched day new
-	// and after the whole old axis — skips the O(history) explode: no
-	// existing day's detections changed, so the old packing stays valid
-	// and the new days extend a copy of it in O(intervals + new days).
+	// Copy-on-write domain map: untouched domains share their entries
+	// (intervals and memoized answer) with the old index; touched ones
+	// get a fresh entry, their intervals exploded against the OLD day
+	// axis, overlaid with the new detections, and repacked against the
+	// NEW one. The daily-crawl case — every touched day new and after the
+	// whole old axis — skips the O(history) explode: no existing day's
+	// detections changed, so the old packing stays valid and the new
+	// days extend a copy of it in O(intervals + new days). Domains are
+	// never removed, so the least name is the old one or a touched one.
 	appendOnly := len(delta.Days) == len(delta.NewDays) &&
 		(len(x.days) == 0 || delta.NewDays[0] > x.days[len(x.days)-1])
-	nd.domains = make(map[string][]interval, len(x.domains)+len(delta.Domains))
-	for dom, ivs := range x.domains {
-		nd.domains[dom] = ivs
+	nd.domains = make(map[string]*domainEntry, len(x.domains)+len(delta.Domains))
+	for dom, e := range x.domains {
+		nd.domains[dom] = e
 	}
+	nd.exampleDomain = x.exampleDomain
 	for dom := range delta.Domains {
+		e := &domainEntry{}
 		if appendOnly {
-			nd.domains[dom] = x.appendDomain(dom, perDomain[dom], delta.NewDays)
+			e.ivs = x.appendDomain(dom, perDomain[dom], delta.NewDays)
 		} else {
-			nd.domains[dom] = x.repackDomain(nd, dom, perDomain[dom])
+			e.ivs = x.repackDomain(nd, dom, perDomain[dom])
+		}
+		nd.domains[dom] = e
+		if nd.exampleDomain == "" || dom < nd.exampleDomain {
+			nd.exampleDomain = dom
 		}
 	}
+
+	// Answer slots: a day the delta left alone answers as before, so its
+	// slot (rendered or not) carries over; a touched or new day starts
+	// unrendered, and so does every series.
+	nd.dayBody = make([]*memo, len(nd.days))
+	for i, op := range oldPosOf {
+		if op >= 0 && byDay[nd.days[i]] == nil {
+			nd.dayBody[i] = x.dayBody[op]
+		} else {
+			nd.dayBody[i] = new(memo)
+		}
+	}
+	nd.seriesBody = make([]memo, np)
 
 	// Smoothing is global over each provider's series, so it recomputes
 	// wholesale — O(providers × days), trivial next to detection.
@@ -263,7 +284,7 @@ func (x *Index) Apply(batch []PartitionUpdate) (*Index, *Delta) {
 // detected on day d. Valid only for indexed days: interval packing
 // guarantees every measured day inside [first, last] is a detection.
 func (x *Index) detectedOn(dom string, p int, d simtime.Day) bool {
-	for _, iv := range x.domains[dom] {
+	for _, iv := range x.intervals(dom) {
 		if int(iv.provider) == p && iv.first <= int32(d) && int32(d) <= iv.last {
 			return true
 		}
@@ -273,7 +294,7 @@ func (x *Index) detectedOn(dom string, p int, d simtime.Day) bool {
 
 // detectedAnyOn is detectedOn for "any provider".
 func (x *Index) detectedAnyOn(dom string, d simtime.Day) bool {
-	for _, iv := range x.domains[dom] {
+	for _, iv := range x.intervals(dom) {
 		if iv.first <= int32(d) && int32(d) <= iv.last {
 			return true
 		}
@@ -288,7 +309,7 @@ func (x *Index) detectedAnyOn(dom string, d simtime.Day) bool {
 // packed. prev threads through ALL new days, detections or not, so a
 // skipped day severs runs exactly as the full build would.
 func (x *Index) appendDomain(dom string, add map[simtime.Day][]core.Method, newDays []simtime.Day) []interval {
-	old := x.domains[dom]
+	old := x.intervals(dom)
 	ivs := make([]interval, len(old), len(old)+len(newDays))
 	copy(ivs, old)
 	prev := simtime.Day(-1 << 30)
@@ -317,7 +338,7 @@ func (x *Index) appendDomain(dom string, add map[simtime.Day][]core.Method, newD
 func (x *Index) repackDomain(nd *Index, dom string, add map[simtime.Day][]core.Method) []interval {
 	np := x.refs.NumProviders()
 	det := make(map[simtime.Day][]core.Method)
-	for _, iv := range x.domains[dom] {
+	for _, iv := range x.intervals(dom) {
 		for d := iv.first; d <= iv.last; d++ {
 			day := simtime.Day(d)
 			if _, ok := x.dayPos[day]; !ok {

@@ -111,10 +111,13 @@ func assertIndexEqual(t *testing.T, want, got *Index) {
 	if len(want.domains) != len(got.domains) {
 		t.Fatalf("domain count: want %d got %d", len(want.domains), len(got.domains))
 	}
-	for dom, wivs := range want.domains {
-		if givs, ok := got.domains[dom]; !ok || !reflect.DeepEqual(wivs, givs) {
-			t.Fatalf("domain %s intervals: want %+v got %+v", dom, wivs, got.domains[dom])
+	for dom, we := range want.domains {
+		if ge, ok := got.domains[dom]; !ok || !reflect.DeepEqual(we.ivs, ge.ivs) {
+			t.Fatalf("domain %s intervals: want %+v got %+v", dom, we.ivs, got.intervals(dom))
 		}
+	}
+	if want.exampleDomain != got.exampleDomain {
+		t.Fatalf("example domain: want %q got %q", want.exampleDomain, got.exampleDomain)
 	}
 	// Public views agree too (belt and braces over the internals).
 	for _, dom := range want.Domains() {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dpsadopt/internal/analysis"
@@ -27,19 +28,42 @@ type interval struct {
 	last     int32  // simtime.Day, inclusive
 }
 
+// memo is one rendered answer of an index generation: nil until the
+// first request renders it. Every render of one slot produces the same
+// bytes, so two racing first renders may both store.
+type memo = atomic.Pointer[[]byte]
+
+// domainEntry is one detected domain of an index generation: its packed
+// intervals in day order and its memoized /v1/domain answer. Apply gives
+// every domain it touches a fresh entry, so a body stored in an entry
+// always describes the generations that share that entry.
+type domainEntry struct {
+	ivs  []interval
+	body memo
+}
+
 // Index is the read-optimized view of a loaded dataset: the detection
 // pass (core.DetectDay) runs once per partition at build time, and every
 // request is then answered from inverted structures — domain → packed
 // interval list, provider → daily series — without touching the columnar
 // store again. The index is immutable after Build, so readers need no
-// locks.
+// locks; the only thing a reader writes is an answer's memo slot, which
+// holds at most one body per detected domain, indexed day and provider.
 type Index struct {
 	refs    *core.References
 	sources []string
 	days    []simtime.Day // sorted union over sources
 	dayPos  map[simtime.Day]int
 
-	domains map[string][]interval // domain → intervals in day order
+	domains       map[string]*domainEntry
+	exampleDomain string // the least detected domain name ("" when none)
+
+	// The memoized /v1/day and /v1/provider/{p}/series answers. Apply
+	// shares a day's slot with the previous generation unless the delta
+	// touched the day, and gives every series a fresh slot: the §4.2
+	// smoothing is global over each provider's series.
+	dayBody    []*memo // [dayIdx]
+	seriesBody []memo  // [provider]
 
 	series   [][]int64   // [provider][dayIdx] distinct domains using p
 	smoothed [][]float64 // §4.2-smoothed counterpart of series
@@ -99,7 +123,7 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 	x := &Index{
 		refs:    refs,
 		dayPos:  make(map[simtime.Day]int),
-		domains: make(map[string][]interval),
+		domains: make(map[string]*domainEntry),
 	}
 	srcSet := make(map[string]bool)
 	daySet := make(map[simtime.Day]bool)
@@ -119,6 +143,11 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 	for i, d := range x.days {
 		x.dayPos[d] = i
 	}
+	x.dayBody = make([]*memo, len(x.days))
+	for i := range x.dayBody {
+		x.dayBody[i] = new(memo)
+	}
+	x.seriesBody = make([]memo, np)
 
 	x.series = make([][]int64, np)
 	for p := range x.series {
@@ -228,7 +257,23 @@ func buildIndex(src core.BatchSource, universe []core.Partition, refs *core.Refe
 // interval extends only across consecutive measured days with an
 // unchanged method set.
 func (x *Index) addDay(dom string, p int, m core.Method, day, prev simtime.Day) {
-	x.domains[dom] = appendDetection(x.domains[dom], p, m, day, prev)
+	e := x.domains[dom]
+	if e == nil {
+		e = &domainEntry{}
+		x.domains[dom] = e
+		if x.exampleDomain == "" || dom < x.exampleDomain {
+			x.exampleDomain = dom
+		}
+	}
+	e.ivs = appendDetection(e.ivs, p, m, day, prev)
+}
+
+// intervals returns dom's packed intervals (nil when never detected).
+func (x *Index) intervals(dom string) []interval {
+	if e := x.domains[dom]; e != nil {
+		return e.ivs
+	}
+	return nil
 }
 
 // appendDetection is the interval-packing step shared by the full build
@@ -287,7 +332,7 @@ type DomainHistory struct {
 // Domain returns the full detection history of one domain, or false if
 // the domain never exhibited a DPS reference in the dataset.
 func (x *Index) Domain(name string) (DomainHistory, bool) {
-	ivs, ok := x.domains[name]
+	e, ok := x.domains[name]
 	if !ok {
 		return DomainHistory{}, false
 	}
@@ -297,7 +342,7 @@ func (x *Index) Domain(name string) (DomainHistory, bool) {
 	var order []int
 	first, last := int32(1<<31-1), int32(-1<<31)
 	daySet := make(map[int32]bool)
-	for _, iv := range ivs {
+	for _, iv := range e.ivs {
 		if iv.first < first {
 			first = iv.first
 		}
@@ -355,13 +400,7 @@ type ProviderSeries struct {
 // Series returns one provider's daily use counts (raw and §4.2-smoothed).
 // Provider names match case-insensitively.
 func (x *Index) Series(name string) (ProviderSeries, bool) {
-	p := -1
-	for i := range x.refs.Providers {
-		if strings.EqualFold(x.refs.Providers[i].Name, name) {
-			p = i
-			break
-		}
-	}
+	p := x.provider(name)
 	if p < 0 {
 		return ProviderSeries{}, false
 	}
@@ -378,6 +417,16 @@ func (x *Index) Series(name string) (ProviderSeries, bool) {
 		out.FirstDay = x.days[0].String()
 	}
 	return out, true
+}
+
+// provider resolves a provider name case-insensitively (-1 when unknown).
+func (x *Index) provider(name string) int {
+	for i := range x.refs.Providers {
+		if strings.EqualFold(x.refs.Providers[i].Name, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // DayInfo is the /v1/day/{date} response body.
@@ -428,6 +477,7 @@ func (x *Index) Stats() Stats {
 		DaysIndexed:       len(x.days),
 		PartitionsIndexed: x.partitions,
 		DomainsDetected:   len(x.domains),
+		ExampleDomain:     x.exampleDomain,
 		IndexBuildMS:      float64(x.buildTime.Microseconds()) / 1000,
 		IndexEpoch:        x.epoch,
 	}
@@ -437,11 +487,6 @@ func (x *Index) Stats() Stats {
 	}
 	for i := range x.refs.Providers {
 		st.Providers = append(st.Providers, x.refs.Providers[i].Name)
-	}
-	for dom := range x.domains {
-		if st.ExampleDomain == "" || dom < st.ExampleDomain {
-			st.ExampleDomain = dom
-		}
 	}
 	return st
 }

@@ -5,7 +5,7 @@ import (
 )
 
 // Default latency objectives per route, in seconds. The domain route is
-// the pure-index hot path (sub-millisecond when cached); series and day
+// the pure-index hot path (sub-millisecond when memoized); series and day
 // aggregate more data; stats renders live process state on every call.
 var defaultLatencySLOs = []struct {
 	route     string

@@ -80,7 +80,7 @@ func TestObservatoryRecordsRequests(t *testing.T) {
 	h := srv.Handler()
 
 	get(t, h, "/v1/domain/alpha.com")
-	get(t, h, "/v1/domain/alpha.com") // cache hit
+	get(t, h, "/v1/domain/alpha.com") // memo hit
 	get(t, h, "/v1/domain/gamma.com")
 	get(t, h, "/v1/provider/Akamai/series")
 	get(t, h, "/v1/domain/"+strings.Repeat("a", 300)) // 400

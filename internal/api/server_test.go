@@ -301,7 +301,7 @@ func TestOverloadShedsOnClientGone(t *testing.T) {
 // rendered once, not per response.
 func TestErrorBodies(t *testing.T) {
 	for _, tc := range []struct {
-		val    cached
+		val    response
 		status int
 		body   string
 	}{
@@ -333,64 +333,10 @@ func TestErrorBodies(t *testing.T) {
 	}
 }
 
-// TestCoalescing proves N concurrent misses for one key run one index
-// walk: the first request blocks inside the handler while the rest pile
-// up, and on release everyone gets the same bytes from a single
-// execution.
-func TestCoalescing(t *testing.T) {
-	s, refs := fixtureStore(t)
-	srv := NewServer(NewIndex(s, refs), Config{MaxInflight: 64})
-	var execs atomic.Int64
-	block := make(chan struct{})
-	first := make(chan struct{}, 1)
-	misses0 := mCacheMisses.Value()
-	srv.flightHook = func() {
-		if execs.Add(1) == 1 {
-			first <- struct{}{}
-			<-block
-		}
-	}
-
-	const n = 16
-	var wg sync.WaitGroup
-	bodies := make([]string, n)
-	codes := make([]int, n)
-	launch := func(i int) {
-		defer wg.Done()
-		codes[i], bodies[i] = get(t, srv.Handler(), "/v1/domain/alpha.com")
-	}
-	wg.Add(1)
-	go launch(0)
-	<-first // leader is inside the index walk
-	for i := 1; i < n; i++ {
-		wg.Add(1)
-		go launch(i)
-	}
-	// Give the followers time to join the flight, then release.
-	time.Sleep(100 * time.Millisecond)
-	close(block)
-	wg.Wait()
-
-	for i := range bodies {
-		if codes[i] != http.StatusOK || bodies[i] != bodies[0] {
-			t.Fatalf("request %d: code %d, diverging body", i, codes[i])
-		}
-	}
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("index walks = %d, want 1 (coalescing failed)", got)
-	}
-	// Every follower either joined the flight or (if scheduled after the
-	// leader finished) hit the cache; at least one must have coalesced
-	// because the leader was provably blocked when it launched. A miss
-	// that walked no index joined the leader's flight.
-	coalesced := int(mCacheMisses.Value()-misses0) - int(execs.Load())
-	if coalesced < 1 || coalesced > n-1 {
-		t.Fatalf("coalesced = %d, want 1..%d", coalesced, n-1)
-	}
-}
-
 // TestCacheHitPath asserts the second identical request is served from
-// the cache (counter-visible) and that disabling the cache disables it.
+// the index generation's memo (counter-visible), that fixed answers and
+// /v1/stats are neither memoized nor counted, and that a negative
+// CacheEntries renders every answer.
 func TestCacheHitPath(t *testing.T) {
 	srv := fixtureServer(t, Config{})
 	hits0, miss0 := mCacheHits.Value(), mCacheMisses.Value()
@@ -407,21 +353,30 @@ func TestCacheHitPath(t *testing.T) {
 		t.Fatalf("hits = %d, want 1", d)
 	}
 
-	// 404s are cached too (immutable facts of the dataset)...
-	get(t, srv.Handler(), "/v1/domain/nosuch.example")
-	hits1 := mCacheHits.Value()
-	get(t, srv.Handler(), "/v1/domain/nosuch.example")
-	if mCacheHits.Value() != hits1+1 {
-		t.Fatal("404 not served from cache")
+	// A 404 is a fixed answer and /v1/stats is rendered per request:
+	// neither touches the memo counters.
+	hits1, miss1 := mCacheHits.Value(), mCacheMisses.Value()
+	for _, path := range []string{"/v1/domain/nosuch.example", "/v1/stats"} {
+		get(t, srv.Handler(), path)
+		get(t, srv.Handler(), path)
+	}
+	if mCacheHits.Value() != hits1 || mCacheMisses.Value() != miss1 {
+		t.Fatalf("fixed answers moved the memo counters: hits +%d, misses +%d",
+			mCacheHits.Value()-hits1, mCacheMisses.Value()-miss1)
 	}
 
-	// ...but a cache-disabled server never hits.
+	// A memo-disabled server renders every time and never counts.
 	off := fixtureServer(t, Config{CacheEntries: -1})
-	hits2 := mCacheHits.Value()
-	get(t, off.Handler(), "/v1/stats")
-	get(t, off.Handler(), "/v1/stats")
-	if mCacheHits.Value() != hits2 {
-		t.Fatal("disabled cache produced hits")
+	var renders atomic.Int64
+	off.renderHook = func() { renders.Add(1) }
+	hits2, miss2 := mCacheHits.Value(), mCacheMisses.Value()
+	get(t, off.Handler(), "/v1/domain/alpha.com")
+	get(t, off.Handler(), "/v1/domain/alpha.com")
+	if renders.Load() != 2 {
+		t.Fatalf("disabled memo rendered %d times, want 2", renders.Load())
+	}
+	if mCacheHits.Value() != hits2 || mCacheMisses.Value() != miss2 {
+		t.Fatal("disabled memo moved the counters")
 	}
 }
 

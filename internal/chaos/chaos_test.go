@@ -58,6 +58,7 @@ func TestScenarioSignatures(t *testing.T) {
 		fault           dnsserver.Fault
 	}
 	const draws = 4000
+	client := netip.MustParseAddrPort("10.9.0.1:40000")
 	for _, tc := range []struct {
 		scenario, fault string
 		rate            float64
@@ -87,7 +88,7 @@ func TestScenarioSignatures(t *testing.T) {
 			var d draw
 			d.drop, d.dup, d.delay = c.datagram(netip.MustParseAddrPort("10.0.0.1:53"), uint64(i))
 			d.dead = c.net.dead(netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)}), transport.DNSPort))
-			d.fault, d.slow = sf.QueryFault(fmt.Sprintf("q%d.test", i))
+			d.fault, d.slow = sf.QueryFault(client, fmt.Sprintf("q%d.test", i))
 			if tc.hit(cfg, d) {
 				n++
 			}
@@ -364,7 +365,8 @@ func TestServerFaults(t *testing.T) {
 		t.Error("network-only config produced a server injector")
 	}
 	var nilF *ServerFaults
-	if fa, _ := nilF.QueryFault("example.com"); fa != dnsserver.FaultNone {
+	client := netip.MustParseAddrPort("10.9.0.1:40000")
+	if fa, _ := nilF.QueryFault(client, "example.com"); fa != dnsserver.FaultNone {
 		t.Errorf("nil injector fault = %v", fa)
 	}
 	// Same seed → identical fault sequence; different seed → different.
@@ -372,7 +374,7 @@ func TestServerFaults(t *testing.T) {
 		sf := NewServerFaults(Config{Name: "sf", Servfail: 0.3, Slow: 0.2, SlowDelay: time.Millisecond}, seed)
 		out := make([]dnsserver.Fault, 100)
 		for i := range out {
-			out[i], _ = sf.QueryFault("www.example.com")
+			out[i], _ = sf.QueryFault(client, "www.example.com")
 		}
 		return out
 	}

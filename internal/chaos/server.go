@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"net/netip"
 	"sync"
 	"time"
 
@@ -14,15 +15,24 @@ import (
 const serverBurst = 8
 
 // ServerFaults is a deterministic dnsserver.FaultInjector: each query's
-// fate is a hash of (seed, qname, per-qname sequence number), so a run
-// replays identically for a given seed regardless of how queries
-// interleave across servers and workers.
+// fate is a hash of (seed, qname, sequence number), where the sequence
+// counts the queries one client has sent for that qname. One client's
+// queries arrive in its own deterministic order, so a run replays
+// identically for a given seed however the queries of concurrent
+// clients (wire-mode workers) interleave; a sequence shared by all
+// clients would hand each one whatever position the race left it.
 type ServerFaults struct {
 	cfg  Config
 	seed uint64
 
 	mu   sync.Mutex
-	seqs map[string]uint64
+	seqs map[seqKey]uint64
+}
+
+// seqKey names one client's query stream for one name.
+type seqKey struct {
+	from  netip.AddrPort
+	qname string
 }
 
 // NewServerFaults builds the scenario's server-side injector. Returns nil
@@ -32,7 +42,7 @@ func NewServerFaults(cfg Config, seed int64) *ServerFaults {
 	if !cfg.ServerActive() {
 		return nil
 	}
-	return &ServerFaults{cfg: cfg, seed: uint64(seed), seqs: make(map[string]uint64)}
+	return &ServerFaults{cfg: cfg, seed: uint64(seed), seqs: make(map[seqKey]uint64)}
 }
 
 // Per-fault decision streams for server faults, disjoint from the
@@ -47,13 +57,14 @@ const (
 // QueryFault implements dnsserver.FaultInjector. A nil *ServerFaults is
 // a valid no-op injector, matching NewServerFaults's nil return for
 // fault-free scenarios.
-func (f *ServerFaults) QueryFault(qname string) (dnsserver.Fault, time.Duration) {
+func (f *ServerFaults) QueryFault(from netip.AddrPort, qname string) (dnsserver.Fault, time.Duration) {
 	if f == nil {
 		return dnsserver.FaultNone, 0
 	}
+	k := seqKey{from, qname}
 	f.mu.Lock()
-	seq := f.seqs[qname]
-	f.seqs[qname] = seq + 1
+	seq := f.seqs[k]
+	f.seqs[k] = seq + 1
 	f.mu.Unlock()
 	base := mix2(mix2(f.seed, hashString(qname)), seq)
 	if f.cfg.ServerDrop > 0 && unit(mix2(base, streamServerDrop)) < f.cfg.ServerDrop {

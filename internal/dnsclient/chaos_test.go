@@ -137,7 +137,7 @@ type queryCount struct {
 	fault dnsserver.Fault
 }
 
-func (c *queryCount) QueryFault(string) (dnsserver.Fault, time.Duration) {
+func (c *queryCount) QueryFault(netip.AddrPort, string) (dnsserver.Fault, time.Duration) {
 	c.Add(1)
 	return c.fault, 0
 }

@@ -18,7 +18,9 @@ type fixedFault struct {
 	delay time.Duration
 }
 
-func (f fixedFault) QueryFault(string) (Fault, time.Duration) { return f.fault, f.delay }
+func (f fixedFault) QueryFault(netip.AddrPort, string) (Fault, time.Duration) {
+	return f.fault, f.delay
+}
 
 // askUDP sends one query datagram and returns the decoded response, or nil
 // on timeout.
@@ -102,7 +104,7 @@ type slowFirst struct {
 	seen  atomic.Int64
 }
 
-func (f *slowFirst) QueryFault(string) (Fault, time.Duration) {
+func (f *slowFirst) QueryFault(netip.AddrPort, string) (Fault, time.Duration) {
 	if f.seen.Add(1) == 1 {
 		return FaultSlow, f.delay
 	}

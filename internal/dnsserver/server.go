@@ -55,11 +55,12 @@ func (f Fault) String() string {
 	return "unknown"
 }
 
-// FaultInjector decides a fault for each incoming query. Implementations
+// FaultInjector decides a fault for each incoming query, given the
+// querying client's address and the canonical qname. Implementations
 // must be safe for concurrent use; internal/chaos provides a seeded,
 // deterministic one. The returned delay is only meaningful for FaultSlow.
 type FaultInjector interface {
-	QueryFault(qname string) (Fault, time.Duration)
+	QueryFault(from netip.AddrPort, qname string) (Fault, time.Duration)
 }
 
 // Server answers authoritative DNS queries for a set of zones.
@@ -98,9 +99,9 @@ func (s *Server) SetFaults(fi FaultInjector) {
 }
 
 // faultFor consults the installed injector, if any.
-func (s *Server) faultFor(qname string) (Fault, time.Duration) {
+func (s *Server) faultFor(from netip.AddrPort, qname string) (Fault, time.Duration) {
 	if box := s.faults.Load(); box != nil {
-		return box.fi.QueryFault(qname)
+		return box.fi.QueryFault(from, qname)
 	}
 	return FaultNone, 0
 }
@@ -279,7 +280,7 @@ func (s *Server) answer(conn transport.Conn, data []byte, from netip.AddrPort) {
 	defer sp.End()
 	fault, delay := FaultNone, time.Duration(0)
 	if qname != "" {
-		fault, delay = s.faultFor(qname)
+		fault, delay = s.faultFor(from, qname)
 	}
 	if fault != FaultNone {
 		sp.SetAttr(trace.Str("chaos", fault.String()))

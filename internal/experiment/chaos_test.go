@@ -3,9 +3,12 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +93,37 @@ func TestServfailBurstDegradesDay(t *testing.T) {
 	}
 	if a.Lost != 0 {
 		t.Errorf("servfail-burst day lost %d queries, want 0: SERVFAIL is an answer", a.Lost)
+	}
+}
+
+// TestServfailBurstDatasetDeterministic: a faulted wire run at several
+// workers is a function of its seed. Two identically seeded servfail-burst
+// runs must save byte-identical datasets, however the workers' queries
+// interleave at the shared authoritative servers.
+func TestServfailBurstDatasetDeterministic(t *testing.T) {
+	run := func(name string) [sha256.Size]byte {
+		r, err := New(Config{
+			Scale: 200000, Workers: 4, Days: 2, KeepStore: true,
+			Wire: true, FaultScenario: "servfail-burst", FaultSeed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := r.Store.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(b)
+	}
+	if a, b := run("a.dpsa"), run("b.dpsa"); a != b {
+		t.Errorf("identically seeded servfail-burst runs saved different datasets: %x, %x", a, b)
 	}
 }
 

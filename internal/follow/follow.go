@@ -5,8 +5,8 @@
 // verifies each partition's spool CRCs, runs ID-native detection on just
 // the new partitions, and folds the results into the serving index
 // through api's copy-on-write delta path. The publish is one atomic
-// pointer swap plus a precise cache sweep, so the service keeps
-// answering at full rate while a freshly measured day becomes queryable
+// pointer swap (each index generation memoizes its own answers), so the
+// service keeps answering at full rate while a freshly measured day becomes queryable
 // within one poll interval of its commit.
 //
 // The follower is strictly read-only toward its feed: it reads through
@@ -45,8 +45,8 @@ import (
 )
 
 // Sink is where applied deltas land. *api.Server satisfies it: Index
-// resolves the served snapshot, Publish swaps in its successor and
-// invalidates precisely the keys the delta touched.
+// resolves the served snapshot and Publish swaps in its successor, which
+// already holds fresh answer slots for everything the delta touched.
 type Sink interface {
 	Index() *api.Index
 	Publish(*api.Index, *api.Delta)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -593,7 +594,7 @@ type slowFirstQuery struct {
 	seen  atomic.Int64
 }
 
-func (f *slowFirstQuery) QueryFault(string) (dnsserver.Fault, time.Duration) {
+func (f *slowFirstQuery) QueryFault(netip.AddrPort, string) (dnsserver.Fault, time.Duration) {
 	if f.seen.Add(1) == 1 {
 		return dnsserver.FaultSlow, f.delay
 	}

@@ -133,20 +133,23 @@ func (s *Store) Save(path string) error {
 	}
 	tmp := f.Name()
 	w := bufio.NewWriterSize(f, 1<<20)
-	if err := s.encode(w, writeU32s); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = s.encode(w, writeU32s)
+	if err == nil {
+		err = w.Flush()
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	// CreateTemp makes the file 0600; a dataset is read by processes of
+	// other users (a dpsapi serving it), so it gets the mode of the
+	// quarantine .reason files.
+	if err == nil {
+		err = f.Chmod(0o644)
 	}
 	// The data must be durable before the rename publishes it: a rename
 	// surviving a crash that the data did not would be a torn file with
 	// a valid name.
-	if err := f.Sync(); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -189,6 +189,23 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 }
 
+// TestSaveFileMode: a saved dataset is world-readable (0644), not the
+// 0600 of the temp file it is written through, so a server running as
+// another user can open it.
+func TestSaveFileMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "data.dpsa")
+	if err := populatedStore().Save(path); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fi.Mode().Perm(); got != 0o644 {
+		t.Fatalf("saved dataset mode %v, want %v", got, os.FileMode(0o644))
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	// want is what the refusal must say ("" = any error will do). Versions

@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end smoke test of the serving layer: measure a tiny world with
 # dpsreport, save the .dpsa, start dpsapi on it, exercise every /v1 route
-# with real HTTP, assert the response cache is counter-visibly working,
+# with real HTTP, assert the answer memo is counter-visibly working,
 # read the same dataset with each dpsdata mode but -ledger, and verify the
 # server drains cleanly on SIGTERM. Before the dataset, a faulted wire
 # reproduction must commit its SERVFAIL-struck days as degraded. Mirrors
@@ -92,7 +92,7 @@ echo "== error paths"
 [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/day/not-a-date")" = "400" ] ||
     { echo "api_smoke: expected 400 for bad date" >&2; exit 1; }
 
-echo "== cache hit on repeat request"
+echo "== memo hit on repeat request"
 curl -sf "$BASE/v1/domain/$DOMAIN" >/dev/null
 HITS="$(curl -sf "$BASE/metrics" | sed -n 's/^api_cache_hits_total \([0-9.]*\)$/\1/p')"
 case "$HITS" in
