@@ -50,7 +50,8 @@ func packUse(p int, id uint32, m Method) uint64 {
 // either a fully resident *store.Store or a streaming *store.Reader.
 // AcquireBatch hands out one partition's columns plus a release func
 // (a no-op for the resident store; for the Reader it returns the decoded
-// columns to the buffer pool) — the batch is valid only until release.
+// columns to the store's free list) — the batch is valid only until
+// release, and a resident store's only until the partition is dropped.
 // Missing partitions may surface as an empty batch (resident store) or
 // an error (Reader, which knows its directory); corrupt partitions are
 // always errors.

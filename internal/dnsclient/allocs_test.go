@@ -13,7 +13,9 @@ import (
 // lookup and pack, Mem, unpack — stays inside the allocation budget of
 // DESIGN.md ("wire path allocation budget"); AllocsPerRun counts client and
 // server alike, as the server answers in the client's goroutine. Not under
-// -race: the race runtime drops sync.Pool items.
+// -race: the race runtime drops a random share of sync.Pool puts, and the
+// round trip draws its compressor from dnswire's pool and its datagrams
+// from transport's.
 func TestAllocsResolveRoundTrip(t *testing.T) {
 	w := newOneZoneWorld(t)
 	r := w.resolver(t)

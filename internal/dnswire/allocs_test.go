@@ -8,8 +8,9 @@ import (
 )
 
 // Allocation ceilings for one message each way (DESIGN.md "wire path
-// allocation budget"). Not under -race: the race runtime drops sync.Pool
-// items, so the pooled compressor would allocate every time.
+// allocation budget"). Not under -race: the race runtime drops a random
+// share of sync.Pool puts, so the compressor from compPool would be
+// allocated anew at random.
 
 // wireResponse is the shape wire mode sees most: one question, a CNAME and
 // two A answers (bench/replay.go times the same message).

@@ -127,6 +127,99 @@ func TestServfailBurstDatasetDeterministic(t *testing.T) {
 	}
 }
 
+// TestServfailBurstLossIsCounted: every data point a fault loses is
+// counted. Two servfail-burst days at four workers are set against the
+// same days fault-free. The fault-free run gives up no resolution and
+// measures every domain the world has on each day; under the fault, the
+// domain-days that lost every row are no more than the day's give-ups,
+// and a day that lost any commits as degraded.
+func TestServfailBurstLossIsCounted(t *testing.T) {
+	type pass struct {
+		days     []DayProgress
+		measured map[simtime.Day]map[string]bool // source/domain with a row
+		r        *Runner
+	}
+	run := func(scenario string) pass {
+		var p pass
+		r, err := New(Config{
+			Scale: 200000, Workers: 4, Days: 2, KeepStore: true,
+			Wire: true, FaultScenario: scenario, FaultSeed: 7,
+			OnDayProgress: func(dp DayProgress) { p.days = append(p.days, dp) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		p.r, p.measured = r, make(map[simtime.Day]map[string]bool)
+		dict := r.Store.Dict()
+		for _, src := range r.Store.Sources() {
+			for _, day := range r.Store.Days(src) {
+				if p.measured[day] == nil {
+					p.measured[day] = make(map[string]bool)
+				}
+				b, _ := r.Store.RowBatch(src, day)
+				for _, id := range b.Domains {
+					p.measured[day][src+"/"+dict.Str(id)] = true
+				}
+			}
+		}
+		return p
+	}
+	clean, faulted := run(""), run("servfail-burst")
+
+	w := clean.r.World
+	for _, dp := range clean.days {
+		if dp.Net.GaveUp != 0 {
+			t.Errorf("fault-free %s: %d resolutions gave up, want 0", dp.Day, dp.Net.GaveUp)
+		}
+		live := func(source string, d *worldsim.Domain) {
+			if st := w.StateFor(d, dp.Day); st.Exists && !st.Unmeasurable && !clean.measured[dp.Day][source+"/"+d.Name] {
+				t.Errorf("fault-free %s: %s/%s has no row", dp.Day, source, d.Name)
+			}
+		}
+		for _, d := range w.Domains {
+			window := w.Cfg.Window
+			if d.TLD == "nl" {
+				window = w.Cfg.NLWindow
+			}
+			if window.Contains(dp.Day) {
+				live(d.TLD, d)
+			}
+		}
+		if w.Cfg.NLWindow.Contains(dp.Day) {
+			for _, idx := range w.AlexaList(dp.Day) {
+				live(measure.SourceAlexa, w.Domains[idx])
+			}
+		}
+	}
+
+	if len(faulted.days) != len(clean.days) {
+		t.Fatalf("faulted run committed %d days, fault-free %d", len(faulted.days), len(clean.days))
+	}
+	lostAll := 0
+	for _, dp := range faulted.days {
+		lost := 0
+		for key := range clean.measured[dp.Day] {
+			if !faulted.measured[dp.Day][key] {
+				lost++
+			}
+		}
+		lostAll += lost
+		if int64(lost) > dp.Net.GaveUp {
+			t.Errorf("servfail-burst %s: %d domain-days lost every row, only %d resolutions gave up", dp.Day, lost, dp.Net.GaveUp)
+		}
+		if lost > 0 && !dp.Degraded {
+			t.Errorf("servfail-burst %s lost %d domain-days and committed as not degraded (%d of %d resolutions gave up)",
+				dp.Day, lost, dp.Net.GaveUp, dp.Net.Resolutions)
+		}
+	}
+	if lostAll == 0 {
+		t.Fatal("fixture: servfail-burst lost no domain-day, so nothing was checked")
+	}
+}
+
 // TestChaosDegradedDayRecovery closes the loop of the robustness story:
 // a dead-day scenario strikes a mid-run window, those days commit as
 // degraded (visibly damaged raw counts), and the Fig 5 growth pipeline

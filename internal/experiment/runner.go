@@ -258,7 +258,9 @@ func (r *Runner) Run(ctx context.Context) error {
 	mDaysTotal.Set(float64(total))
 	// Table 1 is sized one day behind: an accountant goroutine runs day d's
 	// DayStats and drop while day d+1 is measured. A hand-over first waits
-	// for the previous day (≤ 2 days resident); every return joins it.
+	// for the previous day (≤ 2 days resident); every return joins it. A
+	// day is handed over only after its detection, its last read: the
+	// drop recycles its blocks into day d+1's partitions.
 	var accountant sync.WaitGroup
 	defer accountant.Wait()
 	for i := 0; i < total; i++ {
@@ -651,7 +653,8 @@ func (r *Runner) newDayScratch() *dayScratch {
 }
 
 // advance makes prev and day resident, first dropping every day before
-// prev: the walk ascends, so nothing later can need those.
+// prev: the walk ascends, so nothing later can need those, and no batch
+// of a dropped day (whose block the next RunDay reuses) is read again.
 func (s *dayScratch) advance(prev, day simtime.Day) error {
 	for len(s.days) > 0 && s.days[0] < prev {
 		for _, src := range s.store.Sources() {

@@ -101,13 +101,18 @@ func (s *NetStats) add(r *dnsclient.Resolver) {
 	s.GaveUp += r.GiveUps()
 }
 
-// Pipeline measures a world into a store.
+// Pipeline measures a world into a store, one day (or partition) at a
+// time: a day's network accounting and its Stage I lists live in the
+// Pipeline, so concurrent days need a Pipeline each.
 type Pipeline struct {
 	World *worldsim.World
 	Store *store.Store
 	Cfg   Config
 
 	dayNet NetStats
+	// lists are the Stage I lists per source, truncated and refilled each
+	// day so that a streamed run reuses the previous day's arrays.
+	lists map[string][]task
 }
 
 // New creates a pipeline.
@@ -135,9 +140,17 @@ type task struct {
 }
 
 // stageOneLists assembles the day's measurement lists per source — the
-// zone-file acquisition step.
+// zone-file acquisition step. The lists are the Pipeline's and valid
+// until its next call; a source with nothing to measure today keeps an
+// empty list.
 func (p *Pipeline) stageOneLists(day simtime.Day) map[string][]task {
-	lists := make(map[string][]task)
+	if p.lists == nil {
+		p.lists = make(map[string][]task)
+	}
+	lists := p.lists
+	for source, tasks := range lists {
+		lists[source] = tasks[:0]
+	}
 	w := p.World
 	// The world's flat domain table is TLD-ordered and carries
 	// lifetimes; one scan assembles every TLD's list.
@@ -210,17 +223,19 @@ func (p *Pipeline) run(ctx context.Context, day simtime.Day, only string) error 
 	dayStart := time.Now()
 	_, sp1 := trace.StartSpan(ctx, "measure.stage1", trace.Str("day", day.String()))
 	lists := p.stageOneLists(day)
-	sp1.SetAttr(trace.Int("sources", int64(len(lists))))
-	sp1.End()
-	mStageSeconds.With(stageZoneAcquisition).Observe(time.Since(dayStart).Seconds())
 	// Sources run in sorted order: map order would make wire-mode flow
 	// identities (ephemeral ports) differ between runs, breaking the
 	// reproducibility of fault accounting.
 	sources := make([]string, 0, len(lists))
-	for source := range lists {
-		sources = append(sources, source)
+	for source, tasks := range lists {
+		if len(tasks) > 0 {
+			sources = append(sources, source)
+		}
 	}
 	sort.Strings(sources)
+	sp1.SetAttr(trace.Int("sources", int64(len(sources))))
+	sp1.End()
+	mStageSeconds.With(stageZoneAcquisition).Observe(time.Since(dayStart).Seconds())
 	if only != "" {
 		if len(lists[only]) == 0 {
 			return fmt.Errorf("measure: no partition %s/%s", only, day)
@@ -350,12 +365,13 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 			if resolver != nil {
 				defer resolver.Close()
 			}
+			var st worldsim.DomainState // the worker's one state, refilled per domain
 			for _, t := range tasks[lo:hi] {
 				if ctx.Err() != nil {
 					break // cancelled: what this worker has is still committed
 				}
 				if p.Cfg.Mode == ModeDirect {
-					p.measureDirect(writer, t.dom, day, table)
+					p.measureDirect(writer, &st, t.dom, day, table)
 					continue
 				}
 				// Per-domain sampling: only sampled domains carry
@@ -382,9 +398,10 @@ func (p *Pipeline) runSource(ctx context.Context, day simtime.Day, source string
 	return total, ctx.Err()
 }
 
-// measureDirect emits the rows for one domain from the world model.
-func (p *Pipeline) measureDirect(w *store.Writer, d *worldsim.Domain, day simtime.Day, table pfx2as.Table) {
-	st := p.World.StateFor(d, day)
+// measureDirect emits the rows for one domain from the world model,
+// computing its state into st.
+func (p *Pipeline) measureDirect(w *store.Writer, st *worldsim.DomainState, d *worldsim.Domain, day simtime.Day, table pfx2as.Table) {
+	p.World.StateInto(st, d, day)
 	if !st.Exists || st.Unmeasurable {
 		return
 	}

@@ -223,7 +223,7 @@ func LoadPartitions(path string, keys []PartitionKey) (*Store, error) {
 }
 
 // materialise decodes ents into a store that owns its blocks and the
-// dictionary (nothing in it aliases the Reader's pools, so it outlives
+// dictionary (nothing in it aliases the free lists, so it outlives
 // the Reader). A partition that fails its checksum or validation is
 // quarantined beside the file — the one write in the read path, and the
 // reason followers and servers use AcquireBatch instead.
@@ -273,7 +273,7 @@ func Verify(path string) error {
 		if err != nil {
 			return fmt.Errorf("store: partition %s: %w", r.dir[i].Key(), err)
 		}
-		rawPool.Put(bufp)
+		rawBufs.put(bufp)
 	}
 	return nil
 }

@@ -30,9 +30,9 @@ import (
 //
 // Each AcquireBatch is one pread of the partition's byte range,
 // CRC-verified against the directory entry over the same buffer that is
-// then decoded into a block from the process-wide pools below, so a full
-// streaming sweep's steady-state allocations stay bounded by the pools,
-// not the dataset. Nothing is cached: every consumer reads a partition
+// then decoded into a block, both drawn from the package's process-wide
+// free lists (store.go), so a full streaming sweep's steady-state
+// allocations stay bounded by the lists, not the dataset. Nothing is cached: every consumer reads a partition
 // once per pass.
 //
 // A Reader is safe for concurrent use. AcquireBatch never writes: a
@@ -57,20 +57,15 @@ type Reader struct {
 	closed atomic.Bool
 }
 
-// The decoded-block and raw-buffer pools are process-wide, not per Reader:
-// the follower opens one Reader per spool and a scan one per pass, so a
-// pool that lived in the Reader would start cold every time.
-var (
-	blockPool = sync.Pool{New: func() any { return &dayBlock{} }} // column slices reused across decodes
-	rawPool   = sync.Pool{New: func() any { return new([]byte) }} // raw partition bytes
-)
-
 // fit returns buf resized to n elements. A fresh (nil) buffer is sized
-// exactly, so the blocks materialise makes resident carry no slack. A
-// recycled one that no longer fits is regrown with an eighth of headroom:
-// the namespace grows (1.09× over the paper's 550 days), so each day's
-// partition is a few rows larger than the last, and a pool of exact-fit
-// buffers would miss on almost every day of a forward sweep.
+// exactly, so the blocks materialise makes resident, and a fresh block's
+// first Commit, carry no slack. A recycled one that no longer fits is
+// regrown with an eighth of headroom: the namespace grows (1.09× over the
+// paper's 550 days), so each day's partition is a few rows larger than
+// the last, and a free list of exact-fit buffers would miss on almost
+// every day of a forward sweep. The free lists are process-wide, not per
+// Reader or Store: the follower opens one Reader per spool and a scan one
+// per pass, so a list that lived in either would start cold every time.
 func fit[T any](buf []T, n int) []T {
 	switch {
 	case cap(buf) >= n:
@@ -313,8 +308,8 @@ func (r *Reader) SharedDict() (*Dict, error) {
 	return r.dict, r.dictErr
 }
 
-// AcquireBatch decodes one partition into a pooled block and returns its
-// columnar view plus a release func that hands the block back. The batch
+// AcquireBatch decodes one partition into a block from the free list and
+// returns its columnar view plus a release func that hands the block back. The batch
 // is valid only until release is called — the backing columns may then be
 // recycled for another partition — and release must be called exactly
 // once. A checksum or structural failure returns a *CorruptPartitionError;
@@ -336,28 +331,28 @@ func (r *Reader) AcquireBatch(source string, day simtime.Day) (RowBatch, func(),
 
 	// The store_reader_* traffic counters are AcquireBatch's alone: Load
 	// and Verify share the primitives below but are not streaming reads.
-	blk := blockPool.Get().(*dayBlock)
+	blk := blocks.get()
 	err = r.decodePartition(&ent, dict.Len(), blk)
 	mReaderBytesRead.Add(int64(ent.length))
 	if err != nil {
-		blockPool.Put(blk)
+		blocks.put(blk)
 		return RowBatch{}, noop, &CorruptPartitionError{Source: ent.Source, Day: ent.Day, Err: err}
 	}
 	mReaderPartitionsDecoded.Inc()
-	return blk.batch(), func() { blockPool.Put(blk) }, nil
+	return blk.batch(), func() { blocks.put(blk) }, nil
 }
 
-// checkedBytes preads one partition's byte range into a pooled buffer
-// and checks it against the directory entry's CRC. The caller hands the
-// buffer back to rawPool.
+// checkedBytes preads one partition's byte range into a buffer from
+// rawBufs and checks it against the directory entry's CRC. The caller
+// hands the buffer back to rawBufs.
 func (r *Reader) checkedBytes(ent *PartitionInfo) (*[]byte, error) {
-	bufp := rawPool.Get().(*[]byte)
+	bufp := rawBufs.get()
 	if uint64(cap(*bufp)) < ent.length {
 		*bufp = make([]byte, ent.length)
 	}
 	*bufp = (*bufp)[:ent.length]
 	if err := r.readChecked(*bufp, ent.offset, ent.CRC); err != nil {
-		rawPool.Put(bufp)
+		rawBufs.put(bufp)
 		return nil, err
 	}
 	return bufp, nil
@@ -372,7 +367,7 @@ func (r *Reader) decodePartition(ent *PartitionInfo, dictLen int, blk *dayBlock)
 	if err != nil {
 		return err
 	}
-	defer rawPool.Put(bufp)
+	defer rawBufs.put(bufp)
 	source, day, err := decodeBlockInto(*bufp, blk, dictLen)
 	if err != nil {
 		return err

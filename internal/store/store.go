@@ -147,7 +147,7 @@ type Writer struct {
 	lastID     uint32
 }
 
-// writerBuf is a writer's scratch, pooled in bufPool across commits: its
+// writerBuf is a writer's scratch, kept in writerBufs across commits: its
 // rows in writer-local IDs, the strings they name, and the value memo.
 type writerBuf struct {
 	block  dayBlock
@@ -156,7 +156,49 @@ type writerBuf struct {
 	global []uint32          // local ID → dict ID, filled during a commit
 }
 
-var bufPool = sync.Pool{New: func() any { return &writerBuf{values: make(map[string]uint32)} }}
+// freeList is a bounded, process-wide free list. Unlike a sync.Pool it
+// keeps its items across garbage collections (and under -race), so a
+// streamed day reuses the memory the previous day handed back whenever
+// the collector ran in between; what does not fit is left to the
+// collector.
+type freeList[T any] struct {
+	items chan *T
+	fresh func() *T
+}
+
+func newFreeList[T any](capacity int, fresh func() *T) *freeList[T] {
+	return &freeList[T]{items: make(chan *T, capacity), fresh: fresh}
+}
+
+// get takes an item off the list, or makes a fresh one when it is empty.
+func (l *freeList[T]) get() *T {
+	select {
+	case x := <-l.items:
+		return x
+	default:
+		return l.fresh()
+	}
+}
+
+// put hands x back, dropping it when the list is full.
+func (l *freeList[T]) put(x *T) {
+	select {
+	case l.items <- x:
+	default:
+	}
+}
+
+// The package's free lists. A writer's scratch is held from its first row
+// to its commit, so a day holds one per measure worker.
+var (
+	writerBufs = newFreeList(8, func() *writerBuf { return &writerBuf{values: make(map[string]uint32)} })
+	// blocks holds partition blocks: those DropDay hands back and those an
+	// AcquireBatch release returns. Commit and AcquireBatch draw from it,
+	// so at most eight partitions' columns outlive their partitions.
+	blocks = newFreeList(8, func() *dayBlock { return new(dayBlock) })
+	// rawBufs holds the raw partition bytes of a read.
+	rawBufs = newFreeList(8, func() *[]byte { return new([]byte) })
+)
 
 // NewWriter opens a writer for one partition.
 func (s *Store) NewWriter(source string, day simtime.Day) *Writer {
@@ -164,11 +206,11 @@ func (s *Store) NewWriter(source string, day simtime.Day) *Writer {
 }
 
 // startRow appends a row's domain and kind to the writer's scratch, taken
-// from the pool at the first row. The domain gets a new local ID unless it
+// from writerBufs at the first row. The domain gets a new local ID unless it
 // is the previous row's, so a domain repeated out of order gets a second.
 func (w *Writer) startRow(domain string, kind Kind) *dayBlock {
 	if w.buf == nil {
-		w.buf = bufPool.Get().(*writerBuf)
+		w.buf = writerBufs.get()
 	}
 	b := w.buf
 	if b.block.rows() == 0 || domain != w.lastDomain {
@@ -223,7 +265,10 @@ func (w *Writer) Commit() { Commit(w) }
 // Commit merges the rows of writers opened on one partition into it, in
 // argument order, and resets them. Under one dictionary lock it interns in
 // row order — domain, then value — so IDs are one writer's whatever the
-// chunking. A new partition is allocated once, at its final size.
+// chunking. A new partition takes a block from the free list that DropDay
+// refills and sizes each column once, at its final length: exactly when
+// the block is fresh, with an eighth of headroom when a recycled column
+// must grow (see fit).
 func Commit(ws ...*Writer) {
 	var rows, v6, asns int
 	for _, w := range ws {
@@ -254,9 +299,9 @@ func Commit(ws ...*Writer) {
 	}
 	blk := days[first.day]
 	if blk == nil {
-		blk = &dayBlock{domains: make([]uint32, 0, rows), kinds: make([]Kind, 0, rows),
-			addrs: make([]uint32, 0, rows), addrs6: make([][16]byte, 0, v6), strs: make([]uint32, 0, rows),
-			asnOff: make([]uint32, 0, rows), asnVals: make([]uint32, 0, asns)}
+		blk = blocks.get()
+		*blk = dayBlock{fit(blk.domains, rows)[:0], fit(blk.kinds, rows)[:0], fit(blk.addrs, rows)[:0],
+			fit(blk.addrs6, v6)[:0], fit(blk.strs, rows)[:0], fit(blk.asnOff, rows)[:0], fit(blk.asnVals, asns)[:0]}
 		days[first.day] = blk
 	}
 	for _, w := range ws {
@@ -267,7 +312,7 @@ func Commit(ws ...*Writer) {
 			clear(b.local) // drop the string references, keep the array
 			b.local = b.local[:0]
 			clear(b.values)
-			bufPool.Put(b)
+			writerBufs.put(b)
 			w.buf = nil
 		}
 	}
@@ -348,7 +393,8 @@ func (s *Store) Days(source string) []simtime.Day {
 // packed addresses) — resolve them through the store's Dict only at the
 // presentation edge. Callers must not mutate the columns, and must not
 // use a batch concurrently with writers committing into the same
-// partition.
+// partition. A batch of a Store is valid until its partition is dropped:
+// DropDay hands the columns back for a later partition to reuse.
 type RowBatch struct {
 	// Domains holds the dict ID of each row's domain.
 	Domains []uint32
@@ -412,7 +458,8 @@ func (b *RowBatch) Row(i int, dict *Dict) Row {
 }
 
 // RowBatch returns the columnar view of one partition, or false when the
-// partition holds no rows.
+// partition holds no rows. The view is valid until DropDay of the
+// partition.
 func (s *Store) RowBatch(source string, day simtime.Day) (RowBatch, bool) {
 	s.mu.RLock()
 	b := s.blocks[source][day]
@@ -481,13 +528,16 @@ type Stats struct {
 // DropDay discards one partition. The full-horizon experiment runner
 // streams: it measures a day, folds it into the analysis, accounts its
 // statistics, and drops it — the 550-day archive never lives in memory at
-// once (the paper used a Hadoop cluster for the same reason).
+// once (the paper used a Hadoop cluster for the same reason). The
+// partition's block goes back to the free list for a later Commit, so
+// every RowBatch of the partition is invalid once DropDay is called.
 func (s *Store) DropDay(source string, day simtime.Day) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if days := s.blocks[source]; days != nil {
 		if b := days[day]; b != nil {
 			mResidentRows.Add(-float64(b.rows()))
+			blocks.put(b)
 		}
 		delete(days, day)
 		if len(days) == 0 {
@@ -497,8 +547,10 @@ func (s *Store) DropDay(source string, day simtime.Day) {
 }
 
 // DayStats returns one partition's row count and compressed size, plus
-// the distinct interned domain IDs seen (for streaming unique-SLD
-// accounting).
+// the head of each run of the partition's domain IDs (for streaming
+// unique-SLD accounting). A domain's rows sit together, so a domain is
+// listed once per run: a writer chunk boundary or a domain repeated out
+// of order lists it again, and the caller dedupes across days anyway.
 func (s *Store) DayStats(source string, day simtime.Day) (rows int, compressed int64, domainIDs []uint32) {
 	s.mu.RLock()
 	b := s.blocks[source][day]
@@ -506,22 +558,15 @@ func (s *Store) DayStats(source string, day simtime.Day) (rows int, compressed i
 	if b == nil {
 		return 0, 0, nil
 	}
-	// A domain's rows sit together, so most rows are settled by the
-	// comparison with their predecessor and never reach the map.
 	heads := 0
 	for i, id := range b.domains {
 		if i == 0 || id != b.domains[i-1] {
 			heads++
 		}
 	}
-	seen := make(map[uint32]struct{}, heads)
 	domainIDs = make([]uint32, 0, heads)
 	for i, id := range b.domains {
-		if i > 0 && id == b.domains[i-1] {
-			continue
-		}
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
+		if i == 0 || id != b.domains[i-1] {
 			domainIDs = append(domainIDs, id)
 		}
 	}
@@ -572,19 +617,8 @@ func sizeColumn[T any](wg *sync.WaitGroup, total *atomic.Int64, col []T, width i
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var c *columnSizer
-		select {
-		case c = <-sizers:
-		default:
-			c = new(columnSizer)
-			c.fw, _ = flate.NewWriter(c, flate.BestSpeed) // fails on an invalid level only
-		}
-		defer func() {
-			select {
-			case sizers <- c:
-			default:
-			}
-		}()
+		c := sizers.get()
+		defer sizers.put(c)
 		c.n = 0
 		c.fw.Reset(c)
 		for per := len(c.buf) / width; len(col) > 0; {
@@ -612,7 +646,11 @@ type columnSizer struct {
 // sync.Pool loses them at each GC (and at random under -race); with Table 1
 // sized beside the next day's measurement, that reallocation stalled the
 // measurement's resolvers past their timeouts.
-var sizers = make(chan *columnSizer, 7)
+var sizers = newFreeList(7, func() *columnSizer {
+	c := new(columnSizer)
+	c.fw, _ = flate.NewWriter(c, flate.BestSpeed) // fails on an invalid level only
+	return c
+})
 
 func (c *columnSizer) Write(p []byte) (int, error) {
 	c.n += int64(len(p))

@@ -1,11 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dpsadopt/internal/simtime"
@@ -304,6 +308,72 @@ func TestDayStatsDeterministic(t *testing.T) {
 	}
 	if got, sum := s.SourceStats("com").CompressedBytes, want[0]+want[1]+want[2]+want[3]; got != sum {
 		t.Errorf("SourceStats.CompressedBytes = %d, sum of DayStats = %d", got, sum)
+	}
+}
+
+// drain empties one of the process-wide free lists, so that a test sees
+// its own blocks and not those of the tests that ran before it.
+func drain[T any](l *freeList[T]) {
+	for {
+		select {
+		case <-l.items:
+		default:
+			return
+		}
+	}
+}
+
+// TestRecycledBlockCarriesNoStaleRows: a partition committed into the
+// block a larger, dropped partition handed back reads exactly as one
+// committed into a fresh block — through RowBatch, ForEachRow, DayStats
+// and the bytes Save writes.
+func TestRecycledBlockCarriesNoStaleRows(t *testing.T) {
+	const smallRows, bigRows = 500, 4000
+	small := func() *Store { return growingStore(3, []string{"com"}, 1, smallRows, 0) }
+	drain(blocks)
+	fresh := small()
+	growingStore(4, []string{"com"}, 1, bigRows, 0).DropDay("com", 0) // larger in every column
+	recycled := small()
+	got, _ := recycled.RowBatch("com", 0)
+	want, _ := fresh.RowBatch("com", 0)
+	if cap(got.Domains) < bigRows || cap(want.Domains) != smallRows {
+		t.Fatalf("fixture: recycled block holds %d rows' capacity, fresh %d; want %d and %d",
+			cap(got.Domains), cap(want.Domains), bigRows, smallRows)
+	}
+	if got.Rows() != want.Rows() || !slices.Equal(got.Domains, want.Domains) || !slices.Equal(got.Kinds, want.Kinds) ||
+		!slices.Equal(got.Addrs, want.Addrs) || !slices.Equal(got.Addrs6, want.Addrs6) || !slices.Equal(got.Strs, want.Strs) {
+		t.Fatalf("RowBatch columns differ: recycled %d rows, fresh %d", got.Rows(), want.Rows())
+	}
+	for i := 0; i < want.Rows(); i++ {
+		if !slices.Equal(got.ASNs(i), want.ASNs(i)) {
+			t.Fatalf("row %d: ASNs %v, fresh %v", i, got.ASNs(i), want.ASNs(i))
+		}
+	}
+	rows := func(s *Store) (out []Row) {
+		s.ForEachRow("com", 0, func(r Row) { out = append(out, r) })
+		return out
+	}
+	if g, w := rows(recycled), rows(fresh); !reflect.DeepEqual(g, w) {
+		t.Errorf("ForEachRow: %d rows differ from a fresh store's %d", len(g), len(w))
+	}
+	gr, gc, gids := recycled.DayStats("com", 0)
+	wr, wc, wids := fresh.DayStats("com", 0)
+	if gr != wr || gc != wc || !slices.Equal(gids, wids) {
+		t.Errorf("DayStats = %d rows, %d bytes, %d domains; fresh store %d, %d, %d", gr, gc, len(gids), wr, wc, len(wids))
+	}
+	saved := func(s *Store, name string) []byte {
+		path := filepath.Join(t.TempDir(), name)
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	if !bytes.Equal(saved(recycled, "recycled.dpsa"), saved(fresh, "fresh.dpsa")) {
+		t.Error("Save wrote different bytes for a recycled block than for a fresh one")
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 )
 
 // One datagram through Mem costs at most one allocation (the payload and
-// the read timer are reused). Not under -race: the race runtime drops
-// sync.Pool items.
+// the read timer are reused). Not under -race: the race runtime drops a
+// random share of sync.Pool puts, and each datagram's payload comes from
+// payloadPool.
 func TestAllocsMemWriteRead(t *testing.T) {
 	srv, cli := memPair(t)
 	msg := make([]byte, 70)

@@ -37,8 +37,10 @@ type DomainState struct {
 }
 
 // diversion describes what (if anything) redirects a domain's traffic on
-// a given day.
+// a given day. The zero value, on false, is no diversion; it is a value,
+// not a pointer, so that computing a state allocates nothing.
 type diversion struct {
+	on       bool
 	provider int
 	profile  Profile
 	// providerIPs: addresses come from the provider cloud (DNS-level
@@ -46,12 +48,26 @@ type diversion struct {
 	providerIPs bool
 }
 
-// StateFor computes the DNS state of domain d on the given day.
+// StateFor returns the DNS state of domain d on the given day in a new
+// DomainState: the form for a caller that keeps no state between
+// domains, such as the benchmark harness's replay. The measurement loop
+// fills one state per worker through StateInto.
 func (w *World) StateFor(d *Domain, day simtime.Day) DomainState {
+	var st DomainState
+	w.StateInto(&st, d, day)
+	return st
+}
+
+// StateInto computes the DNS state of domain d on the given day into st,
+// reusing the backing arrays of st's address slices, so a warm state
+// costs no allocation. Every field is overwritten. NSHosts aliases the
+// world's host tables and must not be modified.
+func (w *World) StateInto(st *DomainState, d *Domain, day simtime.Day) {
+	*st = DomainState{ApexA: st.ApexA[:0], WWWA: st.WWWA[:0], ApexAAAA: st.ApexAAAA[:0], WWWAAAA: st.WWWAAAA[:0]}
 	if !d.Life.Contains(day) {
-		return DomainState{}
+		return
 	}
-	st := DomainState{Exists: true}
+	st.Exists = true
 
 	var op *operatorInfra
 	if d.Operator >= 0 {
@@ -59,7 +75,7 @@ func (w *World) StateFor(d *Domain, day simtime.Day) DomainState {
 		for _, outage := range op.Spec.DNSOutages {
 			if outage == day {
 				st.Unmeasurable = true
-				return st
+				return
 			}
 		}
 	}
@@ -68,9 +84,9 @@ func (w *World) StateFor(d *Domain, day simtime.Day) DomainState {
 
 	// Name servers.
 	switch {
-	case div != nil && div.profile == ProfileNSProxied, delegatedNSOnly != nil:
+	case div.on && div.profile == ProfileNSProxied, delegatedNSOnly.on:
 		pi := w.Providers[w.nsProviderIndex(d, div, delegatedNSOnly)]
-		st.NSHosts = pickTwo(pi.NSHosts, d.hostSlot)
+		st.NSHosts = pi.nsPair(d.hostSlot)
 	case op != nil && op.Spec.NSSLD != "":
 		st.NSHosts = op.NSHosts
 	default:
@@ -81,40 +97,38 @@ func (w *World) StateFor(d *Domain, day simtime.Day) DomainState {
 	baseA := w.baselineAddr(d, op)
 	dual := w.dualStacked(d)
 	switch {
-	case div == nil:
-		st.ApexA = []netip.Addr{baseA}
+	case !div.on:
+		st.ApexA = append(st.ApexA, baseA)
 		if op != nil && op.Spec.BaselineCNAMESLD != "" {
 			st.WWWCNAME = cnameTarget(d, op.Spec.BaselineCNAMESLD)
-			st.WWWA = []netip.Addr{baseA}
-		} else {
-			st.WWWA = []netip.Addr{baseA}
 		}
+		st.WWWA = append(st.WWWA, baseA)
 		if dual {
 			a6 := w.baselineAddr6(d)
-			st.ApexAAAA = []netip.Addr{a6}
-			st.WWWAAAA = []netip.Addr{a6}
+			st.ApexAAAA = append(st.ApexAAAA, a6)
+			st.WWWAAAA = append(st.WWWAAAA, a6)
 		}
 	case div.profile == ProfileBGP:
 		// Records unchanged; the covering prefix's origin flips (handled
 		// by RIBForDay).
-		st.ApexA = []netip.Addr{baseA}
-		st.WWWA = []netip.Addr{baseA}
+		st.ApexA = append(st.ApexA, baseA)
+		st.WWWA = append(st.WWWA, baseA)
 		if op != nil && op.Spec.BaselineCNAMESLD != "" {
 			st.WWWCNAME = cnameTarget(d, op.Spec.BaselineCNAMESLD)
 		}
 	case div.profile == ProfileNSOnly:
 		// Delegated to the DPS, addresses stay on own hosting.
-		st.ApexA = []netip.Addr{baseA}
-		st.WWWA = []netip.Addr{baseA}
+		st.ApexA = append(st.ApexA, baseA)
+		st.WWWA = append(st.WWWA, baseA)
 	default:
 		addr := w.divertedAddr(d, div, op)
-		st.ApexA = []netip.Addr{addr}
+		st.ApexA = append(st.ApexA, addr)
 		if div.profile == ProfileCNAME {
 			spec := w.Providers[div.provider].Spec
 			sld := spec.CNAMESLDs[d.hostSlot%len(spec.CNAMESLDs)]
 			st.WWWCNAME = cnameTarget(d, sld)
 		}
-		st.WWWA = []netip.Addr{addr}
+		st.WWWA = append(st.WWWA, addr)
 		if dual && div.providerIPs {
 			c := d.Cust
 			var a6 netip.Addr
@@ -123,11 +137,10 @@ func (w *World) StateFor(d *Domain, day simtime.Day) DomainState {
 			} else {
 				a6 = w.Providers[div.provider].CloudAddr6(0, 2048+d.OpIdx)
 			}
-			st.ApexAAAA = []netip.Addr{a6}
-			st.WWWAAAA = []netip.Addr{a6}
+			st.ApexAAAA = append(st.ApexAAAA, a6)
+			st.WWWAAAA = append(st.WWWAAAA, a6)
 		}
 	}
-	return st
 }
 
 // dualStacked reports whether the domain publishes AAAA records: a
@@ -155,34 +168,34 @@ func (w *World) baselineAddr6(d *Domain) netip.Addr {
 }
 
 // nsProviderIndex picks the provider whose name servers host the domain.
-func (w *World) nsProviderIndex(d *Domain, div, nsOnly *diversion) int {
-	if div != nil && div.profile == ProfileNSProxied {
+func (w *World) nsProviderIndex(d *Domain, div, nsOnly diversion) int {
+	if div.on && div.profile == ProfileNSProxied {
 		return div.provider
 	}
 	return nsOnly.provider
 }
 
-// diversionFor returns the active traffic diversion (nil when none) and,
+// diversionFor returns the active traffic diversion (off when none) and,
 // separately, an NS-only delegation that persists regardless of diversion
 // (Verisign Managed DNS keeps the delegation even on quiet days).
-func (w *World) diversionFor(d *Domain, day simtime.Day) (*diversion, *diversion) {
+func (w *World) diversionFor(d *Domain, day simtime.Day) (diversion, diversion) {
 	// Direct customer first: direct subscriptions are not combined with
 	// operator cohort behaviour (customers were drawn from non-operator
 	// domains).
 	if c := d.Cust; c != nil {
 		if c.Profile == ProfileNSOnly {
 			if c.Sub.Contains(day) {
-				return nil, &diversion{provider: c.Provider, profile: ProfileNSOnly}
+				return diversion{}, diversion{on: true, provider: c.Provider, profile: ProfileNSOnly}
 			}
-			return nil, nil
+			return diversion{}, diversion{}
 		}
 		if c.ActiveOn(day) {
-			return &diversion{provider: c.Provider, profile: c.Profile, providerIPs: true}, nil
+			return diversion{on: true, provider: c.Provider, profile: c.Profile, providerIPs: true}, diversion{}
 		}
-		return nil, nil
+		return diversion{}, diversion{}
 	}
 	if d.Operator < 0 {
-		return nil, nil
+		return diversion{}, diversion{}
 	}
 	op := w.Operators[d.Operator]
 	spec := op.Spec
@@ -193,14 +206,14 @@ func (w *World) diversionFor(d *Domain, day simtime.Day) (*diversion, *diversion
 			continue
 		}
 		if ep.Provider < 0 {
-			return nil, nil // relationship terminated (Fabulous)
+			return diversion{}, diversion{} // relationship terminated (Fabulous)
 		}
-		return &diversion{provider: ep.Provider, profile: ep.Profile, providerIPs: episodeUsesProviderIPs(d.Operator, i)}, nil
+		return diversion{on: true, provider: ep.Provider, profile: ep.Profile, providerIPs: episodeUsesProviderIPs(d.Operator, i)}, diversion{}
 	}
 	if spec.AlwaysProvider >= 0 && d.OpIdx < w.alwaysCohortSize(op) {
-		return &diversion{provider: spec.AlwaysProvider, profile: spec.AlwaysProfile, providerIPs: spec.AlwaysProfile != ProfileBGP}, nil
+		return diversion{on: true, provider: spec.AlwaysProvider, profile: spec.AlwaysProfile, providerIPs: spec.AlwaysProfile != ProfileBGP}, diversion{}
 	}
-	return nil, nil
+	return diversion{}, diversion{}
 }
 
 // alwaysCohortSize returns the scaled number of cohort domains in the
@@ -247,7 +260,7 @@ func (w *World) baselineAddr(d *Domain, op *operatorInfra) netip.Addr {
 
 // divertedAddr is the address answered while a DNS-level diversion is
 // active.
-func (w *World) divertedAddr(d *Domain, div *diversion, op *operatorInfra) netip.Addr {
+func (w *World) divertedAddr(d *Domain, div diversion, op *operatorInfra) netip.Addr {
 	if div.providerIPs || op == nil {
 		p := w.Providers[div.provider]
 		if c := d.Cust; c != nil {
@@ -288,14 +301,15 @@ func indexByte(s string, c byte) int {
 	return -1
 }
 
-// pickTwo selects two NS hosts deterministically by slot.
-func pickTwo(hosts []string, slot int) []string {
-	if len(hosts) <= 2 {
-		return hosts
+// nsPair selects two of the provider's NS hosts deterministically by
+// slot: the slot's host and the next one, wrapping round.
+func (p *providerInfra) nsPair(slot int) []string {
+	n := len(p.NSHosts)
+	if n <= 2 {
+		return p.NSHosts
 	}
-	i := slot % len(hosts)
-	j := (slot + 1) % len(hosts)
-	return []string{hosts[i], hosts[j]}
+	i := slot % n
+	return p.nsRing[i : i+2 : i+2]
 }
 
 // RIBForDay builds the day's routing table: static infrastructure routes

@@ -251,8 +251,9 @@ func (w *World) BuildWire(day simtime.Day, network transport.Network) (*Wire, er
 	}
 
 	// Customer domain zones.
+	var st DomainState
 	for _, d := range w.Domains {
-		st := w.StateFor(d, day)
+		w.StateInto(&st, d, day)
 		if !st.Exists {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"dpsadopt/internal/bgp"
@@ -124,6 +125,9 @@ type providerInfra struct {
 	// the provider's NS SLDs).
 	NSHosts []string
 	NSAddrs []netip.Addr
+	// nsRing is NSHosts twice over, so every pair nsPair hands out is a
+	// slice of it.
+	nsRing []string
 	// clouds are the customer-facing address blocks, one per AS, so that
 	// every provider AS is referenced by customer addresses (the paper's
 	// Table 2 lists them all).
@@ -303,6 +307,7 @@ func (w *World) buildInfra() {
 				infra.NSHosts = append(infra.NSHosts, "ns1."+sld, "ns2."+sld)
 			}
 		}
+		infra.nsRing = append(slices.Clip(infra.NSHosts), infra.NSHosts...)
 		for j := range infra.NSHosts {
 			a, err := ipam.NthAddr(infra.Prefixes[0], uint64(4096+j))
 			if err != nil {

@@ -2,6 +2,7 @@ package worldsim
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -508,5 +509,55 @@ func TestDualStackState(t *testing.T) {
 	frac := float64(dualSeen) / float64(dualSeen+v4Only)
 	if frac < 0.08 || frac > 0.30 {
 		t.Errorf("dual-stack share = %.3f, want ≈0.2 of eligible", frac)
+	}
+}
+
+// TestStateIntoWarmState: one state refilled domain after domain over
+// several days reads exactly what a fresh state per domain reads — no
+// address, CNAME or name server of the previous domain survives.
+func TestStateIntoWarmState(t *testing.T) {
+	w := getWorld(t)
+	var st DomainState
+	for _, day := range []simtime.Day{0, 100, 325, 400, 549} {
+		for _, d := range w.Domains {
+			w.StateInto(&st, d, day)
+			want := w.StateFor(d, day)
+			if !sameState(st, want) {
+				t.Fatalf("%s on %s: warm state %+v, fresh %+v", d.Name, day, st, want)
+			}
+		}
+	}
+}
+
+func sameState(a, b DomainState) bool {
+	eq := func(x, y []netip.Addr) bool { return slices.Equal(x, y) }
+	return a.Exists == b.Exists && a.Unmeasurable == b.Unmeasurable && a.WWWCNAME == b.WWWCNAME &&
+		slices.Equal(a.NSHosts, b.NSHosts) && eq(a.ApexA, b.ApexA) && eq(a.WWWA, b.WWWA) &&
+		eq(a.ApexAAAA, b.ApexAAAA) && eq(a.WWWAAAA, b.WWWAAAA)
+}
+
+// TestStateIntoAllocs: computing a day's states into a warm state
+// allocates nothing but each CNAME target's name, which is built per
+// call. The measurement workers each keep one state, so a direct day's
+// world model costs a string per CNAME domain and no slices.
+func TestStateIntoAllocs(t *testing.T) {
+	w := getWorld(t)
+	for _, day := range []simtime.Day{0, 325, 549} {
+		var st DomainState
+		cnames := 0
+		for _, d := range w.Domains {
+			if w.StateInto(&st, d, day); st.WWWCNAME != "" {
+				cnames++
+			}
+		}
+		got := testing.AllocsPerRun(3, func() {
+			for _, d := range w.Domains {
+				w.StateInto(&st, d, day)
+			}
+		})
+		if int(got) > cnames {
+			t.Errorf("%s: %d domains into a warm state allocated %.0f times, want at most %d (one per CNAME target)",
+				day, len(w.Domains), got, cnames)
+		}
 	}
 }
